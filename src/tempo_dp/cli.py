@@ -40,7 +40,7 @@ class RunRecord:
     wall_ms: float
     combine_count: int
     combine_depth: int
-    max_deviation_vs_oracle: float | None = None
+    max_seq_par_deviation: float | None = None
 
 
 def build_scenario(name: str, T: int, N: int = 4, Dx: int = 5, seed: int = 0) -> Scenario:
@@ -152,7 +152,7 @@ def run_scenario(
         if us_a.size:
             dev = max(dev, float(np.max(np.abs(us_a - us_b))))
         for rec in records:
-            rec.max_deviation_vs_oracle = dev
+            rec.max_seq_par_deviation = dev
     return records, outputs
 
 
@@ -161,10 +161,10 @@ def write_runs_csv(path, records: list[RunRecord]) -> None:
         w = csv.writer(fh)
         w.writerow(
             ["scenario", "backend", "T", "wall_ms", "combine_count", "combine_depth",
-             "max_deviation_vs_oracle"]
+             "max_seq_par_deviation"]
         )
         for r in records:
-            dev = "" if r.max_deviation_vs_oracle is None else repr(r.max_deviation_vs_oracle)
+            dev = "" if r.max_seq_par_deviation is None else repr(r.max_seq_par_deviation)
             w.writerow([r.scenario, r.backend, r.T, f"{r.wall_ms:.3f}",
                         r.combine_count, r.combine_depth, dev])
 
@@ -191,8 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--block-size", type=int, default=None, help="partial condensing block size")
     ap.add_argument("--iters", type=int, default=10, help="linearization iterations (unicycle)")
     ap.add_argument("--workers", type=int, default=1,
-                    help="worker threads for per-element combines; the default vectorized "
-                    "engine always executes the same combine tree")
+                    help="worker threads for per-element combines (the default vectorized "
+                    "engine ignores it); every engine runs the same padding-free odd-even "
+                    "tree of < 2T combines and depth <= 2*ceil(log2 T)+1, so results do not "
+                    "depend on this value")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True, help="output directory")
     return ap
@@ -226,7 +228,8 @@ def main(argv=None) -> int:
     lqt.write_trajectory_csv(out_dir / "trajectory.csv", xs, us)
     write_runs_csv(out_dir / "runs.csv", records)
     for rec in records:
-        dev = "" if rec.max_deviation_vs_oracle is None else f"  max_dev={rec.max_deviation_vs_oracle:.3e}"
+        dev = rec.max_seq_par_deviation
+        dev = "" if dev is None else f"  max_seq_par_dev={dev:.3e}"
         print(
             f"{rec.scenario} {rec.backend}: T={rec.T} wall={rec.wall_ms:.3f} ms "
             f"combines={rec.combine_count} depth={rec.combine_depth}{dev}"

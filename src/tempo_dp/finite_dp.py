@@ -227,7 +227,6 @@ def solve_backward(
         (suffix,), stats = par_scan_stacked(
             stack,
             lambda a, b: (min_plus_matmul(a[0], b[0]),),
-            (min_plus_identity(p.D_x, p.ell.dtype).V,),
             ScanDirection.REVERSE,
         )
         V = suffix[:, :, 0]
@@ -235,7 +234,6 @@ def solve_backward(
         out, stats = par_scan(
             elements,
             combine_min_plus,
-            min_plus_identity(p.D_x, p.ell.dtype),
             ScanDirection.REVERSE,
             workers=workers,
         )
@@ -258,13 +256,7 @@ def forward_conditional(p: FiniteProblem, workers: int = 1) -> list[np.ndarray]:
     pre = np.full((p.D_x, p.D_x), inf, dtype=p.ell.dtype)
     pre[:, p.x_S] = 0
     elements = [CondValueMatrix(pre)] + build_elements(p)[: p.N]
-    prefix, _ = par_scan(
-        elements,
-        combine_min_plus,
-        min_plus_identity(p.D_x, p.ell.dtype),
-        ScanDirection.FORWARD,
-        workers=workers,
-    )
+    prefix, _ = par_scan(elements, combine_min_plus, ScanDirection.FORWARD, workers=workers)
     return [prefix[i].V[p.x_S].copy() for i in range(1, p.N + 1)]
 
 
@@ -278,13 +270,7 @@ def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy, workers: int = 1) -> np
     xs = np.arange(p.D_x)
     maps = [StateMap(m=p.f[k][xs, pol.u[k]]) for k in range(p.N)]
     maps[0] = StateMap(pinned=int(maps[0].m[p.x_S]))
-    prefix, _ = par_scan(
-        maps,
-        compose_state_maps,
-        state_map_identity(p.D_x),
-        ScanDirection.FORWARD,
-        workers=workers,
-    )
+    prefix, _ = par_scan(maps, compose_state_maps, ScanDirection.FORWARD, workers=workers)
     traj = np.array([p.x_S] + [m.pinned for m in prefix], dtype=np.int64)
     for k, x in enumerate(traj):
         if not pol.V[k, x] < inf:

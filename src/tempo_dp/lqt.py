@@ -224,34 +224,30 @@ def _combine_element_arrays(e1, e2):
 
     e1 covers the chronologically earlier interval. C and J of both inputs
     must be symmetric (maintained by construction and re-symmetrization
-    here), which makes (I + J2 C1) the transpose of (I + C1 J2) so a single
-    factorization backs both solves. Conditioning of that matrix is checked
-    via a 1-norm estimate (extra identity columns in the solve); beyond
-    COND_LIMIT the combine errors out instead of returning garbage.
+    here), which makes (I + J2 C1)^-1 the transpose of Zi = (I + C1 J2)^-1,
+    so one batched inverse serves both sides of the combination. The same
+    inverse gives the exact 1-norm condition number ||Z||_1 ||Zi||_1;
+    beyond COND_LIMIT (or on a singular or non-finite Z) the combine errors
+    out instead of returning garbage.
     """
     A1, b1, C1, eta1, J1 = e1
     A2, b2, C2, eta2, J2 = e2
-    n = A1.shape[-1]
-    eye = np.eye(n)
-    Z = eye + C1 @ J2
-    eye_b = np.broadcast_to(eye, Z.shape)
-    rhs1 = np.concatenate([A1, (b1 + _mv(C1, eta2))[..., None], C1, eye_b], axis=-1)
-    rhs2 = np.concatenate([(eta2 - _mv(J2, b1))[..., None], J2], axis=-1)
+    Z = np.eye(A1.shape[-1]) + C1 @ J2
     try:
-        sol1 = np.linalg.solve(Z, rhs1)
-        sol2 = np.linalg.solve(_t(Z), rhs2)
+        Zi = np.linalg.inv(Z)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"ill-conditioned combine: {exc}") from exc
-    zinv_cols = sol1[..., 2 * n + 1 :]
-    cond = np.abs(Z).sum(axis=-2).max(axis=-1) * np.abs(zinv_cols).sum(axis=-2).max(axis=-1)
+    cond = np.abs(Z).sum(axis=-2).max(axis=-1) * np.abs(Zi).sum(axis=-2).max(axis=-1)
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > COND_LIMIT:
-        raise SolverError(f"ill-conditioned combine: condition estimate {worst:.3e}")
-    A = A2 @ sol1[..., :n]
-    b = _mv(A2, sol1[..., n]) + b2
-    C = _sym(A2 @ sol1[..., n + 1 : 2 * n + 1] @ _t(A2) + C2)
-    eta = _mv(_t(A1), sol2[..., 0]) + eta1
-    J = _sym(_t(A1) @ sol2[..., 1:] @ A1 + J1)
+        raise SolverError(f"ill-conditioned combine: condition number {worst:.3e}")
+    W = A2 @ Zi
+    P = Zi @ A1
+    A = A2 @ P
+    b = _mv(W, b1 + _mv(C1, eta2)) + b2
+    C = _sym(W @ C1 @ _t(A2) + C2)
+    eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
+    J = _sym(_t(P) @ J2 @ A1 + J1)
     return A, b, C, eta, J
 
 
@@ -263,11 +259,6 @@ def combine_lqt(e1: LqtElement, e2: LqtElement) -> LqtElement:
         (e1.A, e1.b, e1.C, e1.eta, e1.J), (e2.A, e2.b, e2.C, e2.eta, e2.J)
     )
     return LqtElement(*out)
-
-
-def _identity_arrays(n_x: int):
-    z = np.zeros((n_x, n_x))
-    return (np.eye(n_x), np.zeros(n_x), z, np.zeros(n_x), z)
 
 
 def _solve_batched(G: np.ndarray, rhs: np.ndarray, what: str, offset: int):
@@ -401,7 +392,6 @@ def parallel_backward(
         suffix, stats = par_scan_stacked(
             _element_arrays(p),
             _combine_element_arrays,
-            _identity_arrays(p.n_x),
             ScanDirection.REVERSE,
         )
         Ss, vs = _sym(suffix[4]), suffix[3]
@@ -409,7 +399,6 @@ def parallel_backward(
         out, stats = par_scan(
             make_lqt_elements(p),
             combine_lqt,
-            lqt_identity(p.n_x),
             ScanDirection.REVERSE,
             workers=workers,
         )
@@ -490,15 +479,12 @@ def traj_method1(
         (_, cpre), _ = par_scan_stacked(
             (Ft, ct),
             _compose_affine_arrays,
-            (np.eye(p.n_x), np.zeros(p.n_x)),
             ScanDirection.FORWARD,
         )
         tail = cpre
     elif engine == "object":
         maps = [AffineMap(Ft[k], ct[k]) for k in range(p.N)]
-        prefix, _ = par_scan(
-            maps, compose_affine, affine_identity(p.n_x), ScanDirection.FORWARD, workers=workers
-        )
+        prefix, _ = par_scan(maps, compose_affine, ScanDirection.FORWARD, workers=workers)
         tail = np.stack([m.ct for m in prefix])
     else:
         raise ValueError(f"unknown engine {engine!r}")
@@ -527,15 +513,12 @@ def traj_method2(
         prefix, _ = par_scan_stacked(
             (A, b, C, eta, J),
             _combine_element_arrays,
-            _identity_arrays(nx),
             ScanDirection.FORWARD,
         )
         Ap, bp, Cp = prefix[0], prefix[1], prefix[2]
     elif engine == "object":
         elems = [LqtElement(A[k], b[k], C[k], eta[k], J[k]) for k in range(p.N + 1)]
-        out, _ = par_scan(
-            elems, combine_lqt, lqt_identity(nx), ScanDirection.FORWARD, workers=workers
-        )
+        out, _ = par_scan(elems, combine_lqt, ScanDirection.FORWARD, workers=workers)
         Ap = np.stack([e.A for e in out])
         bp = np.stack([e.b for e in out])
         Cp = np.stack([e.C for e in out])

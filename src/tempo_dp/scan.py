@@ -1,4 +1,4 @@
-"""Associative scans: sequential reference and work-parallel Blelloch engine.
+"""Associative scans: sequential reference and a work-efficient parallel tree.
 
 Two implementations of the all-prefix (and all-suffix) computation under an
 associative operator:
@@ -6,14 +6,17 @@ associative operator:
 * ``seq_scan`` / ``par_scan`` operate on a list of arbitrary Python elements
   and a binary combine callable.
 * ``par_scan_stacked`` operates on element sequences stored as tuples of
-  numpy arrays with a leading time axis, executing every combine of a tree
-  level as one vectorized call.
+  numpy arrays with a leading time axis, executing the combines of each
+  tree level as batched vectorized calls on strided views.
 
-Both parallel engines run the identical up-sweep / down-sweep tree for a
-given length (padded to a power of two with the identity element), so the
-set of combined pairs, and hence the result, never depends on how many
-workers execute a level. Scans are inclusive: the exclusive down-sweep
-result is folded with the saved input in a final pass.
+Both parallel engines run the same odd-even inclusive scan (Blelloch 1990,
+"Prefix sums and their applications"): combine adjacent pairs, scan the
+half-length sequence of pair results recursively, then fill in the even
+positions from their left neighbours. A length-T scan costs
+``C(T) = T - 1 + C(floor(T/2))`` combines (``C(1) = 0``, so
+``C(T) <= 2T - 2``) with no padding and no identity element. The combined
+pairs are a function of T only, so the result never depends on how many
+workers execute a level.
 
 Depth accounting tags every produced node with
 ``depth(parent) = max(depth(children)) + 1`` and reports the maximum, a
@@ -83,160 +86,107 @@ def seq_scan(
     return out, ScanStats(combine_count=n - 1, combine_depth=n - 1)
 
 
-def _tree_levels(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(j, k) index vectors per up-sweep level for power-of-two length p."""
-    levels = []
-    d = 0
-    while (1 << (d + 1)) <= p:
-        half = 1 << d
-        j = np.arange(half - 1, p, 2 * half)
-        levels.append((j, j + half))
-        d += 1
-    return levels
+Stack = tuple[np.ndarray, ...]
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
+def _odd_even(
+    x: Stack,
+    dx: np.ndarray,
+    out: Stack,
+    dout: np.ndarray,
+    combine: Callable[[Stack, Stack], Stack],
+    stats: ScanStats,
+) -> None:
+    """Inclusive forward scan of ``x`` into ``out`` (same length, no aliasing).
+
+    ``dx`` holds the depth of each input element; the depth of each prefix
+    is written to ``dout``. Every step works on strided views, so a level
+    costs one batched combine for the pairs and one for the fill-in.
+    """
+    n = dx.shape[0]
+    for o, a in zip(out, x):
+        o[0] = a[0]
+    dout[0] = dx[0]
+    if n == 1:
+        return
+    m = n // 2  # pairs (x[2i], x[2i+1]); their prefixes land on the odd slots
+    y = combine(tuple(a[0 : 2 * m : 2] for a in x), tuple(a[1 : 2 * m : 2] for a in x))
+    dy = np.maximum(dx[0 : 2 * m : 2], dx[1 : 2 * m : 2]) + 1
+    stats.combine_count += m
+    _odd_even(y, dy, tuple(o[1::2] for o in out), dout[1::2], combine, stats)
+    e = (n - 1) // 2  # even slots 2, 4, ...: left odd prefix (x) own element
+    if e:
+        res = combine(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[2::2] for a in x))
+        for o, r in zip(out, res):
+            o[2::2] = r
+        dout[2::2] = np.maximum(dout[1 : 2 * e : 2], dx[2::2]) + 1
+        stats.combine_count += e
 
 
 def par_scan(
     elements: Sequence[E],
     combine: Callable[[E, E], E],
-    identity: E,
     direction: ScanDirection = ScanDirection.FORWARD,
     workers: int = 1,
 ) -> tuple[list[E], ScanStats]:
-    """Blelloch scan over Python elements.
+    """Odd-even scan over Python elements.
 
-    ``combine`` must be associative and pure; ``identity`` must be a
-    two-sided neutral element. ``workers > 1`` evaluates each tree level in
-    a thread pool; the combined pairs are a function of len(elements) only,
-    so results are deterministic for any worker count.
+    The elements go through :func:`par_scan_stacked` as one object array,
+    so both engines run the same tree. ``combine`` must be associative and
+    pure. ``workers > 1`` evaluates the combines of each batch in a thread
+    pool; the combined pairs are a function of len(elements) only, so
+    results are deterministic for any worker count.
     """
-    n = len(elements)
-    if n == 0:
-        raise ValueError("empty scan")
-    if direction is ScanDirection.REVERSE:
-        flipped, stats = par_scan(
-            list(reversed(elements)),
-            lambda x, y: combine(y, x),
-            identity,
-            ScanDirection.FORWARD,
-            workers=workers,
-        )
-        flipped.reverse()
-        return flipped, stats
-
-    p = _next_pow2(n)
-    a: list[E] = list(elements) + [identity] * (p - n)
-    saved = list(a)
-    depth = [0] * p
-    stats = ScanStats()
+    objs = np.empty(len(elements), dtype=object)
+    for i, e in enumerate(elements):  # element-wise: elements may be sequences
+        objs[i] = e
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    mapper = pool.map if pool is not None else map
 
-    def apply(jobs: list[tuple[E, E]]) -> list[E]:
-        if pool is None:
-            return [combine(x, y) for x, y in jobs]
-        return list(pool.map(lambda xy: combine(xy[0], xy[1]), jobs))
+    def batched(a: Stack, b: Stack) -> Stack:
+        res = np.empty(len(a[0]), dtype=object)
+        for i, r in enumerate(mapper(combine, a[0], b[0])):
+            res[i] = r
+        return (res,)
 
     try:
-        levels = _tree_levels(p)
-        for jv, kv in levels:  # up-sweep
-            results = apply([(a[j], a[k]) for j, k in zip(jv, kv)])
-            for j, k, r in zip(jv, kv, results):
-                a[k] = r
-                depth[k] = max(depth[j], depth[k]) + 1
-                stats.combine_depth = max(stats.combine_depth, depth[k])
-            stats.combine_count += len(jv)
-        a[p - 1] = identity
-        depth[p - 1] = 0
-        for jv, kv in reversed(levels):  # down-sweep
-            results = apply([(a[k], a[j]) for j, k in zip(jv, kv)])
-            for j, k, r in zip(jv, kv, results):
-                dj, dk = depth[j], depth[k]
-                a[j] = a[k]
-                depth[j] = dk
-                a[k] = r
-                depth[k] = max(dj, dk) + 1
-                stats.combine_depth = max(stats.combine_depth, depth[k])
-            stats.combine_count += len(jv)
-        # final pass: exclusive prefix (x) original element -> inclusive
-        a = apply(list(zip(a, saved)))
-        stats.combine_count += p
-        stats.combine_depth = max(stats.combine_depth, max(depth) + 1)
+        (out,), stats = par_scan_stacked((objs,), batched, direction)
     finally:
         if pool is not None:
             pool.shutdown()
-    return a[:n], stats
-
-
-Stack = tuple[np.ndarray, ...]
+    return list(out), stats
 
 
 def par_scan_stacked(
     arrays: Stack,
     combine: Callable[[Stack, Stack], Stack],
-    identity: Stack,
     direction: ScanDirection = ScanDirection.FORWARD,
 ) -> tuple[Stack, ScanStats]:
-    """Blelloch scan over a time-stacked element sequence.
+    """Odd-even scan over a time-stacked element sequence.
 
     ``arrays`` is a tuple of ndarrays sharing leading axis T (one slot per
-    element); ``identity`` is a matching tuple without the time axis;
-    ``combine`` maps two equally-batched stacks to their combination. The
-    tree and the instrumentation are identical to :func:`par_scan`, but all
-    combines of one level run as a single batched call.
+    element); ``combine`` maps two equally-batched stacks (possibly strided
+    views) to their combination. Each tree level costs two batched calls:
+    one for the adjacent pairs and one for the even-slot fill-in.
     """
     n = int(arrays[0].shape[0])
     if n == 0:
         raise ValueError("empty scan")
     if any(int(x.shape[0]) != n for x in arrays[1:]):
         raise ValueError("stacked arrays disagree on length")
+    out = tuple(np.empty_like(x) for x in arrays)
+    src, dst, op = arrays, out, combine
     if direction is ScanDirection.REVERSE:
-        flipped = tuple(np.flip(x, axis=0) for x in arrays)
-        out, stats = par_scan_stacked(
-            flipped, lambda x, y: combine(y, x), identity, ScanDirection.FORWARD
-        )
-        return tuple(np.flip(x, axis=0) for x in out), stats
+        # a reverse scan is a forward scan of the flipped sequence under the
+        # swapped operator; the flipped views write straight into ``out``
+        src = tuple(np.flip(x, axis=0) for x in arrays)
+        dst = tuple(np.flip(o, axis=0) for o in out)
 
-    p = _next_pow2(n)
-    work = []
-    for x, ident in zip(arrays, identity):
-        buf = np.empty((p,) + x.shape[1:], dtype=x.dtype)
-        buf[:n] = x
-        buf[n:] = ident
-        work.append(buf)
-    saved = tuple(x.copy() for x in work)
-    depth = np.zeros(p, dtype=np.int64)
+        def op(a: Stack, b: Stack) -> Stack:
+            return combine(b, a)
+
+    depth = np.zeros(n, dtype=np.int64)
     stats = ScanStats()
-
-    levels = _tree_levels(p)
-    for jv, kv in levels:  # up-sweep
-        left = tuple(x[jv] for x in work)
-        right = tuple(x[kv] for x in work)
-        res = combine(left, right)
-        for x, r in zip(work, res):
-            x[kv] = r
-        depth[kv] = np.maximum(depth[jv], depth[kv]) + 1
-        stats.combine_count += len(jv)
-        stats.combine_depth = max(stats.combine_depth, int(depth[kv].max()))
-    for x, ident in zip(work, identity):
-        x[p - 1] = ident
-    depth[p - 1] = 0
-    for jv, kv in reversed(levels):  # down-sweep
-        t = tuple(x[jv] for x in work)
-        ak = tuple(x[kv] for x in work)
-        for x, r in zip(work, ak):
-            x[jv] = r
-        res = combine(ak, t)
-        for x, r in zip(work, res):
-            x[kv] = r
-        dj = depth[jv].copy()
-        depth[jv] = depth[kv]
-        depth[kv] = np.maximum(depth[kv], dj) + 1
-        stats.combine_count += len(jv)
-        stats.combine_depth = max(stats.combine_depth, int(depth[kv].max()))
-    out = combine(tuple(work), saved)  # final pass
-    stats.combine_count += p
-    stats.combine_depth = max(stats.combine_depth, int(depth.max()) + 1)
-    return tuple(x[:n] for x in out), stats
+    _odd_even(src, np.zeros(n, dtype=np.int64), dst, depth, op, stats)
+    stats.combine_depth = int(depth.max())
+    return out, stats

@@ -152,11 +152,11 @@ def test_criterion_5_depth_bound():
 
     for T in sizes:
         xs = [int(v) for v in rng.integers(0, 100, size=T)]
-        _, stats = par_scan(xs, operator.add, 0, FWD)
+        _, stats = par_scan(xs, operator.add, FWD)
         assert stats.combine_depth <= bound(T), f"add T={T}"
         _, sstats = seq_scan(xs, operator.add)
         assert sstats.combine_depth == T - 1
-        _, stats = par_scan(xs, min, math.inf, REV)
+        _, stats = par_scan(xs, min, REV)
         assert stats.combine_depth <= bound(T), f"min T={T}"
 
     # matrix-valued operators: vectorized engine, same tree/instrumentation
@@ -165,7 +165,6 @@ def test_criterion_5_depth_bound():
         _, stats = par_scan_stacked(
             (V,),
             lambda a, b: (fd.min_plus_matmul(a[0], b[0]),),
-            (fd.min_plus_identity(3).V,),
             REV,
         )
         assert stats.combine_depth <= bound(T), f"min-plus T={T}"
@@ -182,7 +181,6 @@ def test_criterion_5_depth_bound():
         _, stats = par_scan_stacked(
             (A, b, C, eta, J),
             lqt._combine_element_arrays,
-            lqt._identity_arrays(n),
             REV,
         )
         assert stats.combine_depth <= bound(T), f"lqt T={T}"
@@ -192,7 +190,6 @@ def test_criterion_5_depth_bound():
         _, stats = par_scan_stacked(
             (Fa, ca),
             lqt._compose_affine_arrays,
-            (np.eye(n), np.zeros(n)),
             FWD,
         )
         assert stats.combine_depth <= bound(T), f"affine T={T}"
@@ -309,8 +306,6 @@ def test_criterion_10_terminal_eta_correction():
         A=elems[-1].A, b=elems[-1].b, C=elems[-1].C,
         eta=p.HT.T @ p.rT, J=elems[-1].J,
     )
-    out, _ = par_scan(
-        elems[:-1] + [bad_term], lqt.combine_lqt, lqt.lqt_identity(3), REV
-    )
+    out, _ = par_scan(elems[:-1] + [bad_term], lqt.combine_lqt, REV)
     bad_values = [lqt.QuadValue(e.J, e.eta) for e in out]
     assert max_value_dev(bad_values, ref) > 1e-3

@@ -24,7 +24,7 @@ class TestMain:
         rows = read_runs(tmp_path / "runs.csv")
         assert {r["backend"] for r in rows} == {"sequential", "parallel"}
         for r in rows:
-            assert float(r["max_deviation_vs_oracle"]) == 0.0  # exact arithmetic
+            assert float(r["max_seq_par_deviation"]) == 0.0  # exact arithmetic
         par = next(r for r in rows if r["backend"] == "parallel")
         # the backward scan covers T stage elements plus the terminal one
         assert int(par["combine_depth"]) <= 2 * int(np.ceil(np.log2(64 + 1))) + 1
@@ -38,7 +38,7 @@ class TestMain:
         )
         assert rc == 0
         rows = read_runs(tmp_path / "runs.csv")
-        assert len(rows) == 1 and rows[0]["max_deviation_vs_oracle"] == ""
+        assert len(rows) == 1 and rows[0]["max_seq_par_deviation"] == ""
 
     def test_tracking_both_within_tolerance(self, tmp_path):
         rc = cli.main(
@@ -47,7 +47,7 @@ class TestMain:
         )
         assert rc == 0
         rows = read_runs(tmp_path / "runs.csv")
-        assert all(float(r["max_deviation_vs_oracle"]) <= 1e-7 for r in rows)
+        assert all(float(r["max_seq_par_deviation"]) <= 1e-7 for r in rows)
 
     def test_block_size_condensing(self, tmp_path):
         rc = cli.main(
@@ -56,7 +56,7 @@ class TestMain:
         )
         assert rc == 0
         rows = read_runs(tmp_path / "runs.csv")
-        assert all(float(r["max_deviation_vs_oracle"]) <= 1e-7 for r in rows)
+        assert all(float(r["max_seq_par_deviation"]) <= 1e-7 for r in rows)
 
     def test_mass_spring(self, tmp_path):
         rc = cli.main(
@@ -65,7 +65,7 @@ class TestMain:
         )
         assert rc == 0
         rows = read_runs(tmp_path / "runs.csv")
-        assert all(float(r["max_deviation_vs_oracle"]) <= 1e-7 for r in rows)
+        assert all(float(r["max_seq_par_deviation"]) <= 1e-7 for r in rows)
 
     def test_unicycle(self, tmp_path):
         rc = cli.main(
@@ -74,7 +74,7 @@ class TestMain:
         )
         assert rc == 0
         rows = read_runs(tmp_path / "runs.csv")
-        assert all(float(r["max_deviation_vs_oracle"]) <= 1e-6 for r in rows)
+        assert all(float(r["max_seq_par_deviation"]) <= 1e-6 for r in rows)
 
     def test_usage_error_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -194,6 +194,57 @@ class TestCombine:
             lqt.combine_lqt(lqt.lqt_identity(2), lqt.lqt_identity(3))
 
 
+def rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestConditioningGate:
+    """combine_lqt raises exactly when cond_1(I + C1 J2) exceeds COND_LIMIT."""
+
+    def test_gate_matches_condition_number(self):
+        rng = np.random.default_rng(21)
+        below = above = 0
+        for scale in np.logspace(8, 16, 33):
+            Q1, Q2 = rotation(rng.uniform(0, np.pi)), rotation(rng.uniform(0, np.pi))
+            C1 = Q1 @ np.diag([1.0, 0.5]) @ Q1.T
+            J2 = Q2 @ np.diag([0.3, scale]) @ Q2.T
+            cond = np.linalg.cond(np.eye(2) + C1 @ J2, 1)
+            if lqt.COND_LIMIT / 10 <= cond <= lqt.COND_LIMIT * 10:
+                continue
+            e1 = lqt.LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=C1,
+                                eta=rng.normal(size=2), J=np.eye(2))
+            e2 = lqt.LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=np.eye(2),
+                                eta=rng.normal(size=2), J=J2)
+            if cond > lqt.COND_LIMIT:
+                above += 1
+                with pytest.raises(SolverError, match="ill-conditioned combine"):
+                    lqt.combine_lqt(e1, e2)
+            else:
+                below += 1
+                out = lqt.combine_lqt(e1, e2)
+                assert all(np.isfinite(getattr(out, f)).all() for f in ("A", "b", "C", "eta", "J"))
+        assert below >= 5 and above >= 5
+
+    @pytest.mark.parametrize("engine", ["stacked", "object"])
+    def test_gate_fires_inside_parallel_backward(self, engine):
+        # only the first state is actuated, nearly free to control, and
+        # heavily weighted at the end: I + C J has condition ~1e14 at the
+        # last stage/terminal combine, although Riccati itself is fine
+        N = 6
+        p = lqt.LqtProblem(
+            S=0, T=N, x0=[1.0, 0.0],
+            F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
+            L=np.tile([[1.0], [0.0]], (N, 1, 1)),
+            H=np.tile(np.eye(2), (N, 1, 1)), X=np.tile(np.eye(2), (N, 1, 1)),
+            r=np.zeros((N, 2)), U=np.full((N, 1, 1), 1e-7),
+            HT=np.eye(2), XT=np.diag([1e7, 1.0]), rT=np.zeros(2),
+        )
+        lqt.riccati_backward(p)
+        with pytest.raises(SolverError, match="ill-conditioned combine"):
+            lqt.parallel_backward(p, engine=engine)
+
+
 class TestParallelBackward:
     def test_terminal_only(self):
         p = lqt.LqtProblem(

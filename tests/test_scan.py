@@ -53,22 +53,22 @@ class TestSeqScan:
 
 class TestParScan:
     def test_matches_trivial(self):
-        out, _ = par_scan([1, 2, 3, 4], operator.add, 0)
+        out, _ = par_scan([1, 2, 3, 4], operator.add)
         assert out == [1, 3, 6, 10]
 
     def test_single_element_reverse(self):
-        out, _ = par_scan([5], max, -math.inf, REV)
+        out, _ = par_scan([5], max, REV)
         assert out == [5]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty scan"):
-            par_scan([], operator.add, 0)
+            par_scan([], operator.add)
 
     def test_random_floats_match_seq(self):
         rng = np.random.default_rng(0)
         xs = list(rng.normal(size=1000))
         ref, _ = seq_scan(xs, operator.add)
-        out, _ = par_scan(xs, operator.add, 0.0)
+        out, _ = par_scan(xs, operator.add)
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("direction", [FWD, REV])
@@ -77,23 +77,23 @@ class TestParScan:
         rng = np.random.default_rng(T)
         xs = [int(v) for v in rng.integers(-50, 50, size=T)]
         ref, _ = seq_scan(xs, operator.add, direction)
-        out, _ = par_scan(xs, operator.add, 0, direction)
+        out, _ = par_scan(xs, operator.add, direction)
         assert out == ref
 
     @pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 100, 1024, 131072])
     def test_depth_bound(self, T):
         xs = list(range(T))
-        _, stats = par_scan(xs, operator.add, 0)
+        _, stats = par_scan(xs, operator.add)
         assert stats.combine_depth <= depth_bound(T)
-        _, stats = par_scan(xs, min, math.inf, REV)
+        _, stats = par_scan(xs, min, REV)
         assert stats.combine_depth <= depth_bound(T)
 
     def test_workers_do_not_change_result(self):
         rng = np.random.default_rng(1)
         xs = list(rng.normal(size=137))
-        ref, ref_stats = par_scan(xs, operator.add, 0.0)
+        ref, ref_stats = par_scan(xs, operator.add)
         for w in (2, 4):
-            out, stats = par_scan(xs, operator.add, 0.0, workers=w)
+            out, stats = par_scan(xs, operator.add, workers=w)
             assert out == ref  # bitwise: same tree, same pairs
             assert (stats.combine_count, stats.combine_depth) == (
                 ref_stats.combine_count,
@@ -110,8 +110,8 @@ class TestParScan:
         def op_swapped(a, b):
             return op(b, a)
 
-        rev, _ = par_scan(xs, op, (0, 0), REV)
-        fwd_of_reversed, _ = par_scan(list(reversed(xs)), op_swapped, (0, 0), FWD)
+        rev, _ = par_scan(xs, op, REV)
+        fwd_of_reversed, _ = par_scan(list(reversed(xs)), op_swapped, FWD)
         assert rev == list(reversed(fwd_of_reversed))
 
 
@@ -172,7 +172,7 @@ class TestOperatorEquivalence:
             V[rng.random(size=(5, 5)) < 0.25] = np.inf
             elems.append(fd.CondValueMatrix(V))
         ref, _ = seq_scan(elems, fd.combine_min_plus, direction)
-        out, _ = par_scan(elems, fd.combine_min_plus, fd.min_plus_identity(5), direction)
+        out, _ = par_scan(elems, fd.combine_min_plus, direction)
         for a, b in zip(out, ref):
             assert np.array_equal(a.V, b.V)
 
@@ -181,7 +181,7 @@ class TestOperatorEquivalence:
         rng = np.random.default_rng(9)
         elems = [random_lqt_element(rng, 3) for _ in range(41)]
         ref, _ = seq_scan(elems, lqt.combine_lqt, direction)
-        out, _ = par_scan(elems, lqt.combine_lqt, lqt.lqt_identity(3), direction)
+        out, _ = par_scan(elems, lqt.combine_lqt, direction)
         for a, b in zip(out, ref):
             for f in ("A", "b", "C", "eta", "J"):
                 num = np.max(np.abs(getattr(a, f) - getattr(b, f)))
@@ -196,7 +196,7 @@ class TestOperatorEquivalence:
             for _ in range(29)
         ]
         ref, _ = seq_scan(elems, lqt.compose_affine, direction)
-        out, _ = par_scan(elems, lqt.compose_affine, lqt.affine_identity(3), direction)
+        out, _ = par_scan(elems, lqt.compose_affine, direction)
         for a, b in zip(out, ref):
             assert np.allclose(a.Ft, b.Ft, rtol=1e-9, atol=1e-12)
             assert np.allclose(a.ct, b.ct, rtol=1e-9, atol=1e-12)
@@ -208,10 +208,8 @@ class TestStackedEngine:
     def test_matches_object_engine_add(self, T, direction):
         rng = np.random.default_rng(T + 100)
         xs = rng.integers(-40, 40, size=T).astype(np.int64)
-        ref, ref_stats = par_scan(list(xs), operator.add, np.int64(0), direction)
-        out, stats = par_scan_stacked(
-            (xs,), lambda a, b: (a[0] + b[0],), (np.int64(0),), direction
-        )
+        ref, ref_stats = par_scan(list(xs), operator.add, direction)
+        out, stats = par_scan_stacked((xs,), lambda a, b: (a[0] + b[0],), direction)
         assert list(out[0]) == ref
         assert (stats.combine_count, stats.combine_depth) == (
             ref_stats.combine_count,
@@ -225,11 +223,10 @@ class TestStackedEngine:
         stack = tuple(
             np.stack([getattr(e, f) for e in elems]) for f in ("A", "b", "C", "eta", "J")
         )
-        ref, _ = par_scan(elems, lqt.combine_lqt, lqt.lqt_identity(3), direction)
+        ref, _ = par_scan(elems, lqt.combine_lqt, direction)
         out, _ = par_scan_stacked(
             stack,
             lqt._combine_element_arrays,
-            lqt._identity_arrays(3),
             direction,
         )
         for i, e in enumerate(ref):
@@ -240,12 +237,70 @@ class TestStackedEngine:
         T = 131072
         rng = np.random.default_rng(12)
         xs = rng.integers(0, 100, size=T).astype(np.int64)
-        out, stats = par_scan_stacked(
-            (xs,), lambda a, b: (a[0] + b[0],), (np.int64(0),), FWD
-        )
+        out, stats = par_scan_stacked((xs,), lambda a, b: (a[0] + b[0],), FWD)
         assert stats.combine_depth <= depth_bound(T)
         np.testing.assert_array_equal(out[0], np.cumsum(xs))
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty scan"):
-            par_scan_stacked((np.zeros((0, 2)),), lambda a, b: a, (np.zeros(2),))
+            par_scan_stacked((np.zeros((0, 2)),), lambda a, b: a)
+
+
+TREE_SIZES = list(range(1, 71)) + [1023, 1024, 1025]
+PRIME = 1_000_003  # 2x2 products mod PRIME stay exact in int64
+
+
+def check_tree_stats(obj_stats, stacked_stats, T):
+    assert (obj_stats.combine_count, obj_stats.combine_depth) == (
+        stacked_stats.combine_count,
+        stacked_stats.combine_depth,
+    )
+    assert obj_stats.combine_count <= max(0, 2 * T - 2)
+    assert obj_stats.combine_depth <= depth_bound(T)
+
+
+class TestOddEvenTree:
+    """Both engines against the sequential oracle for every length 1..70 and
+    around 2^10, with non-commutative operators so any misordered pair shows."""
+
+    @pytest.mark.parametrize("direction", [FWD, REV])
+    @pytest.mark.parametrize("T", TREE_SIZES)
+    def test_matrix_product(self, T, direction):
+        rng = np.random.default_rng(T)
+        M = rng.integers(0, PRIME, size=(T, 2, 2))
+
+        def mul(a, b):
+            return (a @ b) % PRIME
+
+        ref, _ = seq_scan(list(M), mul, direction)
+        out, stats = par_scan(list(M), mul, direction)
+        (sout,), sstats = par_scan_stacked((M,), lambda a, b: (mul(a[0], b[0]),), direction)
+        assert len(out) == T
+        for a, b in zip(out, ref):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(sout, np.stack(ref))
+        check_tree_stats(stats, sstats, T)
+
+    @pytest.mark.parametrize("direction", [FWD, REV])
+    @pytest.mark.parametrize("T", TREE_SIZES)
+    def test_compose_affine(self, T, direction):
+        rng = np.random.default_rng(T + 7)
+        Ft = rng.normal(size=(T, 3, 3)) * 0.5
+        ct = rng.normal(size=(T, 3))
+        elems = [lqt.AffineMap(Ft[k], ct[k]) for k in range(T)]
+        ref, _ = seq_scan(elems, lqt.compose_affine, direction)
+        out, stats = par_scan(elems, lqt.compose_affine, direction)
+        (sF, sc), sstats = par_scan_stacked((Ft, ct), lqt._compose_affine_arrays, direction)
+        for k, e in enumerate(ref):
+            for got in ((out[k].Ft, out[k].ct), (sF[k], sc[k])):
+                np.testing.assert_allclose(got[0], e.Ft, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(got[1], e.ct, rtol=1e-9, atol=1e-12)
+        check_tree_stats(stats, sstats, T)
+
+    @pytest.mark.parametrize("T", TREE_SIZES)
+    def test_combine_count(self, T):
+        def expected(n):  # pairs, then the even fill-in, then the half-length scan
+            return 0 if n <= 1 else n - 1 + expected(n // 2)
+
+        _, stats = par_scan_stacked((np.arange(T),), lambda a, b: (a[0] + b[0],))
+        assert stats.combine_count == expected(T)
