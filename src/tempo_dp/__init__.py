@@ -2,7 +2,7 @@
 
 Finite-horizon optimal control solved two ways everywhere: classic
 sequential backward recursions, and associative scans whose combine trees
-have logarithmic depth. The scan engines live in :mod:`tempo_dp.scan`,
+have logarithmic depth. The scans live in :mod:`tempo_dp.scan`,
 exact finite-state DP in :mod:`tempo_dp.finite_dp`, the linear quadratic
 tracker in :mod:`tempo_dp.lqt`, iterated linearization in
 :mod:`tempo_dp.nonlinear`, and benchmark scenarios/CLI in

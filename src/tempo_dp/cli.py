@@ -66,15 +66,18 @@ def _median_ms(fn, repeats: int):
     return statistics.median(times), result
 
 
-def _solve_lqt(p: lqt.LqtProblem, backend: str, traj_method: int, block_size, workers: int):
+def _solve_lqt(p: lqt.LqtProblem, backend: str, traj_method: int, block_size):
     if block_size:
-        xs, us = lqt.solve_condensed(p, block_size, backend="parallel" if backend == "par" else "sequential")
-        return xs, us, None
+        cond_p, block_rec = lqt.condense(p, block_size)
+        std, cost_rec = lqt.transform_general_cost(cond_p)
+        xs_c, ut, stats = _solve_lqt(std, backend, traj_method, None)
+        xs, us = block_rec.reconstruct(xs_c, cost_rec.controls(xs_c, ut))
+        return xs, us, stats
     if backend == "seq":
         values, gains = lqt.riccati_backward(p)
         xs, us = lqt.closed_loop_rollout(p, values, gains)
         return xs, us, None
-    values, gains, stats = lqt.parallel_backward(p, workers=workers, return_stats=True)
+    values, gains, stats = lqt.parallel_backward(p, return_stats=True)
     if traj_method == 2:
         xs = lqt.traj_method2(p, values)
     else:
@@ -83,12 +86,12 @@ def _solve_lqt(p: lqt.LqtProblem, backend: str, traj_method: int, block_size, wo
     return xs, us, stats
 
 
-def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int, workers: int):
+def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int):
     if backend == "seq":
         pol = finite_dp.seq_bellman(p)
         xs, us = finite_dp.rollout_policy(p, pol)
         return xs, us, None
-    pol, stats = finite_dp.solve_backward(p, workers=workers, return_stats=True)
+    pol, stats = finite_dp.solve_backward(p, return_stats=True)
     if traj_method == 2:
         fw = finite_dp.forward_conditional(p)
         xs = finite_dp.recover_traj_m2(p, fw, pol)
@@ -111,7 +114,6 @@ def run_scenario(
     traj_method: int = 1,
     block_size: int | None = None,
     iters: int = 10,
-    workers: int = 1,
 ) -> tuple[list[RunRecord], dict]:
     """Time the requested backends and collect trajectories and records."""
     backends = ("seq", "par") if backend == "both" else (backend,)
@@ -122,11 +124,11 @@ def run_scenario(
     for be in backends:
         if scn.name in ("tracking2d", "mass_spring"):
             ms, (xs, us, stats) = _median_ms(
-                lambda be=be: _solve_lqt(p, be, traj_method, block_size, workers), repeats
+                lambda be=be: _solve_lqt(p, be, traj_method, block_size), repeats
             )
         elif scn.name == "routing":
             ms, (xs, us, stats) = _median_ms(
-                lambda be=be: _solve_routing(p, be, traj_method, workers), repeats
+                lambda be=be: _solve_routing(p, be, traj_method), repeats
             )
         else:
             ms, (xs, us, _) = _median_ms(
@@ -190,11 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--traj-method", type=int, choices=(1, 2), default=1)
     ap.add_argument("--block-size", type=int, default=None, help="partial condensing block size")
     ap.add_argument("--iters", type=int, default=10, help="linearization iterations (unicycle)")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="worker threads for per-element combines (the default vectorized "
-                    "engine ignores it); every engine runs the same padding-free odd-even "
-                    "tree of < 2T combines and depth <= 2*ceil(log2 T)+1, so results do not "
-                    "depend on this value")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True, help="output directory")
     return ap
@@ -216,7 +213,6 @@ def main(argv=None) -> int:
             traj_method=args.traj_method,
             block_size=args.block_size,
             iters=args.iters,
-            workers=args.workers,
         )
     except ValueError as exc:
         print(f"tempo-dp: error: {exc}", file=sys.stderr)

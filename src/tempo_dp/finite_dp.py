@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -208,12 +207,7 @@ def seq_bellman(p: FiniteProblem) -> FinitePolicy:
     return FinitePolicy(u=_policy_from_values(p, V), V=V)
 
 
-def solve_backward(
-    p: FiniteProblem,
-    engine: str = "stacked",
-    workers: int = 1,
-    return_stats: bool = False,
-):
+def solve_backward(p: FiniteProblem, return_stats: bool = False):
     """Backward pass as a reverse parallel scan of min-plus matrices.
 
     The suffix element starting at k has identical columns equal to the
@@ -221,33 +215,22 @@ def solve_backward(
     exactly (min-plus arithmetic involves no reordering-sensitive rounding
     for integer-valued costs).
     """
-    elements = build_elements(p)
-    if engine == "stacked":
-        stack = (np.stack([e.V for e in elements]),)
-        (suffix,), stats = par_scan_stacked(
-            stack,
-            lambda a, b: (min_plus_matmul(a[0], b[0]),),
-            ScanDirection.REVERSE,
-        )
-        V = suffix[:, :, 0]
-    elif engine == "object":
-        out, stats = par_scan(
-            elements,
-            combine_min_plus,
-            ScanDirection.REVERSE,
-            workers=workers,
-        )
-        V = np.stack([m.V[:, 0] for m in out])
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    stack = (np.stack([e.V for e in build_elements(p)]),)
+    (suffix,), stats = par_scan_stacked(
+        stack,
+        lambda a, b: (min_plus_matmul(a[0], b[0]),),
+        ScanDirection.REVERSE,
+    )
+    V = suffix[:, :, 0]
     if not V[0, p.x_S] < _inf_for(p.ell.dtype):
         raise SolverError("infeasible problem")
     pol = FinitePolicy(u=_policy_from_values(p, V), V=V)
     return (pol, stats) if return_stats else pol
 
 
-def forward_conditional(p: FiniteProblem, workers: int = 1) -> list[np.ndarray]:
-    """V_{S->k}(x_S, .) for k = S+1..T via a forward scan.
+def forward_conditional(p: FiniteProblem) -> np.ndarray:
+    """V_{S->k}(x_S, .) for k = S+1..T via a forward scan; row k-S-1 of the
+    returned (N, D_x) array holds step k.
 
     An extra leading element pins the start state (0 at column x_S, +inf
     elsewhere); row x_S of each prefix is the conditional value vector.
@@ -256,11 +239,14 @@ def forward_conditional(p: FiniteProblem, workers: int = 1) -> list[np.ndarray]:
     pre = np.full((p.D_x, p.D_x), inf, dtype=p.ell.dtype)
     pre[:, p.x_S] = 0
     elements = [CondValueMatrix(pre)] + build_elements(p)[: p.N]
-    prefix, _ = par_scan(elements, combine_min_plus, ScanDirection.FORWARD, workers=workers)
-    return [prefix[i].V[p.x_S].copy() for i in range(1, p.N + 1)]
+    prefix, _ = par_scan(elements, combine_min_plus, ScanDirection.FORWARD)
+    out = np.empty((p.N, p.D_x), dtype=p.ell.dtype)
+    for k in range(p.N):
+        out[k] = prefix[k + 1].V[p.x_S]
+    return out
 
 
-def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy, workers: int = 1) -> np.ndarray:
+def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:
     """Trajectory via composition of closed-loop state maps (Method 1)."""
     inf = _inf_for(p.ell.dtype)
     if not pol.V[0, p.x_S] < inf:
@@ -270,7 +256,7 @@ def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy, workers: int = 1) -> np
     xs = np.arange(p.D_x)
     maps = [StateMap(m=p.f[k][xs, pol.u[k]]) for k in range(p.N)]
     maps[0] = StateMap(pinned=int(maps[0].m[p.x_S]))
-    prefix, _ = par_scan(maps, compose_state_maps, ScanDirection.FORWARD, workers=workers)
+    prefix, _ = par_scan(maps, compose_state_maps, ScanDirection.FORWARD)
     traj = np.array([p.x_S] + [m.pinned for m in prefix], dtype=np.int64)
     for k, x in enumerate(traj):
         if not pol.V[k, x] < inf:
@@ -278,20 +264,20 @@ def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy, workers: int = 1) -> np
     return traj
 
 
-def recover_traj_m2(
-    p: FiniteProblem, fw: Sequence[np.ndarray], pol: FinitePolicy
-) -> np.ndarray:
-    """Trajectory by minimizing forward conditional + backward value sums."""
-    inf = _inf_for(p.ell.dtype)
+def recover_traj_m2(p: FiniteProblem, fw: np.ndarray, pol: FinitePolicy) -> np.ndarray:
+    """Trajectory by minimizing forward conditional + backward value sums.
+
+    ``fw`` is the (N, D_x) output of :func:`forward_conditional`; ties go to
+    the smallest state index.
+    """
+    total = fw + pol.V[1:]
+    if _is_int(p.ell.dtype):
+        total = np.minimum(total, INT_INF)
+    if not (total < _inf_for(p.ell.dtype)).any(axis=1).all():
+        raise SolverError("infeasible")
     traj = np.empty(p.N + 1, dtype=np.int64)
     traj[0] = p.x_S
-    for i, k in enumerate(range(1, p.N + 1)):
-        total = fw[i] + pol.V[k]
-        if _is_int(p.ell.dtype):
-            total = np.minimum(total, INT_INF)
-        if not (total < inf).any():
-            raise SolverError("infeasible")
-        traj[k] = np.argmin(total)
+    traj[1:] = np.argmin(total, axis=1)
     return traj
 
 

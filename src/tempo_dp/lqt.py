@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .scan import ScanDirection, par_scan, par_scan_stacked
+from .scan import ScanDirection, par_scan_stacked
+from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patches lqt.par_scan)
 
 __all__ = [
     "LqtProblem",
@@ -178,7 +178,10 @@ class LqtElement:
 
 @dataclass(frozen=True)
 class QuadValue:
-    """Value function 0.5 x'Sx - v'x, constant dropped."""
+    """Value functions 0.5 x'S_k x - v_k'x for k = 0..N, constants dropped.
+
+    S: (N+1, n_x, n_x); v: (N+1, n_x). Index k is relative to the start S.
+    """
 
     S: np.ndarray
     v: np.ndarray
@@ -186,6 +189,11 @@ class QuadValue:
 
 @dataclass(frozen=True)
 class Gains:
+    """Control-law gains for k = 0..N-1 (see :func:`control`).
+
+    K, Kv, Kc: (N, n_u, n_x); empty along the first axis when N = 0.
+    """
+
     K: np.ndarray
     Kv: np.ndarray
     Kc: np.ndarray
@@ -327,7 +335,7 @@ def make_lqt_elements(p: LqtProblem) -> list[LqtElement]:
     return [LqtElement(A[k], b[k], C[k], eta[k], J[k]) for k in range(p.N + 1)]
 
 
-def riccati_backward(p: LqtProblem) -> tuple[list[QuadValue], list[Gains]]:
+def riccati_backward(p: LqtProblem) -> tuple[QuadValue, Gains]:
     """Sequential backward recursion for (S_k, v_k) and the gain triples."""
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
@@ -356,9 +364,7 @@ def riccati_backward(p: LqtProblem) -> tuple[list[QuadValue], list[Gains]]:
         HtX = p.H[k].T @ p.X[k]
         vs[k] = Fcl.T @ (vs[k + 1] - Sn @ p.c[k]) + HtX @ p.r[k]
         Ss[k] = _sym(Fk.T @ Sn @ Fcl + HtX @ p.H[k])
-    values = [QuadValue(Ss[k], vs[k]) for k in range(n + 1)]
-    gains = [Gains(Ks[k], Kvs[k], Kcs[k]) for k in range(n)]
-    return values, gains
+    return QuadValue(Ss, vs), Gains(Ks, Kvs, Kcs)
 
 
 def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
@@ -376,93 +382,58 @@ def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
     return sol[..., :nx], sol[..., nx : 2 * nx], sol[..., 2 * nx :]
 
 
-def parallel_backward(
-    p: LqtProblem,
-    engine: str = "stacked",
-    workers: int = 1,
-    return_stats: bool = False,
-):
+def parallel_backward(p: LqtProblem, return_stats: bool = False):
     """Backward pass as a reverse scan of interval elements.
 
     The suffix element starting at k evaluated at a pinned terminal endpoint
     is the value function: S_k = J, v_k = eta of that suffix. Output matches
     :func:`riccati_backward`.
     """
-    if engine == "stacked":
-        suffix, stats = par_scan_stacked(
-            _element_arrays(p),
-            _combine_element_arrays,
-            ScanDirection.REVERSE,
-        )
-        Ss, vs = _sym(suffix[4]), suffix[3]
-    elif engine == "object":
-        out, stats = par_scan(
-            make_lqt_elements(p),
-            combine_lqt,
-            ScanDirection.REVERSE,
-            workers=workers,
-        )
-        Ss = np.stack([e.J for e in out])
-        vs = np.stack([e.eta for e in out])
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    Ks, Kvs, Kcs = _gains_from_values(p, Ss)
-    values = [QuadValue(Ss[k], vs[k]) for k in range(p.N + 1)]
-    gains = [Gains(Ks[k], Kvs[k], Kcs[k]) for k in range(p.N)]
+    suffix, stats = par_scan_stacked(
+        _element_arrays(p),
+        _combine_element_arrays,
+        ScanDirection.REVERSE,
+    )
+    Ss = _sym(suffix[4])
+    values = QuadValue(Ss, suffix[3])
+    gains = Gains(*_gains_from_values(p, Ss))
     if return_stats:
         return values, gains, stats
     return values, gains
 
 
-def control(x: np.ndarray, k: int, gains: Sequence[Gains], v_next: np.ndarray, c_k: np.ndarray) -> np.ndarray:
+def control(x: np.ndarray, k: int, gains: Gains, v_next: np.ndarray, c_k: np.ndarray) -> np.ndarray:
     """u_k = -K_k x + K_k^v v_{k+1} - K_k^c c_k (k relative to S)."""
-    g = gains[k]
-    return -g.K @ x + g.Kv @ v_next - g.Kc @ c_k
+    return -gains.K[k] @ x + gains.Kv[k] @ v_next - gains.Kc[k] @ c_k
 
 
 def closed_loop_rollout(
-    p: LqtProblem, values: Sequence[QuadValue], gains: Sequence[Gains]
+    p: LqtProblem, values: QuadValue, gains: Gains
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequential forward rollout of the optimal control law."""
     xs = np.empty((p.N + 1, p.n_x))
     us = np.empty((p.N, p.n_u))
     xs[0] = p.x0
     for k in range(p.N):
-        us[k] = control(xs[k], k, gains, values[k + 1].v, p.c[k])
+        us[k] = control(xs[k], k, gains, values.v[k + 1], p.c[k])
         xs[k + 1] = p.F[k] @ xs[k] + p.c[k] + p.L[k] @ us[k]
     return xs, us
 
 
 def controls_along(
-    p: LqtProblem, values: Sequence[QuadValue], gains: Sequence[Gains], xs: np.ndarray
+    p: LqtProblem, values: QuadValue, gains: Gains, xs: np.ndarray
 ) -> np.ndarray:
     """Control sequence along a given state trajectory, vectorized over k."""
-    if p.N == 0:
-        return np.zeros((0, p.n_u))
-    K = np.stack([g.K for g in gains])
-    Kv = np.stack([g.Kv for g in gains])
-    Kc = np.stack([g.Kc for g in gains])
-    v = np.stack([val.v for val in values])
-    return -_mv(K, xs[:-1]) + _mv(Kv, v[1:]) - _mv(Kc, p.c)
+    return -_mv(gains.K, xs[:-1]) + _mv(gains.Kv, values.v[1:]) - _mv(gains.Kc, p.c)
 
 
-def _closed_loop_maps(p: LqtProblem, values, gains):
-    K = np.stack([g.K for g in gains])
-    Kv = np.stack([g.Kv for g in gains])
-    Kc = np.stack([g.Kc for g in gains])
-    v = np.stack([val.v for val in values])
-    Ft = p.F - p.L @ K
-    ct = p.c + _mv(p.L @ Kv, v[1:]) - _mv(p.L @ Kc, p.c)
+def _closed_loop_maps(p: LqtProblem, values: QuadValue, gains: Gains):
+    Ft = p.F - p.L @ gains.K
+    ct = p.c + _mv(p.L @ gains.Kv, values.v[1:]) - _mv(p.L @ gains.Kc, p.c)
     return Ft, ct
 
 
-def traj_method1(
-    p: LqtProblem,
-    gains: Sequence[Gains],
-    values: Sequence[QuadValue],
-    engine: str = "stacked",
-    workers: int = 1,
-) -> np.ndarray:
+def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
     """Trajectory by scanning closed-loop affine maps (Method 1).
 
     The first element is pinned at the initial state (zero matrix part), so
@@ -471,32 +442,17 @@ def traj_method1(
     if p.N == 0:
         return p.x0[None, :].copy()
     Ft, ct = _closed_loop_maps(p, values, gains)
-    Ft = Ft.copy()
-    ct = ct.copy()
     ct[0] = Ft[0] @ p.x0 + ct[0]
     Ft[0] = 0.0
-    if engine == "stacked":
-        (_, cpre), _ = par_scan_stacked(
-            (Ft, ct),
-            _compose_affine_arrays,
-            ScanDirection.FORWARD,
-        )
-        tail = cpre
-    elif engine == "object":
-        maps = [AffineMap(Ft[k], ct[k]) for k in range(p.N)]
-        prefix, _ = par_scan(maps, compose_affine, ScanDirection.FORWARD, workers=workers)
-        tail = np.stack([m.ct for m in prefix])
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return np.concatenate([p.x0[None, :], tail], axis=0)
+    (_, cpre), _ = par_scan_stacked(
+        (Ft, ct),
+        _compose_affine_arrays,
+        ScanDirection.FORWARD,
+    )
+    return np.concatenate([p.x0[None, :], cpre], axis=0)
 
 
-def traj_method2(
-    p: LqtProblem,
-    values: Sequence[QuadValue],
-    engine: str = "stacked",
-    workers: int = 1,
-) -> np.ndarray:
+def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     """Trajectory from forward prefix elements and backward values (Method 2).
 
     x_k = (I + C_{S,k} S_k)^-1 (A_{S,k} x0 + b_{S,k} + C_{S,k} v_k) with the
@@ -509,25 +465,13 @@ def traj_method2(
     C = np.concatenate([np.zeros((1, nx, nx)), C[: p.N]])
     eta = np.concatenate([np.zeros((1, nx)), eta[: p.N]])
     J = np.concatenate([np.zeros((1, nx, nx)), J[: p.N]])
-    if engine == "stacked":
-        prefix, _ = par_scan_stacked(
-            (A, b, C, eta, J),
-            _combine_element_arrays,
-            ScanDirection.FORWARD,
-        )
-        Ap, bp, Cp = prefix[0], prefix[1], prefix[2]
-    elif engine == "object":
-        elems = [LqtElement(A[k], b[k], C[k], eta[k], J[k]) for k in range(p.N + 1)]
-        out, _ = par_scan(elems, combine_lqt, ScanDirection.FORWARD, workers=workers)
-        Ap = np.stack([e.A for e in out])
-        bp = np.stack([e.b for e in out])
-        Cp = np.stack([e.C for e in out])
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    Ss = np.stack([val.S for val in values])
-    vs = np.stack([val.v for val in values])
-    lhs = np.eye(nx) + Cp @ Ss
-    rhs = _mv(Ap, p.x0) + bp + _mv(Cp, vs)
+    (Ap, bp, Cp, _, _), _ = par_scan_stacked(
+        (A, b, C, eta, J),
+        _combine_element_arrays,
+        ScanDirection.FORWARD,
+    )
+    lhs = np.eye(nx) + Cp @ values.S
+    rhs = _mv(Ap, p.x0) + bp + _mv(Cp, values.v)
     try:
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -733,9 +677,9 @@ def lqt_cost(p: LqtProblem, xs: np.ndarray, us: np.ndarray) -> float:
     return float(cost + 0.5 * eT @ (p.XT @ eT))
 
 
-def value_at(val: QuadValue, x: np.ndarray) -> float:
-    """0.5 x'Sx - v'x; meaningful only in differences (constant dropped)."""
-    return float(0.5 * x @ (val.S @ x) - val.v @ x)
+def value_at(values: QuadValue, k: int, x: np.ndarray) -> float:
+    """0.5 x'S_k x - v_k'x; meaningful only in differences (constant dropped)."""
+    return float(0.5 * x @ (values.S[k] @ x) - values.v[k] @ x)
 
 
 def kkt_oracle(p: LqtProblem):

@@ -15,8 +15,7 @@ half-length sequence of pair results recursively, then fill in the even
 positions from their left neighbours. A length-T scan costs
 ``C(T) = T - 1 + C(floor(T/2))`` combines (``C(1) = 0``, so
 ``C(T) <= 2T - 2``) with no padding and no identity element. The combined
-pairs are a function of T only, so the result never depends on how many
-workers execute a level.
+pairs are a function of T only.
 
 Depth accounting tags every produced node with
 ``depth(parent) = max(depth(children)) + 1`` and reports the maximum, a
@@ -26,7 +25,6 @@ span surrogate: for T elements the parallel depth is at most
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, TypeVar
@@ -127,33 +125,23 @@ def par_scan(
     elements: Sequence[E],
     combine: Callable[[E, E], E],
     direction: ScanDirection = ScanDirection.FORWARD,
-    workers: int = 1,
 ) -> tuple[list[E], ScanStats]:
     """Odd-even scan over Python elements.
 
     The elements go through :func:`par_scan_stacked` as one object array,
-    so both engines run the same tree. ``combine`` must be associative and
-    pure. ``workers > 1`` evaluates the combines of each batch in a thread
-    pool; the combined pairs are a function of len(elements) only, so
-    results are deterministic for any worker count.
+    so both engines run the same tree. ``combine`` must be associative.
     """
     objs = np.empty(len(elements), dtype=object)
     for i, e in enumerate(elements):  # element-wise: elements may be sequences
         objs[i] = e
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    mapper = pool.map if pool is not None else map
 
     def batched(a: Stack, b: Stack) -> Stack:
         res = np.empty(len(a[0]), dtype=object)
-        for i, r in enumerate(mapper(combine, a[0], b[0])):
+        for i, r in enumerate(map(combine, a[0], b[0])):
             res[i] = r
         return (res,)
 
-    try:
-        (out,), stats = par_scan_stacked((objs,), batched, direction)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    (out,), stats = par_scan_stacked((objs,), batched, direction)
     return list(out), stats
 
 

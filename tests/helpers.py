@@ -127,9 +127,13 @@ def random_lqt_element(rng, n_x):
 
 
 def max_value_dev(values_a, values_b):
-    """Norm-relative deviation between two backward-pass value lists."""
-    dev = 0.0
-    for a, b in zip(values_a, values_b):
-        dev = max(dev, np.max(np.abs(a.S - b.S)) / max(1.0, np.max(np.abs(b.S))))
-        dev = max(dev, np.max(np.abs(a.v - b.v)) / max(1.0, np.max(np.abs(b.v))))
-    return dev
+    """Norm-relative deviation between two stacked backward-pass values.
+
+    Each step k is normalized by its own max(1, max|b_k|), so a small-magnitude
+    step next to large ones is judged at its own scale.
+    """
+    dS = np.abs(values_a.S - values_b.S).max(axis=(1, 2))
+    dv = np.abs(values_a.v - values_b.v).max(axis=1)
+    dS = dS / np.maximum(1.0, np.abs(values_b.S).max(axis=(1, 2)))
+    dv = dv / np.maximum(1.0, np.abs(values_b.v).max(axis=1))
+    return float(max(dS.max(), dv.max()))

@@ -307,5 +307,5 @@ def test_criterion_10_terminal_eta_correction():
         eta=p.HT.T @ p.rT, J=elems[-1].J,
     )
     out, _ = par_scan(elems[:-1] + [bad_term], lqt.combine_lqt, REV)
-    bad_values = [lqt.QuadValue(e.J, e.eta) for e in out]
+    bad_values = lqt.QuadValue(np.stack([e.J for e in out]), np.stack([e.eta for e in out]))
     assert max_value_dev(bad_values, ref) > 1e-3

@@ -50,13 +50,21 @@ class TestMain:
         assert all(float(r["max_seq_par_deviation"]) <= 1e-7 for r in rows)
 
     def test_block_size_condensing(self, tmp_path):
-        rc = cli.main(
-            ["tracking2d", "--T", "120", "--backend", "both", "--block-size", "4",
-             "--out", str(tmp_path)]
-        )
-        assert rc == 0
-        rows = read_runs(tmp_path / "runs.csv")
-        assert all(float(r["max_seq_par_deviation"]) <= 1e-7 for r in rows)
+        T, B = 120, 4
+        n = T // B + 1  # condensed stage elements plus the terminal one
+        for method in ("1", "2"):
+            out = tmp_path / method
+            rc = cli.main(
+                ["tracking2d", "--T", str(T), "--backend", "both", "--block-size", str(B),
+                 "--traj-method", method, "--out", str(out)]
+            )
+            assert rc == 0
+            rows = read_runs(out / "runs.csv")
+            assert all(float(r["max_seq_par_deviation"]) <= 1e-7 for r in rows)
+            # the parallel row reports the scan over the condensed problem
+            par = next(r for r in rows if r["backend"] == "parallel")
+            assert int(par["combine_count"]) <= 2 * n - 2
+            assert int(par["combine_depth"]) <= 2 * int(np.ceil(np.log2(n))) + 1
 
     def test_mass_spring(self, tmp_path):
         rc = cli.main(
@@ -100,12 +108,3 @@ class TestMain:
         cli.main(["routing", "--T", "16", "--backend", "par", "--out", str(tmp_path)])
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "k,x_1,u_1"
-
-    def test_workers_flag_deterministic(self, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        cli.main(["routing", "--T", "32", "--backend", "par", "--workers", "1",
-                  "--out", str(out_a)])
-        cli.main(["routing", "--T", "32", "--backend", "par", "--workers", "4",
-                  "--out", str(out_b)])
-        assert (out_a / "trajectory.csv").read_text() == (out_b / "trajectory.csv").read_text()

@@ -6,6 +6,7 @@ import pytest
 
 from tempo_dp import finite_dp as fd
 from tempo_dp.errors import SolverError
+from tempo_dp.scan import ScanDirection, par_scan
 
 from helpers import (
     enumerate_conditional,
@@ -130,7 +131,12 @@ class TestBackwardSolvers:
         rng = np.random.default_rng(seed)
         p = random_finite_problem(rng, D_x=4, D_u=3, N=8)
         ref = fd.seq_bellman(p)
-        pol = fd.solve_backward(p, engine=engine)
+        if engine == "stacked":
+            pol = fd.solve_backward(p)
+        else:  # element algebra scanned as Python objects
+            out, _ = par_scan(fd.build_elements(p), fd.combine_min_plus, ScanDirection.REVERSE)
+            V = np.stack([m.V[:, 0] for m in out])
+            pol = fd.FinitePolicy(u=fd._policy_from_values(p, V), V=V)
         np.testing.assert_array_equal(pol.V, ref.V)
         np.testing.assert_array_equal(pol.u, ref.u)
 
@@ -182,6 +188,15 @@ class TestBackwardSolvers:
 
 
 class TestForwardConditional:
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("N", [0, 1, 7])
+    def test_returns_stacked_array(self, N, dtype):
+        rng = np.random.default_rng(N)
+        p = random_finite_problem(rng, D_x=4, D_u=2, N=N, dtype=dtype)
+        fw = fd.forward_conditional(p)
+        assert isinstance(fw, np.ndarray)
+        assert fw.shape == (N, 4) and fw.dtype == dtype
+
     def test_first_entry_is_element_row(self):
         p = two_state_problem()
         fw = fd.forward_conditional(p)
@@ -234,6 +249,17 @@ class TestTrajectoryRecovery:
         pol = fd.solve_backward(p)
         xs, _ = fd.rollout_policy(p, pol)
         np.testing.assert_array_equal(fd.recover_traj_m1(p, pol), xs)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_m2_infeasible_row(self, dtype):
+        # a step whose forward costs are all infinite (saturated in int mode)
+        rng = np.random.default_rng(3)
+        p = random_finite_problem(rng, D_x=4, D_u=2, N=5, dtype=dtype)
+        pol = fd.solve_backward(p)
+        fw = fd.forward_conditional(p)
+        fw[2] = fd.INT_INF if dtype is np.int64 else np.inf
+        with pytest.raises(SolverError, match="infeasible"):
+            fd.recover_traj_m2(p, fw, pol)
 
     def test_m2_unique_chain_endpoint(self):
         f = np.array([[[1, 1], [0, 0]]])

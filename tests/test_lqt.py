@@ -6,8 +6,11 @@ import pytest
 
 from tempo_dp import lqt
 from tempo_dp.errors import SolverError
+from tempo_dp.scan import ScanDirection, par_scan
 
 from helpers import max_value_dev, random_lqt_element, random_lqt_problem
+
+FWD, REV = ScanDirection.FORWARD, ScanDirection.REVERSE
 
 
 def scalar_problem(N=1, F=1.0, L=1.0, c=0.0, H=1.0, X=1.0, r=0.0, U=1.0, x0=1.0,
@@ -25,11 +28,11 @@ class TestRiccatiBackward:
     def test_scalar_hand_example(self):
         p = scalar_problem()
         values, gains = lqt.riccati_backward(p)
-        assert values[1].S[0, 0] == pytest.approx(1.0)
-        assert values[1].v[0] == pytest.approx(0.0)
-        assert gains[0].K[0, 0] == pytest.approx(0.5)
-        assert values[0].S[0, 0] == pytest.approx(1.5)
-        assert values[0].v[0] == pytest.approx(0.0)
+        assert values.S[1, 0, 0] == pytest.approx(1.0)
+        assert values.v[1, 0] == pytest.approx(0.0)
+        assert gains.K[0, 0, 0] == pytest.approx(0.5)
+        assert values.S[0, 0, 0] == pytest.approx(1.5)
+        assert values.v[0, 0] == pytest.approx(0.0)
 
     def test_zero_stage_weight_ignores_stage_reference(self):
         rng = np.random.default_rng(0)
@@ -157,8 +160,8 @@ class TestCombine:
         for e in reversed(elems[:-1]):
             suffix = lqt.combine_lqt(e, suffix)
         values, _ = lqt.riccati_backward(p)
-        np.testing.assert_allclose(suffix.J, values[0].S, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(suffix.eta, values[0].v, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(suffix.J, values.S[0], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(suffix.eta, values.v[0], rtol=1e-9, atol=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(5)
@@ -192,6 +195,40 @@ class TestCombine:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             lqt.combine_lqt(lqt.lqt_identity(2), lqt.lqt_identity(3))
+
+
+def object_backward(p):
+    """Values and gains from the element algebra (make_lqt_elements,
+    combine_lqt) scanned as Python objects by par_scan."""
+    out, _ = par_scan(lqt.make_lqt_elements(p), lqt.combine_lqt, REV)
+    values = lqt.QuadValue(np.stack([e.J for e in out]), np.stack([e.eta for e in out]))
+    return values, lqt.Gains(*lqt._gains_from_values(p, values.S))
+
+
+def backward(p, engine):
+    return lqt.parallel_backward(p) if engine == "stacked" else object_backward(p)
+
+
+def object_method1(p, values, gains):
+    """Method 1 by par_scan over AffineMap objects (compose_affine), the
+    first map pinned at the initial state."""
+    Ft, ct = lqt._closed_loop_maps(p, values, gains)
+    maps = [lqt.AffineMap(np.zeros_like(Ft[0]), Ft[0] @ p.x0 + ct[0])]
+    maps += [lqt.AffineMap(Ft[k], ct[k]) for k in range(1, p.N)]
+    prefix, _ = par_scan(maps, lqt.compose_affine, FWD)
+    return np.stack([p.x0] + [m.ct for m in prefix])
+
+
+def object_method2(p, values):
+    """Method 2 step by step from LqtElement prefixes scanned by par_scan."""
+    n = p.n_x
+    z = np.zeros((n, n))
+    start = lqt.LqtElement(A=z, b=p.x0, C=z, eta=np.zeros(n), J=z)
+    prefix, _ = par_scan([start] + lqt.make_lqt_elements(p)[:-1], lqt.combine_lqt, FWD)
+    return np.stack([
+        np.linalg.solve(np.eye(n) + e.C @ values.S[k], e.A @ p.x0 + e.b + e.C @ values.v[k])
+        for k, e in enumerate(prefix)
+    ])
 
 
 def rotation(theta):
@@ -242,7 +279,7 @@ class TestConditioningGate:
         )
         lqt.riccati_backward(p)
         with pytest.raises(SolverError, match="ill-conditioned combine"):
-            lqt.parallel_backward(p, engine=engine)
+            backward(p, engine)
 
 
 class TestParallelBackward:
@@ -255,19 +292,18 @@ class TestParallelBackward:
             HT=np.array([[1.0, 0.0], [0.0, 2.0]]), XT=3.0 * np.eye(2), rT=[1.0, 1.0],
         )
         values, gains = lqt.parallel_backward(p)
-        np.testing.assert_allclose(values[0].S, p.HT.T @ p.XT @ p.HT)
-        np.testing.assert_allclose(values[0].v, p.HT.T @ p.XT @ p.rT)
-        assert gains == []
+        np.testing.assert_allclose(values.S[0], p.HT.T @ p.XT @ p.HT)
+        np.testing.assert_allclose(values.v[0], p.HT.T @ p.XT @ p.rT)
+        assert gains.K.shape == gains.Kv.shape == gains.Kc.shape == (0, 1, 2)
 
     @pytest.mark.parametrize("engine", ["stacked", "object"])
     def test_matches_riccati(self, engine):
         rng = np.random.default_rng(7)
         p = random_lqt_problem(rng, n_x=4, n_u=2, N=64)
         ref, gains_ref = lqt.riccati_backward(p)
-        values, gains = lqt.parallel_backward(p, engine=engine)
+        values, gains = backward(p, engine)
         assert max_value_dev(values, ref) <= 1e-9
-        for ga, gb in zip(gains, gains_ref):
-            assert np.allclose(ga.K, gb.K, rtol=1e-8, atol=1e-10)
+        assert np.allclose(gains.K, gains_ref.K, rtol=1e-8, atol=1e-10)
 
     def test_stats_depth(self):
         rng = np.random.default_rng(8)
@@ -287,6 +323,47 @@ class TestParallelBackward:
         assert np.max(np.abs(us_s - us_p)) <= 1e-8
 
 
+def truncated(p, N):
+    """The first N stages of p with its terminal cost."""
+    return lqt.LqtProblem(
+        S=0, T=N, x0=p.x0, F=p.F[:N], c=p.c[:N], L=p.L[:N], H=p.H[:N], X=p.X[:N],
+        r=p.r[:N], U=p.U[:N], HT=p.HT, XT=p.XT, rT=p.rT,
+    )
+
+
+class TestStackedResults:
+    @pytest.mark.parametrize("solver", [lqt.riccati_backward, lqt.parallel_backward])
+    @pytest.mark.parametrize("n_x,n_u", [(1, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("N", [0, 1, 7])
+    def test_shapes_and_value_at(self, solver, n_x, n_u, N):
+        rng = np.random.default_rng(10 * N + n_x + n_u)
+        p = truncated(random_lqt_problem(rng, n_x=n_x, n_u=n_u, N=7), N)
+        values, gains = solver(p)
+        assert values.S.shape == (N + 1, n_x, n_x)
+        assert values.v.shape == (N + 1, n_x)
+        for g in (gains.K, gains.Kv, gains.Kc):
+            assert g.shape == (N, n_u, n_x)
+        x = rng.normal(size=n_x)
+        for k in range(N + 1):
+            want = 0.5 * x @ values.S[k] @ x - values.v[k] @ x
+            assert lqt.value_at(values, k, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_max_value_dev_is_per_step(self):
+        # one small-magnitude step among large ones: a 1e-3 error there is
+        # reported as 1e-3, not diluted by the large steps' scale
+        S = np.full((5, 2, 2), 1e6)
+        v = np.full((5, 2), 1e6)
+        S[2] = 1.0
+        v[2] = 1.0
+        ref = lqt.QuadValue(S, v)
+        S_bad = S.copy()
+        S_bad[2, 0, 1] += 1e-3
+        assert max_value_dev(lqt.QuadValue(S_bad, v), ref) == pytest.approx(1e-3)
+        v_bad = v.copy()
+        v_bad[2, 1] -= 1e-3
+        assert max_value_dev(lqt.QuadValue(S, v_bad), ref) == pytest.approx(1e-3)
+
+
 class TestControlLaw:
     def test_zero_inputs(self):
         p = scalar_problem()
@@ -297,7 +374,7 @@ class TestControlLaw:
     def test_scalar_gain(self):
         p = scalar_problem()
         values, gains = lqt.riccati_backward(p)
-        u = lqt.control(np.array([2.0]), 0, gains, values[1].v, p.c[0])
+        u = lqt.control(np.array([2.0]), 0, gains, values.v[1], p.c[0])
         assert u[0] == pytest.approx(-1.0)  # -(1/2) x
 
     def test_grid_search_oracle(self):
@@ -307,13 +384,13 @@ class TestControlLaw:
         values, gains = lqt.riccati_backward(p)
         x = np.array([1.7])
         k = 0
-        u_law = lqt.control(x, k, gains, values[k + 1].v, p.c[k])[0]
+        u_law = lqt.control(x, k, gains, values.v[k + 1], p.c[k])[0]
 
         def q(u):
             e = p.H[k] @ x - p.r[k]
             step = 0.5 * e @ (p.X[k] @ e) + 0.5 * u * p.U[k, 0, 0] * u
             xn = p.F[k] @ x + p.c[k] + p.L[k] @ [u]
-            return float(step + 0.5 * xn @ (values[k + 1].S @ xn) - values[k + 1].v @ xn)
+            return float(step + 0.5 * xn @ (values.S[k + 1] @ xn) - values.v[k + 1] @ xn)
 
         us = np.array([-1.0, 0.0, 1.0])
         a, b, _ = np.polyfit(us, [q(u) for u in us], 2)
@@ -344,7 +421,10 @@ class TestTrajectoryRecovery:
         p = random_lqt_problem(rng, n_x=4, n_u=2, N=40)
         values, gains = lqt.parallel_backward(p)
         xs_ref, _ = lqt.closed_loop_rollout(p, values, gains)
-        xs = lqt.traj_method1(p, gains, values, engine=engine)
+        if engine == "stacked":
+            xs = lqt.traj_method1(p, gains, values)
+        else:
+            xs = object_method1(p, values, gains)
         np.testing.assert_allclose(xs, xs_ref, atol=1e-8)
 
     def test_method2_start_state(self):
@@ -372,7 +452,7 @@ class TestTrajectoryRecovery:
         p = random_lqt_problem(rng, n_x=4, n_u=2, N=40)
         values, gains = lqt.parallel_backward(p)
         xs1 = lqt.traj_method1(p, gains, values)
-        xs2 = lqt.traj_method2(p, values, engine=engine)
+        xs2 = lqt.traj_method2(p, values) if engine == "stacked" else object_method2(p, values)
         np.testing.assert_allclose(xs2, xs1, atol=1e-7)
 
 
@@ -477,8 +557,8 @@ class TestKktOracle:
         cost_a, _, _ = lqt.kkt_oracle(p)
         p_b = scalar_problem(N=1, x0=-0.5)
         cost_b, _, _ = lqt.kkt_oracle(p_b)
-        va = lqt.value_at(values[0], np.array([1.0]))
-        vb = lqt.value_at(values[0], np.array([-0.5]))
+        va = lqt.value_at(values, 0, np.array([1.0]))
+        vb = lqt.value_at(values, 0, np.array([-0.5]))
         assert cost_a - cost_b == pytest.approx(va - vb, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -512,7 +592,7 @@ class TestInvariants:
                             r=p.r, U=p.U, HT=p.HT, XT=p.XT, rT=p.rT)
         ca, _, _ = lqt.kkt_oracle(pa)
         cb, _, _ = lqt.kkt_oracle(pb)
-        dv = lqt.value_at(values[0], x) - lqt.value_at(values[0], y)
+        dv = lqt.value_at(values, 0, x) - lqt.value_at(values, 0, y)
         assert ca - cb == pytest.approx(dv, abs=1e-7)
 
     def test_cost_scaling_invariance(self):
@@ -524,8 +604,7 @@ class TestInvariants:
                             XT=lam * p.XT, rT=p.rT)
         va, ga = lqt.riccati_backward(p)
         vb, gb = lqt.riccati_backward(ps)
-        for a, b in zip(ga, gb):
-            np.testing.assert_allclose(a.K, b.K, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(ga.K, gb.K, rtol=1e-9, atol=1e-12)
         xa, ua = lqt.closed_loop_rollout(p, va, ga)
         xb, ub = lqt.closed_loop_rollout(ps, vb, gb)
         np.testing.assert_allclose(xa, xb, rtol=1e-9, atol=1e-9)
@@ -535,8 +614,8 @@ class TestInvariants:
         rng = np.random.default_rng(25)
         p = random_lqt_problem(rng, n_x=4, n_u=2, N=32)
         values, _ = lqt.parallel_backward(p)
-        for val in values:
-            assert np.max(np.abs(val.S - val.S.T)) == 0.0
+        for S in values.S:
+            assert np.max(np.abs(S - S.T)) == 0.0
         for e in lqt.make_lqt_elements(p):
             assert np.max(np.abs(e.C - e.C.T)) == 0.0
             assert np.max(np.abs(e.J - e.J.T)) == 0.0

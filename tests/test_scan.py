@@ -88,18 +88,6 @@ class TestParScan:
         _, stats = par_scan(xs, min, REV)
         assert stats.combine_depth <= depth_bound(T)
 
-    def test_workers_do_not_change_result(self):
-        rng = np.random.default_rng(1)
-        xs = list(rng.normal(size=137))
-        ref, ref_stats = par_scan(xs, operator.add)
-        for w in (2, 4):
-            out, stats = par_scan(xs, operator.add, workers=w)
-            assert out == ref  # bitwise: same tree, same pairs
-            assert (stats.combine_count, stats.combine_depth) == (
-                ref_stats.combine_count,
-                ref_stats.combine_depth,
-            )
-
     def test_direction_duality(self):
         rng = np.random.default_rng(2)
         xs = [tuple(v) for v in rng.integers(0, 9, size=(23, 2))]
