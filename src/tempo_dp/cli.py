@@ -76,7 +76,7 @@ def _solve_lqt(p: lqt.LqtProblem, backend: str, traj_method: int, block_size):
     if backend == "seq":
         values, gains = lqt.riccati_backward(p)
         xs, us = lqt.closed_loop_rollout(p, values, gains)
-        return xs, us, None
+        return xs, us, ScanStats(p.N, p.N)
     values, gains, stats = lqt.parallel_backward(p, return_stats=True)
     if traj_method == 2:
         xs = lqt.traj_method2(p, values)
@@ -90,7 +90,7 @@ def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int):
     if backend == "seq":
         pol = finite_dp.seq_bellman(p)
         xs, us = finite_dp.rollout_policy(p, pol)
-        return xs, us, None
+        return xs, us, ScanStats(p.N, p.N)
     pol, stats = finite_dp.solve_backward(p, return_stats=True)
     if traj_method == 2:
         fw = finite_dp.forward_conditional(p)
@@ -102,9 +102,13 @@ def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int):
 
 
 def _solve_unicycle(p: nonlinear.NonlinearProblem, backend: str, traj_method: int, iters: int):
-    name = "sequential" if backend == "seq" else "parallel"
-    xs, us, costs = nonlinear.ilqt(p, iters=iters, backend=name, traj_method=traj_method)
-    return xs, us, costs
+    if backend == "seq":
+        xs, us, _ = nonlinear.ilqt(p, iters=iters, backend="sequential")
+        return xs, us, ScanStats(p.N, p.N)
+    xs, us, _, stats = nonlinear.ilqt(
+        p, iters=iters, backend="parallel", traj_method=traj_method, return_stats=True
+    )
+    return xs, us, stats
 
 
 def run_scenario(
@@ -115,7 +119,11 @@ def run_scenario(
     block_size: int | None = None,
     iters: int = 10,
 ) -> tuple[list[RunRecord], dict]:
-    """Time the requested backends and collect trajectories and records."""
+    """Time the requested backends and collect trajectories and records.
+
+    The sequential row reports a backward pass over the N steps of the
+    problem actually solved as N combines of depth N.
+    """
     backends = ("seq", "par") if backend == "both" else (backend,)
     records: list[RunRecord] = []
     outputs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -131,17 +139,9 @@ def run_scenario(
                 lambda be=be: _solve_routing(p, be, traj_method), repeats
             )
         else:
-            ms, (xs, us, _) = _median_ms(
+            ms, (xs, us, stats) = _median_ms(
                 lambda be=be: _solve_unicycle(p, be, traj_method, iters), repeats
             )
-            stats = None
-            if be == "par":
-                lin = nonlinear.linearize(p, nonlinear.Nominal(xs, us))
-                std, _ = lqt.transform_general_cost(lin)
-                _, _, stats = lqt.parallel_backward(std, return_stats=True)
-        if stats is None:
-            n_elem = len(xs)  # sequential pass: one combine per step
-            stats = ScanStats(combine_count=n_elem - 1, combine_depth=n_elem - 1)
         outputs[be] = (np.asarray(xs, dtype=np.float64), np.asarray(us, dtype=np.float64))
         records.append(
             RunRecord(scn.name, "sequential" if be == "seq" else "parallel", T, ms,

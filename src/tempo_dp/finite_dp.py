@@ -163,23 +163,19 @@ def combine_min_plus(a: CondValueMatrix, b: CondValueMatrix) -> CondValueMatrix:
     return CondValueMatrix(min_plus_matmul(a.V, b.V))
 
 
-def build_elements(p: FiniteProblem) -> list[CondValueMatrix]:
-    """Per-step conditional value matrices, terminal convention included.
+def build_elements(p: FiniteProblem) -> np.ndarray:
+    """Per-step conditional value matrices as one (N+1, D_x, D_x) stack,
+    terminal convention included.
 
     Element k < T: V[x, x'] = min over {u : f_k(x, u) = x'} of ell_k(x, u),
     +inf when no control reaches x'. Element T broadcasts ell_T over the
     second argument.
     """
-    inf = _inf_for(p.ell.dtype)
-    out = []
-    for k in range(p.N):
-        V = np.full((p.D_x, p.D_x), inf, dtype=p.ell.dtype)
-        for x in range(p.D_x):
-            np.minimum.at(V[x], p.f[k, x], p.ell[k, x])
-        out.append(CondValueMatrix(V))
-    term = np.repeat(p.ell_T[:, None], p.D_x, axis=1)
-    out.append(CondValueMatrix(term))
-    return out
+    V = np.full((p.N + 1, p.D_x, p.D_x), _inf_for(p.ell.dtype), dtype=p.ell.dtype)
+    k, x, _ = np.indices(p.f.shape, sparse=True)
+    np.minimum.at(V, (k, x, p.f), p.ell)
+    V[p.N] = p.ell_T[:, None]
+    return V
 
 
 def _policy_from_values(p: FiniteProblem, V: np.ndarray) -> np.ndarray:
@@ -215,9 +211,8 @@ def solve_backward(p: FiniteProblem, return_stats: bool = False):
     exactly (min-plus arithmetic involves no reordering-sensitive rounding
     for integer-valued costs).
     """
-    stack = (np.stack([e.V for e in build_elements(p)]),)
     (suffix,), stats = par_scan_stacked(
-        stack,
+        (build_elements(p),),
         lambda a, b: (min_plus_matmul(a[0], b[0]),),
         ScanDirection.REVERSE,
     )
@@ -238,7 +233,7 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
     inf = _inf_for(p.ell.dtype)
     pre = np.full((p.D_x, p.D_x), inf, dtype=p.ell.dtype)
     pre[:, p.x_S] = 0
-    elements = [CondValueMatrix(pre)] + build_elements(p)[: p.N]
+    elements = [CondValueMatrix(pre)] + [CondValueMatrix(V) for V in build_elements(p)[: p.N]]
     prefix, _ = par_scan(elements, combine_min_plus, ScanDirection.FORWARD)
     out = np.empty((p.N, p.D_x), dtype=p.ell.dtype)
     for k in range(p.N):

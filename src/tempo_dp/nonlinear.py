@@ -2,7 +2,9 @@
 
 Each iteration Taylor-expands the dynamics and output maps around a nominal
 trajectory, solves the resulting tracking problem exactly (sequential or
-parallel backend), and adopts the optimizer as the next nominal. No line
+parallel backend), and adopts the optimizer as the next nominal. The
+problem's callables take whole time stacks, so the expansion and the cost
+are data-parallel over time like the scan itself. No line
 search or regularization; the per-iteration cost trace is returned so
 divergence is visible rather than hidden.
 """
@@ -32,9 +34,14 @@ __all__ = [
 class NonlinearProblem:
     """Nonlinear dynamics/output tracking problem over N steps.
 
-    f(k, x, u) -> next state; h(k, x) -> tracked output; g(k, u) -> control
-    output (None means identity). jac_* are analytic Jacobian providers;
-    those left None fall back to central finite differences.
+    The stage callables work on stacks of M points at once: ``k`` is an int
+    array of shape (M,), ``x`` is (M, n_x) and ``u`` is (M, n_u).
+
+    f(k, x, u) -> next states (M, n_x); h(k, x) -> tracked outputs (M, n_r);
+    g(k, u) -> control outputs (M, n_g) (None means identity). jac_f_x,
+    jac_f_u, jac_h and jac_g are analytic Jacobian providers returning
+    (M, ., .) stacks; those left None fall back to central finite
+    differences. The terminal maps hT(x) and jac_hT(x) take one point.
     """
 
     n_x: int
@@ -80,18 +87,33 @@ def default_nominal(p: NonlinearProblem, x_S: np.ndarray | None = None) -> Nomin
 
 
 def finite_diff_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate step scaling."""
+    """Central-difference Jacobian with per-coordinate step scaling.
+
+    ``point`` may carry leading batch axes: a (..., n) stack of points gives
+    a (..., m, n) stack of Jacobians from 2n calls of ``fn`` on whole stacks,
+    so ``fn`` must map (..., n) to (..., m). Coordinate i of each point moves
+    by step * (1 + |x_i|).
+    """
     point = np.asarray(point, dtype=np.float64)
-    f0 = np.asarray(fn(point), dtype=np.float64)
-    J = np.empty((f0.size, point.size))
-    for i in range(point.size):
-        hi = step * (1.0 + abs(point[i]))
+    n = point.shape[-1]
+    if n == 0:
+        f0 = np.asarray(fn(point), dtype=np.float64)
+        return np.empty(f0.shape + (0,))
+    cols = []
+    for i in range(n):
+        hi = step * (1.0 + np.abs(point[..., i]))
         xp = point.copy()
         xm = point.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        J[:, i] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2 * hi)
-    return J
+        xp[..., i] += hi
+        xm[..., i] -= hi
+        diff = np.asarray(fn(xp), dtype=np.float64) - np.asarray(fn(xm), dtype=np.float64)
+        cols.append(diff / (2 * hi[..., None]))
+    return np.stack(cols, axis=-1)
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector product: (M, m, n) @ (M, n) -> (M, m)."""
+    return (A @ x[..., None])[..., 0]
 
 
 def linearize(p: NonlinearProblem, nom: Nominal) -> lqt.LqtProblem:
@@ -99,39 +121,31 @@ def linearize(p: NonlinearProblem, nom: Nominal) -> lqt.LqtProblem:
 
     References are shifted so the linearized residuals match the Taylor
     expansion; a non-identity control output g needs a square invertible
-    Jacobian (the control cost is rewritten in u directly).
+    Jacobian (the control cost is rewritten in u directly). Every stage
+    callable is called once, on the whole (N, .) nominal stack.
     """
-    N, nx, nu, nr = p.N, p.n_x, p.n_u, p.n_r
-    F = np.empty((N, nx, nx))
-    L = np.empty((N, nx, nu))
-    c = np.empty((N, nx))
-    H = np.empty((N, nr, nx))
-    r2 = np.empty((N, nr))
-    U2 = np.empty((N, nu, nu))
-    s2 = np.empty((N, nu))
-    for k in range(N):
-        xb, ub = nom.xbar[k], nom.ubar[k]
-        F[k] = p.jac_f_x(k, xb, ub) if p.jac_f_x else finite_diff_jacobian(
-            lambda x: p.f(k, x, ub), xb
-        )
-        L[k] = p.jac_f_u(k, xb, ub) if p.jac_f_u else finite_diff_jacobian(
-            lambda u: p.f(k, xb, u), ub
-        )
-        c[k] = p.f(k, xb, ub) - F[k] @ xb - L[k] @ ub
-        H[k] = p.jac_h(k, xb) if p.jac_h else finite_diff_jacobian(lambda x: p.h(k, x), xb)
-        r2[k] = p.r[k] - p.h(k, xb) + H[k] @ xb
-        if p.g is None:
-            U2[k] = p.U[k]
-            s2[k] = p.s[k]
-        else:
-            Jg = p.jac_g(k, ub) if p.jac_g else finite_diff_jacobian(lambda u: p.g(k, u), ub)
-            if Jg.shape[0] != Jg.shape[1]:
-                raise SolverError("control-output Jacobian not invertible")
-            U2[k] = Jg.T @ p.U[k] @ Jg
-            try:
-                s2[k] = ub + np.linalg.solve(Jg, p.s[k] - p.g(k, ub))
-            except np.linalg.LinAlgError:
-                raise SolverError("control-output Jacobian not invertible") from None
+    N = p.N
+    k = np.arange(N)
+    xb, ub = nom.xbar[:N], nom.ubar
+    F = p.jac_f_x(k, xb, ub) if p.jac_f_x else finite_diff_jacobian(
+        lambda x: p.f(k, x, ub), xb
+    )
+    L = p.jac_f_u(k, xb, ub) if p.jac_f_u else finite_diff_jacobian(
+        lambda u: p.f(k, xb, u), ub
+    )
+    c = p.f(k, xb, ub) - _matvec(F, xb) - _matvec(L, ub)
+    H = p.jac_h(k, xb) if p.jac_h else finite_diff_jacobian(lambda x: p.h(k, x), xb)
+    r2 = p.r - p.h(k, xb) + _matvec(H, xb)
+    if p.g is None:
+        U2 = p.U.copy()
+        s2 = p.s.copy()
+    else:
+        Jg = p.jac_g(k, ub) if p.jac_g else finite_diff_jacobian(lambda u: p.g(k, u), ub)
+        if Jg.shape[-2] != Jg.shape[-1]:
+            raise SolverError("control-output Jacobian not invertible")
+        U2 = np.swapaxes(Jg, -1, -2) @ p.U @ Jg
+        rhs = (p.s - p.g(k, ub))[..., None]
+        s2 = ub + lqt._solve_batched(Jg, rhs, "control-output Jacobian", 0)[..., 0]
     xT = nom.xbar[N]
     HT = p.jac_hT(xT) if p.jac_hT else finite_diff_jacobian(p.hT, xT)
     rT2 = p.rT - p.hT(xT) + HT @ xT
@@ -144,15 +158,13 @@ def linearize(p: NonlinearProblem, nom: Nominal) -> lqt.LqtProblem:
 
 def nonlinear_cost(p: NonlinearProblem, xs: np.ndarray, us: np.ndarray) -> float:
     """Exact nonlinear objective of a state/control sequence."""
-    cost = 0.0
-    for k in range(p.N):
-        e = p.h(k, xs[k]) - p.r[k]
-        cost += 0.5 * e @ (p.X[k] @ e)
-        gu = us[k] if p.g is None else p.g(k, us[k])
-        w = gu - p.s[k]
-        cost += 0.5 * w @ (p.U[k] @ w)
-    eT = p.hT(xs[p.N]) - p.rT
-    return float(cost + 0.5 * eT @ (p.XT @ eT))
+    N = p.N
+    k = np.arange(N)
+    e = p.h(k, xs[:N]) - p.r
+    w = (us if p.g is None else p.g(k, us)) - p.s
+    eT = p.hT(xs[N]) - p.rT
+    stage = np.einsum("ki,kij,kj->", e, p.X, e) + np.einsum("ki,kij,kj->", w, p.U, w)
+    return float(0.5 * (stage + eT @ (p.XT @ eT)))
 
 
 def ilqt(
@@ -163,13 +175,16 @@ def ilqt(
     backend: str = "parallel",
     traj_method: int = 1,
     stop_tol: float | None = None,
+    return_stats: bool = False,
 ):
     """Iterated linearization loop.
 
     Returns (states, controls, costs) where costs[i] is the exact nonlinear
     objective of iterate i+1. ``stop_tol`` optionally stops early once the
     max trajectory change drops below it; by default all ``iters``
-    iterations run (no line search, no acceptance rule).
+    iterations run (no line search, no acceptance rule). With
+    ``return_stats`` a fourth item follows: the ``ScanStats`` of the last
+    iteration's parallel backward pass, or None on the sequential backend.
     """
     if iters < 1:
         raise ValueError("need iters >= 1")
@@ -179,6 +194,7 @@ def ilqt(
         p = replace(p, x0=np.asarray(x_S, dtype=np.float64))
     nom = init if init is not None else default_nominal(p)
     costs = []
+    stats = None
     for it in range(iters):
         try:
             lin = linearize(p, nom)
@@ -187,7 +203,7 @@ def ilqt(
                 values, gains = lqt.riccati_backward(std)
                 xs, ut = lqt.closed_loop_rollout(std, values, gains)
             else:
-                values, gains = lqt.parallel_backward(std)
+                values, gains, stats = lqt.parallel_backward(std, return_stats=True)
                 if traj_method == 2:
                     xs = lqt.traj_method2(std, values)
                 else:
@@ -204,4 +220,6 @@ def ilqt(
         nom = Nominal(xbar=xs, ubar=us)
         if stop_tol is not None and delta < stop_tol:
             break
+    if return_stats:
+        return nom.xbar, nom.ubar, costs, stats
     return nom.xbar, nom.ubar, costs

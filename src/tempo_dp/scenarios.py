@@ -189,7 +189,8 @@ def _race_track(n_points: int, rng: np.random.Generator) -> np.ndarray:
 def build_unicycle(T: int, seed: int = 0) -> NonlinearProblem:
     """Unicycle (px, py, theta, speed) tracking a closed race track.
 
-    Controls are tangential acceleration and turn rate. Position/heading
+    Controls are tangential acceleration and turn rate. The dynamics, output
+    and Jacobian callables work on (..., n) stacks of points. Position/heading
     references sit at every 10th step and are held between; weights are
     (100, 100, 1000) at reference steps and 1e-6 otherwise, including the
     terminal step. U = diag(1, 100), dt = 0.1.
@@ -217,30 +218,32 @@ def build_unicycle(T: int, seed: int = 0) -> NonlinearProblem:
     H3 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=np.float64)
 
     def f(k, x, u):
-        px, py, th, sp = x
-        return np.array(
-            [px + sp * np.cos(th) * dt, py + sp * np.sin(th) * dt, th + u[1] * dt, sp + u[0] * dt]
+        px, py, th, sp = (x[..., i] for i in range(4))
+        return np.stack(
+            [px + sp * np.cos(th) * dt, py + sp * np.sin(th) * dt,
+             th + u[..., 1] * dt, sp + u[..., 0] * dt],
+            axis=-1,
         )
 
     def jac_f_x(k, x, u):
-        _, _, th, sp = x
-        return np.array(
-            [
-                [1, 0, -sp * np.sin(th) * dt, np.cos(th) * dt],
-                [0, 1, sp * np.cos(th) * dt, np.sin(th) * dt],
-                [0, 0, 1, 0],
-                [0, 0, 0, 1],
-            ]
-        )
+        th, sp = x[..., 2], x[..., 3]
+        J = np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
+        J[..., 0, 2] = -sp * np.sin(th) * dt
+        J[..., 0, 3] = np.cos(th) * dt
+        J[..., 1, 2] = sp * np.cos(th) * dt
+        J[..., 1, 3] = np.sin(th) * dt
+        return J
+
+    Lu = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, dt], [dt, 0.0]])
 
     def jac_f_u(k, x, u):
-        return np.array([[0.0, 0.0], [0.0, 0.0], [0.0, dt], [dt, 0.0]])
+        return np.broadcast_to(Lu, x.shape[:-1] + Lu.shape).copy()
 
     def h(k, x):
-        return H3 @ x
+        return x[..., :3].copy()
 
     def jac_h(k, x):
-        return H3.copy()
+        return np.broadcast_to(H3, x.shape[:-1] + H3.shape).copy()
 
     speed0 = float(np.linalg.norm(seg[0]) / (10 * dt))
     x0 = np.array([pos[0, 0], pos[0, 1], theta[0], speed0])

@@ -238,12 +238,14 @@ def test_criterion_8_nonlinear_ilqt():
     rng = np.random.default_rng(19)
     lp = random_lqt_problem(rng, n_x=3, n_u=2, N=12)
 
-    def f(k, x, u):
-        return lp.F[k] @ x + lp.c[k] + lp.L[k] @ u
+    def f(k, x, u):  # stacked: k (M,), x (M, n_x), u (M, n_u)
+        return (
+            np.einsum("kij,kj->ki", lp.F[k], x) + lp.c[k] + np.einsum("kij,kj->ki", lp.L[k], u)
+        )
 
     npb = nl.NonlinearProblem(
         n_x=3, n_u=2, n_r=lp.n_r, x0=lp.x0, f=f,
-        h=lambda k, x: lp.H[k] @ x,
+        h=lambda k, x: np.einsum("kij,kj->ki", lp.H[k], x),
         X=lp.X.copy(), U=lp.U.copy(), r=lp.r.copy(), s=np.zeros((12, 2)),
         hT=lambda x: lp.HT @ x, XT=lp.XT.copy(), rT=lp.rT.copy(),
     )

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from tempo_dp import cli
+from tempo_dp import cli, lqt
 from tempo_dp.errors import SolverError
 
 
@@ -65,6 +65,10 @@ class TestMain:
             par = next(r for r in rows if r["backend"] == "parallel")
             assert int(par["combine_count"]) <= 2 * n - 2
             assert int(par["combine_depth"]) <= 2 * int(np.ceil(np.log2(n))) + 1
+            # so does the sequential row: Riccati ran over the T/B condensed steps
+            seq = next(r for r in rows if r["backend"] == "sequential")
+            assert int(seq["combine_count"]) == T // B
+            assert int(seq["combine_depth"]) == T // B
 
     def test_mass_spring(self, tmp_path):
         rc = cli.main(
@@ -83,6 +87,28 @@ class TestMain:
         assert rc == 0
         rows = read_runs(tmp_path / "runs.csv")
         assert all(float(r["max_seq_par_deviation"]) <= 1e-6 for r in rows)
+
+    def test_unicycle_stats_without_re_solve(self, tmp_path, monkeypatch):
+        calls = []
+        original = lqt.parallel_backward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lqt, "parallel_backward", counting)
+        iters, repeats = 3, 10  # repeats: run_scenario's default, plus one warm-up
+        rc = cli.main(
+            ["unicycle", "--T", "30", "--backend", "both", "--iters", str(iters),
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert len(calls) == iters * (repeats + 1)
+        rows = read_runs(tmp_path / "runs.csv")
+        par = next(r for r in rows if r["backend"] == "parallel")
+        assert 0 < int(par["combine_depth"]) <= 2 * int(np.ceil(np.log2(30 + 1))) + 1
+        seq = next(r for r in rows if r["backend"] == "sequential")
+        assert int(seq["combine_count"]) == int(seq["combine_depth"]) == 30
 
     def test_usage_error_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

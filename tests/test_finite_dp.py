@@ -26,7 +26,7 @@ def two_state_problem():
 class TestBuildElements:
     def test_controls_select_next_state(self):
         elems = fd.build_elements(two_state_problem())
-        np.testing.assert_array_equal(elems[0].V, [[0.0, 5.0], [3.0, 1.0]])
+        np.testing.assert_array_equal(elems[0], [[0.0, 5.0], [3.0, 1.0]])
 
     def test_frozen_state_dynamics(self):
         # controls never move the state: off-diagonal entries unreachable
@@ -34,7 +34,7 @@ class TestBuildElements:
         f[0] = np.arange(3)[:, None]
         ell = np.ones((1, 3, 2))
         p = fd.FiniteProblem(D_x=3, D_u=2, S=0, T=1, f=f, ell=ell, ell_T=np.zeros(3), x_S=0)
-        V = fd.build_elements(p)[0].V
+        V = fd.build_elements(p)[0]
         off = ~np.eye(3, dtype=bool)
         assert np.all(np.isinf(V[off]))
         np.testing.assert_array_equal(np.diag(V), [1, 1, 1])
@@ -44,16 +44,41 @@ class TestBuildElements:
             D_x=2, D_u=1, S=0, T=0, f=np.zeros((0, 2, 1), dtype=int),
             ell=np.zeros((0, 2, 1)), ell_T=[7.0, 9.0], x_S=0,
         )
-        term = fd.build_elements(p)[-1].V
+        term = fd.build_elements(p)[-1]
         np.testing.assert_array_equal(term, [[7.0, 7.0], [9.0, 9.0]])
 
     def test_duplicate_targets_take_min(self):
         f = np.array([[[1, 1], [0, 0]]])
         ell = np.array([[[4.0, 2.0], [8.0, 6.0]]])
         p = fd.FiniteProblem(D_x=2, D_u=2, S=0, T=1, f=f, ell=ell, ell_T=[0.0, 0.0], x_S=0)
-        V = fd.build_elements(p)[0].V
+        V = fd.build_elements(p)[0]
         assert V[0, 1] == 2.0 and V[1, 0] == 6.0
         assert np.isinf(V[0, 0]) and np.isinf(V[1, 1])
+
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_matches_triple_loop(self, dtype):
+        rng = np.random.default_rng(20)
+        D_x, D_u, N = 4, 3, 6
+        f = rng.integers(0, D_x, size=(N, D_x, D_u))
+        f[2, 1] = [3, 3, 0]  # two controls reach state 3 from x = 1 at k = 2
+        inf = fd.INT_INF if dtype is np.int64 else np.inf
+        ell = rng.integers(0, 10, size=(N, D_x, D_u)).astype(dtype)
+        ell[2, 1] = [7, 5, 1]
+        ell[4, 2] = inf  # every control infeasible from x = 2 at k = 4
+        ell_T = rng.integers(0, 10, size=D_x).astype(dtype)
+        p = fd.FiniteProblem(D_x=D_x, D_u=D_u, S=0, T=N, f=f, ell=ell, ell_T=ell_T, x_S=0)
+        ref = np.full((N + 1, D_x, D_x), inf, dtype=dtype)
+        for k in range(N):
+            for x in range(D_x):
+                for u in range(D_u):
+                    ref[k, x, f[k, x, u]] = min(ref[k, x, f[k, x, u]], ell[k, x, u])
+        ref[N] = ell_T[:, None]
+        V = fd.build_elements(p)
+        assert V.dtype == dtype and V.shape == (N + 1, D_x, D_x)
+        np.testing.assert_array_equal(V, ref)
+        assert V[2, 1, 3] == 5
+        assert np.all(V[4, 2] == inf)
 
 
 class TestCombineMinPlus:
@@ -134,7 +159,8 @@ class TestBackwardSolvers:
         if engine == "stacked":
             pol = fd.solve_backward(p)
         else:  # element algebra scanned as Python objects
-            out, _ = par_scan(fd.build_elements(p), fd.combine_min_plus, ScanDirection.REVERSE)
+            elems = [fd.CondValueMatrix(V) for V in fd.build_elements(p)]
+            out, _ = par_scan(elems, fd.combine_min_plus, ScanDirection.REVERSE)
             V = np.stack([m.V[:, 0] for m in out])
             pol = fd.FinitePolicy(u=fd._policy_from_values(p, V), V=V)
         np.testing.assert_array_equal(pol.V, ref.V)
@@ -201,7 +227,7 @@ class TestForwardConditional:
         p = two_state_problem()
         fw = fd.forward_conditional(p)
         elem = fd.build_elements(p)[0]
-        np.testing.assert_array_equal(fw[0], elem.V[p.x_S])
+        np.testing.assert_array_equal(fw[0], elem[p.x_S])
 
     def test_unique_path_chain(self):
         # deterministic cycle 0 -> 1 -> 0 with unit costs: running path cost

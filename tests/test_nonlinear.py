@@ -1,6 +1,8 @@
 """Iterated-linearization tests: Taylor exactness on linear systems,
 finite-difference fallback, backend equivalence, fixed-point behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,19 @@ from tempo_dp.scenarios import build_unicycle
 from helpers import random_lqt_problem
 
 
+def mv(A, x):
+    """Matrix-vector product over any leading stack axes."""
+    return np.einsum("...ij,...j->...i", A, x)
+
+
 def linear_as_nonlinear(p: lqt.LqtProblem, g_scale: float | None = None) -> nl.NonlinearProblem:
-    """Wrap an LQT problem as callables (optionally with a scaled g map)."""
+    """Wrap an LQT problem as stacked callables (optionally with a scaled g map)."""
 
     def f(k, x, u):
-        return p.F[k] @ x + p.c[k] + p.L[k] @ u
+        return mv(p.F[k], x) + p.c[k] + mv(p.L[k], u)
 
     def h(k, x):
-        return p.H[k] @ x
+        return mv(p.H[k], x)
 
     g = None
     U = p.U.copy()
@@ -44,6 +51,49 @@ class TestFiniteDiffJacobian:
     def test_scalar_quadratic(self):
         J = nl.finite_diff_jacobian(lambda x: np.array([x[0] ** 2]), np.array([1.0]))
         assert J[0, 0] == pytest.approx(2.0, abs=1e-6)
+
+    def test_batched_equals_single_point_calls(self):
+        def fn(x):
+            return np.stack(
+                [np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2 + np.exp(x[..., 2]),
+                 x[..., 1] * x[..., 2] ** 3], axis=-1,
+            )
+
+        rng = np.random.default_rng(10)
+        pts = rng.normal(size=(6, 3)) * np.array([1.0, 10.0, 0.1])
+        J = nl.finite_diff_jacobian(fn, pts)
+        assert J.shape == (6, 3, 3)
+        for m in range(6):
+            np.testing.assert_array_equal(J[m], nl.finite_diff_jacobian(fn, pts[m]))
+        # any number of leading axes
+        J2 = nl.finite_diff_jacobian(fn, pts.reshape(2, 3, 3))
+        np.testing.assert_array_equal(J2, J.reshape(2, 3, 3, 3))
+
+    def test_calls_fn_on_whole_stacks(self):
+        shapes = []
+
+        def fn(x):
+            shapes.append(x.shape)
+            return 2.0 * x[..., :2]
+
+        nl.finite_diff_jacobian(fn, np.ones((5, 4)))
+        assert shapes == [(5, 4)] * 8  # 2n calls, each on the full stack
+
+    def test_unicycle_stacked_analytic_matches_fd(self):
+        p = build_unicycle(20, seed=1)
+        rng = np.random.default_rng(11)
+        k = np.arange(50) % p.N
+        x = rng.normal(size=(50, 4))
+        u = rng.normal(size=(50, 2))
+        Jx = nl.finite_diff_jacobian(lambda xx: p.f(k, xx, u), x)
+        Ju = nl.finite_diff_jacobian(lambda uu: p.f(k, x, uu), u)
+        assert p.jac_f_x(k, x, u).shape == (50, 4, 4)
+        assert p.jac_f_u(k, x, u).shape == (50, 4, 2)
+        np.testing.assert_allclose(Jx, p.jac_f_x(k, x, u), atol=1e-5)
+        np.testing.assert_allclose(Ju, p.jac_f_u(k, x, u), atol=1e-5)
+        np.testing.assert_allclose(
+            nl.finite_diff_jacobian(lambda xx: p.h(k, xx), x), p.jac_h(k, x), atol=1e-5
+        )
 
     def test_unicycle_matches_analytic(self):
         p = build_unicycle(20, seed=1)
@@ -77,6 +127,51 @@ class TestLinearize:
             np.testing.assert_allclose(lin.HT, p.HT, atol=1e-8)
             assert lin.s is None  # zero references stay standard-form
 
+    @pytest.mark.parametrize("N", [0, 1, 7])
+    def test_horizons(self, N):
+        rng = np.random.default_rng(12)
+        full = random_lqt_problem(rng, n_x=3, n_u=2, N=7)
+        p = replace(
+            full, T=N, F=full.F[:N], c=full.c[:N], L=full.L[:N], H=full.H[:N],
+            X=full.X[:N], r=full.r[:N], U=full.U[:N],
+        )
+        base = linear_as_nonlinear(p)
+        seen = []
+
+        def f(k, x, u):
+            seen.append(k.shape)
+            return base.f(k, x, u)
+
+        npb = replace(base, f=f)
+        nom = nl.Nominal(xbar=rng.normal(size=(N + 1, 3)), ubar=rng.normal(size=(N, 2)))
+        lin = nl.linearize(npb, nom)
+        assert lin.N == N and lin.F.shape == (N, 3, 3) and lin.L.shape == (N, 3, 2)
+        np.testing.assert_allclose(lin.F, p.F, atol=1e-8)
+        np.testing.assert_allclose(lin.L, p.L, atol=1e-8)
+        np.testing.assert_allclose(lin.c, p.c, atol=1e-7)
+        assert set(seen) == {(N,)}  # every call covers the whole horizon
+        cost = nl.nonlinear_cost(npb, nom.xbar, nom.ubar)
+        ref = sum(
+            0.5 * (p.H[k] @ nom.xbar[k] - p.r[k]) @ p.X[k] @ (p.H[k] @ nom.xbar[k] - p.r[k])
+            + 0.5 * nom.ubar[k] @ p.U[k] @ nom.ubar[k]
+            for k in range(N)
+        )
+        eT = p.HT @ nom.xbar[N] - p.rT
+        assert cost == pytest.approx(ref + 0.5 * eT @ p.XT @ eT, rel=1e-12)
+
+    def test_singular_control_output_names_step(self):
+        rng = np.random.default_rng(13)
+        p = random_lqt_problem(rng, n_x=3, n_u=2, N=6)
+        scale = np.ones(6)
+        scale[4] = 0.0  # g collapses every control at step 4
+
+        def g(k, u):
+            return scale[k][..., None] * u
+
+        npb = replace(linear_as_nonlinear(p), g=g)
+        with pytest.raises(SolverError, match="control-output Jacobian singular at step 4"):
+            nl.linearize(npb, nl.default_nominal(npb))
+
     def test_unicycle_jacobian_entries(self):
         p = build_unicycle(20, seed=0)
         x = np.array([0.0, 0.0, 0.0, 1.0])
@@ -104,7 +199,7 @@ class TestLinearize:
         npb = linear_as_nonlinear(p)
         npb = nl.NonlinearProblem(**{
             **{f.name: getattr(npb, f.name) for f in npb.__dataclass_fields__.values()},
-            "g": lambda k, u: np.array([u[0] + u[1]]),
+            "g": lambda k, u: u[..., :1] + u[..., 1:],
         })
         with pytest.raises(SolverError, match="not invertible"):
             nl.linearize(npb, nl.default_nominal(npb))
