@@ -12,6 +12,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,28 +67,8 @@ def _median_ms(fn, repeats: int):
     return statistics.median(times), result
 
 
-def _solve_lqt(p: lqt.LqtProblem, backend: str, traj_method: int, block_size):
-    if block_size:
-        cond_p, block_rec = lqt.condense(p, block_size)
-        std, cost_rec = lqt.transform_general_cost(cond_p)
-        xs_c, ut, stats = _solve_lqt(std, backend, traj_method, None)
-        xs, us = block_rec.reconstruct(xs_c, cost_rec.controls(xs_c, ut))
-        return xs, us, stats
-    if backend == "seq":
-        values, gains = lqt.riccati_backward(p)
-        xs, us = lqt.closed_loop_rollout(p, values, gains)
-        return xs, us, ScanStats(p.N, p.N)
-    values, gains, stats = lqt.parallel_backward(p, return_stats=True)
-    if traj_method == 2:
-        xs = lqt.traj_method2(p, values)
-    else:
-        xs = lqt.traj_method1(p, gains, values)
-    us = lqt.controls_along(p, values, gains, xs)
-    return xs, us, stats
-
-
 def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int):
-    if backend == "seq":
+    if backend == "sequential":
         pol = finite_dp.seq_bellman(p)
         xs, us = finite_dp.rollout_policy(p, pol)
         return xs, us, ScanStats(p.N, p.N)
@@ -101,16 +82,6 @@ def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int):
     return xs, us, stats
 
 
-def _solve_unicycle(p: nonlinear.NonlinearProblem, backend: str, traj_method: int, iters: int):
-    if backend == "seq":
-        xs, us, _ = nonlinear.ilqt(p, iters=iters, backend="sequential")
-        return xs, us, ScanStats(p.N, p.N)
-    xs, us, _, stats = nonlinear.ilqt(
-        p, iters=iters, backend="parallel", traj_method=traj_method, return_stats=True
-    )
-    return xs, us, stats
-
-
 def run_scenario(
     scn: Scenario,
     backend: str = "both",
@@ -121,35 +92,35 @@ def run_scenario(
 ) -> tuple[list[RunRecord], dict]:
     """Time the requested backends and collect trajectories and records.
 
-    The sequential row reports a backward pass over the N steps of the
-    problem actually solved as N combines of depth N.
+    ``backend`` is "sequential", "parallel" or "both". LQT scenarios go
+    through :func:`lqt.solve`; ``block_size`` applies to them only. The
+    sequential row reports a backward pass over the N steps of the problem
+    actually solved as N combines of depth N.
     """
-    backends = ("seq", "par") if backend == "both" else (backend,)
+    p = scn.problem
+    is_lqt = isinstance(p, lqt.LqtProblem)
+    if block_size is not None and not is_lqt:
+        raise ValueError(f"block size applies to LQT scenarios only, not {scn.name}")
+    backends = ("sequential", "parallel") if backend == "both" else (backend,)
+    if not set(backends) <= {"sequential", "parallel"}:
+        raise ValueError(f"unknown backend {backend!r}")
     records: list[RunRecord] = []
     outputs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    p = scn.problem
     T = scn.params["T"]
     for be in backends:
-        if scn.name in ("tracking2d", "mass_spring"):
-            ms, (xs, us, stats) = _median_ms(
-                lambda be=be: _solve_lqt(p, be, traj_method, block_size), repeats
-            )
+        if is_lqt:
+            solve = partial(lqt.solve, p, be, traj_method, block_size)
         elif scn.name == "routing":
-            ms, (xs, us, stats) = _median_ms(
-                lambda be=be: _solve_routing(p, be, traj_method), repeats
-            )
+            solve = partial(_solve_routing, p, be, traj_method)
         else:
-            ms, (xs, us, stats) = _median_ms(
-                lambda be=be: _solve_unicycle(p, be, traj_method, iters), repeats
-            )
+            solve = partial(nonlinear.ilqt, p, iters=iters, backend=be,
+                            traj_method=traj_method, return_stats=True)
+        ms, (xs, us, *_, stats) = _median_ms(solve, repeats)  # ilqt's costs dropped
         outputs[be] = (np.asarray(xs, dtype=np.float64), np.asarray(us, dtype=np.float64))
-        records.append(
-            RunRecord(scn.name, "sequential" if be == "seq" else "parallel", T, ms,
-                      stats.combine_count, stats.combine_depth)
-        )
+        records.append(RunRecord(scn.name, be, T, ms, stats.combine_count, stats.combine_depth))
     if len(backends) == 2:
-        xs_a, us_a = outputs["seq"]
-        xs_b, us_b = outputs["par"]
+        xs_a, us_a = outputs["sequential"]
+        xs_b, us_b = outputs["parallel"]
         dev = float(np.max(np.abs(xs_a - xs_b)))
         if us_a.size:
             dev = max(dev, float(np.max(np.abs(us_a - us_b))))
@@ -190,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--Dx", type=int, default=5, help="state count (routing)")
     ap.add_argument("--backend", choices=("seq", "par", "both"), default="both")
     ap.add_argument("--traj-method", type=int, choices=(1, 2), default=1)
-    ap.add_argument("--block-size", type=int, default=None, help="partial condensing block size")
+    ap.add_argument("--block-size", type=int, default=None,
+                    help="partial condensing block size (tracking2d, mass_spring)")
     ap.add_argument("--iters", type=int, default=10, help="linearization iterations (unicycle)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True, help="output directory")
@@ -209,7 +181,7 @@ def main(argv=None) -> int:
     try:
         records, outputs = run_scenario(
             scn,
-            backend=args.backend,
+            backend={"seq": "sequential", "par": "parallel"}.get(args.backend, args.backend),
             traj_method=args.traj_method,
             block_size=args.block_size,
             iters=args.iters,
@@ -220,7 +192,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"tempo-dp: solver error in {args.scenario}: {exc}", file=sys.stderr)
         return 2
-    xs, us = outputs["par"] if "par" in outputs else outputs["seq"]
+    xs, us = outputs["parallel"] if "parallel" in outputs else outputs["sequential"]
     lqt.write_trajectory_csv(out_dir / "trajectory.csv", xs, us)
     write_runs_csv(out_dir / "runs.csv", records)
     for rec in records:

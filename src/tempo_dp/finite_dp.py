@@ -130,10 +130,6 @@ class StateMap:
     pinned: int | None = None
 
 
-def state_map_identity(D_x: int) -> StateMap:
-    return StateMap(m=np.arange(D_x))
-
-
 def compose_state_maps(a: StateMap, b: StateMap) -> StateMap:
     """a (x) b = f_b o f_a (composition order reverted)."""
     if b.pinned is not None:

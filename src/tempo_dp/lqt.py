@@ -11,6 +11,11 @@ prefix elements and the backward values (Method 2).
 
 Also here: the generalized-cost (cross-term) reduction to standard form,
 block partial condensing, a dense KKT reference solver, and file I/O.
+
+:func:`solve` is the one entry point that strings these steps together
+(cost transform, optional condensing, sequential or parallel backward pass,
+trajectory recovery, controls); the step functions stay public for callers
+that need the values or gains themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .scan import ScanDirection, par_scan_stacked
+from .scan import ScanDirection, ScanStats, par_scan_stacked
 from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patches lqt.par_scan)
 
 __all__ = [
@@ -48,7 +53,7 @@ __all__ = [
     "GeneralCostRecovery",
     "condense",
     "CondensingRecovery",
-    "solve_condensed",
+    "solve",
     "kkt_oracle",
     "lqt_cost",
     "value_at",
@@ -539,16 +544,11 @@ class CondensingRecovery:
     def reconstruct(self, xs_cond: np.ndarray, us_cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nB, B = self.Phi.shape[0], self.B
         n_x = xs_cond.shape[1]
-        xs = np.empty((nB * B + 1, n_x))
-        us = np.empty((nB * B, self.n_u))
-        for g in range(nB):
-            head = xs_cond[g]
-            ub = us_cond[g]
-            for m in range(B):
-                xs[g * B + m] = self.Phi[g, m] @ head + self.Gam[g, m] @ ub + self.d[g, m]
-            us[g * B : (g + 1) * B] = ub.reshape(B, self.n_u)
-        xs[-1] = xs_cond[-1]
-        return xs, us
+        head = xs_cond[:-1, None, :, None]  # (nB, 1, n_x, 1)
+        ub = us_cond[:, None, :, None]  # (nB, 1, B*n_u, 1)
+        xs = (self.Phi @ head + self.Gam @ ub)[..., 0] + self.d
+        xs = np.concatenate([xs.reshape(nB * B, n_x), xs_cond[-1:]])
+        return xs, us_cond.reshape(nB * B, self.n_u)
 
 
 def condense(p: LqtProblem, B: int) -> tuple[LqtProblem, CondensingRecovery]:
@@ -646,21 +646,43 @@ def condense(p: LqtProblem, B: int) -> tuple[LqtProblem, CondensingRecovery]:
     return cond_p, recovery
 
 
-def solve_condensed(
-    p: LqtProblem, B: int, backend: str = "parallel"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Condense, solve, and reconstruct the full trajectory and controls."""
-    cond_p, block_rec = condense(p, B)
-    std, cost_rec = transform_general_cost(cond_p)
-    if backend == "parallel":
-        values, gains = parallel_backward(std)
+def solve(
+    p: LqtProblem,
+    backend: str = "parallel",
+    traj_method: int = 1,
+    block_size: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, ScanStats]:
+    """Optimal states (N+1, n_x), controls (N, n_u) and the backward pass's stats.
+
+    Cross terms are eliminated first (transform_general_cost) and the
+    controls are returned in the original coordinates. The "sequential"
+    backend runs Riccati and the closed-loop rollout and reports
+    ScanStats(N, N); "parallel" runs the reverse scan, trajectory Method
+    ``traj_method`` (1 or 2) and the vectorized control law. With
+    ``block_size`` B the problem is condensed to N/B blocks, solved the same
+    way and reconstructed; the stats are those of the condensed solve.
+    """
+    if backend not in ("sequential", "parallel"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if traj_method not in (1, 2):
+        raise ValueError(f"unknown trajectory method {traj_method!r}")
+    std, cost_rec = transform_general_cost(p)
+    if block_size is not None:
+        cond, block_rec = condense(std, block_size)
+        xs_c, us_c, stats = solve(cond, backend, traj_method)
+        xs, ut = block_rec.reconstruct(xs_c, us_c)
     elif backend == "sequential":
         values, gains = riccati_backward(std)
+        xs, ut = closed_loop_rollout(std, values, gains)
+        stats = ScanStats(std.N, std.N)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-    xs_c, ut = closed_loop_rollout(std, values, gains)
-    us_c = cost_rec.controls(xs_c, ut)
-    return block_rec.reconstruct(xs_c, us_c)
+        values, gains, stats = parallel_backward(std, return_stats=True)
+        if traj_method == 2:
+            xs = traj_method2(std, values)
+        else:
+            xs = traj_method1(std, gains, values)
+        ut = controls_along(std, values, gains, xs)
+    return xs, cost_rec.controls(xs, ut), stats
 
 
 def lqt_cost(p: LqtProblem, xs: np.ndarray, us: np.ndarray) -> float:

@@ -1,12 +1,12 @@
 """Approximate nonlinear tracking control by iterated linearization.
 
 Each iteration Taylor-expands the dynamics and output maps around a nominal
-trajectory, solves the resulting tracking problem exactly (sequential or
-parallel backend), and adopts the optimizer as the next nominal. The
-problem's callables take whole time stacks, so the expansion and the cost
-are data-parallel over time like the scan itself. No line
-search or regularization; the per-iteration cost trace is returned so
-divergence is visible rather than hidden.
+trajectory, solves the resulting tracking problem exactly with
+:func:`tempo_dp.lqt.solve` (sequential or parallel backend), and adopts the
+optimizer as the next nominal. The problem's callables take whole time
+stacks, so the expansion and the cost are data-parallel over time like the
+scan itself. No line search or regularization; the per-iteration cost trace
+is returned so divergence is visible rather than hidden.
 """
 
 from __future__ import annotations
@@ -182,34 +182,22 @@ def ilqt(
     Returns (states, controls, costs) where costs[i] is the exact nonlinear
     objective of iterate i+1. ``stop_tol`` optionally stops early once the
     max trajectory change drops below it; by default all ``iters``
-    iterations run (no line search, no acceptance rule). With
-    ``return_stats`` a fourth item follows: the ``ScanStats`` of the last
-    iteration's parallel backward pass, or None on the sequential backend.
+    iterations run (no line search, no acceptance rule). Each iteration is
+    one :func:`lqt.solve` of the linearized problem with ``backend`` and
+    ``traj_method``, which reject unknown values. With ``return_stats`` a
+    fourth item follows: the ``ScanStats`` of the last iteration's solve,
+    the parallel backward scan's or ScanStats(N, N) on the sequential
+    backend.
     """
     if iters < 1:
         raise ValueError("need iters >= 1")
-    if backend not in ("sequential", "parallel"):
-        raise ValueError(f"unknown backend {backend!r}")
     if x_S is not None:
         p = replace(p, x0=np.asarray(x_S, dtype=np.float64))
     nom = init if init is not None else default_nominal(p)
     costs = []
-    stats = None
     for it in range(iters):
         try:
-            lin = linearize(p, nom)
-            std, recov = lqt.transform_general_cost(lin)
-            if backend == "sequential":
-                values, gains = lqt.riccati_backward(std)
-                xs, ut = lqt.closed_loop_rollout(std, values, gains)
-            else:
-                values, gains, stats = lqt.parallel_backward(std, return_stats=True)
-                if traj_method == 2:
-                    xs = lqt.traj_method2(std, values)
-                else:
-                    xs = lqt.traj_method1(std, gains, values)
-                ut = lqt.controls_along(std, values, gains, xs)
-            us = recov.controls(xs, ut)
+            xs, us, stats = lqt.solve(linearize(p, nom), backend, traj_method)
         except SolverError as exc:
             raise SolverError(f"iteration {it + 1}: {exc}") from exc
         costs.append(nonlinear_cost(p, xs, us))

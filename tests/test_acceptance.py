@@ -202,11 +202,11 @@ def test_criterion_6_partial_condensing():
     xs_ref = lqt.traj_method1(p, gains, values)
     us_ref = lqt.controls_along(p, values, gains, xs_ref)
     for B in (1, 2, 4, 8):
-        xs, us = lqt.solve_condensed(p, B)
+        xs, us = lqt.solve(p, block_size=B)[:2]
         assert np.max(np.abs(xs - xs_ref)) <= 1e-7, f"B={B}"
         assert np.max(np.abs(us - us_ref)) <= 1e-7, f"B={B}"
     # B = 1 is the identity reduction: same optimum as the plain solve
-    xs1, us1 = lqt.solve_condensed(p, 1)
+    xs1, us1 = lqt.solve(p, block_size=1)[:2]
     assert np.max(np.abs(xs1 - xs_ref)) <= 1e-10
 
 

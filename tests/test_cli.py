@@ -70,6 +70,23 @@ class TestMain:
             assert int(seq["combine_count"]) == T // B
             assert int(seq["combine_depth"]) == T // B
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["routing", "--T", "16", "--Dx", "5"],
+         ["unicycle", "--T", "20"]],
+        ids=["routing", "unicycle"],
+    )
+    def test_block_size_rejected_off_lqt(self, tmp_path, argv, capsys):
+        rc = cli.main(argv + ["--block-size", "4", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "LQT scenarios only" in capsys.readouterr().err
+        assert not (tmp_path / "runs.csv").exists()
+
+    def test_block_size_zero_rejected(self, tmp_path, capsys):
+        rc = cli.main(["tracking2d", "--T", "64", "--block-size", "0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "block size must be >= 1" in capsys.readouterr().err
+
     def test_mass_spring(self, tmp_path):
         rc = cli.main(
             ["mass_spring", "--T", "100", "--N", "3", "--backend", "both",
@@ -134,3 +151,13 @@ class TestMain:
         cli.main(["routing", "--T", "16", "--backend", "par", "--out", str(tmp_path)])
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "k,x_1,u_1"
+
+
+class TestRunScenario:
+    def test_library_backend_names(self):
+        scn = cli.build_scenario("tracking2d", 64)
+        records, outputs = cli.run_scenario(scn, backend="both", repeats=1)
+        assert set(outputs) == {"sequential", "parallel"}
+        assert [r.backend for r in records] == ["sequential", "parallel"]
+        with pytest.raises(ValueError, match="unknown backend"):
+            cli.run_scenario(scn, backend="seq", repeats=1)

@@ -509,7 +509,7 @@ class TestCondensing:
         p = random_lqt_problem(rng, n_x=3, n_u=2, N=8)
         values, gains = lqt.riccati_backward(p)
         xs_ref, us_ref = lqt.closed_loop_rollout(p, values, gains)
-        xs, us = lqt.solve_condensed(p, 1)
+        xs, us = lqt.solve(p, block_size=1)[:2]
         np.testing.assert_allclose(xs, xs_ref, atol=1e-10)
         np.testing.assert_allclose(us, us_ref, atol=1e-10)
 
@@ -517,7 +517,7 @@ class TestCondensing:
         rng = np.random.default_rng(18)
         p = random_lqt_problem(rng, n_x=3, n_u=2, N=8)
         cost_ref, us_ref, xs_ref = lqt.kkt_oracle(p)
-        xs, us = lqt.solve_condensed(p, p.N)
+        xs, us = lqt.solve(p, block_size=p.N)[:2]
         assert lqt.lqt_cost(p, xs, us) == pytest.approx(cost_ref, abs=1e-8)
         np.testing.assert_allclose(xs, xs_ref, atol=1e-7)
 
@@ -527,7 +527,7 @@ class TestCondensing:
         p = random_lqt_problem(rng, n_x=3, n_u=2, N=16)
         values, gains = lqt.parallel_backward(p)
         xs_ref = lqt.traj_method1(p, gains, values)
-        xs, us = lqt.solve_condensed(p, B)
+        xs, us = lqt.solve(p, block_size=B)[:2]
         np.testing.assert_allclose(xs, xs_ref, atol=1e-7)
 
     def test_non_divisible_errors(self):
@@ -542,6 +542,75 @@ class TestCondensing:
         q, _ = lqt.condense(p, 4)
         assert q.N == 3 and q.n_x == 3 and q.n_u == 8
         assert q.has_general_cost
+
+
+class TestSolve:
+    """``lqt.solve`` over every dispatch choice, against the dense KKT oracle."""
+
+    @pytest.mark.parametrize("cross", [False, True], ids=["standard", "cross"])
+    @pytest.mark.parametrize("block_size", [None, 1, 2, 4])
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
+    def test_matches_kkt(self, backend, traj_method, block_size, cross):
+        rng = np.random.default_rng(22)
+        p = random_lqt_problem(rng, n_x=3, n_u=2, N=8, cross=cross)
+        cost_ref, us_ref, xs_ref = lqt.kkt_oracle(p)
+        xs, us, stats = lqt.solve(p, backend, traj_method, block_size)
+        assert xs.shape == (p.N + 1, p.n_x) and us.shape == (p.N, p.n_u)
+        assert lqt.lqt_cost(p, xs, us) == pytest.approx(cost_ref, abs=1e-8)
+        np.testing.assert_allclose(xs, xs_ref, atol=1e-7)
+        np.testing.assert_allclose(us, us_ref, atol=1e-7)
+        N = p.N // (block_size or 1)  # steps of the problem actually solved
+        n = N + 1  # its stage elements plus the terminal one
+        if backend == "sequential":
+            assert (stats.combine_count, stats.combine_depth) == (N, N)
+        else:
+            assert stats.combine_count <= 2 * n - 2
+            assert stats.combine_depth <= 2 * int(np.ceil(np.log2(n))) + 1
+
+    @pytest.mark.parametrize(
+        "backend, traj_method, expected",
+        [("sequential", 1, {"riccati_backward", "closed_loop_rollout"}),
+         ("sequential", 2, {"riccati_backward", "closed_loop_rollout"}),
+         ("parallel", 1, {"parallel_backward", "traj_method1", "controls_along"}),
+         ("parallel", 2, {"parallel_backward", "traj_method2", "controls_along"})],
+    )
+    @pytest.mark.parametrize("block_size", [None, 2])
+    def test_dispatch(self, monkeypatch, backend, traj_method, expected, block_size):
+        called = set()
+        for name in ("riccati_backward", "closed_loop_rollout", "parallel_backward",
+                     "traj_method1", "traj_method2", "controls_along"):
+            def spy(*args, _name=name, _fn=getattr(lqt, name), **kwargs):
+                called.add(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(lqt, name, spy)
+        p = random_lqt_problem(np.random.default_rng(25), N=4)
+        lqt.solve(p, backend, traj_method, block_size)
+        assert called == expected
+
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
+    @pytest.mark.parametrize("block_size", [None, 1])
+    def test_zero_horizon(self, backend, block_size):
+        q = random_lqt_problem(np.random.default_rng(23), n_x=3, n_u=2, N=1)
+        p = lqt.LqtProblem(S=0, T=0, x0=q.x0, F=q.F[:0], c=q.c[:0], L=q.L[:0], H=q.H[:0],
+                           X=q.X[:0], r=q.r[:0], U=q.U[:0], HT=q.HT, XT=q.XT, rT=q.rT)
+        xs, us, stats = lqt.solve(p, backend, block_size=block_size)
+        np.testing.assert_array_equal(xs, p.x0[None, :])
+        assert us.shape == (0, 2)
+        assert (stats.combine_count, stats.combine_depth) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"backend": "seq"}, "unknown backend"),
+         ({"traj_method": 7}, "unknown trajectory method"),
+         ({"traj_method": 0, "block_size": 2}, "unknown trajectory method"),
+         ({"block_size": 0}, "block size must be >= 1")],
+    )
+    def test_rejects_bad_arguments(self, kwargs, match):
+        p = random_lqt_problem(np.random.default_rng(24), N=4)
+        with pytest.raises(ValueError, match=match):
+            lqt.solve(p, **kwargs)
 
 
 class TestKktOracle:

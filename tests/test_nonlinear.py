@@ -8,6 +8,7 @@ import pytest
 
 from tempo_dp import lqt, nonlinear as nl
 from tempo_dp.errors import SolverError
+from tempo_dp.scan import ScanStats
 from tempo_dp.scenarios import build_unicycle
 
 from helpers import random_lqt_problem
@@ -275,3 +276,25 @@ class TestIlqt:
         x_other = p.x0 + np.array([0.5, -0.5, 0.1, 0.0])
         xs, _, _ = nl.ilqt(p, x_S=x_other, iters=2, backend="sequential")
         np.testing.assert_allclose(xs[0], x_other, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"backend": "seq"}, "unknown backend"),
+         ({"traj_method": 7}, "unknown trajectory method"),
+         ({"backend": "sequential", "traj_method": 7}, "unknown trajectory method")],
+    )
+    def test_rejects_unknown_choices(self, kwargs, match):
+        p = build_unicycle(20, seed=0)
+        with pytest.raises(ValueError, match=match):
+            nl.ilqt(p, iters=1, **kwargs)
+
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
+    def test_return_stats(self, backend):
+        N = 20
+        p = build_unicycle(N, seed=0)
+        xs, us, costs, stats = nl.ilqt(p, iters=2, backend=backend, return_stats=True)
+        assert len(costs) == 2
+        if backend == "sequential":
+            assert stats == ScanStats(N, N)
+        else:
+            assert 0 < stats.combine_count <= 2 * (N + 1) - 2
