@@ -78,7 +78,7 @@ def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int):
         xs = finite_dp.recover_traj_m2(p, fw, pol)
     else:
         xs = finite_dp.recover_traj_m1(p, pol)
-    us = np.array([pol.u[k, xs[k]] for k in range(p.N)], dtype=np.int64)
+    us = pol.u[np.arange(p.N), xs[:-1]]
     return xs, us, stats
 
 

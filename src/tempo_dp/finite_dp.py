@@ -11,6 +11,10 @@ Two arithmetic modes share all code paths:
 * int64 with the saturating sentinel ``INT_INF`` (costs must be
   nonnegative integers), for bit-exact oracle comparisons.
 
+The min-plus kernel :func:`min_plus_matmul` runs in blocks whose
+temporaries stay within a fixed budget of 2**18 elements (2 MB), so a scan's
+memory grows with its (T, D_x, D_x) element stacks, not with T·D_x³.
+
 States and controls are 0-based in memory. The JSON interchange format is
 1-based (see :func:`problem_to_dict` / :func:`problem_from_dict`).
 """
@@ -53,6 +57,10 @@ __all__ = [
 INT_INF = np.int64(1) << 31
 
 _BRUTE_FORCE_BUDGET = 10**7
+
+# Elements in one min-plus temporary: 2 MB of float64. A block that fits a
+# core's L2 cache keeps the kernel fast, and its size does not grow with T.
+_MIN_PLUS_BUDGET = 1 << 18
 
 
 def _is_int(dtype) -> bool:
@@ -140,11 +148,40 @@ def compose_state_maps(a: StateMap, b: StateMap) -> StateMap:
 
 
 def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """out[.., x, y] = min_z A[.., x, z] + B[.., z, y], inf absorbing."""
-    s = A[..., :, :, None] + B[..., None, :, :]
-    if _is_int(A.dtype):
-        s = np.minimum(s, INT_INF)
-    return s.min(axis=-2)
+    """out[.., x, y] = min_z A[.., x, z] + B[.., z, y], inf absorbing.
+
+    Leading axes are batch axes and broadcast. The sums are laid out as
+    s[b, z, x, y]: A's transpose repeated along y, then B added in place,
+    so the min over z reduces contiguous (x, y) slabs. The batch runs in
+    blocks sized so that s holds at most ``_MIN_PLUS_BUDGET`` elements; a
+    single product above the budget (D > 64) also runs in blocks of z under
+    a running minimum. Beyond the output, no temporary exceeds the budget or
+    one (x, y) slab, whichever is larger. Int mode saturates once, on the
+    output, at INT_INF: min(min_z s, INF) = min_z min(s, INF).
+    """
+    X, Z = A.shape[-2:]
+    Y = B.shape[-1]
+    if Z == 0 or B.shape[-2] != Z:
+        raise ValueError(f"inner dimensions must agree and be nonzero: {A.shape} vs {B.shape}")
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    At = np.broadcast_to(A, batch + (X, Z)).reshape(-1, X, Z).swapaxes(1, 2)
+    B = np.broadcast_to(B, batch + (Z, Y)).reshape(-1, Z, Y)
+    out = np.empty((At.shape[0], X, Y), dtype=np.result_type(A, B))
+    zb = max(1, min(Z, _MIN_PLUS_BUDGET // max(1, X * Y)))
+    nb = max(1, _MIN_PLUS_BUDGET // max(1, zb * X * Y))
+    for i in range(0, out.shape[0], nb):
+        blk = out[i : i + nb]
+        for k in range(0, Z, zb):
+            s = np.repeat(At[i : i + nb, k : k + zb, :, None], Y, axis=-1)
+            s += B[i : i + nb, k : k + zb, None, :]
+            if k == 0:
+                s.min(axis=1, out=blk)
+            else:
+                np.minimum(blk, s.min(axis=1), out=blk)
+            del s  # else the next block's s is allocated while this one lives
+    if _is_int(out.dtype):
+        np.minimum(out, INT_INF, out=out)
+    return out.reshape(batch + (X, Y))
 
 
 def min_plus_identity(D_x: int, dtype=np.float64) -> CondValueMatrix:

@@ -20,7 +20,6 @@ that need the values or gains themselves.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 
@@ -850,23 +849,22 @@ def write_trajectory_csv(path, xs: np.ndarray, us: np.ndarray | None = None, S: 
 
     1-d sequences (finite-state trajectories) are treated as single columns.
     """
-    xs = np.asarray(xs)
+    xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:
         xs = xs[:, None]
     if us is not None:
-        us = np.asarray(us)
+        us = np.asarray(us, dtype=np.float64)
         if us.ndim == 1:
             us = us[:, None]
     n_x = xs.shape[1]
     n_u = 0 if us is None or len(us) == 0 else us.shape[1]
+    n_full = len(us) if n_u else 0  # rows with control cells
+    blank = [""] * n_u
+    header = ["k"] + [f"x_{i + 1}" for i in range(n_x)] + [f"u_{i + 1}" for i in range(n_u)]
+    # the csv module's dialect: "\r\n" line ends, floats as repr (the
+    # shortest round-trip form), and no cell here needs quoting
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k"] + [f"x_{i + 1}" for i in range(n_x)] + [f"u_{i + 1}" for i in range(n_u)])
-        for k in range(xs.shape[0]):
-            row = [S + k] + [repr(float(v)) for v in xs[k]]
-            if n_u:
-                if us is not None and k < len(us):
-                    row += [repr(float(v)) for v in us[k]]
-                else:
-                    row += [""] * n_u
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for k in range(len(xs)):
+            u = map(repr, us[k].tolist()) if k < n_full else blank
+            fh.write(",".join([str(S + k), *map(repr, xs[k].tolist()), *u]) + "\r\n")

@@ -5,6 +5,7 @@ loops/itertools so they share no code path with the library's vectorized
 implementations.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -137,3 +138,48 @@ def max_value_dev(values_a, values_b):
     dS = dS / np.maximum(1.0, np.abs(values_b.S).max(axis=(1, 2)))
     dv = dv / np.maximum(1.0, np.abs(values_b.v).max(axis=1))
     return float(max(dS.max(), dv.max()))
+
+
+def min_plus_loops(A, B, inf=np.inf):
+    """out[.., x, y] = min_z A[.., x, z] + B[.., z, y] by a triple loop over
+    Python numbers; ``inf`` caps every entry (INT_INF in the integer mode)."""
+    a = A.reshape((-1,) + A.shape[-2:]).tolist()
+    b = B.reshape((-1,) + B.shape[-2:]).tolist()
+    out = []
+    for ai, bi in zip(a, b):
+        rows = []
+        for x in range(A.shape[-2]):
+            row = []
+            for y in range(B.shape[-1]):
+                best = inf
+                for z in range(A.shape[-1]):
+                    best = min(best, ai[x][z] + bi[z][y])
+                row.append(best)
+            rows.append(row)
+        out.append(rows)
+    shape = A.shape[:-1] + B.shape[-1:]
+    return np.array(out, dtype=np.result_type(A, B)).reshape(shape)
+
+
+def write_trajectory_csv_rows(path, xs, us=None, S=0):
+    """Row-by-row csv-module writer: reference for lqt.write_trajectory_csv."""
+    xs = np.asarray(xs)
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    if us is not None:
+        us = np.asarray(us)
+        if us.ndim == 1:
+            us = us[:, None]
+    n_x = xs.shape[1]
+    n_u = 0 if us is None or len(us) == 0 else us.shape[1]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k"] + [f"x_{i + 1}" for i in range(n_x)] + [f"u_{i + 1}" for i in range(n_u)])
+        for k in range(xs.shape[0]):
+            row = [S + k] + [repr(float(v)) for v in xs[k]]
+            if n_u:
+                if us is not None and k < len(us):
+                    row += [repr(float(v)) for v in us[k]]
+                else:
+                    row += [""] * n_u
+            w.writerow(row)

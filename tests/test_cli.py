@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from tempo_dp import cli, lqt
+from tempo_dp import cli, finite_dp, lqt, scenarios
 from tempo_dp.errors import SolverError
 
 
@@ -161,3 +161,20 @@ class TestRunScenario:
         assert [r.backend for r in records] == ["sequential", "parallel"]
         with pytest.raises(ValueError, match="unknown backend"):
             cli.run_scenario(scn, backend="seq", repeats=1)
+
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    @pytest.mark.parametrize("N", [0, 16])
+    def test_routing_controls_along_trajectory(self, N, traj_method):
+        if N:
+            p = scenarios.build_routing(5, N, seed=2)
+        else:
+            p = finite_dp.FiniteProblem(D_x=3, D_u=2, S=0, T=0, f=np.empty((0, 3, 2)),
+                                        ell=np.empty((0, 3, 2)), ell_T=[1.0, 0.0, 2.0], x_S=2)
+        scn = cli.Scenario("routing", {"T": N}, p)
+        records, outputs = cli.run_scenario(scn, backend="both", repeats=1, traj_method=traj_method)
+        xs, us = outputs["parallel"]
+        pol = finite_dp.seq_bellman(p)
+        assert xs.shape == (N + 1,) and us.shape == (N,)
+        np.testing.assert_array_equal(us, [pol.u[k, int(xs[k])] for k in range(N)])
+        np.testing.assert_array_equal(outputs["sequential"][1], us)
+        assert all(r.max_seq_par_deviation == 0.0 for r in records)

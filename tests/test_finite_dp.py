@@ -1,6 +1,8 @@
 """Finite-state DP tests: element construction, min-plus algebra, oracle
 agreement (scan vs Bellman vs brute force), trajectory recovery, file I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from tempo_dp.scan import ScanDirection, par_scan
 from helpers import (
     enumerate_conditional,
     enumeration_oracle,
+    min_plus_loops,
     random_finite_problem,
     unique_optimal_trajectory,
 )
@@ -121,6 +124,97 @@ class TestCombineMinPlus:
             lhs = fd.combine_min_plus(fd.combine_min_plus(a, b), c)
             rhs = fd.combine_min_plus(a, fd.combine_min_plus(b, c))
             np.testing.assert_array_equal(lhs.V, rhs.V)
+
+
+def random_cost_stack(rng, shape, dtype=np.float64, inf_frac=0.3):
+    V = rng.integers(0, 40, size=shape).astype(dtype)
+    V[rng.random(size=shape) < inf_frac] = fd.INT_INF if dtype is np.int64 else np.inf
+    return V
+
+
+class TestMinPlusMatmul:
+    """The blocked kernel against an explicit triple loop, exact equality."""
+
+    D = 31
+    c = fd._MIN_PLUS_BUDGET // D**3  # products per batch block at D = 31
+
+    def test_two_dimensional(self):
+        rng = np.random.default_rng(1)
+        A, B = random_cost_stack(rng, (6, 6)), random_cost_stack(rng, (6, 6))
+        np.testing.assert_array_equal(fd.min_plus_matmul(A, B), min_plus_loops(A, B))
+
+    @pytest.mark.parametrize("which", ["1", "c-1", "c", "c+1", "2c+3"])
+    def test_batch_around_block_size(self, which):
+        assert self.c >= 2
+        n = {"1": 1, "c-1": self.c - 1, "c": self.c, "c+1": self.c + 1, "2c+3": 2 * self.c + 3}[which]
+        rng = np.random.default_rng(n)
+        A = random_cost_stack(rng, (n, self.D, self.D))
+        B = random_cost_stack(rng, (n, self.D, self.D))
+        np.testing.assert_array_equal(fd.min_plus_matmul(A, B), min_plus_loops(A, B))
+
+    def test_non_square(self):
+        rng = np.random.default_rng(2)
+        A, B = random_cost_stack(rng, (3, 5, 7)), random_cost_stack(rng, (3, 7, 2))
+        out = fd.min_plus_matmul(A, B)
+        assert out.shape == (3, 5, 2)
+        np.testing.assert_array_equal(out, min_plus_loops(A, B))
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 3, 4)), ((3, 0), (0, 3))])
+    def test_inner_dimension_rejected(self, shapes):
+        with pytest.raises(ValueError, match="inner dimensions"):
+            fd.min_plus_matmul(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+    def test_strided_views(self):
+        # the scan's operands: even/odd slots of a stack, and a flipped stack
+        m = self.c + 3
+        rng = np.random.default_rng(3)
+        S = random_cost_stack(rng, (2 * m, self.D, self.D))
+        for X in (S, np.flip(S, axis=0)):
+            a, b = X[0 : 2 * m : 2], X[1 : 2 * m : 2]
+            np.testing.assert_array_equal(fd.min_plus_matmul(a, b), min_plus_loops(a, b))
+            np.testing.assert_array_equal(fd.min_plus_matmul(b, a), min_plus_loops(b, a))
+
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_blocks_over_z_above_budget(self, batch):
+        D = 70
+        assert D**3 > fd._MIN_PLUS_BUDGET
+        rng = np.random.default_rng(4)
+        A, B = random_cost_stack(rng, batch + (D, D)), random_cost_stack(rng, batch + (D, D))
+        np.testing.assert_array_equal(fd.min_plus_matmul(A, B), min_plus_loops(A, B))
+
+    def test_int_mode_saturates(self):
+        rng = np.random.default_rng(5)
+        A = random_cost_stack(rng, (self.c + 1, 9, 9), np.int64, inf_frac=0.6)
+        B = random_cost_stack(rng, (self.c + 1, 9, 9), np.int64, inf_frac=0.6)
+        out = fd.min_plus_matmul(A, B)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, min_plus_loops(A, B, inf=int(fd.INT_INF)))
+        assert out.max() <= fd.INT_INF
+        finite = np.einsum("bxz,bzy->bxy", (A < fd.INT_INF).astype(int), (B < fd.INT_INF).astype(int)) > 0
+        assert not finite.all()
+        assert np.all(out[~finite] == fd.INT_INF)
+        assert np.all(out[finite] < fd.INT_INF)
+
+    def test_float_inf_rows_and_columns(self):
+        rng = np.random.default_rng(6)
+        A, B = random_cost_stack(rng, (4, 8, 8)), random_cost_stack(rng, (4, 8, 8))
+        A[:, 2, :] = np.inf
+        B[:, :, 5] = np.inf
+        out = fd.min_plus_matmul(A, B)
+        np.testing.assert_array_equal(out, min_plus_loops(A, B))
+        assert np.all(np.isinf(out[:, 2, :])) and np.all(np.isinf(out[:, :, 5]))
+
+    def test_temporaries_bounded(self):
+        rng = np.random.default_rng(7)
+        A = rng.random((256, self.D, self.D))
+        B = rng.random((256, self.D, self.D))
+        tracemalloc.start()
+        try:
+            out = fd.min_plus_matmul(A, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * fd._MIN_PLUS_BUDGET * out.itemsize
 
 
 class TestBackwardSolvers:

@@ -8,7 +8,7 @@ from tempo_dp import lqt
 from tempo_dp.errors import SolverError
 from tempo_dp.scan import ScanDirection, par_scan
 
-from helpers import max_value_dev, random_lqt_element, random_lqt_problem
+from helpers import max_value_dev, random_lqt_element, random_lqt_problem, write_trajectory_csv_rows
 
 FWD, REV = ScanDirection.FORWARD, ScanDirection.REVERSE
 
@@ -711,3 +711,28 @@ class TestFileInterchange:
         assert lines[1].startswith("0,1.0,2.0,0.5")
         assert lines[-1].endswith(",")  # terminal row: control cell blank
         assert len(lines) == 4
+
+    _special = np.array([[np.inf, -np.inf], [np.nan, -0.0], [5e-324, 0.1]])
+    _rng = np.random.default_rng(27)
+
+    @pytest.mark.parametrize(
+        "xs, us, S",
+        [
+            (_rng.normal(size=(6, 3)) * 1e3, _rng.normal(size=(6, 2)), 0),
+            (np.array([3, 1, 4, 1], dtype=np.int64), np.array([2, 0, 3], dtype=np.int64), 0),
+            (_rng.normal(size=(4, 2)), None, 0),
+            (_rng.normal(size=(5, 2)), _rng.normal(size=(4, 3)), 0),
+            (_rng.normal(size=(5, 2)), np.empty((0, 2)), 0),
+            (_rng.normal(size=(3, 2)), _rng.normal(size=(2, 1)), 7),
+            (_special, _special[:2], 0),
+        ],
+        ids=["float-2d", "int-1d", "no-controls", "controls-short", "controls-empty", "offset", "special"],
+    )
+    def test_trajectory_csv_matches_row_writer(self, tmp_path, xs, us, S):
+        lqt.write_trajectory_csv(tmp_path / "new.csv", xs, us, S=S)
+        write_trajectory_csv_rows(tmp_path / "ref.csv", xs, us, S=S)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_trajectory_csv_integer_cells_read_as_floats(self, tmp_path):
+        lqt.write_trajectory_csv(tmp_path / "t.csv", np.array([3, 1], dtype=np.int64), np.array([2]))
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == ["0,3.0,2.0", "1,1.0,"]
