@@ -15,6 +15,13 @@ The min-plus kernel :func:`min_plus_matmul` runs in blocks whose
 temporaries stay within a fixed budget of 2**18 elements (2 MB), so a scan's
 memory grows with its (T, D_x, D_x) element stacks, not with T·D_x³.
 
+Both scans run toward a pinned endpoint, and the fill-in half of the tree
+multiplies by value vectors, not matrices: backward suffixes have identical
+columns (one column is formed), and the forward conditional scan starts
+from the row of the pinned start state, so every prefix is a (1, D_x) row.
+Each scan costs about T·D_x³ + T·D_x² min-plus operations instead of
+2T·D_x³.
+
 States and controls are 0-based in memory. The JSON interchange format is
 1-based (see :func:`problem_to_dict` / :func:`problem_from_dict`).
 """
@@ -191,9 +198,17 @@ def min_plus_identity(D_x: int, dtype=np.float64) -> CondValueMatrix:
 
 
 def combine_min_plus(a: CondValueMatrix, b: CondValueMatrix) -> CondValueMatrix:
-    if a.V.shape != b.V.shape:
+    """Min-plus product; ``a`` may be a (1, D_x) row pinned at its start state."""
+    if a.V.shape[-1] != b.V.shape[-2]:
         raise ValueError(f"dimension mismatch: {a.V.shape} vs {b.V.shape}")
     return CondValueMatrix(min_plus_matmul(a.V, b.V))
+
+
+def _fill_suffix(a, b):
+    """Element (x) suffix, both (batch, D_x, D_x) stacks: a suffix has
+    identical columns, so only column 0 of the product is formed; the scan
+    broadcasts it over the columns of the output slot."""
+    return (min_plus_matmul(a[0], b[0][..., :1]),)
 
 
 def build_elements(p: FiniteProblem) -> np.ndarray:
@@ -242,14 +257,16 @@ def solve_backward(p: FiniteProblem, return_stats: bool = False):
     The suffix element starting at k has identical columns equal to the
     value vector V_k; column 0 is read out. Matches :func:`seq_bellman`
     exactly (min-plus arithmetic involves no reordering-sensitive rounding
-    for integer-valued costs).
+    for integer-valued costs). Every fill-in's right operand is a suffix,
+    so :func:`_fill_suffix` costs D_x² per product instead of D_x³.
     """
     (suffix,), stats = par_scan_stacked(
         (build_elements(p),),
         lambda a, b: (min_plus_matmul(a[0], b[0]),),
         ScanDirection.REVERSE,
+        fill=_fill_suffix,
     )
-    V = suffix[:, :, 0]
+    V = suffix[:, :, 0].copy()  # frees the (N+1, D_x, D_x) stack
     if not V[0, p.x_S] < _inf_for(p.ell.dtype):
         raise SolverError("infeasible problem")
     pol = FinitePolicy(u=_policy_from_values(p, V), V=V)
@@ -260,18 +277,16 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
     """V_{S->k}(x_S, .) for k = S+1..T via a forward scan; row k-S-1 of the
     returned (N, D_x) array holds step k.
 
-    An extra leading element pins the start state (0 at column x_S, +inf
-    elsewhere); row x_S of each prefix is the conditional value vector.
+    The first element is pinned at the start state: the (1, D_x) row x_S of
+    the first stage matrix. Every prefix is then the conditional value row
+    itself, and each product with it is a (1, D_x) (x) (D_x, D_x) one.
     """
-    inf = _inf_for(p.ell.dtype)
-    pre = np.full((p.D_x, p.D_x), inf, dtype=p.ell.dtype)
-    pre[:, p.x_S] = 0
-    elements = [CondValueMatrix(pre)] + [CondValueMatrix(V) for V in build_elements(p)[: p.N]]
+    if p.N == 0:
+        return np.empty((0, p.D_x), dtype=p.ell.dtype)
+    E = build_elements(p)
+    elements = [CondValueMatrix(E[0, p.x_S][None])] + [CondValueMatrix(V) for V in E[1 : p.N]]
     prefix, _ = par_scan(elements, combine_min_plus, ScanDirection.FORWARD)
-    out = np.empty((p.N, p.D_x), dtype=p.ell.dtype)
-    for k in range(p.N):
-        out[k] = prefix[k + 1].V[p.x_S]
-    return out
+    return np.concatenate([c.V for c in prefix])
 
 
 def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:

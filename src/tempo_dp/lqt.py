@@ -231,20 +231,19 @@ def _compose_affine_arrays(a, b):
     return Fb @ Fa, _mv(Fb, ca) + cb
 
 
-def _combine_element_arrays(e1, e2):
-    """Interval combination, batched over any leading axes.
+def _fill_affine(a, b):
+    """A pinned prefix map (Ft = 0) composed with b: one matrix-vector product."""
+    return 0.0, _mv(b[0], a[1]) + b[1]
 
-    e1 covers the chronologically earlier interval. C and J of both inputs
-    must be symmetric (maintained by construction and re-symmetrization
-    here), which makes (I + J2 C1)^-1 the transpose of Zi = (I + C1 J2)^-1,
-    so one batched inverse serves both sides of the combination. The same
-    inverse gives the exact 1-norm condition number ||Z||_1 ||Zi||_1;
-    beyond COND_LIMIT (or on a singular or non-finite Z) the combine errors
-    out instead of returning garbage.
+
+def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
+    """Zi = (I + C1 J2)^-1, batched, behind the conditioning gate.
+
+    The same inverse gives the exact 1-norm condition number
+    ||Z||_1 ||Zi||_1; beyond COND_LIMIT (or on a singular or non-finite Z)
+    the combine (or fill) raises instead of returning garbage.
     """
-    A1, b1, C1, eta1, J1 = e1
-    A2, b2, C2, eta2, J2 = e2
-    Z = np.eye(A1.shape[-1]) + C1 @ J2
+    Z = np.eye(C1.shape[-1]) + C1 @ J2
     try:
         Zi = np.linalg.inv(Z)
     except np.linalg.LinAlgError as exc:
@@ -253,6 +252,21 @@ def _combine_element_arrays(e1, e2):
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > COND_LIMIT:
         raise SolverError(f"ill-conditioned combine: condition number {worst:.3e}")
+    return Zi
+
+
+def _combine_element_arrays(e1, e2):
+    """Interval combination, batched over any leading axes.
+
+    e1 covers the chronologically earlier interval. C and J of both inputs
+    must be symmetric (maintained by construction and re-symmetrization
+    here), which makes (I + J2 C1)^-1 the transpose of Zi = (I + C1 J2)^-1,
+    so one batched inverse (:func:`_gated_inverse`) serves both sides of the
+    combination.
+    """
+    A1, b1, C1, eta1, J1 = e1
+    A2, b2, C2, eta2, J2 = e2
+    Zi = _gated_inverse(C1, J2)
     W = A2 @ Zi
     P = Zi @ A1
     A = A2 @ P
@@ -261,6 +275,28 @@ def _combine_element_arrays(e1, e2):
     eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
     J = _sym(_t(P) @ J2 @ A1 + J1)
     return A, b, C, eta, J
+
+
+def _fill_suffix(e1, e2):
+    """e1 (x) a suffix pinned at the terminal: its A = b = C = 0, so only
+    eta and J are formed (as in :func:`_combine_element_arrays`)."""
+    A1, b1, C1, eta1, J1 = e1
+    _, _, _, eta2, J2 = e2
+    P = _gated_inverse(C1, J2) @ A1
+    eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
+    J = _sym(_t(P) @ J2 @ A1 + J1)
+    return 0.0, 0.0, 0.0, eta, J
+
+
+def _fill_prefix(e1, e2):
+    """A prefix pinned at the initial state (x) e2: its A = eta = J = 0, so
+    only b and C are formed (as in :func:`_combine_element_arrays`)."""
+    _, b1, C1, _, _ = e1
+    A2, b2, C2, eta2, J2 = e2
+    W = A2 @ _gated_inverse(C1, J2)
+    b = _mv(W, b1 + _mv(C1, eta2)) + b2
+    C = _sym(W @ C1 @ _t(A2) + C2)
+    return 0.0, b, C, 0.0, 0.0
 
 
 def combine_lqt(e1: LqtElement, e2: LqtElement) -> LqtElement:
@@ -397,6 +433,7 @@ def parallel_backward(p: LqtProblem, return_stats: bool = False):
         _element_arrays(p),
         _combine_element_arrays,
         ScanDirection.REVERSE,
+        fill=_fill_suffix,
     )
     Ss = _sym(suffix[4])
     values = QuadValue(Ss, suffix[3])
@@ -452,6 +489,7 @@ def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
         (Ft, ct),
         _compose_affine_arrays,
         ScanDirection.FORWARD,
+        fill=_fill_affine,
     )
     return np.concatenate([p.x0[None, :], cpre], axis=0)
 
@@ -473,6 +511,7 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
         (A, b, C, eta, J),
         _combine_element_arrays,
         ScanDirection.FORWARD,
+        fill=_fill_prefix,
     )
     lhs = np.eye(nx) + Cp @ values.S
     rhs = _mv(Ap, p.x0) + bp + _mv(Cp, values.v)

@@ -17,6 +17,14 @@ positions from their left neighbours. A length-T scan costs
 ``C(T) <= 2T - 2``) with no padding and no identity element. The combined
 pairs are a function of T only.
 
+The left operand of every fill-in is a prefix of the whole sequence (under
+REVERSE the right operand is a suffix), so about half of all combines are
+"endpoint (x) element" products. When scans run toward a pinned endpoint,
+those prefixes have a known special form (a value vector, a state), and
+``par_scan_stacked`` accepts a ``fill`` operator that exploits it; the tree,
+the results and the stats are those of the same scan run with ``combine``
+alone.
+
 Depth accounting tags every produced node with
 ``depth(parent) = max(depth(children)) + 1`` and reports the maximum, a
 span surrogate: for T elements the parallel depth is at most
@@ -52,8 +60,9 @@ class ScanStats:
     """Operator-call accounting for one scan.
 
     combine_count: total number of combine invocations (vectorized engines
-        count one per combined pair).
-    combine_depth: longest chain of dependent combine calls.
+        count one per combined pair, fill-in products included).
+    combine_depth: longest chain of dependent combine calls, fill-ins
+        included; a ``fill`` operator changes neither count.
     """
 
     combine_count: int = 0
@@ -93,13 +102,15 @@ def _odd_even(
     out: Stack,
     dout: np.ndarray,
     combine: Callable[[Stack, Stack], Stack],
+    fill: Callable[[Stack, Stack], Stack],
     stats: ScanStats,
 ) -> None:
     """Inclusive forward scan of ``x`` into ``out`` (same length, no aliasing).
 
     ``dx`` holds the depth of each input element; the depth of each prefix
     is written to ``dout``. Every step works on strided views, so a level
-    costs one batched combine for the pairs and one for the fill-in.
+    costs one batched ``combine`` for the pairs and one batched ``fill``
+    (prefix (x) element) for the even slots.
     """
     n = dx.shape[0]
     for o, a in zip(out, x):
@@ -111,10 +122,10 @@ def _odd_even(
     y = combine(tuple(a[0 : 2 * m : 2] for a in x), tuple(a[1 : 2 * m : 2] for a in x))
     dy = np.maximum(dx[0 : 2 * m : 2], dx[1 : 2 * m : 2]) + 1
     stats.combine_count += m
-    _odd_even(y, dy, tuple(o[1::2] for o in out), dout[1::2], combine, stats)
+    _odd_even(y, dy, tuple(o[1::2] for o in out), dout[1::2], combine, fill, stats)
     e = (n - 1) // 2  # even slots 2, 4, ...: left odd prefix (x) own element
     if e:
-        res = combine(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[2::2] for a in x))
+        res = fill(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[2::2] for a in x))
         for o, r in zip(out, res):
             o[2::2] = r
         dout[2::2] = np.maximum(dout[1 : 2 * e : 2], dx[2::2]) + 1
@@ -149,6 +160,7 @@ def par_scan_stacked(
     arrays: Stack,
     combine: Callable[[Stack, Stack], Stack],
     direction: ScanDirection = ScanDirection.FORWARD,
+    fill: Callable[[Stack, Stack], Stack] | None = None,
 ) -> tuple[Stack, ScanStats]:
     """Odd-even scan over a time-stacked element sequence.
 
@@ -156,6 +168,15 @@ def par_scan_stacked(
     element); ``combine`` maps two equally-batched stacks (possibly strided
     views) to their combination. Each tree level costs two batched calls:
     one for the adjacent pairs and one for the even-slot fill-in.
+
+    ``fill``, if given, replaces ``combine`` in the fill-in step. It takes
+    the same arguments in the same order, but its FORWARD left operand is
+    always a prefix starting at element 0 and its REVERSE right operand a
+    suffix ending at element T-1, so it may assume whatever special form
+    the caller's pinned endpoint gives that operand. It must return what
+    ``combine`` would in every array the caller reads; its results are assigned into the output slots, so an
+    array may be returned in any shape that broadcasts there (a zero scalar,
+    a single column). Without ``fill`` the engine uses ``combine``.
     """
     n = int(arrays[0].shape[0])
     if n == 0:
@@ -163,18 +184,22 @@ def par_scan_stacked(
     if any(int(x.shape[0]) != n for x in arrays[1:]):
         raise ValueError("stacked arrays disagree on length")
     out = tuple(np.empty_like(x) for x in arrays)
-    src, dst, op = arrays, out, combine
+    fill = combine if fill is None else fill
+    src, dst, op, fop = arrays, out, combine, fill
     if direction is ScanDirection.REVERSE:
         # a reverse scan is a forward scan of the flipped sequence under the
-        # swapped operator; the flipped views write straight into ``out``
+        # swapped operators; the flipped views write straight into ``out``
         src = tuple(np.flip(x, axis=0) for x in arrays)
         dst = tuple(np.flip(o, axis=0) for o in out)
 
         def op(a: Stack, b: Stack) -> Stack:
             return combine(b, a)
 
+        def fop(a: Stack, b: Stack) -> Stack:
+            return fill(b, a)
+
     depth = np.zeros(n, dtype=np.int64)
     stats = ScanStats()
-    _odd_even(src, np.zeros(n, dtype=np.int64), dst, depth, op, stats)
+    _odd_even(src, np.zeros(n, dtype=np.int64), dst, depth, op, fop, stats)
     stats.combine_depth = int(depth.max())
     return out, stats

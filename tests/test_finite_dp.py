@@ -8,7 +8,7 @@ import pytest
 
 from tempo_dp import finite_dp as fd
 from tempo_dp.errors import SolverError
-from tempo_dp.scan import ScanDirection, par_scan
+from tempo_dp.scan import ScanDirection, par_scan, par_scan_stacked
 
 from helpers import (
     enumerate_conditional,
@@ -107,6 +107,18 @@ class TestCombineMinPlus:
         b = fd.CondValueMatrix(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             fd.combine_min_plus(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_pinned_row_is_row_of_product(self, dtype):
+        # forward_conditional's prefixes are (1, D) rows
+        rng = np.random.default_rng(1)
+        a = random_cost_stack(rng, (6, 6), dtype)
+        b = random_cost_stack(rng, (6, 6), dtype)
+        full = fd.combine_min_plus(fd.CondValueMatrix(a), fd.CondValueMatrix(b)).V
+        for x in range(6):
+            row = fd.combine_min_plus(fd.CondValueMatrix(a[x][None]), fd.CondValueMatrix(b)).V
+            assert row.shape == (1, 6)
+            assert row.tobytes() == full[x : x + 1].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_associativity_exact(self, dtype):
@@ -215,6 +227,41 @@ class TestMinPlusMatmul:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + 2 * fd._MIN_PLUS_BUDGET * out.itemsize
+
+
+class TestSuffixFill:
+    """solve_backward's fill-in on pinned suffixes (identical columns) equals
+    the full min-plus product bit for bit, inf rows and columns included."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_equals_full_product(self, dtype):
+        inf = fd.INT_INF if dtype is np.int64 else np.inf
+        rng = np.random.default_rng(9)
+        E = random_cost_stack(rng, (5, 9, 9), dtype)
+        E[:, 3, :] = inf
+        E[:, :, 6] = inf
+        v = random_cost_stack(rng, (5, 9, 1), dtype)
+        v[:, 1] = inf
+        S = np.repeat(v, 9, axis=2)
+        full = fd.min_plus_matmul(E, S)
+        (col,) = fd._fill_suffix((E,), (S,))
+        out = np.empty_like(full)
+        out[...] = col  # the scan broadcasts the column into the output slot
+        assert out.tobytes() == full.tobytes()
+        assert np.all(out[:, 3, :] == inf)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_scan_with_fill_matches_scan_without(self, dtype):
+        rng = np.random.default_rng(10)
+        p = random_finite_problem(rng, D_x=5, D_u=3, N=37, dtype=dtype, inf_frac=0.3)
+        E = fd.build_elements(p)
+        outs = []
+        for fill in (None, fd._fill_suffix):
+            (suffix,), stats = par_scan_stacked(
+                (E,), lambda a, b: (fd.min_plus_matmul(a[0], b[0]),), ScanDirection.REVERSE, fill=fill
+            )
+            outs.append((suffix.tobytes(), stats))
+        assert outs[0] == outs[1]
 
 
 class TestBackwardSolvers:

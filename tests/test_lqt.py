@@ -281,6 +281,92 @@ class TestConditioningGate:
         with pytest.raises(SolverError, match="ill-conditioned combine"):
             backward(p, engine)
 
+    def test_gate_fires_in_fill_slots(self, monkeypatch):
+        # step 2 is nearly free to control in state 0 and step 3 weights that
+        # state heavily: I + C J has condition ~1e14 only across the boundary
+        # between steps 2 and 3. With N = 6 both scans have 7 elements and
+        # that boundary sits at tree position 4, which no pair combine spans
+        # (pairs meet at 1, 3, 5 and 2), so the gate must fire inside a fill.
+        N = 6
+        U = np.ones((N, 1, 1))
+        U[2] = 1e-7
+        X = np.tile(np.eye(2), (N, 1, 1))
+        X[3] = np.diag([1e7, 1.0])
+        p = lqt.LqtProblem(
+            S=0, T=N, x0=[1.0, 0.0],
+            F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
+            L=np.tile([[1.0], [0.0]], (N, 1, 1)),
+            H=np.tile(np.eye(2), (N, 1, 1)), X=X, r=np.zeros((N, 2)), U=U,
+            HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
+        )
+        values, _ = lqt.riccati_backward(p)
+        raised_in = []
+
+        def watched(name):
+            fill = getattr(lqt, name)
+
+            def wrapper(a, b):
+                try:
+                    return fill(a, b)
+                except SolverError:
+                    raised_in.append(name)
+                    raise
+
+            return wrapper
+
+        for name in ("_fill_suffix", "_fill_prefix"):
+            monkeypatch.setattr(lqt, name, watched(name))
+        match = "ill-conditioned combine: condition number"
+        with pytest.raises(SolverError, match=match):
+            lqt.parallel_backward(p)
+        with pytest.raises(SolverError, match=match):
+            lqt.traj_method2(p, values)
+        assert raised_in == ["_fill_suffix", "_fill_prefix"]
+
+
+def stacked(elements):
+    return tuple(np.stack([getattr(e, f) for e in elements]) for f in ("A", "b", "C", "eta", "J"))
+
+
+class TestPinnedFills:
+    """Each scan fill equals the full combine on operands of its pinned form,
+    bit for bit in the arrays it forms and exactly zero in the others."""
+
+    def test_suffix_fill(self):
+        rng = np.random.default_rng(31)
+        e1 = stacked([random_lqt_element(rng, 3) for _ in range(5)])
+        _, _, _, eta2, J2 = stacked([random_lqt_element(rng, 3) for _ in range(5)])
+        zero = np.zeros_like(e1[0])
+        e2 = (zero, np.zeros_like(eta2), zero, eta2, J2)  # pinned at the terminal
+        full = lqt._combine_element_arrays(e1, e2)
+        fill = lqt._fill_suffix(e1, e2)
+        for i in (3, 4):
+            assert fill[i].tobytes() == full[i].tobytes()
+        for i in (0, 1, 2):
+            assert np.all(full[i] == 0) and np.all(fill[i] == 0)
+
+    def test_prefix_fill(self):
+        rng = np.random.default_rng(32)
+        _, b1, C1, _, _ = stacked([random_lqt_element(rng, 3) for _ in range(5)])
+        e2 = stacked([random_lqt_element(rng, 3) for _ in range(5)])
+        zero = np.zeros_like(C1)
+        e1 = (zero, b1, C1, np.zeros_like(b1), zero)  # pinned at the initial state
+        full = lqt._combine_element_arrays(e1, e2)
+        fill = lqt._fill_prefix(e1, e2)
+        for i in (1, 2):
+            assert fill[i].tobytes() == full[i].tobytes()
+        for i in (0, 3, 4):
+            assert np.all(full[i] == 0) and np.all(fill[i] == 0)
+
+    def test_affine_fill(self):
+        rng = np.random.default_rng(33)
+        a = (np.zeros((5, 3, 3)), rng.normal(size=(5, 3)))  # pinned: the state itself
+        b = (rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3)))
+        full = lqt._compose_affine_arrays(a, b)
+        fill = lqt._fill_affine(a, b)
+        assert fill[1].tobytes() == full[1].tobytes()
+        assert np.all(full[0] == 0) and np.all(fill[0] == 0)
+
 
 class TestParallelBackward:
     def test_terminal_only(self):

@@ -292,3 +292,40 @@ class TestOddEvenTree:
 
         _, stats = par_scan_stacked((np.arange(T),), lambda a, b: (a[0] + b[0],))
         assert stats.combine_count == expected(T)
+
+    @pytest.mark.parametrize("direction", [FWD, REV])
+    @pytest.mark.parametrize("T", TREE_SIZES)
+    def test_fill_gets_pinned_operand(self, T, direction):
+        # elements are index intervals (lo, hi); combine checks adjacency and
+        # fill that its pinned operand reaches the endpoint of the sequence
+        calls = {"pairs": 0, "fills": 0}
+
+        def interval(a, b):
+            assert np.array_equal(a[1] + 1, b[0])
+            return a[0], b[1]
+
+        def combine(a, b):
+            calls["pairs"] += len(a[0])
+            return interval(a, b)
+
+        def fill(a, b):
+            if direction is FWD:
+                assert np.all(a[0] == 0)
+            else:
+                assert np.all(b[1] == T - 1)
+            calls["fills"] += len(a[0])
+            return interval(a, b)
+
+        idx = np.arange(T)
+        ref, ref_stats = par_scan_stacked((idx, idx), interval, direction)
+        out, stats = par_scan_stacked((idx, idx), combine, direction, fill=fill)
+        lo, hi = (np.zeros(T), idx) if direction is FWD else (idx, np.full(T, T - 1))
+        for got in (ref, out):
+            np.testing.assert_array_equal(got[0], lo)
+            np.testing.assert_array_equal(got[1], hi)
+        assert (stats.combine_count, stats.combine_depth) == (
+            ref_stats.combine_count,
+            ref_stats.combine_depth,
+        )
+        assert calls["pairs"] + calls["fills"] == stats.combine_count
+        assert (calls["fills"] > 0) == (T > 2)
