@@ -9,6 +9,14 @@ conditional values for every prefix) come out of one scan. Trajectories are
 recovered either by composing closed-loop affine maps (Method 1) or from
 prefix elements and the backward values (Method 2).
 
+The pairs of one tree level are independent, so the interval combine and
+the two pinned-endpoint fills cut each batch into blocks of about
+``_BLOCK_BUDGET / n_x^3`` pairs and run them on a pool of threads, one per
+usable core with the caller counted (numpy releases the GIL inside the
+batched products and inverses). Every pair's arithmetic is the same in any
+block, so results are byte-identical for any core count; small state
+dimensions never reach two blocks and run on the calling thread alone.
+
 Also here: the generalized-cost (cross-term) reduction to standard form,
 block partial condensing, a dense KKT reference solver, and file I/O.
 
@@ -20,7 +28,13 @@ that need the values or gains themselves.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,15 +46,8 @@ from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patc
 
 __all__ = [
     "LqtProblem",
-    "LqtElement",
     "QuadValue",
     "Gains",
-    "AffineMap",
-    "lqt_identity",
-    "affine_identity",
-    "compose_affine",
-    "combine_lqt",
-    "make_lqt_elements",
     "riccati_backward",
     "parallel_backward",
     "control",
@@ -64,6 +71,33 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+
+# Work in one block of an interval operator, in pairs x n^3 (one n x n
+# product per pair): 32 pairs at n = 32. A block's temporaries stay near a
+# core's L2 cache, and below two blocks a call is not split.
+_BLOCK_BUDGET = 1 << 20
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+# Threads that run operator blocks, the calling thread included.
+_WORKERS = _usable_cores()
+_pool: ThreadPoolExecutor | None = None  # _WORKERS - 1 threads, made on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's pool threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -170,17 +204,6 @@ class LqtProblem:
 
 
 @dataclass(frozen=True)
-class LqtElement:
-    """Dual parameters (A, b, C, eta, J) of one interval's value function."""
-
-    A: np.ndarray
-    b: np.ndarray
-    C: np.ndarray
-    eta: np.ndarray
-    J: np.ndarray
-
-
-@dataclass(frozen=True)
 class QuadValue:
     """Value functions 0.5 x'S_k x - v_k'x for k = 0..N, constants dropped.
 
@@ -201,28 +224,6 @@ class Gains:
     K: np.ndarray
     Kv: np.ndarray
     Kc: np.ndarray
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Closed-loop transition x -> Ft x + ct."""
-
-    Ft: np.ndarray
-    ct: np.ndarray
-
-
-def lqt_identity(n_x: int) -> LqtElement:
-    z = np.zeros((n_x, n_x))
-    return LqtElement(A=np.eye(n_x), b=np.zeros(n_x), C=z.copy(), eta=np.zeros(n_x), J=z.copy())
-
-
-def affine_identity(n_x: int) -> AffineMap:
-    return AffineMap(Ft=np.eye(n_x), ct=np.zeros(n_x))
-
-
-def compose_affine(a: AffineMap, b: AffineMap) -> AffineMap:
-    """a (x) b = f_b o f_a."""
-    return AffineMap(Ft=b.Ft @ a.Ft, ct=_mv(b.Ft, a.ct) + b.ct)
 
 
 def _compose_affine_arrays(a, b):
@@ -255,6 +256,87 @@ def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
     return Zi
 
 
+def _helper_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tempo_dp-lqt")
+        return _pool
+
+
+def _run_blocks(op, e1, e2, m: int, k: int):
+    """``op(e1, e2)`` on k contiguous blocks of the m pairs, across _WORKERS threads.
+
+    Blocks are claimed in order by the pool threads and by the calling
+    thread, which allocates every output once and copies each block's
+    result into it as it arrives; workers hold only their block's arrays.
+    Zero-dimensional results (the fills' constant zeros) pass through. All
+    blocks finish before this returns or raises; on failure the exception of
+    the lowest-numbered failing block is raised.
+    """
+    edges = [m * i // k for i in range(k + 1)]
+    claim = itertools.count()  # next() is atomic under the GIL
+    done = queue.SimpleQueue()
+
+    def run(i):
+        s = slice(edges[i], edges[i + 1])
+        try:
+            return op(tuple(a[s] for a in e1), tuple(a[s] for a in e2))
+        except Exception as exc:
+            return exc
+
+    def work():
+        while (i := next(claim)) < k:
+            done.put((i, run(i)))
+
+    pool = _helper_pool()
+    helpers = [pool.submit(work) for _ in range(min(_WORKERS - 1, k - 1))]
+    out, failed = None, None
+    try:
+        for _ in range(k):
+            # copy a finished block if there is one, else run one, else wait
+            if done.empty() and (i := next(claim)) < k:
+                res = run(i)
+            else:
+                i, res = done.get()
+            if isinstance(res, Exception):
+                if failed is None or i < failed[0]:
+                    failed = (i, res)
+                continue
+            if out is None:
+                out = tuple(np.empty((m,) + r.shape[1:], r.dtype) if np.ndim(r) else r for r in res)
+            for o, r in zip(out, res):
+                if np.ndim(r):
+                    o[edges[i] : edges[i + 1]] = r
+    finally:
+        wait(helpers)
+    if failed is not None:
+        raise failed[1]
+    return out
+
+
+def _in_blocks(op):
+    """Run a batched interval operator in blocks of about _BLOCK_BUDGET / n^3
+    pairs over all usable cores (see :func:`_run_blocks`).
+
+    Each pair's arithmetic is the same whichever block it lands in, so the
+    results are byte-identical for any block and thread count. Unbatched
+    (2-D) inputs, calls below two blocks and single-core machines call
+    ``op`` directly.
+    """
+
+    @functools.wraps(op)
+    def blocked(e1, e2):
+        shape = np.shape(e1[0])  # (m, n, n) when batched
+        k = min(shape[0], shape[0] * shape[-1] ** 3 // _BLOCK_BUDGET) if len(shape) == 3 else 0
+        if k < 2 or _WORKERS < 2:
+            return op(e1, e2)
+        return _run_blocks(op, e1, e2, shape[0], k)
+
+    return blocked
+
+
+@_in_blocks
 def _combine_element_arrays(e1, e2):
     """Interval combination, batched over any leading axes.
 
@@ -277,6 +359,7 @@ def _combine_element_arrays(e1, e2):
     return A, b, C, eta, J
 
 
+@_in_blocks
 def _fill_suffix(e1, e2):
     """e1 (x) a suffix pinned at the terminal: its A = b = C = 0, so only
     eta and J are formed (as in :func:`_combine_element_arrays`)."""
@@ -288,6 +371,7 @@ def _fill_suffix(e1, e2):
     return 0.0, 0.0, 0.0, eta, J
 
 
+@_in_blocks
 def _fill_prefix(e1, e2):
     """A prefix pinned at the initial state (x) e2: its A = eta = J = 0, so
     only b and C are formed (as in :func:`_combine_element_arrays`)."""
@@ -297,16 +381,6 @@ def _fill_prefix(e1, e2):
     b = _mv(W, b1 + _mv(C1, eta2)) + b2
     C = _sym(W @ C1 @ _t(A2) + C2)
     return 0.0, b, C, 0.0, 0.0
-
-
-def combine_lqt(e1: LqtElement, e2: LqtElement) -> LqtElement:
-    """Combine two adjacent interval elements (e1 earlier in time)."""
-    if e1.A.shape != e2.A.shape:
-        raise ValueError(f"dimension mismatch: {e1.A.shape} vs {e2.A.shape}")
-    out = _combine_element_arrays(
-        (e1.A, e1.b, e1.C, e1.eta, e1.J), (e2.A, e2.b, e2.C, e2.eta, e2.J)
-    )
-    return LqtElement(*out)
 
 
 def _solve_batched(G: np.ndarray, rhs: np.ndarray, what: str, offset: int):
@@ -368,11 +442,6 @@ def _element_arrays(p: LqtProblem):
     eta[n] = HtXT @ p.rT
     J[n] = _sym(HtXT @ p.HT)
     return A, b, C, eta, J
-
-
-def make_lqt_elements(p: LqtProblem) -> list[LqtElement]:
-    A, b, C, eta, J = _element_arrays(p)
-    return [LqtElement(A[k], b[k], C[k], eta[k], J[k]) for k in range(p.N + 1)]
 
 
 def riccati_backward(p: LqtProblem) -> tuple[QuadValue, Gains]:
@@ -608,77 +677,69 @@ def condense(p: LqtProblem, B: int) -> tuple[LqtProblem, CondensingRecovery]:
     nB = p.N // B
     nuB = B * nu
 
-    Fb = np.empty((nB, nx, nx))
-    cb = np.empty((nB, nx))
-    Lb = np.empty((nB, nx, nuB))
-    Xb = np.empty((nB, nx, nx))
-    rb = np.empty((nB, nx))
-    Ub = np.empty((nB, nuB, nuB))
-    Mb = np.empty((nB, nx, nuB))
-    sb = np.empty((nB, nuB))
+    def steps(a):  # (N, ...) -> (nB, B, ...): block g, in-block offset m
+        return a.reshape((nB, B) + a.shape[1:])
+
+    F, c, L, H, X, r, U = map(steps, (p.F, p.c, p.L, p.H, p.X, p.r, p.U))
     Phi_all = np.empty((nB, B, nx, nx))
     Gam_all = np.empty((nB, B, nx, nuB))
     d_all = np.empty((nB, B, nx))
-
-    for g in range(nB):
-        h = g * B
-        Phi = np.eye(nx)
-        Gam = np.zeros((nx, nuB))
-        d = np.zeros(nx)
-        Qxx = np.zeros((nx, nx))
-        Qxu = np.zeros((nx, nuB))
-        Quu = np.zeros((nuB, nuB))
-        qx = np.zeros(nx)
-        qu = np.zeros(nuB)
-        for m in range(B):
-            k = h + m
-            Phi_all[g, m] = Phi
-            Gam_all[g, m] = Gam
-            d_all[g, m] = d
-            Hx = p.H[k] @ Phi
-            Hu = p.H[k] @ Gam
-            off = p.H[k] @ d - p.r[k]
-            XHx = p.X[k] @ Hx
-            XHu = p.X[k] @ Hu
-            Qxx += Hx.T @ XHx
-            Qxu += Hx.T @ XHu
-            Quu += Hu.T @ XHu
-            qx += XHx.T @ off
-            qu += XHu.T @ off
-            sl = slice(m * nu, (m + 1) * nu)
-            Quu[sl, sl] += p.U[k]
-            # unroll dynamics one step
-            d = p.F[k] @ d + p.c[k]
-            Gam = p.F[k] @ Gam
-            Gam[:, sl] = p.L[k]
-            Phi = p.F[k] @ Phi
-        Fb[g], cb[g], Lb[g] = Phi, d, Gam
-        Xb[g] = _sym(Qxx)
-        Ub[g] = _sym(Quu)
-        Mb[g] = Qxu
-        # fit references so the linear terms match: Q [r; s] = -q
-        Q = np.block([[Qxx, Qxu], [Qxu.T, Quu]])
-        tvec = np.linalg.lstsq(Q, -np.concatenate([qx, qu]), rcond=None)[0]
-        rb[g] = tvec[:nx]
-        sb[g] = tvec[nx:]
-
-    eyeH = np.broadcast_to(np.eye(nx), (nB, nx, nx)).copy()
+    # each quantity runs over the B in-block steps, batched over the blocks
+    Phi = np.broadcast_to(np.eye(nx), (nB, nx, nx))
+    Gam = np.zeros((nB, nx, nuB))
+    d = np.zeros((nB, nx))
+    Qxx = np.zeros((nB, nx, nx))
+    Qxu = np.zeros((nB, nx, nuB))
+    Quu = np.zeros((nB, nuB, nuB))
+    qx = np.zeros((nB, nx))
+    qu = np.zeros((nB, nuB))
+    for m in range(B):
+        Phi_all[:, m] = Phi
+        Gam_all[:, m] = Gam
+        d_all[:, m] = d
+        Hx = H[:, m] @ Phi
+        Hu = H[:, m] @ Gam
+        off = _mv(H[:, m], d) - r[:, m]
+        XHx = X[:, m] @ Hx
+        XHu = X[:, m] @ Hu
+        Qxx += _t(Hx) @ XHx
+        Qxu += _t(Hx) @ XHu
+        Quu += _t(Hu) @ XHu
+        qx += _mv(_t(XHx), off)
+        qu += _mv(_t(XHu), off)
+        sl = slice(m * nu, (m + 1) * nu)
+        Quu[:, sl, sl] += U[:, m]
+        # unroll dynamics one step
+        d = _mv(F[:, m], d) + c[:, m]
+        Gam = F[:, m] @ Gam
+        Gam[:, :, sl] = L[:, m]
+        Phi = F[:, m] @ Phi
+    # fit references so the linear terms match, Q [r; s] = -q: lstsq's
+    # minimum-norm solution from one batched eigendecomposition of the
+    # symmetric Q, applied in factored form (an explicit pseudo-inverse
+    # loses about six digits on tracking2d, where cond(Q) ~ 1e8)
+    Xb, Ub = _sym(Qxx), _sym(Quu)
+    Q = np.concatenate([np.concatenate([Xb, Qxu], -1), np.concatenate([_t(Qxu), Ub], -1)], -2)
+    w, V = np.linalg.eigh(Q)
+    cut = np.finfo(np.float64).eps * Q.shape[-1] * np.abs(w).max(axis=-1, keepdims=True)
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cut)
+    tvec = _mv(V, winv * _mv(_t(V), -np.concatenate([qx, qu], -1)))
     cond_p = LqtProblem(
         S=0,
         T=nB,
         x0=p.x0,
-        F=Fb,
-        c=cb,
-        L=Lb,
-        H=eyeH,
+        F=Phi,
+        c=d,
+        L=Gam,
+        H=np.broadcast_to(np.eye(nx), (nB, nx, nx)).copy(),
         X=Xb,
-        r=rb,
+        r=tvec[:, :nx],
         U=Ub,
         HT=p.HT,
         XT=p.XT,
         rT=p.rT,
-        M=Mb,
-        s=sb,
+        M=Qxu,
+        s=tvec[:, nx:],
     )
     recovery = CondensingRecovery(B=B, n_u=nu, Phi=Phi_all, Gam=Gam_all, d=d_all)
     return cond_p, recovery

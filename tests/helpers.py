@@ -7,9 +7,11 @@ implementations.
 
 import csv
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from tempo_dp import lqt
 from tempo_dp.finite_dp import FiniteProblem
 from tempo_dp.lqt import LqtProblem
 
@@ -114,10 +116,60 @@ def random_lqt_problem(rng, n_x=4, n_u=2, N=8, cross=False, n_r=None, s_ref=Fals
     )
 
 
+# --- the LQT element algebra as readable Python objects: the reference that
+# the library's stacked scans are checked against
+
+
+@dataclass(frozen=True)
+class LqtElement:
+    """Dual parameters (A, b, C, eta, J) of one interval's value function."""
+
+    A: np.ndarray
+    b: np.ndarray
+    C: np.ndarray
+    eta: np.ndarray
+    J: np.ndarray
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """Closed-loop transition x -> Ft x + ct."""
+
+    Ft: np.ndarray
+    ct: np.ndarray
+
+
+def lqt_identity(n_x):
+    z = np.zeros((n_x, n_x))
+    return LqtElement(A=np.eye(n_x), b=np.zeros(n_x), C=z.copy(), eta=np.zeros(n_x), J=z.copy())
+
+
+def affine_identity(n_x):
+    return AffineMap(Ft=np.eye(n_x), ct=np.zeros(n_x))
+
+
+def compose_affine(a, b):
+    """a (x) b = f_b o f_a."""
+    return AffineMap(Ft=b.Ft @ a.Ft, ct=lqt._mv(b.Ft, a.ct) + b.ct)
+
+
+def combine_lqt(e1, e2):
+    """Combine two adjacent interval elements (e1 earlier in time)."""
+    if e1.A.shape != e2.A.shape:
+        raise ValueError(f"dimension mismatch: {e1.A.shape} vs {e2.A.shape}")
+    out = lqt._combine_element_arrays(
+        (e1.A, e1.b, e1.C, e1.eta, e1.J), (e2.A, e2.b, e2.C, e2.eta, e2.J)
+    )
+    return LqtElement(*out)
+
+
+def make_lqt_elements(p):
+    A, b, C, eta, J = lqt._element_arrays(p)
+    return [LqtElement(A[k], b[k], C[k], eta[k], J[k]) for k in range(p.N + 1)]
+
+
 def random_lqt_element(rng, n_x):
     """Element with PSD C, J drawn as G G'."""
-    from tempo_dp.lqt import LqtElement
-
     return LqtElement(
         A=rng.normal(size=(n_x, n_x)) * 0.6,
         b=rng.normal(size=n_x),
@@ -183,3 +235,40 @@ def write_trajectory_csv_rows(path, xs, us=None, S=0):
                 else:
                     row += [""] * n_u
             w.writerow(row)
+
+
+def condense_loop(p, B):
+    """Block condensing one block and one step at a time, with one lstsq
+    reference fit per block: reference for lqt.condense.
+
+    Returns the condensed stage arrays (F, c, L, X, U, M, r, s) and the
+    recovery maps (Phi, Gam, d) by name.
+    """
+    nx, nu, nB = p.n_x, p.n_u, p.N // B
+    out = {name: [] for name in ("F", "c", "L", "X", "U", "M", "r", "s", "Phi", "Gam", "d")}
+    for g in range(nB):
+        Phi, Gam, d = np.eye(nx), np.zeros((nx, B * nu)), np.zeros(nx)
+        Qxx, Qxu, Quu = np.zeros((nx, nx)), np.zeros((nx, B * nu)), np.zeros((B * nu, B * nu))
+        qx, qu = np.zeros(nx), np.zeros(B * nu)
+        maps = []
+        for m in range(B):
+            k = g * B + m
+            maps.append((Phi, Gam.copy(), d))
+            Hx, Hu, off = p.H[k] @ Phi, p.H[k] @ Gam, p.H[k] @ d - p.r[k]
+            Qxx += Hx.T @ p.X[k] @ Hx
+            Qxu += Hx.T @ p.X[k] @ Hu
+            Quu += Hu.T @ p.X[k] @ Hu
+            qx += Hx.T @ p.X[k] @ off
+            qu += Hu.T @ p.X[k] @ off
+            sl = slice(m * nu, (m + 1) * nu)
+            Quu[sl, sl] += p.U[k]
+            d = p.F[k] @ d + p.c[k]
+            Gam = p.F[k] @ Gam
+            Gam[:, sl] = p.L[k]
+            Phi = p.F[k] @ Phi
+        Q = np.block([[Qxx, Qxu], [Qxu.T, Quu]])
+        t = np.linalg.lstsq(Q, -np.concatenate([qx, qu]), rcond=None)[0]
+        for name, value in zip(out, (Phi, d, Gam, (Qxx + Qxx.T) / 2, (Quu + Quu.T) / 2, Qxu,
+                                     t[:nx], t[nx:], *map(np.array, zip(*maps)))):
+            out[name].append(value)
+    return {name: np.array(values) for name, values in out.items()}

@@ -20,6 +20,9 @@ from tempo_dp.scan import ScanDirection, par_scan, par_scan_stacked, seq_scan
 from tempo_dp.scenarios import build_mass_spring, build_tracking2d, build_unicycle
 
 from helpers import (
+    LqtElement,
+    combine_lqt,
+    make_lqt_elements,
     max_value_dev,
     random_finite_problem,
     random_lqt_element,
@@ -124,8 +127,8 @@ def test_criterion_4_associativity():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         a, b, c = (random_lqt_element(rng, 3) for _ in range(3))
-        lhs = lqt.combine_lqt(lqt.combine_lqt(a, b), c)
-        rhs = lqt.combine_lqt(a, lqt.combine_lqt(b, c))
+        lhs = combine_lqt(combine_lqt(a, b), c)
+        rhs = combine_lqt(a, combine_lqt(b, c))
         for f in ("A", "b", "C", "eta", "J"):
             num = np.max(np.abs(getattr(lhs, f) - getattr(rhs, f)))
             den = max(1.0, np.max(np.abs(getattr(rhs, f))))
@@ -303,11 +306,11 @@ def test_criterion_10_terminal_eta_correction():
 
     # the printed variant drops the XT factor in the terminal eta: it must
     # visibly deviate from the Riccati values
-    elems = lqt.make_lqt_elements(p)
-    bad_term = lqt.LqtElement(
+    elems = make_lqt_elements(p)
+    bad_term = LqtElement(
         A=elems[-1].A, b=elems[-1].b, C=elems[-1].C,
         eta=p.HT.T @ p.rT, J=elems[-1].J,
     )
-    out, _ = par_scan(elems[:-1] + [bad_term], lqt.combine_lqt, REV)
+    out, _ = par_scan(elems[:-1] + [bad_term], combine_lqt, REV)
     bad_values = lqt.QuadValue(np.stack([e.J for e in out]), np.stack([e.eta for e in out]))
     assert max_value_dev(bad_values, ref) > 1e-3

@@ -1,6 +1,12 @@
 """LQT tests: Riccati vs parallel scan, element algebra against a numeric
 minimization oracle, trajectory recovery, cost transform, condensing, KKT."""
 
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,7 +14,19 @@ from tempo_dp import lqt
 from tempo_dp.errors import SolverError
 from tempo_dp.scan import ScanDirection, par_scan
 
-from helpers import max_value_dev, random_lqt_element, random_lqt_problem, write_trajectory_csv_rows
+from helpers import (
+    AffineMap,
+    LqtElement,
+    combine_lqt,
+    compose_affine,
+    condense_loop,
+    lqt_identity,
+    make_lqt_elements,
+    max_value_dev,
+    random_lqt_element,
+    random_lqt_problem,
+    write_trajectory_csv_rows,
+)
 
 FWD, REV = ScanDirection.FORWARD, ScanDirection.REVERSE
 
@@ -70,7 +88,7 @@ class TestRiccatiBackward:
 class TestElements:
     def test_scalar_stage_element(self):
         p = scalar_problem(N=2)
-        e = lqt.make_lqt_elements(p)[0]
+        e = make_lqt_elements(p)[0]
         for got, want in zip((e.A, e.b, e.C, e.eta, e.J), (1, 0, 1, 0, 1)):
             assert float(np.asarray(got).ravel()[0]) == pytest.approx(want)
 
@@ -80,17 +98,17 @@ class TestElements:
         pz = lqt.LqtProblem(S=0, T=5, x0=p.x0, F=p.F, c=p.c, L=p.L, H=p.H, X=p.X,
                             r=np.zeros_like(p.r), U=p.U, HT=p.HT, XT=p.XT,
                             rT=np.zeros_like(p.rT))
-        for e in lqt.make_lqt_elements(pz):
+        for e in make_lqt_elements(pz):
             assert np.all(e.eta == 0)
 
     def test_zero_weight_pure_dynamics(self):
         p = scalar_problem(N=1, X=0.0)
-        e = lqt.make_lqt_elements(p)[0]
+        e = make_lqt_elements(p)[0]
         assert e.J[0, 0] == 0.0 and e.eta[0] == 0.0
 
     def test_terminal_element(self):
         p = scalar_problem(N=1, HT=2.0, XT=3.0, rT=4.0)
-        e = lqt.make_lqt_elements(p)[-1]
+        e = make_lqt_elements(p)[-1]
         assert e.J[0, 0] == pytest.approx(2.0 * 3.0 * 2.0)
         assert e.eta[0] == pytest.approx(2.0 * 3.0 * 4.0)  # includes the XT factor
         assert np.all(e.A == 0) and np.all(e.b == 0) and np.all(e.C == 0)
@@ -102,7 +120,7 @@ class TestElements:
         bad = lqt.LqtProblem(S=0, T=2, x0=p.x0, F=p.F, c=p.c, L=p.L, H=p.H,
                              X=p.X, r=p.r, U=U, HT=p.HT, XT=p.XT, rT=p.rT)
         with pytest.raises(SolverError, match="factorization failed at step 0"):
-            lqt.make_lqt_elements(bad)
+            make_lqt_elements(bad)
 
 
 def eval_element(e, x, y):
@@ -125,18 +143,18 @@ def min_over_z(e1, e2, x, y):
 class TestCombine:
     def test_identity_two_sided_exact(self):
         rng = np.random.default_rng(3)
-        ident = lqt.lqt_identity(3)
+        ident = lqt_identity(3)
         e = random_lqt_element(rng, 3)
-        for out in (lqt.combine_lqt(e, ident), lqt.combine_lqt(ident, e)):
+        for out in (combine_lqt(e, ident), combine_lqt(ident, e)):
             for f in ("A", "b", "C", "eta", "J"):
                 assert np.array_equal(getattr(out, f), getattr(e, f))
 
     def test_scalar_worked_example(self):
-        e1 = lqt.LqtElement(A=[[2.0]], b=[1.0], C=[[1.0]], eta=[0.0], J=[[1.0]])
-        e2 = lqt.LqtElement(A=[[1.0]], b=[0.0], C=[[1.0]], eta=[1.0], J=[[2.0]])
-        e1 = lqt.LqtElement(*(np.asarray(v, float) for v in (e1.A, e1.b, e1.C, e1.eta, e1.J)))
-        e2 = lqt.LqtElement(*(np.asarray(v, float) for v in (e2.A, e2.b, e2.C, e2.eta, e2.J)))
-        out = lqt.combine_lqt(e1, e2)
+        e1 = LqtElement(A=[[2.0]], b=[1.0], C=[[1.0]], eta=[0.0], J=[[1.0]])
+        e2 = LqtElement(A=[[1.0]], b=[0.0], C=[[1.0]], eta=[1.0], J=[[2.0]])
+        e1 = LqtElement(*(np.asarray(v, float) for v in (e1.A, e1.b, e1.C, e1.eta, e1.J)))
+        e2 = LqtElement(*(np.asarray(v, float) for v in (e2.A, e2.b, e2.C, e2.eta, e2.J)))
+        out = combine_lqt(e1, e2)
         assert out.A[0, 0] == pytest.approx(2 / 3)
         assert out.b[0] == pytest.approx(2 / 3)
         assert out.C[0, 0] == pytest.approx(4 / 3)
@@ -155,10 +173,10 @@ class TestCombine:
     def test_chain_matches_riccati(self):
         rng = np.random.default_rng(4)
         p = random_lqt_problem(rng, n_x=3, n_u=2, N=10)
-        elems = lqt.make_lqt_elements(p)
+        elems = make_lqt_elements(p)
         suffix = elems[-1]
         for e in reversed(elems[:-1]):
-            suffix = lqt.combine_lqt(e, suffix)
+            suffix = combine_lqt(e, suffix)
         values, _ = lqt.riccati_backward(p)
         np.testing.assert_allclose(suffix.J, values.S[0], rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(suffix.eta, values.v[0], rtol=1e-9, atol=1e-12)
@@ -167,8 +185,8 @@ class TestCombine:
         rng = np.random.default_rng(5)
         for _ in range(200):
             a, b, c = (random_lqt_element(rng, 3) for _ in range(3))
-            lhs = lqt.combine_lqt(lqt.combine_lqt(a, b), c)
-            rhs = lqt.combine_lqt(a, lqt.combine_lqt(b, c))
+            lhs = combine_lqt(combine_lqt(a, b), c)
+            rhs = combine_lqt(a, combine_lqt(b, c))
             for f in ("A", "b", "C", "eta", "J"):
                 num = np.max(np.abs(getattr(lhs, f) - getattr(rhs, f)))
                 den = max(1.0, np.max(np.abs(getattr(rhs, f))))
@@ -177,30 +195,30 @@ class TestCombine:
     def test_symmetry_after_combine(self):
         rng = np.random.default_rng(6)
         a, b = random_lqt_element(rng, 4), random_lqt_element(rng, 4)
-        out = lqt.combine_lqt(a, b)
+        out = combine_lqt(a, b)
         assert np.max(np.abs(out.C - out.C.T)) == 0.0
         assert np.max(np.abs(out.J - out.J.T)) == 0.0
 
     def test_ill_conditioned_errors(self):
         big = 1e14
-        e1 = lqt.LqtElement(A=np.eye(2), b=np.zeros(2),
+        e1 = LqtElement(A=np.eye(2), b=np.zeros(2),
                             C=np.array([[1.0, 0.0], [0.0, 0.0]]),
                             eta=np.zeros(2), J=np.zeros((2, 2)))
-        e2 = lqt.LqtElement(A=np.eye(2), b=np.zeros(2), C=np.zeros((2, 2)),
+        e2 = LqtElement(A=np.eye(2), b=np.zeros(2), C=np.zeros((2, 2)),
                             eta=np.zeros(2),
                             J=np.array([[1.0, big], [big, big**2]]))
         with pytest.raises(SolverError, match="ill-conditioned combine"):
-            lqt.combine_lqt(e1, e2)
+            combine_lqt(e1, e2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            lqt.combine_lqt(lqt.lqt_identity(2), lqt.lqt_identity(3))
+            combine_lqt(lqt_identity(2), lqt_identity(3))
 
 
 def object_backward(p):
     """Values and gains from the element algebra (make_lqt_elements,
     combine_lqt) scanned as Python objects by par_scan."""
-    out, _ = par_scan(lqt.make_lqt_elements(p), lqt.combine_lqt, REV)
+    out, _ = par_scan(make_lqt_elements(p), combine_lqt, REV)
     values = lqt.QuadValue(np.stack([e.J for e in out]), np.stack([e.eta for e in out]))
     return values, lqt.Gains(*lqt._gains_from_values(p, values.S))
 
@@ -213,9 +231,9 @@ def object_method1(p, values, gains):
     """Method 1 by par_scan over AffineMap objects (compose_affine), the
     first map pinned at the initial state."""
     Ft, ct = lqt._closed_loop_maps(p, values, gains)
-    maps = [lqt.AffineMap(np.zeros_like(Ft[0]), Ft[0] @ p.x0 + ct[0])]
-    maps += [lqt.AffineMap(Ft[k], ct[k]) for k in range(1, p.N)]
-    prefix, _ = par_scan(maps, lqt.compose_affine, FWD)
+    maps = [AffineMap(np.zeros_like(Ft[0]), Ft[0] @ p.x0 + ct[0])]
+    maps += [AffineMap(Ft[k], ct[k]) for k in range(1, p.N)]
+    prefix, _ = par_scan(maps, compose_affine, FWD)
     return np.stack([p.x0] + [m.ct for m in prefix])
 
 
@@ -223,8 +241,8 @@ def object_method2(p, values):
     """Method 2 step by step from LqtElement prefixes scanned by par_scan."""
     n = p.n_x
     z = np.zeros((n, n))
-    start = lqt.LqtElement(A=z, b=p.x0, C=z, eta=np.zeros(n), J=z)
-    prefix, _ = par_scan([start] + lqt.make_lqt_elements(p)[:-1], lqt.combine_lqt, FWD)
+    start = LqtElement(A=z, b=p.x0, C=z, eta=np.zeros(n), J=z)
+    prefix, _ = par_scan([start] + make_lqt_elements(p)[:-1], combine_lqt, FWD)
     return np.stack([
         np.linalg.solve(np.eye(n) + e.C @ values.S[k], e.A @ p.x0 + e.b + e.C @ values.v[k])
         for k, e in enumerate(prefix)
@@ -249,17 +267,17 @@ class TestConditioningGate:
             cond = np.linalg.cond(np.eye(2) + C1 @ J2, 1)
             if lqt.COND_LIMIT / 10 <= cond <= lqt.COND_LIMIT * 10:
                 continue
-            e1 = lqt.LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=C1,
+            e1 = LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=C1,
                                 eta=rng.normal(size=2), J=np.eye(2))
-            e2 = lqt.LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=np.eye(2),
+            e2 = LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=np.eye(2),
                                 eta=rng.normal(size=2), J=J2)
             if cond > lqt.COND_LIMIT:
                 above += 1
                 with pytest.raises(SolverError, match="ill-conditioned combine"):
-                    lqt.combine_lqt(e1, e2)
+                    combine_lqt(e1, e2)
             else:
                 below += 1
-                out = lqt.combine_lqt(e1, e2)
+                out = combine_lqt(e1, e2)
                 assert all(np.isfinite(getattr(out, f)).all() for f in ("A", "b", "C", "eta", "J"))
         assert below >= 5 and above >= 5
 
@@ -366,6 +384,190 @@ class TestPinnedFills:
         fill = lqt._fill_affine(a, b)
         assert fill[1].tobytes() == full[1].tobytes()
         assert np.all(full[0] == 0) and np.all(fill[0] == 0)
+
+
+def gate_problem(N, bad):
+    """2-state problem whose combines across the boundary between steps
+    ``bad`` and ``bad + 1`` have cond(I + C J) ~ 1e14 (step ``bad`` is nearly
+    free to control in state 0, step ``bad + 1`` weights it heavily)."""
+    U = np.ones((N, 1, 1))
+    U[bad] = 1e-7
+    X = np.tile(np.eye(2), (N, 1, 1))
+    X[bad + 1] = np.diag([1e7, 1.0])
+    return lqt.LqtProblem(
+        S=0, T=N, x0=[1.0, 0.0],
+        F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
+        L=np.tile([[1.0], [0.0]], (N, 1, 1)),
+        H=np.tile(np.eye(2), (N, 1, 1)), X=X, r=np.zeros((N, 2)), U=U,
+        HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
+    )
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Two block threads (also on one core) and a block budget of ``pairs``
+    pairs of an n-state operator; records (m, k) of every split call."""
+    calls = []
+    run_blocks = lqt._run_blocks
+
+    def spy(op, e1, e2, m, k):
+        calls.append((m, k))
+        return run_blocks(op, e1, e2, m, k)
+
+    def configure(n, pairs, workers=2):
+        monkeypatch.setattr(lqt, "_WORKERS", workers)
+        monkeypatch.setattr(lqt, "_BLOCK_BUDGET", pairs * n**3)
+        return calls
+
+    monkeypatch.setattr(lqt, "_run_blocks", spy)
+    return configure
+
+
+def solve_bytes(p):
+    values, gains, stats = lqt.parallel_backward(p, return_stats=True)
+    arrays = (values.S, values.v, gains.K, gains.Kv, gains.Kc, lqt.traj_method2(p, values))
+    return [a.tobytes() for a in arrays], stats
+
+
+class TestBlockRunner:
+    """The LQT operators split a batch into blocks run across threads; the
+    results must not depend on the split."""
+
+    @pytest.mark.parametrize("scenario", ["mass_spring", "tracking2d"])
+    def test_byte_identical_to_single_block(self, split, scenario):
+        from tempo_dp.scenarios import build_mass_spring, build_tracking2d
+
+        p = build_mass_spring(3, 37) if scenario == "mass_spring" else build_tracking2d(51, seed=4)
+        calls = split(p.n_x, 3, workers=1)
+        ref = solve_bytes(p)
+        assert calls == []
+        split(p.n_x, 3, workers=2)
+        assert solve_bytes(p) == ref
+        # level-0 batches of 19 (mass_spring) or 26 (tracking2d) pairs cut
+        # into blocks of about 3 pairs
+        assert any(k >= 2 and m % k for m, k in calls)
+
+    def test_lowest_failing_block_raises(self, split, monkeypatch):
+        rng = np.random.default_rng(40)
+        e1 = stacked([random_lqt_element(rng, 2) for _ in range(7)])
+        e2 = stacked([random_lqt_element(rng, 2) for _ in range(7)])
+        e1[2][3], e2[4][3] = np.diag([1.0, 0.5]), np.diag([0.3, 1e14])  # cond ~ 1e14
+        e1[2][5], e2[4][5] = np.eye(2), -np.eye(2)  # singular I + C1 J2
+        calls = split(2, 2)
+        gated_inverse = lqt._gated_inverse
+        first = [e1[2][i, 0, 0] for i in (0, 2, 4)]  # tells blocks [0, 2), [2, 4), [4, 7) apart
+
+        def delayed(C1, J2):
+            time.sleep(delay.get(C1[0, 0, 0], 0.0))
+            return gated_inverse(C1, J2)
+
+        monkeypatch.setattr(lqt, "_gated_inverse", delayed)
+        # block 1's failure arrives after block 2's (when another thread
+        # runs block 1), then before it; either way block 1's is raised
+        for delay in ({first[0]: 0.02, first[1]: 0.1}, {first[0]: 0.05, first[2]: 0.1}):
+            for _ in range(2):
+                with pytest.raises(SolverError, match="ill-conditioned combine: condition number"):
+                    lqt._combine_element_arrays(e1, e2)
+        e1[2][3], e2[4][3] = np.eye(2), np.eye(2)
+        with pytest.raises(SolverError, match="ill-conditioned combine: Singular"):
+            lqt._combine_element_arrays(e1, e2)
+        assert calls == [(7, 3)] * 5
+
+    def test_gate_in_later_block_raises_from_both_scans(self, split, monkeypatch):
+        p = gate_problem(40, 27)
+        values, _ = lqt.riccati_backward(p)
+        split(2, 1)  # one pair per block
+        active, finished, raised = [0], [0], []
+        lock = threading.Lock()
+        gated_inverse, run_blocks = lqt._gated_inverse, lqt._run_blocks
+
+        def slow_gate(C1, J2):
+            with lock:
+                active[0] += 1
+            try:
+                time.sleep(0.002)
+                return gated_inverse(C1, J2)
+            finally:
+                with lock:
+                    active[0] -= 1
+                    finished[0] += 1
+
+        def record(op, e1, e2, m, k):
+            start = finished[0]
+            try:
+                return run_blocks(op, e1, e2, m, k)
+            except SolverError:
+                # pairs that fail the gate, and whether every block ran
+                bad = np.flatnonzero(np.linalg.cond(np.eye(2) + e1[2] @ e2[4], 1) > lqt.COND_LIMIT)
+                raised.append((m, k, bad, finished[0] - start, active[0]))
+                raise
+
+        monkeypatch.setattr(lqt, "_gated_inverse", slow_gate)
+        monkeypatch.setattr(lqt, "_run_blocks", record)
+        match = "ill-conditioned combine: condition number"
+        with pytest.raises(SolverError, match=match):
+            lqt.parallel_backward(p)
+        with pytest.raises(SolverError, match=match):
+            lqt.traj_method2(p, values)
+        assert len(raised) == 2
+        for m, k, bad, ran, running in raised:
+            assert k >= 2 and len(bad) and bad.min() >= m // k  # not in block 0
+            assert ran == k and running == 0
+
+    def test_more_threads_than_cores(self, split, monkeypatch):
+        from tempo_dp.scenarios import build_mass_spring
+
+        p = build_mass_spring(3, 61)
+        split(p.n_x, 1, workers=1)
+        ref = solve_bytes(p)
+        monkeypatch.setattr(lqt, "_pool", None)
+        calls = split(p.n_x, 1, workers=8)  # a fresh pool of 7 threads, one pair per block
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.append(solve_bytes(p)))
+            runner.start()
+            runner.join(120)
+            assert not runner.is_alive(), "multi-block solve did not finish"
+        finally:
+            sys.setswitchinterval(interval)
+            lqt._pool.shutdown(wait=False)
+        # a block claimed twice or never would change the bytes or hang
+        assert got == [ref] and max(k for _, k in calls) >= 30
+
+    def test_one_worker_never_creates_a_pool(self, split, monkeypatch):
+        monkeypatch.setattr(lqt, "_pool", None)
+        calls = split(4, 1, workers=1)
+        lqt.solve(random_lqt_problem(np.random.default_rng(41), N=30), traj_method=2)
+        assert lqt._pool is None and calls == []
+
+    def test_unbatched_input_runs_inline(self, split):
+        rng = np.random.default_rng(42)
+        a, b = random_lqt_element(rng, 3), random_lqt_element(rng, 3)
+        calls = split(3, 1)  # any batched call of two or more pairs would split
+        out = combine_lqt(a, b)
+        assert calls == []
+        ref = lqt._combine_element_arrays(
+            *(tuple(getattr(e, f)[None] for f in ("A", "b", "C", "eta", "J")) for e in (a, b))
+        )
+        assert all(getattr(out, f).tobytes() == r[0].tobytes()
+                   for f, r in zip(("A", "b", "C", "eta", "J"), ref))
+
+    def test_forked_child_solves(self, split):
+        from tempo_dp.scenarios import build_mass_spring
+
+        p = build_mass_spring(3, 37)
+        split(p.n_x, 3)
+        ref = solve_bytes(p)  # the parent's pool exists now
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=lambda: os._exit(0 if solve_bytes(p) == ref else 1))
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            pytest.fail("forked child hung in a multi-block solve")
+        assert child.exitcode == 0
 
 
 class TestParallelBackward:
@@ -485,9 +687,9 @@ class TestControlLaw:
 
 class TestTrajectoryRecovery:
     def test_affine_composition_example(self):
-        out = lqt.compose_affine(
-            lqt.AffineMap(np.array([[2.0]]), np.array([1.0])),
-            lqt.AffineMap(np.array([[3.0]]), np.array([1.0])),
+        out = compose_affine(
+            AffineMap(np.array([[2.0]]), np.array([1.0])),
+            AffineMap(np.array([[3.0]]), np.array([1.0])),
         )
         assert out.Ft[0, 0] == 6.0 and out.ct[0] == 4.0
 
@@ -615,6 +817,19 @@ class TestCondensing:
         xs_ref = lqt.traj_method1(p, gains, values)
         xs, us = lqt.solve(p, block_size=B)[:2]
         np.testing.assert_allclose(xs, xs_ref, atol=1e-7)
+
+    @pytest.mark.parametrize("n_r", [1, 3], ids=["rank_deficient", "full"])
+    @pytest.mark.parametrize("B", [1, 2, 4])
+    def test_matches_per_block_loop(self, B, n_r):
+        # with one output per step, a block of fewer than n_x = 3 steps has a
+        # singular Q, so its references must be lstsq's minimum-norm fit
+        p = random_lqt_problem(np.random.default_rng(23), n_x=3, n_u=1, N=8, n_r=n_r)
+        q, rec = lqt.condense(p, B)
+        ref = condense_loop(p, B)
+        got = {"F": q.F, "c": q.c, "L": q.L, "X": q.X, "U": q.U, "M": q.M, "r": q.r, "s": q.s,
+               "Phi": rec.Phi, "Gam": rec.Gam, "d": rec.d}
+        for name, want in ref.items():
+            np.testing.assert_allclose(got[name], want, rtol=1e-9, atol=1e-9, err_msg=name)
 
     def test_non_divisible_errors(self):
         rng = np.random.default_rng(20)
@@ -771,7 +986,7 @@ class TestInvariants:
         values, _ = lqt.parallel_backward(p)
         for S in values.S:
             assert np.max(np.abs(S - S.T)) == 0.0
-        for e in lqt.make_lqt_elements(p):
+        for e in make_lqt_elements(p):
             assert np.max(np.abs(e.C - e.C.T)) == 0.0
             assert np.max(np.abs(e.J - e.J.T)) == 0.0
 

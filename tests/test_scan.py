@@ -16,7 +16,14 @@ from tempo_dp.scan import (
 from tempo_dp import finite_dp as fd
 from tempo_dp import lqt
 
-from helpers import random_lqt_element
+from helpers import (
+    AffineMap,
+    affine_identity,
+    combine_lqt,
+    compose_affine,
+    lqt_identity,
+    random_lqt_element,
+)
 
 FWD = ScanDirection.FORWARD
 REV = ScanDirection.REVERSE
@@ -132,19 +139,19 @@ class TestIdentityLaws:
 
     def test_lqt_element(self):
         rng = np.random.default_rng(6)
-        ident = lqt.lqt_identity(3)
+        ident = lqt_identity(3)
         for _ in range(100):
             a = random_lqt_element(rng, 3)
-            for out in (lqt.combine_lqt(a, ident), lqt.combine_lqt(ident, a)):
+            for out in (combine_lqt(a, ident), combine_lqt(ident, a)):
                 for f in ("A", "b", "C", "eta", "J"):
                     assert np.array_equal(getattr(out, f), getattr(a, f))
 
     def test_affine(self):
         rng = np.random.default_rng(7)
-        ident = lqt.affine_identity(3)
+        ident = affine_identity(3)
         for _ in range(100):
-            a = lqt.AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3))
-            for out in (lqt.compose_affine(a, ident), lqt.compose_affine(ident, a)):
+            a = AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3))
+            for out in (compose_affine(a, ident), compose_affine(ident, a)):
                 assert np.allclose(out.Ft, a.Ft) and np.allclose(out.ct, a.ct)
 
 
@@ -168,8 +175,8 @@ class TestOperatorEquivalence:
     def test_lqt_combine(self, direction):
         rng = np.random.default_rng(9)
         elems = [random_lqt_element(rng, 3) for _ in range(41)]
-        ref, _ = seq_scan(elems, lqt.combine_lqt, direction)
-        out, _ = par_scan(elems, lqt.combine_lqt, direction)
+        ref, _ = seq_scan(elems, combine_lqt, direction)
+        out, _ = par_scan(elems, combine_lqt, direction)
         for a, b in zip(out, ref):
             for f in ("A", "b", "C", "eta", "J"):
                 num = np.max(np.abs(getattr(a, f) - getattr(b, f)))
@@ -180,11 +187,11 @@ class TestOperatorEquivalence:
     def test_affine(self, direction):
         rng = np.random.default_rng(10)
         elems = [
-            lqt.AffineMap(rng.normal(size=(3, 3)) * 0.7, rng.normal(size=3))
+            AffineMap(rng.normal(size=(3, 3)) * 0.7, rng.normal(size=3))
             for _ in range(29)
         ]
-        ref, _ = seq_scan(elems, lqt.compose_affine, direction)
-        out, _ = par_scan(elems, lqt.compose_affine, direction)
+        ref, _ = seq_scan(elems, compose_affine, direction)
+        out, _ = par_scan(elems, compose_affine, direction)
         for a, b in zip(out, ref):
             assert np.allclose(a.Ft, b.Ft, rtol=1e-9, atol=1e-12)
             assert np.allclose(a.ct, b.ct, rtol=1e-9, atol=1e-12)
@@ -211,7 +218,7 @@ class TestStackedEngine:
         stack = tuple(
             np.stack([getattr(e, f) for e in elems]) for f in ("A", "b", "C", "eta", "J")
         )
-        ref, _ = par_scan(elems, lqt.combine_lqt, direction)
+        ref, _ = par_scan(elems, combine_lqt, direction)
         out, _ = par_scan_stacked(
             stack,
             lqt._combine_element_arrays,
@@ -275,9 +282,9 @@ class TestOddEvenTree:
         rng = np.random.default_rng(T + 7)
         Ft = rng.normal(size=(T, 3, 3)) * 0.5
         ct = rng.normal(size=(T, 3))
-        elems = [lqt.AffineMap(Ft[k], ct[k]) for k in range(T)]
-        ref, _ = seq_scan(elems, lqt.compose_affine, direction)
-        out, stats = par_scan(elems, lqt.compose_affine, direction)
+        elems = [AffineMap(Ft[k], ct[k]) for k in range(T)]
+        ref, _ = seq_scan(elems, compose_affine, direction)
+        out, stats = par_scan(elems, compose_affine, direction)
         (sF, sc), sstats = par_scan_stacked((Ft, ct), lqt._compose_affine_arrays, direction)
         for k, e in enumerate(ref):
             for got in ((out[k].Ft, out[k].ct), (sF[k], sc[k])):
