@@ -19,7 +19,6 @@ import numpy as np
 
 from . import finite_dp, lqt, nonlinear, scenarios
 from .errors import SolverError
-from .scan import ScanStats
 
 __all__ = ["Scenario", "RunRecord", "build_scenario", "run_scenario", "main"]
 
@@ -67,21 +66,6 @@ def _median_ms(fn, repeats: int):
     return statistics.median(times), result
 
 
-def _solve_routing(p: finite_dp.FiniteProblem, backend: str, traj_method: int):
-    if backend == "sequential":
-        pol = finite_dp.seq_bellman(p)
-        xs, us = finite_dp.rollout_policy(p, pol)
-        return xs, us, ScanStats(p.N, p.N)
-    pol, stats = finite_dp.solve_backward(p, return_stats=True)
-    if traj_method == 2:
-        fw = finite_dp.forward_conditional(p)
-        xs = finite_dp.recover_traj_m2(p, fw, pol)
-    else:
-        xs = finite_dp.recover_traj_m1(p, pol)
-    us = pol.u[np.arange(p.N), xs[:-1]]
-    return xs, us, stats
-
-
 def run_scenario(
     scn: Scenario,
     backend: str = "both",
@@ -93,7 +77,8 @@ def run_scenario(
     """Time the requested backends and collect trajectories and records.
 
     ``backend`` is "sequential", "parallel" or "both". LQT scenarios go
-    through :func:`lqt.solve`; ``block_size`` applies to them only. The
+    through :func:`lqt.solve` and finite-state ones through
+    :func:`finite_dp.solve`; ``block_size`` applies to LQT only. The
     sequential row reports a backward pass over the N steps of the problem
     actually solved as N combines of depth N.
     """
@@ -110,8 +95,8 @@ def run_scenario(
     for be in backends:
         if is_lqt:
             solve = partial(lqt.solve, p, be, traj_method, block_size)
-        elif scn.name == "routing":
-            solve = partial(_solve_routing, p, be, traj_method)
+        elif isinstance(p, finite_dp.FiniteProblem):
+            solve = partial(finite_dp.solve, p, be, traj_method)
         else:
             solve = partial(nonlinear.ilqt, p, iters=iters, backend=be,
                             traj_method=traj_method, return_stats=True)

@@ -15,12 +15,17 @@ The min-plus kernel :func:`min_plus_matmul` runs in blocks whose
 temporaries stay within a fixed budget of 2**18 elements (2 MB), so a scan's
 memory grows with its (T, D_x, D_x) element stacks, not with T·D_x³.
 
-Both scans run toward a pinned endpoint, and the fill-in half of the tree
-multiplies by value vectors, not matrices: backward suffixes have identical
-columns (one column is formed), and the forward conditional scan starts
-from the row of the pinned start state, so every prefix is a (1, D_x) row.
-Each scan costs about T·D_x³ + T·D_x² min-plus operations instead of
-2T·D_x³.
+Both min-plus scans run toward a pinned endpoint, and the fill-in half of
+the tree multiplies by value vectors, not matrices: backward suffixes have
+identical columns (one column is formed), and the forward conditional scan
+starts from the row of the pinned start state, so every prefix is a
+(1, D_x) row. Each scan costs about T·D_x³ + T·D_x² min-plus operations
+instead of 2T·D_x³.
+
+Elements are plain arrays: value matrices under :func:`min_plus_matmul`,
+and Method 1's closed-loop state maps as index arrays composed by indexing.
+:func:`solve`, the twin of :func:`tempo_dp.lqt.solve`, strings the steps
+together.
 
 States and controls are 0-based in memory. The JSON interchange format is
 1-based (see :func:`problem_to_dict` / :func:`problem_from_dict`).
@@ -34,17 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .scan import ScanDirection, par_scan, par_scan_stacked
+from .scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
 
 __all__ = [
     "INT_INF",
     "FiniteProblem",
-    "CondValueMatrix",
     "FinitePolicy",
-    "StateMap",
     "build_elements",
-    "combine_min_plus",
-    "min_plus_identity",
+    "min_plus_matmul",
+    "solve",
     "solve_backward",
     "seq_bellman",
     "forward_conditional",
@@ -123,35 +126,11 @@ class FiniteProblem:
 
 
 @dataclass(frozen=True)
-class CondValueMatrix:
-    """V[x, x'] = optimal cost from x at the interval start to x' at its end."""
-
-    V: np.ndarray
-
-
-@dataclass(frozen=True)
 class FinitePolicy:
     """u: (T-S, D_x) control table; V: (T-S+1, D_x) value vectors."""
 
     u: np.ndarray
     V: np.ndarray
-
-
-@dataclass(frozen=True)
-class StateMap:
-    """A next-state map x -> m[x], or a constant map when pinned."""
-
-    m: np.ndarray | None = None
-    pinned: int | None = None
-
-
-def compose_state_maps(a: StateMap, b: StateMap) -> StateMap:
-    """a (x) b = f_b o f_a (composition order reverted)."""
-    if b.pinned is not None:
-        return b
-    if a.pinned is not None:
-        return StateMap(pinned=int(b.m[a.pinned]))
-    return StateMap(m=b.m[a.m])
 
 
 def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -191,24 +170,23 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(batch + (X, Y))
 
 
-def min_plus_identity(D_x: int, dtype=np.float64) -> CondValueMatrix:
-    V = np.full((D_x, D_x), _inf_for(np.dtype(dtype)), dtype=dtype)
-    np.fill_diagonal(V, 0)
-    return CondValueMatrix(V)
-
-
-def combine_min_plus(a: CondValueMatrix, b: CondValueMatrix) -> CondValueMatrix:
-    """Min-plus product; ``a`` may be a (1, D_x) row pinned at its start state."""
-    if a.V.shape[-1] != b.V.shape[-2]:
-        raise ValueError(f"dimension mismatch: {a.V.shape} vs {b.V.shape}")
-    return CondValueMatrix(min_plus_matmul(a.V, b.V))
-
-
 def _fill_suffix(a, b):
     """Element (x) suffix, both (batch, D_x, D_x) stacks: a suffix has
     identical columns, so only column 0 of the product is formed; the scan
     broadcasts it over the columns of the output slot."""
     return (min_plus_matmul(a[0], b[0][..., :1]),)
+
+
+def _compose_maps(a, b):
+    """a (x) b = f_b o f_a for (batch, D_x) stacks of next-state maps."""
+    return (np.take_along_axis(b[0], a[0], axis=1),)
+
+
+def _fill_pinned_map(a, b):
+    """A prefix pinned at the start state is a constant map, so only one
+    entry of each composition is formed; the scan broadcasts it over the
+    output slot."""
+    return (np.take_along_axis(b[0], a[0][:, :1], axis=1),)
 
 
 def build_elements(p: FiniteProblem) -> np.ndarray:
@@ -284,26 +262,28 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
     if p.N == 0:
         return np.empty((0, p.D_x), dtype=p.ell.dtype)
     E = build_elements(p)
-    elements = [CondValueMatrix(E[0, p.x_S][None])] + [CondValueMatrix(V) for V in E[1 : p.N]]
-    prefix, _ = par_scan(elements, combine_min_plus, ScanDirection.FORWARD)
-    return np.concatenate([c.V for c in prefix])
+    prefix, _ = par_scan([E[0, p.x_S][None], *E[1 : p.N]], min_plus_matmul, ScanDirection.FORWARD)
+    return np.concatenate(prefix)
 
 
 def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:
-    """Trajectory via composition of closed-loop state maps (Method 1)."""
-    inf = _inf_for(p.ell.dtype)
-    if not pol.V[0, p.x_S] < inf:
-        raise SolverError("policy undefined on reached state")
+    """Trajectory via composition of closed-loop state maps (Method 1).
+
+    Map k is x -> f_k(x, u_k(x)), row k of an (N, D_x) index stack. Row 0
+    is pinned to the constant map at f_0(x_S, u_0(x_S)), so every prefix is
+    constant and each of its entries is the state it reaches.
+    """
     if p.N == 0:
-        return np.array([p.x_S], dtype=np.int64)
-    xs = np.arange(p.D_x)
-    maps = [StateMap(m=p.f[k][xs, pol.u[k]]) for k in range(p.N)]
-    maps[0] = StateMap(pinned=int(maps[0].m[p.x_S]))
-    prefix, _ = par_scan(maps, compose_state_maps, ScanDirection.FORWARD)
-    traj = np.array([p.x_S] + [m.pinned for m in prefix], dtype=np.int64)
-    for k, x in enumerate(traj):
-        if not pol.V[k, x] < inf:
-            raise SolverError("policy undefined on reached state")
+        traj = np.array([p.x_S], dtype=np.int64)
+    else:
+        maps = np.take_along_axis(p.f, pol.u[:, :, None], axis=2)[:, :, 0]
+        maps[0] = maps[0, p.x_S]
+        (prefix,), _ = par_scan_stacked(
+            (maps,), _compose_maps, ScanDirection.FORWARD, fill=_fill_pinned_map
+        )
+        traj = np.concatenate([[p.x_S], prefix[:, 0]])
+    if not (pol.V[np.arange(p.N + 1), traj] < _inf_for(p.ell.dtype)).all():
+        raise SolverError("policy undefined on reached state")
     return traj
 
 
@@ -322,6 +302,31 @@ def recover_traj_m2(p: FiniteProblem, fw: np.ndarray, pol: FinitePolicy) -> np.n
     traj[0] = p.x_S
     traj[1:] = np.argmin(total, axis=1)
     return traj
+
+
+def solve(
+    p: FiniteProblem, backend: str = "parallel", traj_method: int = 1
+) -> tuple[np.ndarray, np.ndarray, ScanStats]:
+    """Optimal states (N+1,), controls (N,) and the backward pass's stats.
+
+    The "sequential" backend runs :func:`seq_bellman` and the closed-loop
+    rollout and reports ScanStats(N, N); "parallel" runs
+    :func:`solve_backward`, trajectory Method ``traj_method`` (1 or 2) and
+    reads the controls off the policy along the states.
+    """
+    if backend not in ("sequential", "parallel"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if traj_method not in (1, 2):
+        raise ValueError(f"unknown trajectory method {traj_method!r}")
+    if backend == "sequential":
+        xs, us = rollout_policy(p, seq_bellman(p))
+        return xs, us, ScanStats(p.N, p.N)
+    pol, stats = solve_backward(p, return_stats=True)
+    if traj_method == 2:
+        xs = recover_traj_m2(p, forward_conditional(p), pol)
+    else:
+        xs = recover_traj_m1(p, pol)
+    return xs, pol.u[np.arange(p.N), xs[:-1]], stats
 
 
 def rollout_policy(p: FiniteProblem, pol: FinitePolicy) -> tuple[np.ndarray, np.ndarray]:

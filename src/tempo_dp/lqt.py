@@ -566,28 +566,30 @@ def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
 def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     """Trajectory from forward prefix elements and backward values (Method 2).
 
-    x_k = (I + C_{S,k} S_k)^-1 (A_{S,k} x0 + b_{S,k} + C_{S,k} v_k) with the
-    forward scan seeded by the pinned-start element (A=0, b=x0, C=0).
+    x_k = (I + C_{S,k} S_k)^-1 (b_{S,k} + C_{S,k} v_k) for k = S+1..T, where
+    (b, C)_{S,k} come from a forward scan of the N stage elements whose
+    element 0 is the pinned start (A = 0, b = x0, C = 0) combined with stage
+    0: A = eta = J = 0, b = F_0 x0 + c_0, C unchanged. Every prefix is then
+    pinned at x0 (its A is zero), and x_S = x0 goes in front.
     """
-    nx = p.n_x
-    A, b, C, eta, J = _element_arrays(p)
-    A = np.concatenate([np.zeros((1, nx, nx)), A[: p.N]])
-    b = np.concatenate([p.x0[None, :], b[: p.N]])
-    C = np.concatenate([np.zeros((1, nx, nx)), C[: p.N]])
-    eta = np.concatenate([np.zeros((1, nx)), eta[: p.N]])
-    J = np.concatenate([np.zeros((1, nx, nx)), J[: p.N]])
-    (Ap, bp, Cp, _, _), _ = par_scan_stacked(
+    if p.N == 0:
+        return p.x0[None, :].copy()
+    A, b, C, eta, J = (a[: p.N] for a in _element_arrays(p))
+    b[0] += A[0] @ p.x0
+    A[0] = eta[0] = J[0] = 0.0
+    (_, bp, Cp, _, _), _ = par_scan_stacked(
         (A, b, C, eta, J),
         _combine_element_arrays,
         ScanDirection.FORWARD,
         fill=_fill_prefix,
     )
-    lhs = np.eye(nx) + Cp @ values.S
-    rhs = _mv(Ap, p.x0) + bp + _mv(Cp, values.v)
+    lhs = np.eye(p.n_x) + Cp @ values.S[1:]
+    rhs = bp + _mv(Cp, values.v[1:])
     try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        xs = np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular (I + C S) in trajectory recovery: {exc}") from exc
+    return np.concatenate([p.x0[None, :], xs])
 
 
 @dataclass(frozen=True)

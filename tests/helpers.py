@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempo_dp import lqt
-from tempo_dp.finite_dp import FiniteProblem
+from tempo_dp.finite_dp import INT_INF, FiniteProblem
 from tempo_dp.lqt import LqtProblem
 
 
@@ -190,6 +190,15 @@ def max_value_dev(values_a, values_b):
     dS = dS / np.maximum(1.0, np.abs(values_b.S).max(axis=(1, 2)))
     dv = dv / np.maximum(1.0, np.abs(values_b.v).max(axis=1))
     return float(max(dS.max(), dv.max()))
+
+
+def min_plus_identity(D_x, dtype=np.float64):
+    """0 on the diagonal, "no path" (inf, or INT_INF in the integer mode)
+    elsewhere: the identity of the min-plus product."""
+    inf = INT_INF if np.issubdtype(np.dtype(dtype), np.integer) else np.inf
+    V = np.full((D_x, D_x), inf, dtype=dtype)
+    np.fill_diagonal(V, 0)
+    return V
 
 
 def min_plus_loops(A, B, inf=np.inf):

@@ -138,11 +138,11 @@ def test_criterion_4_associativity():
         for _ in range(3):
             V = rng.integers(0, 60, size=(4, 4)).astype(float)
             V[rng.random(size=(4, 4)) < 0.3] = np.inf
-            mats.append(fd.CondValueMatrix(V))
+            mats.append(V)
         a, b, c = mats
-        lhs = fd.combine_min_plus(fd.combine_min_plus(a, b), c)
-        rhs = fd.combine_min_plus(a, fd.combine_min_plus(b, c))
-        assert np.array_equal(lhs.V, rhs.V)
+        lhs = fd.min_plus_matmul(fd.min_plus_matmul(a, b), c)
+        rhs = fd.min_plus_matmul(a, fd.min_plus_matmul(b, c))
+        assert np.array_equal(lhs, rhs)
 
 
 @criterion(5, "combine depth <= 2 ceil(log2 T) + 1 up to 2^17, all operators")

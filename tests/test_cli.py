@@ -178,3 +178,9 @@ class TestRunScenario:
         np.testing.assert_array_equal(us, [pol.u[k, int(xs[k])] for k in range(N)])
         np.testing.assert_array_equal(outputs["sequential"][1], us)
         assert all(r.max_seq_par_deviation == 0.0 for r in records)
+
+    @pytest.mark.parametrize("backend", ["sequential", "parallel", "both"])
+    def test_routing_unknown_trajectory_method(self, backend):
+        scn = cli.build_scenario("routing", 16)
+        with pytest.raises(ValueError, match="unknown trajectory method 3"):
+            cli.run_scenario(scn, backend=backend, repeats=1, traj_method=3)

@@ -8,11 +8,12 @@ import pytest
 
 from tempo_dp import finite_dp as fd
 from tempo_dp.errors import SolverError
-from tempo_dp.scan import ScanDirection, par_scan, par_scan_stacked
+from tempo_dp.scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
 
 from helpers import (
     enumerate_conditional,
     enumeration_oracle,
+    min_plus_identity,
     min_plus_loops,
     random_finite_problem,
     unique_optimal_trajectory,
@@ -86,27 +87,27 @@ class TestBuildElements:
 
 class TestCombineMinPlus:
     def test_worked_example(self):
-        a = fd.CondValueMatrix(np.array([[0.0, 5.0], [3.0, 1.0]]))
-        out = fd.combine_min_plus(a, a)
-        np.testing.assert_array_equal(out.V, [[0.0, 5.0], [3.0, 2.0]])
+        a = np.array([[0.0, 5.0], [3.0, 1.0]])
+        out = fd.min_plus_matmul(a, a)
+        np.testing.assert_array_equal(out, [[0.0, 5.0], [3.0, 2.0]])
 
     def test_identity(self):
-        a = fd.CondValueMatrix(np.array([[2.0, np.inf], [0.0, 7.0]]))
-        ident = fd.min_plus_identity(2)
-        np.testing.assert_array_equal(fd.combine_min_plus(a, ident).V, a.V)
-        np.testing.assert_array_equal(fd.combine_min_plus(ident, a).V, a.V)
+        a = np.array([[2.0, np.inf], [0.0, 7.0]])
+        ident = min_plus_identity(2)
+        np.testing.assert_array_equal(fd.min_plus_matmul(a, ident), a)
+        np.testing.assert_array_equal(fd.min_plus_matmul(ident, a), a)
 
     def test_inf_row_propagates(self):
-        a = fd.CondValueMatrix(np.array([[np.inf, np.inf], [1.0, 2.0]]))
-        b = fd.CondValueMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = fd.combine_min_plus(a, b)
-        assert np.all(np.isinf(out.V[0]))
+        a = np.array([[np.inf, np.inf], [1.0, 2.0]])
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        out = fd.min_plus_matmul(a, b)
+        assert np.all(np.isinf(out[0]))
 
     def test_dimension_mismatch(self):
-        a = fd.CondValueMatrix(np.zeros((2, 2)))
-        b = fd.CondValueMatrix(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            fd.combine_min_plus(a, b)
+        a = np.zeros((2, 2))
+        b = np.zeros((3, 3))
+        with pytest.raises(ValueError, match="inner dimensions must agree"):
+            fd.min_plus_matmul(a, b)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_pinned_row_is_row_of_product(self, dtype):
@@ -114,9 +115,9 @@ class TestCombineMinPlus:
         rng = np.random.default_rng(1)
         a = random_cost_stack(rng, (6, 6), dtype)
         b = random_cost_stack(rng, (6, 6), dtype)
-        full = fd.combine_min_plus(fd.CondValueMatrix(a), fd.CondValueMatrix(b)).V
+        full = fd.min_plus_matmul(a, b)
         for x in range(6):
-            row = fd.combine_min_plus(fd.CondValueMatrix(a[x][None]), fd.CondValueMatrix(b)).V
+            row = fd.min_plus_matmul(a[x][None], b)
             assert row.shape == (1, 6)
             assert row.tobytes() == full[x : x + 1].tobytes()
 
@@ -131,11 +132,11 @@ class TestCombineMinPlus:
                     V[rng.random(size=(4, 4)) < 0.3] = np.inf
                 else:
                     V[rng.random(size=(4, 4)) < 0.3] = fd.INT_INF
-                mats.append(fd.CondValueMatrix(V))
+                mats.append(V)
             a, b, c = mats
-            lhs = fd.combine_min_plus(fd.combine_min_plus(a, b), c)
-            rhs = fd.combine_min_plus(a, fd.combine_min_plus(b, c))
-            np.testing.assert_array_equal(lhs.V, rhs.V)
+            lhs = fd.min_plus_matmul(fd.min_plus_matmul(a, b), c)
+            rhs = fd.min_plus_matmul(a, fd.min_plus_matmul(b, c))
+            np.testing.assert_array_equal(lhs, rhs)
 
 
 def random_cost_stack(rng, shape, dtype=np.float64, inf_frac=0.3):
@@ -264,6 +265,69 @@ class TestSuffixFill:
         assert outs[0] == outs[1]
 
 
+class TestMapFill:
+    """recover_traj_m1's fill-in on pinned (constant) prefix maps equals the
+    full composition, and a scan with it equals a scan without it."""
+
+    def test_equals_full_compose(self):
+        rng = np.random.default_rng(11)
+        a = np.repeat(rng.integers(0, 9, size=(5, 1)), 9, axis=1)  # constant maps
+        b = rng.integers(0, 9, size=(5, 9))
+        (full,) = fd._compose_maps((a,), (b,))
+        (ent,) = fd._fill_pinned_map((a,), (b,))
+        out = np.empty_like(full)
+        out[...] = ent  # the scan broadcasts the entry into the output slot
+        np.testing.assert_array_equal(out, full)
+        np.testing.assert_array_equal(full[:, 0], b[np.arange(5), a[:, 0]])
+
+    @pytest.mark.parametrize("N", [1, 2, 37])
+    def test_scan_with_fill_matches_scan_without(self, N):
+        rng = np.random.default_rng(12)
+        maps = rng.integers(0, 7, size=(N, 7))
+        maps[0] = maps[0, 3]  # pinned at a start state
+        outs = []
+        for fill in (None, fd._fill_pinned_map):
+            (prefix,), stats = par_scan_stacked((maps,), fd._compose_maps, ScanDirection.FORWARD, fill=fill)
+            outs.append((prefix.tobytes(), stats))
+        assert outs[0] == outs[1]
+
+
+class TestSolve:
+    """finite_dp.solve against the Bellman rollout, exactly, in both modes."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("gpu",), "unknown backend 'gpu'"),
+        (("parallel", 3), "unknown trajectory method 3"),
+        (("sequential", 0), "unknown trajectory method 0"),
+    ])
+    def test_unknown_backend_or_method(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            fd.solve(two_state_problem(), *args)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("N", [0, 1, 9, 33])
+    def test_matches_bellman_rollout(self, N, dtype):
+        rng = np.random.default_rng(600 + N)
+        inf_frac = 0.3 if dtype is np.float64 else 0.0
+        p = random_finite_problem(rng, D_x=5, D_u=3, N=N, dtype=dtype, inf_frac=inf_frac)
+        ref = fd.seq_bellman(p)
+        xs_ref, us_ref = fd.rollout_policy(p, ref)
+        xs, us, stats = fd.solve(p, "sequential")
+        np.testing.assert_array_equal(xs, xs_ref)
+        np.testing.assert_array_equal(us, us_ref)
+        assert stats == ScanStats(N, N)
+        _, back_stats = fd.solve_backward(p, return_stats=True)
+        xs, us, stats = fd.solve(p, "parallel", 1)
+        assert xs.dtype == us.dtype == np.int64
+        np.testing.assert_array_equal(xs, xs_ref)
+        np.testing.assert_array_equal(us, us_ref)
+        assert stats == back_stats
+        xs, us, stats = fd.solve(p, "parallel", 2)
+        assert xs.shape == (N + 1,) and us.shape == (N,)
+        assert fd.trajectory_cost(p, xs, us) == ref.V[0, p.x_S]
+        assert stats == back_stats
+
+
 class TestBackwardSolvers:
     def test_single_step_bellman(self):
         p = two_state_problem()
@@ -300,9 +364,9 @@ class TestBackwardSolvers:
         if engine == "stacked":
             pol = fd.solve_backward(p)
         else:  # element algebra scanned as Python objects
-            elems = [fd.CondValueMatrix(V) for V in fd.build_elements(p)]
-            out, _ = par_scan(elems, fd.combine_min_plus, ScanDirection.REVERSE)
-            V = np.stack([m.V[:, 0] for m in out])
+            elems = list(fd.build_elements(p))
+            out, _ = par_scan(elems, fd.min_plus_matmul, ScanDirection.REVERSE)
+            V = np.stack([m[:, 0] for m in out])
             pol = fd.FinitePolicy(u=fd._policy_from_values(p, V), V=V)
         np.testing.assert_array_equal(pol.V, ref.V)
         np.testing.assert_array_equal(pol.u, ref.u)

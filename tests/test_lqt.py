@@ -300,24 +300,29 @@ class TestConditioningGate:
             backward(p, engine)
 
     def test_gate_fires_in_fill_slots(self, monkeypatch):
-        # step 2 is nearly free to control in state 0 and step 3 weights that
-        # state heavily: I + C J has condition ~1e14 only across the boundary
-        # between steps 2 and 3. With N = 6 both scans have 7 elements and
-        # that boundary sits at tree position 4, which no pair combine spans
-        # (pairs meet at 1, 3, 5 and 2), so the gate must fire inside a fill.
+        # step j is nearly free to control in state 0 and step j + 1 weights
+        # that state heavily: I + C J has condition ~1e14 only across the
+        # boundary between steps j and j + 1. With N = 6 the backward scan has
+        # 7 elements and Method 2's forward scan 6. In both, pair combines
+        # meet only at tree positions 1, 3, 5 and 2, so a boundary at
+        # position 4 is crossed by fills alone. The reverse scan puts the
+        # boundary 2|3 there and the forward scan the boundary 3|4, so each
+        # gate must fire inside its scan's fill.
         N = 6
-        U = np.ones((N, 1, 1))
-        U[2] = 1e-7
-        X = np.tile(np.eye(2), (N, 1, 1))
-        X[3] = np.diag([1e7, 1.0])
-        p = lqt.LqtProblem(
-            S=0, T=N, x0=[1.0, 0.0],
-            F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
-            L=np.tile([[1.0], [0.0]], (N, 1, 1)),
-            H=np.tile(np.eye(2), (N, 1, 1)), X=X, r=np.zeros((N, 2)), U=U,
-            HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
-        )
-        values, _ = lqt.riccati_backward(p)
+
+        def problem(j):
+            U = np.ones((N, 1, 1))
+            U[j] = 1e-7
+            X = np.tile(np.eye(2), (N, 1, 1))
+            X[j + 1] = np.diag([1e7, 1.0])
+            return lqt.LqtProblem(
+                S=0, T=N, x0=[1.0, 0.0],
+                F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
+                L=np.tile([[1.0], [0.0]], (N, 1, 1)),
+                H=np.tile(np.eye(2), (N, 1, 1)), X=X, r=np.zeros((N, 2)), U=U,
+                HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
+            )
+
         raised_in = []
 
         def watched(name):
@@ -336,7 +341,9 @@ class TestConditioningGate:
             monkeypatch.setattr(lqt, name, watched(name))
         match = "ill-conditioned combine: condition number"
         with pytest.raises(SolverError, match=match):
-            lqt.parallel_backward(p)
+            lqt.parallel_backward(problem(2))
+        p = problem(3)
+        values, _ = lqt.riccati_backward(p)
         with pytest.raises(SolverError, match=match):
             lqt.traj_method2(p, values)
         assert raised_in == ["_fill_suffix", "_fill_prefix"]
