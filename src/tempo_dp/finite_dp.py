@@ -16,11 +16,12 @@ temporaries stay within a fixed budget of 2**18 elements (2 MB), so a scan's
 memory grows with its (T, D_x, D_x) element stacks, not with T·D_x³.
 
 Both min-plus scans run toward a pinned endpoint, and the fill-in half of
-the tree multiplies by value vectors, not matrices: backward suffixes have
-identical columns (one column is formed), and the forward conditional scan
-starts from the row of the pinned start state, so every prefix is a
-(1, D_x) row. Each scan costs about T·D_x³ + T·D_x² min-plus operations
-instead of 2T·D_x³.
+the tree multiplies by value vectors, not matrices. A backward suffix has
+identical columns, so the backward scan keeps one column per suffix, its
+value vector, and outputs the (N+1, D_x) value stack itself. The forward
+conditional scan starts from the row of the pinned start state, so every
+prefix is a (1, D_x) row. Each scan costs about T·D_x³ + T·D_x² min-plus
+operations instead of 2T·D_x³.
 
 Elements are plain arrays: value matrices under :func:`min_plus_matmul`,
 and Method 1's closed-loop state maps as index arrays composed by indexing.
@@ -171,10 +172,10 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _fill_suffix(a, b):
-    """Element (x) suffix, both (batch, D_x, D_x) stacks: a suffix has
-    identical columns, so only column 0 of the product is formed; the scan
-    broadcasts it over the columns of the output slot."""
-    return (min_plus_matmul(a[0], b[0][..., :1]),)
+    """(batch, D_x, D_x) elements (x) suffixes given by their value vectors
+    (batch, D_x): a suffix has identical columns, so the product's are too,
+    and only its value vector is formed."""
+    return (min_plus_matmul(a[0], b[0][..., None])[..., 0],)
 
 
 def _compose_maps(a, b):
@@ -183,10 +184,10 @@ def _compose_maps(a, b):
 
 
 def _fill_pinned_map(a, b):
-    """A prefix pinned at the start state is a constant map, so only one
-    entry of each composition is formed; the scan broadcasts it over the
-    output slot."""
-    return (np.take_along_axis(b[0], a[0][:, :1], axis=1),)
+    """A prefix pinned at the start state is a constant map, given by the
+    state it reaches (batch,); followed by the maps b (batch, D_x), it
+    reaches b of that state."""
+    return (np.take_along_axis(b[0], a[0][:, None], axis=1)[:, 0],)
 
 
 def build_elements(p: FiniteProblem) -> np.ndarray:
@@ -233,18 +234,19 @@ def solve_backward(p: FiniteProblem, return_stats: bool = False):
     """Backward pass as a reverse parallel scan of min-plus matrices.
 
     The suffix element starting at k has identical columns equal to the
-    value vector V_k; column 0 is read out. Matches :func:`seq_bellman`
-    exactly (min-plus arithmetic involves no reordering-sensitive rounding
-    for integer-valued costs). Every fill-in's right operand is a suffix,
-    so :func:`_fill_suffix` costs D_x² per product instead of D_x³.
+    value vector V_k, and the scan outputs column 0 of each suffix. Matches
+    :func:`seq_bellman` exactly (min-plus arithmetic involves no
+    reordering-sensitive rounding for integer-valued costs). Every
+    fill-in's right operand is a suffix, so :func:`_fill_suffix` costs D_x²
+    per product instead of D_x³.
     """
-    (suffix,), stats = par_scan_stacked(
+    (V,), stats = par_scan_stacked(
         (build_elements(p),),
         lambda a, b: (min_plus_matmul(a[0], b[0]),),
         ScanDirection.REVERSE,
         fill=_fill_suffix,
+        pin=lambda e: (e[0][:, :, 0],),
     )
-    V = suffix[:, :, 0].copy()  # frees the (N+1, D_x, D_x) stack
     if not V[0, p.x_S] < _inf_for(p.ell.dtype):
         raise SolverError("infeasible problem")
     pol = FinitePolicy(u=_policy_from_values(p, V), V=V)
@@ -271,17 +273,18 @@ def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:
 
     Map k is x -> f_k(x, u_k(x)), row k of an (N, D_x) index stack. Row 0
     is pinned to the constant map at f_0(x_S, u_0(x_S)), so every prefix is
-    constant and each of its entries is the state it reaches.
+    constant, and the scan outputs the state each one reaches.
     """
     if p.N == 0:
         traj = np.array([p.x_S], dtype=np.int64)
     else:
         maps = np.take_along_axis(p.f, pol.u[:, :, None], axis=2)[:, :, 0]
         maps[0] = maps[0, p.x_S]
-        (prefix,), _ = par_scan_stacked(
-            (maps,), _compose_maps, ScanDirection.FORWARD, fill=_fill_pinned_map
+        (states,), _ = par_scan_stacked(
+            (maps,), _compose_maps, ScanDirection.FORWARD, fill=_fill_pinned_map,
+            pin=lambda e: (e[0][:, 0],),
         )
-        traj = np.concatenate([[p.x_S], prefix[:, 0]])
+        traj = np.concatenate([[p.x_S], states])
     if not (pol.V[np.arange(p.N + 1), traj] < _inf_for(p.ell.dtype)).all():
         raise SolverError("policy undefined on reached state")
     return traj

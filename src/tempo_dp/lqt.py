@@ -233,8 +233,10 @@ def _compose_affine_arrays(a, b):
 
 
 def _fill_affine(a, b):
-    """A pinned prefix map (Ft = 0) composed with b: one matrix-vector product."""
-    return 0.0, _mv(b[0], a[1]) + b[1]
+    """A prefix pinned at the initial state, given by its offset (the state
+    it reaches; its Ft is 0), composed with b: one matrix-vector product."""
+    (c,) = a
+    return (_mv(b[0], c) + b[1],)
 
 
 def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
@@ -270,9 +272,8 @@ def _run_blocks(op, e1, e2, m: int, k: int):
     Blocks are claimed in order by the pool threads and by the calling
     thread, which allocates every output once and copies each block's
     result into it as it arrives; workers hold only their block's arrays.
-    Zero-dimensional results (the fills' constant zeros) pass through. All
-    blocks finish before this returns or raises; on failure the exception of
-    the lowest-numbered failing block is raised.
+    All blocks finish before this returns or raises; on failure the
+    exception of the lowest-numbered failing block is raised.
     """
     edges = [m * i // k for i in range(k + 1)]
     claim = itertools.count()  # next() is atomic under the GIL
@@ -304,10 +305,9 @@ def _run_blocks(op, e1, e2, m: int, k: int):
                     failed = (i, res)
                 continue
             if out is None:
-                out = tuple(np.empty((m,) + r.shape[1:], r.dtype) if np.ndim(r) else r for r in res)
+                out = tuple(np.empty((m,) + r.shape[1:], r.dtype) for r in res)
             for o, r in zip(out, res):
-                if np.ndim(r):
-                    o[edges[i] : edges[i + 1]] = r
+                o[edges[i] : edges[i + 1]] = r
     finally:
         wait(helpers)
     if failed is not None:
@@ -327,7 +327,7 @@ def _in_blocks(op):
 
     @functools.wraps(op)
     def blocked(e1, e2):
-        shape = np.shape(e1[0])  # (m, n, n) when batched
+        shape = np.shape(e1[-1])  # (m, n, n) when batched: J, or a pinned prefix's C
         k = min(shape[0], shape[0] * shape[-1] ** 3 // _BLOCK_BUDGET) if len(shape) == 3 else 0
         if k < 2 or _WORKERS < 2:
             return op(e1, e2)
@@ -361,26 +361,28 @@ def _combine_element_arrays(e1, e2):
 
 @_in_blocks
 def _fill_suffix(e1, e2):
-    """e1 (x) a suffix pinned at the terminal: its A = b = C = 0, so only
-    eta and J are formed (as in :func:`_combine_element_arrays`)."""
+    """e1 (x) a suffix pinned at the terminal, given by its (eta, J) (its
+    A = b = C = 0): only eta and J are formed, as in
+    :func:`_combine_element_arrays`."""
     A1, b1, C1, eta1, J1 = e1
-    _, _, _, eta2, J2 = e2
+    eta2, J2 = e2
     P = _gated_inverse(C1, J2) @ A1
     eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
     J = _sym(_t(P) @ J2 @ A1 + J1)
-    return 0.0, 0.0, 0.0, eta, J
+    return eta, J
 
 
 @_in_blocks
 def _fill_prefix(e1, e2):
-    """A prefix pinned at the initial state (x) e2: its A = eta = J = 0, so
-    only b and C are formed (as in :func:`_combine_element_arrays`)."""
-    _, b1, C1, _, _ = e1
+    """A prefix pinned at the initial state, given by its (b, C) (its
+    A = eta = J = 0), (x) e2: only b and C are formed, as in
+    :func:`_combine_element_arrays`."""
+    b1, C1 = e1
     A2, b2, C2, eta2, J2 = e2
     W = A2 @ _gated_inverse(C1, J2)
     b = _mv(W, b1 + _mv(C1, eta2)) + b2
     C = _sym(W @ C1 @ _t(A2) + C2)
-    return 0.0, b, C, 0.0, 0.0
+    return b, C
 
 
 def _solve_batched(G: np.ndarray, rhs: np.ndarray, what: str, offset: int):
@@ -433,14 +435,17 @@ def _element_arrays(p: LqtProblem):
     if n:
         A[:n] = p.F
         b[:n] = p.c
-        UinvLt = _spd_solve_batched(p.U, _t(p.L), "control weight U", p.S)
-        C[:n] = _sym(p.L @ UinvLt)
+        np.matmul(p.L, _spd_solve_batched(p.U, _t(p.L), "control weight U", p.S), out=C[:n])
         HtX = _t(p.H) @ p.X
         eta[:n] = _mv(HtX, p.r)
-        J[:n] = _sym(HtX @ p.H)
+        np.matmul(HtX, p.H, out=J[:n])
+        del HtX  # before the symmetrization below copies a whole stack
     HtXT = p.HT.T @ p.XT
     eta[n] = HtXT @ p.rT
-    J[n] = _sym(HtXT @ p.HT)
+    J[n] = HtXT @ p.HT
+    for M in (C, J):  # symmetrized in place, with the bits of _sym
+        M += _t(M)  # numpy copies the overlapping transposed operand first
+        M *= 0.5
     return A, b, C, eta, J
 
 
@@ -495,17 +500,18 @@ def parallel_backward(p: LqtProblem, return_stats: bool = False):
     """Backward pass as a reverse scan of interval elements.
 
     The suffix element starting at k evaluated at a pinned terminal endpoint
-    is the value function: S_k = J, v_k = eta of that suffix. Output matches
-    :func:`riccati_backward`.
+    is the value function: S_k = J, v_k = eta of that suffix, and the scan
+    forms only those two. Every J leaves a symmetrization, so S is exactly
+    symmetric. Output matches :func:`riccati_backward`.
     """
-    suffix, stats = par_scan_stacked(
+    (v, Ss), stats = par_scan_stacked(
         _element_arrays(p),
         _combine_element_arrays,
         ScanDirection.REVERSE,
         fill=_fill_suffix,
+        pin=lambda e: e[3:],
     )
-    Ss = _sym(suffix[4])
-    values = QuadValue(Ss, suffix[3])
+    values = QuadValue(Ss, v)
     gains = Gains(*_gains_from_values(p, Ss))
     if return_stats:
         return values, gains, stats
@@ -547,18 +553,20 @@ def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
     """Trajectory by scanning closed-loop affine maps (Method 1).
 
     The first element is pinned at the initial state (zero matrix part), so
-    every prefix's offset part is the trajectory state itself.
+    every prefix's offset part is the trajectory state itself, and the scan
+    forms only that part.
     """
     if p.N == 0:
         return p.x0[None, :].copy()
     Ft, ct = _closed_loop_maps(p, values, gains)
     ct[0] = Ft[0] @ p.x0 + ct[0]
     Ft[0] = 0.0
-    (_, cpre), _ = par_scan_stacked(
+    (cpre,), _ = par_scan_stacked(
         (Ft, ct),
         _compose_affine_arrays,
         ScanDirection.FORWARD,
         fill=_fill_affine,
+        pin=lambda e: e[1:],
     )
     return np.concatenate([p.x0[None, :], cpre], axis=0)
 
@@ -570,18 +578,20 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     (b, C)_{S,k} come from a forward scan of the N stage elements whose
     element 0 is the pinned start (A = 0, b = x0, C = 0) combined with stage
     0: A = eta = J = 0, b = F_0 x0 + c_0, C unchanged. Every prefix is then
-    pinned at x0 (its A is zero), and x_S = x0 goes in front.
+    pinned at x0 (its A is zero), the scan forms only its b and C, and
+    x_S = x0 goes in front.
     """
     if p.N == 0:
         return p.x0[None, :].copy()
     A, b, C, eta, J = (a[: p.N] for a in _element_arrays(p))
     b[0] += A[0] @ p.x0
     A[0] = eta[0] = J[0] = 0.0
-    (_, bp, Cp, _, _), _ = par_scan_stacked(
+    (bp, Cp), _ = par_scan_stacked(
         (A, b, C, eta, J),
         _combine_element_arrays,
         ScanDirection.FORWARD,
         fill=_fill_prefix,
+        pin=lambda e: e[1:3],
     )
     lhs = np.eye(p.n_x) + Cp @ values.S[1:]
     rhs = bp + _mv(Cp, values.v[1:])

@@ -18,12 +18,15 @@ positions from their left neighbours. A length-T scan costs
 pairs are a function of T only.
 
 The left operand of every fill-in is a prefix of the whole sequence (under
-REVERSE the right operand is a suffix), so about half of all combines are
-"endpoint (x) element" products. When scans run toward a pinned endpoint,
-those prefixes have a known special form (a value vector, a state), and
-``par_scan_stacked`` accepts a ``fill`` operator that exploits it; the tree,
-the results and the stats are those of the same scan run with ``combine``
-alone.
+REVERSE the right operand is a suffix), and so is every output slot: slot 0
+of each recursion level is the first 2^L elements combined. When a scan
+runs toward a pinned endpoint, those prefixes have a known special form (a
+value vector, a state), so ``par_scan_stacked`` accepts a ``pin`` map that
+reduces a prefix to the arrays its caller reads and a ``fill`` operator
+that forms the fill-in product in that reduced form alone.
+``combine`` then only ever sees input elements and pair results; the
+outputs are ``pin`` of what the plain scan would return, and the tree and
+the stats are unchanged.
 
 Depth accounting tags every produced node with
 ``depth(parent) = max(depth(children)) + 1`` and reports the maximum, a
@@ -62,7 +65,7 @@ class ScanStats:
     combine_count: total number of combine invocations (vectorized engines
         count one per combined pair, fill-in products included).
     combine_depth: longest chain of dependent combine calls, fill-ins
-        included; a ``fill`` operator changes neither count.
+        included; ``fill`` and ``pin`` change neither count.
     """
 
     combine_count: int = 0
@@ -103,18 +106,20 @@ def _odd_even(
     dout: np.ndarray,
     combine: Callable[[Stack, Stack], Stack],
     fill: Callable[[Stack, Stack], Stack],
+    pin: Callable[[Stack], Stack],
     stats: ScanStats,
 ) -> None:
     """Inclusive forward scan of ``x`` into ``out`` (same length, no aliasing).
 
-    ``dx`` holds the depth of each input element; the depth of each prefix
-    is written to ``dout``. Every step works on strided views, so a level
-    costs one batched ``combine`` for the pairs and one batched ``fill``
-    (prefix (x) element) for the even slots.
+    ``out`` holds ``pin`` of each prefix. ``dx`` holds the depth of each
+    input element; the depth of each prefix is written to ``dout``. Every
+    step works on strided views, so a level costs one batched ``combine``
+    for the pairs and one batched ``fill`` (pinned prefix (x) element) for
+    the even slots.
     """
     n = dx.shape[0]
-    for o, a in zip(out, x):
-        o[0] = a[0]
+    for o, r in zip(out, pin(tuple(a[0:1] for a in x))):
+        o[0] = r[0]
     dout[0] = dx[0]
     if n == 1:
         return
@@ -122,7 +127,7 @@ def _odd_even(
     y = combine(tuple(a[0 : 2 * m : 2] for a in x), tuple(a[1 : 2 * m : 2] for a in x))
     dy = np.maximum(dx[0 : 2 * m : 2], dx[1 : 2 * m : 2]) + 1
     stats.combine_count += m
-    _odd_even(y, dy, tuple(o[1::2] for o in out), dout[1::2], combine, fill, stats)
+    _odd_even(y, dy, tuple(o[1::2] for o in out), dout[1::2], combine, fill, pin, stats)
     e = (n - 1) // 2  # even slots 2, 4, ...: left odd prefix (x) own element
     if e:
         res = fill(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[2::2] for a in x))
@@ -161,6 +166,7 @@ def par_scan_stacked(
     combine: Callable[[Stack, Stack], Stack],
     direction: ScanDirection = ScanDirection.FORWARD,
     fill: Callable[[Stack, Stack], Stack] | None = None,
+    pin: Callable[[Stack], Stack] | None = None,
 ) -> tuple[Stack, ScanStats]:
     """Odd-even scan over a time-stacked element sequence.
 
@@ -170,27 +176,36 @@ def par_scan_stacked(
     one for the adjacent pairs and one for the even-slot fill-in.
 
     ``fill``, if given, replaces ``combine`` in the fill-in step. It takes
-    the same arguments in the same order, but its FORWARD left operand is
+    its arguments in ``combine``'s order, but its FORWARD left operand is
     always a prefix starting at element 0 and its REVERSE right operand a
     suffix ending at element T-1, so it may assume whatever special form
-    the caller's pinned endpoint gives that operand. It must return what
-    ``combine`` would in every array the caller reads; its results are assigned into the output slots, so an
-    array may be returned in any shape that broadcasts there (a zero scalar,
-    a single column). Without ``fill`` the engine uses ``combine``.
+    the caller's pinned endpoint gives that operand. Without ``fill`` the
+    engine uses ``combine``.
+
+    ``pin``, if given, maps a batch of such prefixes (suffixes under
+    REVERSE) to the arrays the caller reads of them, and the outputs take
+    its shapes: slot k holds ``pin`` of the prefix ending (the suffix
+    starting) at k. ``pin`` is applied to slot 0 of every tree level (the
+    first element, the last under REVERSE, or a pair result), and ``fill``
+    then takes and returns pinned prefixes in place of full ones.
+    ``combine`` only ever sees input elements and pair results, and
+    ``pin`` needs a ``fill``. The outputs equal ``pin`` applied to the
+    outputs of the same scan without ``pin``, with the same stats.
     """
     n = int(arrays[0].shape[0])
     if n == 0:
         raise ValueError("empty scan")
     if any(int(x.shape[0]) != n for x in arrays[1:]):
         raise ValueError("stacked arrays disagree on length")
-    out = tuple(np.empty_like(x) for x in arrays)
+    if pin is not None and fill is None:
+        raise ValueError("pin needs a fill that takes pinned operands")
     fill = combine if fill is None else fill
-    src, dst, op, fop = arrays, out, combine, fill
+    pin = (lambda e: e) if pin is None else pin
+    src, op, fop = arrays, combine, fill
     if direction is ScanDirection.REVERSE:
         # a reverse scan is a forward scan of the flipped sequence under the
         # swapped operators; the flipped views write straight into ``out``
         src = tuple(np.flip(x, axis=0) for x in arrays)
-        dst = tuple(np.flip(o, axis=0) for o in out)
 
         def op(a: Stack, b: Stack) -> Stack:
             return combine(b, a)
@@ -198,8 +213,10 @@ def par_scan_stacked(
         def fop(a: Stack, b: Stack) -> Stack:
             return fill(b, a)
 
+    out = tuple(np.empty((n,) + r.shape[1:], r.dtype) for r in pin(tuple(a[0:1] for a in src)))
+    dst = tuple(np.flip(o, axis=0) for o in out) if direction is ScanDirection.REVERSE else out
     depth = np.zeros(n, dtype=np.int64)
     stats = ScanStats()
-    _odd_even(src, np.zeros(n, dtype=np.int64), dst, depth, op, fop, stats)
+    _odd_even(src, np.zeros(n, dtype=np.int64), dst, depth, op, fop, pin, stats)
     stats.combine_depth = int(depth.max())
     return out, stats

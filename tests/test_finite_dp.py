@@ -231,8 +231,9 @@ class TestMinPlusMatmul:
 
 
 class TestSuffixFill:
-    """solve_backward's fill-in on pinned suffixes (identical columns) equals
-    the full min-plus product bit for bit, inf rows and columns included."""
+    """solve_backward's fill-in on pinned suffixes (identical columns, given
+    by their value vectors) equals the full min-plus product bit for bit,
+    inf rows and columns included."""
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_equals_full_product(self, dtype):
@@ -243,53 +244,51 @@ class TestSuffixFill:
         E[:, :, 6] = inf
         v = random_cost_stack(rng, (5, 9, 1), dtype)
         v[:, 1] = inf
-        S = np.repeat(v, 9, axis=2)
-        full = fd.min_plus_matmul(E, S)
-        (col,) = fd._fill_suffix((E,), (S,))
-        out = np.empty_like(full)
-        out[...] = col  # the scan broadcasts the column into the output slot
-        assert out.tobytes() == full.tobytes()
-        assert np.all(out[:, 3, :] == inf)
+        full = fd.min_plus_matmul(E, np.repeat(v, 9, axis=2))
+        (col,) = fd._fill_suffix((E,), (v[:, :, 0],))
+        assert col.shape == (5, 9)
+        assert np.broadcast_to(col[:, :, None], full.shape).tobytes() == full.tobytes()
+        assert np.all(col[:, 3] == inf)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_scan_with_fill_matches_scan_without(self, dtype):
         rng = np.random.default_rng(10)
         p = random_finite_problem(rng, D_x=5, D_u=3, N=37, dtype=dtype, inf_frac=0.3)
-        E = fd.build_elements(p)
-        outs = []
-        for fill in (None, fd._fill_suffix):
-            (suffix,), stats = par_scan_stacked(
-                (E,), lambda a, b: (fd.min_plus_matmul(a[0], b[0]),), ScanDirection.REVERSE, fill=fill
-            )
-            outs.append((suffix.tobytes(), stats))
-        assert outs[0] == outs[1]
+        (suffix,), full_stats = par_scan_stacked(
+            (fd.build_elements(p),), lambda a, b: (fd.min_plus_matmul(a[0], b[0]),), ScanDirection.REVERSE
+        )
+        assert np.all(suffix == suffix[:, :, :1])  # identical columns
+        pol, stats = fd.solve_backward(p, return_stats=True)
+        assert pol.V.tobytes() == suffix[:, :, 0].tobytes()
+        assert stats == full_stats
 
 
 class TestMapFill:
-    """recover_traj_m1's fill-in on pinned (constant) prefix maps equals the
-    full composition, and a scan with it equals a scan without it."""
+    """recover_traj_m1's fill-in on pinned (constant) prefix maps, given by
+    the states they reach, equals the full composition, and a scan with it
+    equals a scan without it."""
 
     def test_equals_full_compose(self):
         rng = np.random.default_rng(11)
         a = np.repeat(rng.integers(0, 9, size=(5, 1)), 9, axis=1)  # constant maps
         b = rng.integers(0, 9, size=(5, 9))
         (full,) = fd._compose_maps((a,), (b,))
-        (ent,) = fd._fill_pinned_map((a,), (b,))
-        out = np.empty_like(full)
-        out[...] = ent  # the scan broadcasts the entry into the output slot
-        np.testing.assert_array_equal(out, full)
-        np.testing.assert_array_equal(full[:, 0], b[np.arange(5), a[:, 0]])
+        (ent,) = fd._fill_pinned_map((a[:, 0],), (b,))
+        np.testing.assert_array_equal(np.broadcast_to(ent[:, None], full.shape), full)
+        np.testing.assert_array_equal(ent, b[np.arange(5), a[:, 0]])
 
     @pytest.mark.parametrize("N", [1, 2, 37])
     def test_scan_with_fill_matches_scan_without(self, N):
         rng = np.random.default_rng(12)
         maps = rng.integers(0, 7, size=(N, 7))
         maps[0] = maps[0, 3]  # pinned at a start state
-        outs = []
-        for fill in (None, fd._fill_pinned_map):
-            (prefix,), stats = par_scan_stacked((maps,), fd._compose_maps, ScanDirection.FORWARD, fill=fill)
-            outs.append((prefix.tobytes(), stats))
-        assert outs[0] == outs[1]
+        (full,), full_stats = par_scan_stacked((maps,), fd._compose_maps, ScanDirection.FORWARD)
+        (states,), stats = par_scan_stacked(
+            (maps,), fd._compose_maps, ScanDirection.FORWARD, fill=fd._fill_pinned_map,
+            pin=lambda e: (e[0][:, 0],),
+        )
+        assert states.tobytes() == full[:, 0].tobytes()
+        assert stats == full_stats
 
 
 class TestSolve:

@@ -12,7 +12,7 @@ import pytest
 
 from tempo_dp import lqt
 from tempo_dp.errors import SolverError
-from tempo_dp.scan import ScanDirection, par_scan
+from tempo_dp.scan import ScanDirection, par_scan, par_scan_stacked
 
 from helpers import (
     AffineMap,
@@ -354,8 +354,9 @@ def stacked(elements):
 
 
 class TestPinnedFills:
-    """Each scan fill equals the full combine on operands of its pinned form,
-    bit for bit in the arrays it forms and exactly zero in the others."""
+    """Each scan fill takes its pinned operand as the arrays the scan outputs
+    and equals the full combine on operands of the pinned form, bit for bit;
+    the full combine leaves the other arrays of that form exactly zero."""
 
     def test_suffix_fill(self):
         rng = np.random.default_rng(31)
@@ -364,11 +365,10 @@ class TestPinnedFills:
         zero = np.zeros_like(e1[0])
         e2 = (zero, np.zeros_like(eta2), zero, eta2, J2)  # pinned at the terminal
         full = lqt._combine_element_arrays(e1, e2)
-        fill = lqt._fill_suffix(e1, e2)
-        for i in (3, 4):
-            assert fill[i].tobytes() == full[i].tobytes()
+        fill = lqt._fill_suffix(e1, (eta2, J2))
+        assert [a.tobytes() for a in fill] == [full[3].tobytes(), full[4].tobytes()]
         for i in (0, 1, 2):
-            assert np.all(full[i] == 0) and np.all(fill[i] == 0)
+            assert np.all(full[i] == 0)
 
     def test_prefix_fill(self):
         rng = np.random.default_rng(32)
@@ -377,20 +377,36 @@ class TestPinnedFills:
         zero = np.zeros_like(C1)
         e1 = (zero, b1, C1, np.zeros_like(b1), zero)  # pinned at the initial state
         full = lqt._combine_element_arrays(e1, e2)
-        fill = lqt._fill_prefix(e1, e2)
-        for i in (1, 2):
-            assert fill[i].tobytes() == full[i].tobytes()
+        fill = lqt._fill_prefix((b1, C1), e2)
+        assert [a.tobytes() for a in fill] == [full[1].tobytes(), full[2].tobytes()]
         for i in (0, 3, 4):
-            assert np.all(full[i] == 0) and np.all(fill[i] == 0)
+            assert np.all(full[i] == 0)
 
     def test_affine_fill(self):
         rng = np.random.default_rng(33)
-        a = (np.zeros((5, 3, 3)), rng.normal(size=(5, 3)))  # pinned: the state itself
+        c = rng.normal(size=(5, 3))
+        a = (np.zeros((5, 3, 3)), c)  # pinned: the state itself
         b = (rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3)))
         full = lqt._compose_affine_arrays(a, b)
-        fill = lqt._fill_affine(a, b)
-        assert fill[1].tobytes() == full[1].tobytes()
-        assert np.all(full[0] == 0) and np.all(fill[0] == 0)
+        (fill,) = lqt._fill_affine((c,), b)
+        assert fill.tobytes() == full[1].tobytes()
+        assert np.all(full[0] == 0)
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 37])
+    def test_pinned_scans_equal_plain_scans(self, N):
+        # parallel_backward and traj_method1 against the same scans run with
+        # combine alone: the arrays they read, byte for byte, and the stats
+        p = random_lqt_problem(np.random.default_rng(34 + N), n_x=3, n_u=2, N=N)
+        full, full_stats = par_scan_stacked(lqt._element_arrays(p), lqt._combine_element_arrays, REV)
+        values, gains, stats = lqt.parallel_backward(p, return_stats=True)
+        assert values.v.tobytes() == full[3].tobytes()
+        assert values.S.tobytes() == full[4].tobytes()
+        assert stats == full_stats
+        Ft, ct = lqt._closed_loop_maps(p, values, gains)
+        ct[0] = Ft[0] @ p.x0 + ct[0]
+        Ft[0] = 0.0
+        (_, cpre), _ = par_scan_stacked((Ft, ct), lqt._compose_affine_arrays, FWD)
+        assert lqt.traj_method1(p, gains, values)[1:].tobytes() == cpre.tobytes()
 
 
 def gate_problem(N, bad):

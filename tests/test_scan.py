@@ -240,6 +240,10 @@ class TestStackedEngine:
         with pytest.raises(ValueError, match="empty scan"):
             par_scan_stacked((np.zeros((0, 2)),), lambda a, b: a)
 
+    def test_pin_needs_fill(self):
+        with pytest.raises(ValueError, match="pin needs a fill"):
+            par_scan_stacked((np.arange(4),), lambda a, b: (a[0] + b[0],), pin=lambda e: e)
+
 
 TREE_SIZES = list(range(1, 71)) + [1023, 1024, 1025]
 PRIME = 1_000_003  # 2x2 products mod PRIME stay exact in int64
@@ -336,3 +340,39 @@ class TestOddEvenTree:
         )
         assert calls["pairs"] + calls["fills"] == stats.combine_count
         assert (calls["fills"] > 0) == (T > 2)
+
+    @pytest.mark.parametrize("direction", [FWD, REV])
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 8, 37])
+    def test_pin_equals_pin_of_plain_outputs(self, T, direction):
+        # 2x2 matrices mod PRIME, pinned to one row of each prefix (one
+        # column of each suffix under REVERSE): fill multiplies a row by a
+        # matrix, and combine must only ever see whole matrices
+        rng = np.random.default_rng(T + 50)
+        M = rng.integers(0, PRIME, size=(T, 2, 2))
+        w = rng.integers(0, PRIME, size=2)
+
+        def combine(a, b):
+            assert a[0].shape[1:] == b[0].shape[1:] == (2, 2)
+            return ((a[0] @ b[0]) % PRIME,)
+
+        if direction is FWD:
+            def pin(e):
+                return ((w @ e[0]) % PRIME,)
+
+            def fill(r, e):
+                return (((r[0][:, None, :] @ e[0])[:, 0]) % PRIME,)
+        else:
+            def pin(e):
+                return ((e[0] @ w) % PRIME,)
+
+            def fill(e, r):
+                return (((e[0] @ r[0][:, :, None])[:, :, 0]) % PRIME,)
+
+        (full,), full_stats = par_scan_stacked((M,), combine, direction)
+        (pinned,), stats = par_scan_stacked((M,), combine, direction, fill=fill, pin=pin)
+        ref, _ = seq_scan(list(M), lambda a, b: (a @ b) % PRIME, direction)
+        np.testing.assert_array_equal(full, np.stack(ref))
+        (want,) = pin((full,))
+        assert pinned.shape == (T, 2)
+        assert pinned.tobytes() == want.tobytes()
+        assert stats == full_stats
