@@ -17,6 +17,13 @@ batched products and inverses). Every pair's arithmetic is the same in any
 block, so results are byte-identical for any core count; small state
 dimensions never reach two blocks and run on the calling thread alone.
 
+The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
+gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
+K^c = K^v S_{k+1} and K = K^c F_k, so the parallel path solves for K^v
+alone. Every batched solve or factorization that fails (control weights,
+normal matrices, Method-2 recovery) raises a SolverError naming its first
+failing step.
+
 Also here: the generalized-cost (cross-term) reduction to standard form,
 block partial condensing, a dense KKT reference solver, and file I/O.
 
@@ -385,34 +392,28 @@ def _fill_prefix(e1, e2):
     return b, C
 
 
-def _solve_batched(G: np.ndarray, rhs: np.ndarray, what: str, offset: int):
+def _batched(fn, what: str, offset: int, *stacks):
+    """``fn`` (a numpy.linalg routine) on whole stacks of per-step operands.
+
+    On failure ``fn`` runs again step by step, and the SolverError names the
+    first failing step as ``offset + k``; a failure no single step repeats
+    raises it without a step.
+    """
     try:
-        return np.linalg.solve(G, rhs)
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        # locate the offending step for the error message
-        for k in range(G.shape[0]):
+        for k in range(stacks[0].shape[0]):
             try:
-                np.linalg.solve(G[k], rhs[k])
+                fn(*(a[k] for a in stacks))
             except np.linalg.LinAlgError:
-                raise SolverError(f"{what} singular at step {offset + k}") from None
-        raise SolverError(f"{what} singular") from None
+                raise SolverError(f"{what} at step {offset + k}") from None
+        raise SolverError(what) from None
 
 
-def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, what: str, offset: int):
-    """Solve with a Cholesky factor per step; rejects non-PD weights."""
-    try:
-        R = np.linalg.cholesky(U)
-    except np.linalg.LinAlgError:
-        bad = offset
-        for k in range(U.shape[0]):
-            try:
-                np.linalg.cholesky(U[k])
-            except np.linalg.LinAlgError:
-                bad = offset + k
-                break
-        raise SolverError(
-            f"{what} factorization failed at step {bad} (not positive definite)"
-        ) from None
+def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
+    """U^-1 rhs per step by a Cholesky factor; rejects non-PD control weights."""
+    what = "control weight U not positive definite: factorization failed"
+    R = _batched(np.linalg.cholesky, what, offset, U)
     return np.linalg.solve(_t(R), np.linalg.solve(R, rhs))
 
 
@@ -435,7 +436,7 @@ def _element_arrays(p: LqtProblem):
     if n:
         A[:n] = p.F
         b[:n] = p.c
-        np.matmul(p.L, _spd_solve_batched(p.U, _t(p.L), "control weight U", p.S), out=C[:n])
+        np.matmul(p.L, _spd_solve_batched(p.U, _t(p.L), p.S), out=C[:n])
         HtX = _t(p.H) @ p.X
         eta[:n] = _mv(HtX, p.r)
         np.matmul(HtX, p.H, out=J[:n])
@@ -482,18 +483,13 @@ def riccati_backward(p: LqtProblem) -> tuple[QuadValue, Gains]:
 
 
 def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
-    """Vectorized gain triples from the stacked S_{k+1} matrices."""
-    nx = p.n_x
-    if p.N == 0:
-        empty = np.zeros((0, p.n_u, nx))
-        return empty, empty.copy(), empty.copy()
+    """Vectorized gain triples from the stacked S_{k+1} matrices: one solve
+    Kv = (L'S L + U)^-1 L', then Kc = Kv S and K = Kc F."""
     Sn = Ss[1:]
     Lt = _t(p.L)
-    LS = Lt @ Sn
-    G = LS @ p.L + p.U
-    rhs = np.concatenate([LS @ p.F, Lt, LS], axis=-1)
-    sol = _solve_batched(G, rhs, "control normal matrix", p.S)
-    return sol[..., :nx], sol[..., nx : 2 * nx], sol[..., 2 * nx :]
+    Kv = _batched(np.linalg.solve, "control normal matrix singular", p.S, Lt @ Sn @ p.L + p.U, Lt)
+    Kc = Kv @ Sn
+    return Kc @ p.F, Kv, Kc
 
 
 def parallel_backward(p: LqtProblem, return_stats: bool = False):
@@ -545,7 +541,7 @@ def controls_along(
 
 def _closed_loop_maps(p: LqtProblem, values: QuadValue, gains: Gains):
     Ft = p.F - p.L @ gains.K
-    ct = p.c + _mv(p.L @ gains.Kv, values.v[1:]) - _mv(p.L @ gains.Kc, p.c)
+    ct = p.c + _mv(p.L, _mv(gains.Kv, values.v[1:]) - _mv(gains.Kc, p.c))
     return Ft, ct
 
 
@@ -595,10 +591,8 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     )
     lhs = np.eye(p.n_x) + Cp @ values.S[1:]
     rhs = bp + _mv(Cp, values.v[1:])
-    try:
-        xs = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular (I + C S) in trajectory recovery: {exc}") from exc
+    what = "trajectory recovery matrix (I + C S) singular"
+    xs = _batched(np.linalg.solve, what, p.S + 1, lhs, rhs[..., None])[..., 0]
     return np.concatenate([p.x0[None, :], xs])
 
 
@@ -632,14 +626,16 @@ def transform_general_cost(p: LqtProblem) -> tuple[LqtProblem, GeneralCostRecove
         return p, recovery
     M = p.M if p.M is not None else np.zeros((n, nr, nu))
     s = p.s if p.s is not None else np.zeros((n, nu))
-    UinvMt = _spd_solve_batched(p.U, _t(M), "control weight U", p.S)
+    UinvMt = _spd_solve_batched(p.U, _t(M), p.S)
     Xt = _sym(p.X - M @ UinvMt)
-    if n:
-        lo = float(np.linalg.eigvalsh(Xt).min())
-        if lo < -1e-10:
-            raise SolverError(
-                f"cost not jointly convex after Schur complement (min eigenvalue {lo:.3e})"
-            )
+    w = np.linalg.eigvalsh(Xt)
+    bad = np.flatnonzero((w < -1e-10).any(axis=-1))
+    if bad.size:
+        k = bad[0]
+        raise SolverError(
+            f"cost not jointly convex after Schur complement at step {p.S + k}"
+            f" (min eigenvalue {w[k].min():.3e})"
+        )
     F2 = p.F - p.L @ UinvMt @ p.H
     c2 = p.c + _mv(p.L @ UinvMt, p.r) + _mv(p.L, s)
     q = replace(p, F=F2, c=c2, X=Xt, M=None, s=None)

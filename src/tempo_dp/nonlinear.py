@@ -111,11 +111,6 @@ def finite_diff_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked matrix-vector product: (M, m, n) @ (M, n) -> (M, m)."""
-    return (A @ x[..., None])[..., 0]
-
-
 def linearize(p: NonlinearProblem, nom: Nominal) -> lqt.LqtProblem:
     """First-order expansion around the nominal as a tracking problem.
 
@@ -133,9 +128,9 @@ def linearize(p: NonlinearProblem, nom: Nominal) -> lqt.LqtProblem:
     L = p.jac_f_u(k, xb, ub) if p.jac_f_u else finite_diff_jacobian(
         lambda u: p.f(k, xb, u), ub
     )
-    c = p.f(k, xb, ub) - _matvec(F, xb) - _matvec(L, ub)
+    c = p.f(k, xb, ub) - lqt._mv(F, xb) - lqt._mv(L, ub)
     H = p.jac_h(k, xb) if p.jac_h else finite_diff_jacobian(lambda x: p.h(k, x), xb)
-    r2 = p.r - p.h(k, xb) + _matvec(H, xb)
+    r2 = p.r - p.h(k, xb) + lqt._mv(H, xb)
     if p.g is None:
         U2 = p.U.copy()
         s2 = p.s.copy()
@@ -145,7 +140,8 @@ def linearize(p: NonlinearProblem, nom: Nominal) -> lqt.LqtProblem:
             raise SolverError("control-output Jacobian not invertible")
         U2 = np.swapaxes(Jg, -1, -2) @ p.U @ Jg
         rhs = (p.s - p.g(k, ub))[..., None]
-        s2 = ub + lqt._solve_batched(Jg, rhs, "control-output Jacobian", 0)[..., 0]
+        what = "control-output Jacobian singular"
+        s2 = ub + lqt._batched(np.linalg.solve, what, 0, Jg, rhs)[..., 0]
     xT = nom.xbar[N]
     HT = p.jac_hT(xT) if p.jac_hT else finite_diff_jacobian(p.hT, xT)
     rT2 = p.rT - p.hT(xT) + HT @ xT

@@ -101,7 +101,7 @@ Stack = tuple[np.ndarray, ...]
 
 def _odd_even(
     x: Stack,
-    dx: np.ndarray,
+    d: int,
     out: Stack,
     dout: np.ndarray,
     combine: Callable[[Stack, Stack], Stack],
@@ -111,29 +111,28 @@ def _odd_even(
 ) -> None:
     """Inclusive forward scan of ``x`` into ``out`` (same length, no aliasing).
 
-    ``out`` holds ``pin`` of each prefix. ``dx`` holds the depth of each
-    input element; the depth of each prefix is written to ``dout``. Every
-    step works on strided views, so a level costs one batched ``combine``
+    ``out`` holds ``pin`` of each prefix. Every input element has the
+    level's depth ``d``; the depth of each prefix is written to ``dout``.
+    Every step works on strided views, so a level costs one batched ``combine``
     for the pairs and one batched ``fill`` (pinned prefix (x) element) for
     the even slots.
     """
-    n = dx.shape[0]
+    n = x[0].shape[0]
     for o, r in zip(out, pin(tuple(a[0:1] for a in x))):
         o[0] = r[0]
-    dout[0] = dx[0]
+    dout[0] = d
     if n == 1:
         return
     m = n // 2  # pairs (x[2i], x[2i+1]); their prefixes land on the odd slots
     y = combine(tuple(a[0 : 2 * m : 2] for a in x), tuple(a[1 : 2 * m : 2] for a in x))
-    dy = np.maximum(dx[0 : 2 * m : 2], dx[1 : 2 * m : 2]) + 1
     stats.combine_count += m
-    _odd_even(y, dy, tuple(o[1::2] for o in out), dout[1::2], combine, fill, pin, stats)
+    _odd_even(y, d + 1, tuple(o[1::2] for o in out), dout[1::2], combine, fill, pin, stats)
     e = (n - 1) // 2  # even slots 2, 4, ...: left odd prefix (x) own element
     if e:
         res = fill(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[2::2] for a in x))
         for o, r in zip(out, res):
             o[2::2] = r
-        dout[2::2] = np.maximum(dout[1 : 2 * e : 2], dx[2::2]) + 1
+        dout[2::2] = dout[1 : 2 * e : 2] + 1  # an odd slot is deeper than d
         stats.combine_count += e
 
 
@@ -217,6 +216,6 @@ def par_scan_stacked(
     dst = tuple(np.flip(o, axis=0) for o in out) if direction is ScanDirection.REVERSE else out
     depth = np.zeros(n, dtype=np.int64)
     stats = ScanStats()
-    _odd_even(src, np.zeros(n, dtype=np.int64), dst, depth, op, fop, pin, stats)
+    _odd_even(src, 0, dst, depth, op, fop, pin, stats)
     stats.combine_depth = int(depth.max())
     return out, stats

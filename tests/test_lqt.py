@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -634,6 +635,46 @@ class TestParallelBackward:
         assert np.max(np.abs(us_s - us_p)) <= 1e-8
 
 
+class TestStepNaming:
+    """Every batched solve or factorization names its first failing step."""
+
+    def test_gains_name_singular_normal_matrix(self):
+        p = replace(scalar_problem(N=4), S=10, T=14)
+        Ss = np.zeros((5, 1, 1))
+        Ss[3] = -1.0  # L'S_3 L + U = 0 at k = 2
+        with pytest.raises(SolverError, match="control normal matrix singular at step 12$"):
+            lqt._gains_from_values(p, Ss)
+
+    def test_gains_come_from_one_solve(self):
+        rng = np.random.default_rng(21)
+        p = random_lqt_problem(rng, n_x=4, n_u=2, N=30)
+        values, gains = lqt.parallel_backward(p)
+        np.testing.assert_array_equal(gains.Kc, gains.Kv @ values.S[1:])
+        np.testing.assert_array_equal(gains.K, gains.Kc @ p.F)
+        _, ref = lqt.riccati_backward(p)
+        for got, want in zip((gains.K, gains.Kv, gains.Kc), (ref.K, ref.Kv, ref.Kc)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_method2_names_singular_recovery_step(self):
+        # with X = 0 the Method-2 prefix ending at x_{S+k} has C = k, so
+        # S_4 = -1/4 makes I + C S singular at x_{S+4} alone
+        p = replace(scalar_problem(N=6, X=0.0), S=10, T=16)
+        S = np.zeros((7, 1, 1))
+        S[4] = -0.25
+        values = lqt.QuadValue(S, np.zeros((7, 1)))
+        with pytest.raises(SolverError, match=r"\(I \+ C S\) singular at step 14$"):
+            lqt.traj_method2(p, values)
+
+    def test_batch_only_failure_raises_solver_error(self):
+        def fn(a):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("whole batch")
+            return a
+
+        with pytest.raises(SolverError, match="^batch op failed$"):
+            lqt._batched(fn, "batch op failed", 0, np.zeros((3, 2, 2)))
+
+
 def truncated(p, N):
     """The first N stages of p with its terminal cost."""
     return lqt.LqtProblem(
@@ -805,12 +846,13 @@ class TestGeneralCostTransform:
 
     def test_indefinite_schur_rejected(self):
         rng = np.random.default_rng(16)
-        p = random_lqt_problem(rng, n_x=2, n_u=2, N=3)
-        M = np.repeat((10.0 * np.eye(2))[None], 3, axis=0)
-        bad = lqt.LqtProblem(S=0, T=3, x0=p.x0, F=p.F, c=p.c, L=p.L, H=p.H,
+        p = random_lqt_problem(rng, n_x=2, n_u=2, N=4)
+        M = np.zeros((4, 2, 2))
+        M[2] = 10.0 * np.eye(2)  # only step 2's Schur complement goes indefinite
+        bad = lqt.LqtProblem(S=7, T=11, x0=p.x0, F=p.F, c=p.c, L=p.L, H=p.H,
                              X=p.X, r=p.r, U=p.U, HT=p.HT, XT=p.XT, rT=p.rT,
-                             M=M, s=np.zeros((3, 2)))
-        with pytest.raises(SolverError, match="not jointly convex"):
+                             M=M, s=np.zeros((4, 2)))
+        with pytest.raises(SolverError, match="not jointly convex after Schur complement at step 9 "):
             lqt.transform_general_cost(bad)
 
 

@@ -306,6 +306,17 @@ class TestOddEvenTree:
 
     @pytest.mark.parametrize("direction", [FWD, REV])
     @pytest.mark.parametrize("T", TREE_SIZES)
+    def test_combine_depth(self, T, direction):
+        # an operator that carries each node's depth, max(children) + 1,
+        # gives the deepest prefix node without the engine's own bookkeeping
+        def deeper(a, b):
+            return (np.maximum(a[0], b[0]) + 1,)
+
+        (depths,), stats = par_scan_stacked((np.zeros(T, dtype=np.int64),), deeper, direction)
+        assert stats.combine_depth == depths.max()
+
+    @pytest.mark.parametrize("direction", [FWD, REV])
+    @pytest.mark.parametrize("T", TREE_SIZES)
     def test_fill_gets_pinned_operand(self, T, direction):
         # elements are index intervals (lo, hi); combine checks adjacency and
         # fill that its pinned operand reaches the endpoint of the sequence
