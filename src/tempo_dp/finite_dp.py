@@ -16,10 +16,10 @@ temporaries stay within a fixed budget of 2**18 elements (2 MB), so a scan's
 memory grows with its (T, D_x, D_x) element stacks, not with T·D_x³.
 
 Both min-plus scans run toward a pinned endpoint, and the fill-in half of
-the tree multiplies by value vectors, not matrices. A backward suffix has
-identical columns, so the backward scan keeps one column per suffix, its
-value vector, and outputs the (N+1, D_x) value stack itself. The forward
-conditional scan starts from the row of the pinned start state, so every
+the tree multiplies by value vectors, not matrices. The backward scan
+starts from the terminal costs, and each stage matrix acts on the value
+vector after it, so it outputs the (N+1, D_x) value stack itself. The
+forward conditional scan starts from the row of the start state, so every
 prefix is a (1, D_x) row. Each scan costs about T·D_x³ + T·D_x² min-plus
 operations instead of 2T·D_x³.
 
@@ -172,9 +172,8 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _fill_suffix(a, b):
-    """(batch, D_x, D_x) elements (x) suffixes given by their value vectors
-    (batch, D_x): a suffix has identical columns, so the product's are too,
-    and only its value vector is formed."""
+    """(batch, D_x, D_x) elements acting on the value vectors (batch, D_x)
+    after them: one min-plus matrix-vector product each."""
     return (min_plus_matmul(a[0], b[0][..., None])[..., 0],)
 
 
@@ -184,9 +183,8 @@ def _compose_maps(a, b):
 
 
 def _fill_pinned_map(a, b):
-    """A prefix pinned at the start state is a constant map, given by the
-    state it reaches (batch,); followed by the maps b (batch, D_x), it
-    reaches b of that state."""
+    """The states a (batch,) acted on by the maps b (batch, D_x): b of each
+    state."""
     return (np.take_along_axis(b[0], a[0][:, None], axis=1)[:, 0],)
 
 
@@ -233,19 +231,18 @@ def seq_bellman(p: FiniteProblem) -> FinitePolicy:
 def solve_backward(p: FiniteProblem, return_stats: bool = False):
     """Backward pass as a reverse parallel scan of min-plus matrices.
 
-    The suffix element starting at k has identical columns equal to the
-    value vector V_k, and the scan outputs column 0 of each suffix. Matches
+    The scan starts from the terminal costs ell_T, and each of the N stage
+    matrices acts on the value vector after it (:func:`_fill_suffix`, D_x²
+    per product instead of D_x³), so slot k holds V_k. Matches
     :func:`seq_bellman` exactly (min-plus arithmetic involves no
-    reordering-sensitive rounding for integer-valued costs). Every
-    fill-in's right operand is a suffix, so :func:`_fill_suffix` costs D_x²
-    per product instead of D_x³.
+    reordering-sensitive rounding for integer-valued costs).
     """
     (V,), stats = par_scan_stacked(
-        (build_elements(p),),
+        (build_elements(p)[: p.N],),
         lambda a, b: (min_plus_matmul(a[0], b[0]),),
         ScanDirection.REVERSE,
-        fill=_fill_suffix,
-        pin=lambda e: (e[0][:, :, 0],),
+        start=(p.ell_T,),
+        apply=_fill_suffix,
     )
     if not V[0, p.x_S] < _inf_for(p.ell.dtype):
         raise SolverError("infeasible problem")
@@ -271,20 +268,15 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
 def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:
     """Trajectory via composition of closed-loop state maps (Method 1).
 
-    Map k is x -> f_k(x, u_k(x)), row k of an (N, D_x) index stack. Row 0
-    is pinned to the constant map at f_0(x_S, u_0(x_S)), so every prefix is
-    constant, and the scan outputs the state each one reaches.
+    Map k is x -> f_k(x, u_k(x)), row k of an (N, D_x) index stack. The
+    scan starts from x_S, and each map acts on the state before it by one
+    lookup, so it outputs the states.
     """
-    if p.N == 0:
-        traj = np.array([p.x_S], dtype=np.int64)
-    else:
-        maps = np.take_along_axis(p.f, pol.u[:, :, None], axis=2)[:, :, 0]
-        maps[0] = maps[0, p.x_S]
-        (states,), _ = par_scan_stacked(
-            (maps,), _compose_maps, ScanDirection.FORWARD, fill=_fill_pinned_map,
-            pin=lambda e: (e[0][:, 0],),
-        )
-        traj = np.concatenate([[p.x_S], states])
+    maps = np.take_along_axis(p.f, pol.u[:, :, None], axis=2)[:, :, 0]
+    (traj,), _ = par_scan_stacked(
+        (maps,), _compose_maps, ScanDirection.FORWARD, start=(np.int64(p.x_S),),
+        apply=_fill_pinned_map,
+    )
     if not (pol.V[np.arange(p.N + 1), traj] < _inf_for(p.ell.dtype)).all():
         raise SolverError("policy undefined on reached state")
     return traj

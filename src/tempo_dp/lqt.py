@@ -10,12 +10,13 @@ recovered either by composing closed-loop affine maps (Method 1) or from
 prefix elements and the backward values (Method 2).
 
 The pairs of one tree level are independent, so the interval combine and
-the two pinned-endpoint fills cut each batch into blocks of about
-``_BLOCK_BUDGET / n_x^3`` pairs and run them on a pool of threads, one per
-usable core with the caller counted (numpy releases the GIL inside the
-batched products and inverses). Every pair's arithmetic is the same in any
-block, so results are byte-identical for any core count; small state
-dimensions never reach two blocks and run on the calling thread alone.
+its two halves that act on values (backward and Method 2) cut each batch
+into blocks of about ``_BLOCK_BUDGET / n_x^3`` pairs and run them on a
+pool of threads, one per usable core with the caller counted (numpy
+releases the GIL inside the batched products and inverses). Every pair's
+arithmetic is the same in any block, so results are byte-identical for any
+core count; small state dimensions never reach two blocks and run on the
+calling thread alone.
 
 The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
 gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
@@ -240,10 +241,9 @@ def _compose_affine_arrays(a, b):
 
 
 def _fill_affine(a, b):
-    """A prefix pinned at the initial state, given by its offset (the state
-    it reaches; its Ft is 0), composed with b: one matrix-vector product."""
-    (c,) = a
-    return (_mv(b[0], c) + b[1],)
+    """States a acted on by the closed-loop maps b: one matrix-vector product."""
+    (x,) = a
+    return (_mv(b[0], x) + b[1],)
 
 
 def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
@@ -334,13 +334,29 @@ def _in_blocks(op):
 
     @functools.wraps(op)
     def blocked(e1, e2):
-        shape = np.shape(e1[-1])  # (m, n, n) when batched: J, or a pinned prefix's C
+        shape = np.shape(e1[-1])  # (m, n, n) when batched: J, or a Method-2 value's C
         k = min(shape[0], shape[0] * shape[-1] ** 3 // _BLOCK_BUDGET) if len(shape) == 3 else 0
         if k < 2 or _WORKERS < 2:
             return op(e1, e2)
         return _run_blocks(op, e1, e2, shape[0], k)
 
     return blocked
+
+
+def _eta_J(P, e1, eta2, J2):
+    """eta and J of e1 (x) e2, from P = (I + C1 J2)^-1 A1."""
+    A1, b1, _, eta1, J1 = e1
+    eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
+    J = _sym(_t(P) @ J2 @ A1 + J1)
+    return eta, J
+
+
+def _b_C(W, b1, C1, e2):
+    """b and C of e1 (x) e2, from W = A2 (I + C1 J2)^-1."""
+    A2, b2, C2, eta2, _ = e2
+    b = _mv(W, b1 + _mv(C1, eta2)) + b2
+    C = _sym(W @ C1 @ _t(A2) + C2)
+    return b, C
 
 
 @_in_blocks
@@ -353,43 +369,28 @@ def _combine_element_arrays(e1, e2):
     so one batched inverse (:func:`_gated_inverse`) serves both sides of the
     combination.
     """
-    A1, b1, C1, eta1, J1 = e1
-    A2, b2, C2, eta2, J2 = e2
+    A1, b1, C1, _, _ = e1
+    A2, _, _, eta2, J2 = e2
     Zi = _gated_inverse(C1, J2)
     W = A2 @ Zi
     P = Zi @ A1
-    A = A2 @ P
-    b = _mv(W, b1 + _mv(C1, eta2)) + b2
-    C = _sym(W @ C1 @ _t(A2) + C2)
-    eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
-    J = _sym(_t(P) @ J2 @ A1 + J1)
-    return A, b, C, eta, J
+    return (A2 @ P, *_b_C(W, b1, C1, e2), *_eta_J(P, e1, eta2, J2))
 
 
 @_in_blocks
 def _fill_suffix(e1, e2):
-    """e1 (x) a suffix pinned at the terminal, given by its (eta, J) (its
-    A = b = C = 0): only eta and J are formed, as in
-    :func:`_combine_element_arrays`."""
-    A1, b1, C1, eta1, J1 = e1
+    """Elements e1 acting on the values (eta, J) of the suffixes after them:
+    the (eta, J) half of :func:`_combine_element_arrays`."""
     eta2, J2 = e2
-    P = _gated_inverse(C1, J2) @ A1
-    eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
-    J = _sym(_t(P) @ J2 @ A1 + J1)
-    return eta, J
+    return _eta_J(_gated_inverse(e1[2], J2) @ e1[0], e1, eta2, J2)
 
 
 @_in_blocks
 def _fill_prefix(e1, e2):
-    """A prefix pinned at the initial state, given by its (b, C) (its
-    A = eta = J = 0), (x) e2: only b and C are formed, as in
-    :func:`_combine_element_arrays`."""
+    """The (b, C) of prefixes from the initial state acted on by the elements
+    e2 after them: the (b, C) half of :func:`_combine_element_arrays`."""
     b1, C1 = e1
-    A2, b2, C2, eta2, J2 = e2
-    W = A2 @ _gated_inverse(C1, J2)
-    b = _mv(W, b1 + _mv(C1, eta2)) + b2
-    C = _sym(W @ C1 @ _t(A2) + C2)
-    return b, C
+    return _b_C(e2[0] @ _gated_inverse(C1, e2[4]), b1, C1, e2)
 
 
 def _batched(fn, what: str, offset: int, *stacks):
@@ -418,36 +419,30 @@ def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
 
 
 def _element_arrays(p: LqtProblem):
-    """Stacked (A, b, C, eta, J) for all N + 1 elements.
+    """Stacked (A, b, C, eta, J) of the N stage elements.
 
-    Stage k: (F_k, c_k, L_k U_k^-1 L_k', H_k'X_k r_k, H_k'X_k H_k).
-    Terminal: (0, 0, 0, HT'XT rT, HT'XT HT). The terminal eta carries the
-    XT factor; see the regression test on the printed variant.
+    Stage k: (F_k, c_k, L_k U_k^-1 L_k', H_k'X_k r_k, H_k'X_k H_k); A and b
+    are p.F and p.c themselves, which the scans only read.
     """
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
-    nx = p.n_x
-    n = p.N
-    A = np.zeros((n + 1, nx, nx))
-    b = np.zeros((n + 1, nx))
-    C = np.zeros((n + 1, nx, nx))
-    eta = np.zeros((n + 1, nx))
-    J = np.zeros((n + 1, nx, nx))
-    if n:
-        A[:n] = p.F
-        b[:n] = p.c
-        np.matmul(p.L, _spd_solve_batched(p.U, _t(p.L), p.S), out=C[:n])
-        HtX = _t(p.H) @ p.X
-        eta[:n] = _mv(HtX, p.r)
-        np.matmul(HtX, p.H, out=J[:n])
-        del HtX  # before the symmetrization below copies a whole stack
-    HtXT = p.HT.T @ p.XT
-    eta[n] = HtXT @ p.rT
-    J[n] = HtXT @ p.HT
+    C = p.L @ _spd_solve_batched(p.U, _t(p.L), p.S)
+    HtX = _t(p.H) @ p.X
+    eta = _mv(HtX, p.r)
+    J = HtX @ p.H
+    del HtX  # before the symmetrization below copies a whole stack
     for M in (C, J):  # symmetrized in place, with the bits of _sym
         M += _t(M)  # numpy copies the overlapping transposed operand first
         M *= 0.5
-    return A, b, C, eta, J
+    return p.F, p.c, C, eta, J
+
+
+def _terminal(p: LqtProblem):
+    """The value at the terminal step, (v_N, S_N) = (HT'XT rT, HT'XT HT).
+    v_N carries the XT factor; see the regression test on the printed
+    variant."""
+    HtXT = p.HT.T @ p.XT
+    return HtXT @ p.rT, _sym(HtXT @ p.HT)
 
 
 def riccati_backward(p: LqtProblem) -> tuple[QuadValue, Gains]:
@@ -457,9 +452,7 @@ def riccati_backward(p: LqtProblem) -> tuple[QuadValue, Gains]:
     nx, nu, n = p.n_x, p.n_u, p.N
     Ss = np.empty((n + 1, nx, nx))
     vs = np.empty((n + 1, nx))
-    HtXT = p.HT.T @ p.XT
-    Ss[n] = _sym(HtXT @ p.HT)
-    vs[n] = HtXT @ p.rT
+    vs[n], Ss[n] = _terminal(p)
     Ks = np.empty((n, nu, nx))
     Kvs = np.empty((n, nu, nx))
     Kcs = np.empty((n, nu, nx))
@@ -495,17 +488,18 @@ def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
 def parallel_backward(p: LqtProblem, return_stats: bool = False):
     """Backward pass as a reverse scan of interval elements.
 
-    The suffix element starting at k evaluated at a pinned terminal endpoint
-    is the value function: S_k = J, v_k = eta of that suffix, and the scan
-    forms only those two. Every J leaves a symmetrization, so S is exactly
-    symmetric. Output matches :func:`riccati_backward`.
+    The scan starts from the terminal value (v_N, S_N), and each stage
+    element acts on the value after it by the (eta, J) half of the
+    interval combine, so slot k holds the value function (v_k, S_k). Every
+    S leaves a symmetrization, so it is exactly symmetric. Output matches
+    :func:`riccati_backward`.
     """
     (v, Ss), stats = par_scan_stacked(
         _element_arrays(p),
         _combine_element_arrays,
         ScanDirection.REVERSE,
-        fill=_fill_suffix,
-        pin=lambda e: e[3:],
+        start=_terminal(p),
+        apply=_fill_suffix,
     )
     values = QuadValue(Ss, v)
     gains = Gains(*_gains_from_values(p, Ss))
@@ -548,52 +542,39 @@ def _closed_loop_maps(p: LqtProblem, values: QuadValue, gains: Gains):
 def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
     """Trajectory by scanning closed-loop affine maps (Method 1).
 
-    The first element is pinned at the initial state (zero matrix part), so
-    every prefix's offset part is the trajectory state itself, and the scan
-    forms only that part.
+    The scan starts from the initial state, and each map acts on the state
+    before it by one matrix-vector product, so it forms only the states.
     """
-    if p.N == 0:
-        return p.x0[None, :].copy()
-    Ft, ct = _closed_loop_maps(p, values, gains)
-    ct[0] = Ft[0] @ p.x0 + ct[0]
-    Ft[0] = 0.0
-    (cpre,), _ = par_scan_stacked(
-        (Ft, ct),
+    (xs,), _ = par_scan_stacked(
+        _closed_loop_maps(p, values, gains),
         _compose_affine_arrays,
         ScanDirection.FORWARD,
-        fill=_fill_affine,
-        pin=lambda e: e[1:],
+        start=(p.x0,),
+        apply=_fill_affine,
     )
-    return np.concatenate([p.x0[None, :], cpre], axis=0)
+    return xs
 
 
 def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     """Trajectory from forward prefix elements and backward values (Method 2).
 
-    x_k = (I + C_{S,k} S_k)^-1 (b_{S,k} + C_{S,k} v_k) for k = S+1..T, where
-    (b, C)_{S,k} come from a forward scan of the N stage elements whose
-    element 0 is the pinned start (A = 0, b = x0, C = 0) combined with stage
-    0: A = eta = J = 0, b = F_0 x0 + c_0, C unchanged. Every prefix is then
-    pinned at x0 (its A is zero), the scan forms only its b and C, and
-    x_S = x0 goes in front.
+    x_k = (I + C_{S,k} S_k)^-1 (b_{S,k} + C_{S,k} v_k) for k = S..T, where
+    (b, C)_{S,k} is the interval from the start to step k conditioned on
+    x_S = x0. The forward scan starts from (b, C) = (x0, 0) at k = S, and
+    each stage element acts on it by the (b, C) half of the interval
+    combine.
     """
-    if p.N == 0:
-        return p.x0[None, :].copy()
-    A, b, C, eta, J = (a[: p.N] for a in _element_arrays(p))
-    b[0] += A[0] @ p.x0
-    A[0] = eta[0] = J[0] = 0.0
-    (bp, Cp), _ = par_scan_stacked(
-        (A, b, C, eta, J),
+    (b, C), _ = par_scan_stacked(
+        _element_arrays(p),
         _combine_element_arrays,
         ScanDirection.FORWARD,
-        fill=_fill_prefix,
-        pin=lambda e: e[1:3],
+        start=(p.x0, np.zeros((p.n_x, p.n_x))),
+        apply=_fill_prefix,
     )
-    lhs = np.eye(p.n_x) + Cp @ values.S[1:]
-    rhs = bp + _mv(Cp, values.v[1:])
+    lhs = np.eye(p.n_x) + C @ values.S
+    rhs = b + _mv(C, values.v)
     what = "trajectory recovery matrix (I + C S) singular"
-    xs = _batched(np.linalg.solve, what, p.S + 1, lhs, rhs[..., None])[..., 0]
-    return np.concatenate([p.x0[None, :], xs])
+    return _batched(np.linalg.solve, what, p.S, lhs, rhs[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ __all__ = [
     "default_nominal",
 ]
 
+# Relative central-difference step of finite_diff_jacobian.
+_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class NonlinearProblem:
@@ -86,13 +89,13 @@ def default_nominal(p: NonlinearProblem, x_S: np.ndarray | None = None) -> Nomin
     )
 
 
-def finite_diff_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
+def finite_diff_jacobian(fn, point) -> np.ndarray:
     """Central-difference Jacobian with per-coordinate step scaling.
 
     ``point`` may carry leading batch axes: a (..., n) stack of points gives
     a (..., m, n) stack of Jacobians from 2n calls of ``fn`` on whole stacks,
     so ``fn`` must map (..., n) to (..., m). Coordinate i of each point moves
-    by step * (1 + |x_i|).
+    by _FD_STEP * (1 + |x_i|).
     """
     point = np.asarray(point, dtype=np.float64)
     n = point.shape[-1]
@@ -101,7 +104,7 @@ def finite_diff_jacobian(fn, point, step: float = 1e-6) -> np.ndarray:
         return np.empty(f0.shape + (0,))
     cols = []
     for i in range(n):
-        hi = step * (1.0 + np.abs(point[..., i]))
+        hi = _FD_STEP * (1.0 + np.abs(point[..., i]))
         xp = point.copy()
         xm = point.copy()
         xp[..., i] += hi

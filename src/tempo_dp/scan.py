@@ -19,14 +19,14 @@ pairs are a function of T only.
 
 The left operand of every fill-in is a prefix of the whole sequence (under
 REVERSE the right operand is a suffix), and so is every output slot: slot 0
-of each recursion level is the first 2^L elements combined. When a scan
-runs toward a pinned endpoint, those prefixes have a known special form (a
-value vector, a state), so ``par_scan_stacked`` accepts a ``pin`` map that
-reduces a prefix to the arrays its caller reads and a ``fill`` operator
-that forms the fill-in product in that reduced form alone.
-``combine`` then only ever sees input elements and pair results; the
-outputs are ``pin`` of what the plain scan would return, and the tree and
-the stats are unchanged.
+of each recursion level is the first 2^L elements combined. A scan toward
+a pinned endpoint therefore never needs a prefix as an element. Given the
+value at that endpoint as ``start`` (a value vector, a state) and an
+``apply`` that acts with a batch of elements on a batch of values,
+``par_scan_stacked`` runs the first pair of each level and every fill-in
+as ``apply`` calls, so ``combine`` only ever sees elements and pair
+results. Without ``start``, element 0 is the start and ``combine`` the
+action; the tree and the stats are the same either way.
 
 Depth accounting tags every produced node with
 ``depth(parent) = max(depth(children)) + 1`` and reports the maximum, a
@@ -62,10 +62,9 @@ class ScanDirection(Enum):
 class ScanStats:
     """Operator-call accounting for one scan.
 
-    combine_count: total number of combine invocations (vectorized engines
-        count one per combined pair, fill-in products included).
-    combine_depth: longest chain of dependent combine calls, fill-ins
-        included; ``fill`` and ``pin`` change neither count.
+    combine_count: total number of combine and apply invocations
+        (vectorized engines count one per pair, fill-ins included).
+    combine_depth: longest chain of dependent combine and apply calls.
     """
 
     combine_count: int = 0
@@ -100,40 +99,49 @@ Stack = tuple[np.ndarray, ...]
 
 
 def _odd_even(
+    s: Stack,
     x: Stack,
     d: int,
     out: Stack,
     dout: np.ndarray,
     combine: Callable[[Stack, Stack], Stack],
-    fill: Callable[[Stack, Stack], Stack],
-    pin: Callable[[Stack], Stack],
+    apply: Callable[[Stack, Stack], Stack],
     stats: ScanStats,
 ) -> None:
-    """Inclusive forward scan of ``x`` into ``out`` (same length, no aliasing).
+    """Forward scan of ``x`` from the batch-of-one value ``s`` into ``out``.
 
-    ``out`` holds ``pin`` of each prefix. Every input element has the
-    level's depth ``d``; the depth of each prefix is written to ``dout``.
-    Every step works on strided views, so a level costs one batched ``combine``
-    for the pairs and one batched ``fill`` (pinned prefix (x) element) for
-    the even slots.
+    ``out`` has one slot more than ``x`` (no aliasing): slot 0 is ``s`` and
+    slot k + 1 is ``s`` acted on by elements 0..k. ``s`` and every element
+    have the level's depth ``d``; the depth of each slot is written to
+    ``dout``. Every step works on strided views, so a level costs one
+    batched ``combine`` for the element pairs and two batched ``apply``
+    calls: ``s`` on element 0, and each odd slot on the element after it
+    for the even slots.
     """
-    n = x[0].shape[0]
-    for o, r in zip(out, pin(tuple(a[0:1] for a in x))):
-        o[0] = r[0]
+    for o, a in zip(out, s):
+        o[0] = a[0]
     dout[0] = d
-    if n == 1:
+    n = x[0].shape[0]
+    if n == 0:
         return
-    m = n // 2  # pairs (x[2i], x[2i+1]); their prefixes land on the odd slots
-    y = combine(tuple(a[0 : 2 * m : 2] for a in x), tuple(a[1 : 2 * m : 2] for a in x))
-    stats.combine_count += m
-    _odd_even(y, d + 1, tuple(o[1::2] for o in out), dout[1::2], combine, fill, pin, stats)
-    e = (n - 1) // 2  # even slots 2, 4, ...: left odd prefix (x) own element
+    # the pairs (s, x[0]), (x[1], x[2]), ... land on the odd slots 1, 3, ...
+    s1 = apply(s, tuple(a[0:1] for a in x))
+    m = (n - 1) // 2
+    pairs = tuple(a[1 : 2 * m : 2] for a in x), tuple(a[2 : 2 * m + 1 : 2] for a in x)
+    y = combine(*pairs) if m else pairs[0]
+    stats.combine_count += 1 + m
+    _odd_even(s1, y, d + 1, tuple(o[1::2] for o in out), dout[1::2], combine, apply, stats)
+    e = n // 2  # even slots 2, 4, ...: left odd slot acted on by its own element
     if e:
-        res = fill(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[2::2] for a in x))
+        res = apply(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[1 : 2 * e : 2] for a in x))
         for o, r in zip(out, res):
             o[2::2] = r
         dout[2::2] = dout[1 : 2 * e : 2] + 1  # an odd slot is deeper than d
         stats.combine_count += e
+
+
+def _swapped(op: Callable[[Stack, Stack], Stack]) -> Callable[[Stack, Stack], Stack]:
+    return lambda a, b: op(b, a)
 
 
 def par_scan(
@@ -164,58 +172,51 @@ def par_scan_stacked(
     arrays: Stack,
     combine: Callable[[Stack, Stack], Stack],
     direction: ScanDirection = ScanDirection.FORWARD,
-    fill: Callable[[Stack, Stack], Stack] | None = None,
-    pin: Callable[[Stack], Stack] | None = None,
+    start: Stack | None = None,
+    apply: Callable[[Stack, Stack], Stack] | None = None,
 ) -> tuple[Stack, ScanStats]:
     """Odd-even scan over a time-stacked element sequence.
 
     ``arrays`` is a tuple of ndarrays sharing leading axis T (one slot per
     element); ``combine`` maps two equally-batched stacks (possibly strided
-    views) to their combination. Each tree level costs two batched calls:
-    one for the adjacent pairs and one for the even-slot fill-in.
+    views) to their combination.
 
-    ``fill``, if given, replaces ``combine`` in the fill-in step. It takes
-    its arguments in ``combine``'s order, but its FORWARD left operand is
-    always a prefix starting at element 0 and its REVERSE right operand a
-    suffix ending at element T-1, so it may assume whatever special form
-    the caller's pinned endpoint gives that operand. Without ``fill`` the
-    engine uses ``combine``.
+    Without ``start`` this is the plain inclusive scan: T output slots,
+    slot k the prefix ending at element k (the suffix starting at k under
+    REVERSE), of the elements' shapes.
 
-    ``pin``, if given, maps a batch of such prefixes (suffixes under
-    REVERSE) to the arrays the caller reads of them, and the outputs take
-    its shapes: slot k holds ``pin`` of the prefix ending (the suffix
-    starting) at k. ``pin`` is applied to slot 0 of every tree level (the
-    first element, the last under REVERSE, or a pair result), and ``fill``
-    then takes and returns pinned prefixes in place of full ones.
-    ``combine`` only ever sees input elements and pair results, and
-    ``pin`` needs a ``fill``. The outputs equal ``pin`` applied to the
-    outputs of the same scan without ``pin``, with the same stats.
+    ``start`` and ``apply`` go together. ``start`` is a tuple of unbatched
+    arrays, the value at a pinned endpoint, and ``apply(values, elements)``
+    (``apply(elements, values)`` under REVERSE) maps a batch of values and
+    a batch of elements to the values they reach. The outputs then have
+    T + 1 slots of ``start``'s shapes and dtypes: ``start`` in slot 0 (slot
+    T under REVERSE), and in slot k + 1 (slot k) ``start`` acted on by the
+    elements up to k (from k). ``combine`` only ever sees elements and
+    ``apply`` only values, and the tree and ``ScanStats`` are those of the
+    plain scan of ``start`` as an element followed by the elements.
     """
     n = int(arrays[0].shape[0])
-    if n == 0:
-        raise ValueError("empty scan")
     if any(int(x.shape[0]) != n for x in arrays[1:]):
         raise ValueError("stacked arrays disagree on length")
-    if pin is not None and fill is None:
-        raise ValueError("pin needs a fill that takes pinned operands")
-    fill = combine if fill is None else fill
-    pin = (lambda e: e) if pin is None else pin
-    src, op, fop = arrays, combine, fill
+    if (start is None) != (apply is None):
+        raise ValueError("start and apply go together")
+    apply = combine if start is None else apply
+    src = arrays
     if direction is ScanDirection.REVERSE:
         # a reverse scan is a forward scan of the flipped sequence under the
         # swapped operators; the flipped views write straight into ``out``
         src = tuple(np.flip(x, axis=0) for x in arrays)
-
-        def op(a: Stack, b: Stack) -> Stack:
-            return combine(b, a)
-
-        def fop(a: Stack, b: Stack) -> Stack:
-            return fill(b, a)
-
-    out = tuple(np.empty((n,) + r.shape[1:], r.dtype) for r in pin(tuple(a[0:1] for a in src)))
+        combine, apply = _swapped(combine), _swapped(apply)
+    if start is None:  # element 0 is the start and combine the action
+        if n == 0:
+            raise ValueError("empty scan")
+        s, src = tuple(a[0:1] for a in src), tuple(a[1:] for a in src)
+    else:
+        s = tuple(np.asarray(a)[None] for a in start)
+    out = tuple(np.empty((src[0].shape[0] + 1,) + a.shape[1:], a.dtype) for a in s)
     dst = tuple(np.flip(o, axis=0) for o in out) if direction is ScanDirection.REVERSE else out
-    depth = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(len(out[0]), dtype=np.int64)
     stats = ScanStats()
-    _odd_even(src, 0, dst, depth, op, fop, pin, stats)
+    _odd_even(s, src, 0, dst, depth, combine, apply, stats)
     stats.combine_depth = int(depth.max())
     return out, stats

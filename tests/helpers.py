@@ -164,8 +164,15 @@ def combine_lqt(e1, e2):
 
 
 def make_lqt_elements(p):
+    """The N stage elements of lqt._element_arrays, then the terminal element
+    (0, 0, 0, HT'XT rT, HT'XT HT) written out here: a reverse scan of all
+    N + 1 gives the value functions as the suffixes' (eta, J)."""
     A, b, C, eta, J = lqt._element_arrays(p)
-    return [LqtElement(A[k], b[k], C[k], eta[k], J[k]) for k in range(p.N + 1)]
+    HtXT = p.HT.T @ p.XT
+    JT = HtXT @ p.HT
+    z = np.zeros((p.n_x, p.n_x))
+    terminal = LqtElement(A=z, b=np.zeros(p.n_x), C=z, eta=HtXT @ p.rT, J=(JT + JT.T) / 2)
+    return [LqtElement(A[k], b[k], C[k], eta[k], J[k]) for k in range(p.N)] + [terminal]
 
 
 def random_lqt_element(rng, n_x):

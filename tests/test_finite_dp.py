@@ -231,9 +231,10 @@ class TestMinPlusMatmul:
 
 
 class TestSuffixFill:
-    """solve_backward's fill-in on pinned suffixes (identical columns, given
-    by their value vectors) equals the full min-plus product bit for bit,
-    inf rows and columns included."""
+    """solve_backward's apply on value vectors equals the full min-plus
+    product with the suffix they stand for (identical columns) bit for bit,
+    inf rows and columns included, and the scan from ell_T equals the plain
+    scan with the terminal matrix as its last element."""
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_equals_full_product(self, dtype):
@@ -264,9 +265,9 @@ class TestSuffixFill:
 
 
 class TestMapFill:
-    """recover_traj_m1's fill-in on pinned (constant) prefix maps, given by
-    the states they reach, equals the full composition, and a scan with it
-    equals a scan without it."""
+    """recover_traj_m1's apply on states equals the full composition with
+    the constant maps they stand for, and the scan from a start state
+    equals the plain scan with that constant map as its first element."""
 
     def test_equals_full_compose(self):
         rng = np.random.default_rng(11)
@@ -277,15 +278,17 @@ class TestMapFill:
         np.testing.assert_array_equal(np.broadcast_to(ent[:, None], full.shape), full)
         np.testing.assert_array_equal(ent, b[np.arange(5), a[:, 0]])
 
-    @pytest.mark.parametrize("N", [1, 2, 37])
+    @pytest.mark.parametrize("N", [0, 1, 2, 37])
     def test_scan_with_fill_matches_scan_without(self, N):
         rng = np.random.default_rng(12)
         maps = rng.integers(0, 7, size=(N, 7))
-        maps[0] = maps[0, 3]  # pinned at a start state
-        (full,), full_stats = par_scan_stacked((maps,), fd._compose_maps, ScanDirection.FORWARD)
+        start = np.full((1, 7), 3)  # the constant map at start state 3
+        (full,), full_stats = par_scan_stacked(
+            (np.concatenate([start, maps]),), fd._compose_maps, ScanDirection.FORWARD
+        )
         (states,), stats = par_scan_stacked(
-            (maps,), fd._compose_maps, ScanDirection.FORWARD, fill=fd._fill_pinned_map,
-            pin=lambda e: (e[0][:, 0],),
+            (maps,), fd._compose_maps, ScanDirection.FORWARD, start=(np.int64(3),),
+            apply=fd._fill_pinned_map,
         )
         assert states.tobytes() == full[:, 0].tobytes()
         assert stats == full_stats
@@ -325,6 +328,18 @@ class TestSolve:
         assert xs.shape == (N + 1,) and us.shape == (N,)
         assert fd.trajectory_cost(p, xs, us) == ref.V[0, p.x_S]
         assert stats == back_stats
+
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    def test_leaves_problem_unchanged(self, traj_method, dtype):
+        # the backward scan starts from p.ell_T itself, so writing into its
+        # start value would write into the problem
+        p = random_finite_problem(np.random.default_rng(27), D_x=5, D_u=3, N=9, dtype=dtype)
+        arrays = (p.f, p.ell, p.ell_T)
+        before = [a.tobytes() for a in arrays]
+        fd.solve(p, "parallel", traj_method)
+        assert [a.tobytes() for a in arrays] == before
 
 
 class TestBackwardSolvers:

@@ -6,7 +6,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -109,9 +109,11 @@ class TestElements:
 
     def test_terminal_element(self):
         p = scalar_problem(N=1, HT=2.0, XT=3.0, rT=4.0)
+        v, S = lqt._terminal(p)
+        assert S[0, 0] == pytest.approx(2.0 * 3.0 * 2.0)
+        assert v[0] == pytest.approx(2.0 * 3.0 * 4.0)  # includes the XT factor
         e = make_lqt_elements(p)[-1]
-        assert e.J[0, 0] == pytest.approx(2.0 * 3.0 * 2.0)
-        assert e.eta[0] == pytest.approx(2.0 * 3.0 * 4.0)  # includes the XT factor
+        assert (e.eta.tobytes(), e.J.tobytes()) == (v.tobytes(), S.tobytes())
         assert np.all(e.A == 0) and np.all(e.b == 0) and np.all(e.C == 0)
 
     def test_singular_u_rejected(self):
@@ -303,12 +305,13 @@ class TestConditioningGate:
     def test_gate_fires_in_fill_slots(self, monkeypatch):
         # step j is nearly free to control in state 0 and step j + 1 weights
         # that state heavily: I + C J has condition ~1e14 only across the
-        # boundary between steps j and j + 1. With N = 6 the backward scan has
-        # 7 elements and Method 2's forward scan 6. In both, pair combines
-        # meet only at tree positions 1, 3, 5 and 2, so a boundary at
-        # position 4 is crossed by fills alone. The reverse scan puts the
-        # boundary 2|3 there and the forward scan the boundary 3|4, so each
-        # gate must fire inside its scan's fill.
+        # boundary between steps j and j + 1. With N = 6 both scans run over
+        # 7 slots: the start value and the 6 stage elements. In both, the
+        # pair combines and the start's apply meet only at tree positions
+        # 1, 3, 5 and 2, so a boundary at position 4 is crossed by even-slot
+        # applies alone. Both scans put the boundary 2|3 there (the reverse
+        # one counting from the terminal), so each gate must fire inside its
+        # scan's apply.
         N = 6
 
         def problem(j):
@@ -341,9 +344,9 @@ class TestConditioningGate:
         for name in ("_fill_suffix", "_fill_prefix"):
             monkeypatch.setattr(lqt, name, watched(name))
         match = "ill-conditioned combine: condition number"
+        p = problem(2)
         with pytest.raises(SolverError, match=match):
-            lqt.parallel_backward(problem(2))
-        p = problem(3)
+            lqt.parallel_backward(p)
         values, _ = lqt.riccati_backward(p)
         with pytest.raises(SolverError, match=match):
             lqt.traj_method2(p, values)
@@ -396,18 +399,20 @@ class TestPinnedFills:
     @pytest.mark.parametrize("N", [1, 2, 5, 37])
     def test_pinned_scans_equal_plain_scans(self, N):
         # parallel_backward and traj_method1 against the same scans run with
-        # combine alone: the arrays they read, byte for byte, and the stats
+        # combine alone over the start as an element followed by the stage
+        # elements: the arrays they read, byte for byte, and the stats
         p = random_lqt_problem(np.random.default_rng(34 + N), n_x=3, n_u=2, N=N)
-        full, full_stats = par_scan_stacked(lqt._element_arrays(p), lqt._combine_element_arrays, REV)
+        full, full_stats = par_scan_stacked(
+            stacked(make_lqt_elements(p)), lqt._combine_element_arrays, REV
+        )
         values, gains, stats = lqt.parallel_backward(p, return_stats=True)
         assert values.v.tobytes() == full[3].tobytes()
         assert values.S.tobytes() == full[4].tobytes()
         assert stats == full_stats
         Ft, ct = lqt._closed_loop_maps(p, values, gains)
-        ct[0] = Ft[0] @ p.x0 + ct[0]
-        Ft[0] = 0.0
-        (_, cpre), _ = par_scan_stacked((Ft, ct), lqt._compose_affine_arrays, FWD)
-        assert lqt.traj_method1(p, gains, values)[1:].tobytes() == cpre.tobytes()
+        maps = (np.concatenate([np.zeros((1, 3, 3)), Ft]), np.concatenate([p.x0[None], ct]))
+        (_, xs), _ = par_scan_stacked(maps, lqt._compose_affine_arrays, FWD)
+        assert lqt.traj_method1(p, gains, values).tobytes() == xs.tobytes()
 
 
 def gate_problem(N, bad):
@@ -461,13 +466,13 @@ class TestBlockRunner:
     def test_byte_identical_to_single_block(self, split, scenario):
         from tempo_dp.scenarios import build_mass_spring, build_tracking2d
 
-        p = build_mass_spring(3, 37) if scenario == "mass_spring" else build_tracking2d(51, seed=4)
+        p = build_mass_spring(3, 39) if scenario == "mass_spring" else build_tracking2d(51, seed=4)
         calls = split(p.n_x, 3, workers=1)
         ref = solve_bytes(p)
         assert calls == []
         split(p.n_x, 3, workers=2)
         assert solve_bytes(p) == ref
-        # level-0 batches of 19 (mass_spring) or 26 (tracking2d) pairs cut
+        # level-0 batches of 19 (mass_spring) or 25 (tracking2d) pairs cut
         # into blocks of about 3 pairs
         assert any(k >= 2 and m % k for m, k in calls)
 
@@ -965,6 +970,17 @@ class TestSolve:
         np.testing.assert_array_equal(xs, p.x0[None, :])
         assert us.shape == (0, 2)
         assert (stats.combine_count, stats.combine_depth) == (0, 0)
+
+    @pytest.mark.parametrize("block_size", [None, 2])
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    def test_leaves_problem_unchanged(self, traj_method, block_size):
+        # the stage elements are views of p.F and p.c, so an in-place fold
+        # into any element would write into the problem
+        p = random_lqt_problem(np.random.default_rng(26), n_x=3, n_u=2, N=8)
+        arrays = {f.name: getattr(p, f.name) for f in fields(p)}
+        before = {name: a.tobytes() for name, a in arrays.items() if isinstance(a, np.ndarray)}
+        lqt.solve(p, "parallel", traj_method, block_size)
+        assert {name: arrays[name].tobytes() for name in before} == before
 
     @pytest.mark.parametrize(
         "kwargs, match",

@@ -241,8 +241,14 @@ class TestStackedEngine:
             par_scan_stacked((np.zeros((0, 2)),), lambda a, b: a)
 
     def test_pin_needs_fill(self):
-        with pytest.raises(ValueError, match="pin needs a fill"):
-            par_scan_stacked((np.arange(4),), lambda a, b: (a[0] + b[0],), pin=lambda e: e)
+        # the start value needs an apply that acts on it, and an apply
+        # needs a start value to act on
+        def add(a, b):
+            return (a[0] + b[0],)
+
+        for kwargs in ({"start": (np.int64(0),)}, {"apply": add}):
+            with pytest.raises(ValueError, match="start and apply go together"):
+                par_scan_stacked((np.arange(4),), add, **kwargs)
 
 
 TREE_SIZES = list(range(1, 71)) + [1023, 1024, 1025]
@@ -316,74 +322,78 @@ class TestOddEvenTree:
         assert stats.combine_depth == depths.max()
 
     @pytest.mark.parametrize("direction", [FWD, REV])
-    @pytest.mark.parametrize("T", TREE_SIZES)
-    def test_fill_gets_pinned_operand(self, T, direction):
-        # elements are index intervals (lo, hi); combine checks adjacency and
-        # fill that its pinned operand reaches the endpoint of the sequence
-        calls = {"pairs": 0, "fills": 0}
-
-        def interval(a, b):
-            assert np.array_equal(a[1] + 1, b[0])
-            return a[0], b[1]
-
-        def combine(a, b):
-            calls["pairs"] += len(a[0])
-            return interval(a, b)
-
-        def fill(a, b):
-            if direction is FWD:
-                assert np.all(a[0] == 0)
-            else:
-                assert np.all(b[1] == T - 1)
-            calls["fills"] += len(a[0])
-            return interval(a, b)
-
-        idx = np.arange(T)
-        ref, ref_stats = par_scan_stacked((idx, idx), interval, direction)
-        out, stats = par_scan_stacked((idx, idx), combine, direction, fill=fill)
-        lo, hi = (np.zeros(T), idx) if direction is FWD else (idx, np.full(T, T - 1))
-        for got in (ref, out):
-            np.testing.assert_array_equal(got[0], lo)
-            np.testing.assert_array_equal(got[1], hi)
-        assert (stats.combine_count, stats.combine_depth) == (
-            ref_stats.combine_count,
-            ref_stats.combine_depth,
-        )
-        assert calls["pairs"] + calls["fills"] == stats.combine_count
-        assert (calls["fills"] > 0) == (T > 2)
-
-    @pytest.mark.parametrize("direction", [FWD, REV])
-    @pytest.mark.parametrize("T", [1, 2, 3, 5, 8, 37])
+    @pytest.mark.parametrize("T", [0] + TREE_SIZES)
     def test_pin_equals_pin_of_plain_outputs(self, T, direction):
-        # 2x2 matrices mod PRIME, pinned to one row of each prefix (one
-        # column of each suffix under REVERSE): fill multiplies a row by a
-        # matrix, and combine must only ever see whole matrices
+        # 2x2 matrices mod PRIME acting on vectors: rows from the left going
+        # forward, columns from the right under REVERSE. The scan from the
+        # start equals the sequential fold from it exactly, and row 0 (column
+        # 0) of the plain scan with the start as an element, tree and stats
+        # included
         rng = np.random.default_rng(T + 50)
         M = rng.integers(0, PRIME, size=(T, 2, 2))
         w = rng.integers(0, PRIME, size=2)
 
-        def combine(a, b):
-            assert a[0].shape[1:] == b[0].shape[1:] == (2, 2)
+        def mul(a, b):
             return ((a[0] @ b[0]) % PRIME,)
 
         if direction is FWD:
-            def pin(e):
-                return ((w @ e[0]) % PRIME,)
+            def act(v, e):
+                return (((v[0][:, None, :] @ e[0])[:, 0]) % PRIME,)
 
-            def fill(r, e):
-                return (((r[0][:, None, :] @ e[0])[:, 0]) % PRIME,)
+            fold = [w]
+            for k in range(T):
+                fold.append((fold[-1] @ M[k]) % PRIME)
+            first = np.zeros((1, 2, 2), dtype=M.dtype)
+            first[0, 0] = w  # the start as an element: its row 0
+            plain = np.concatenate([first, M])
         else:
-            def pin(e):
-                return ((e[0] @ w) % PRIME,)
+            def act(e, v):
+                return (((e[0] @ v[0][:, :, None])[:, :, 0]) % PRIME,)
 
-            def fill(e, r):
-                return (((e[0] @ r[0][:, :, None])[:, :, 0]) % PRIME,)
+            fold = [w]
+            for k in range(T - 1, -1, -1):
+                fold.insert(0, (M[k] @ fold[0]) % PRIME)
+            last = np.zeros((1, 2, 2), dtype=M.dtype)
+            last[0, :, 0] = w  # the start as an element: its column 0
+            plain = np.concatenate([M, last])
+        (out,), stats = par_scan_stacked((M,), mul, direction, start=(w,), apply=act)
+        assert out.shape == (T + 1, 2)
+        assert out.tobytes() == np.stack(fold).tobytes()
+        (full,), plain_stats = par_scan_stacked((plain,), mul, direction)
+        assert stats == plain_stats
+        np.testing.assert_array_equal(full[:, 0] if direction is FWD else full[:, :, 0], out)
 
-        (full,), full_stats = par_scan_stacked((M,), combine, direction)
-        (pinned,), stats = par_scan_stacked((M,), combine, direction, fill=fill, pin=pin)
-        ref, _ = seq_scan(list(M), lambda a, b: (a @ b) % PRIME, direction)
-        np.testing.assert_array_equal(full, np.stack(ref))
-        (want,) = pin((full,))
-        assert pinned.shape == (T, 2)
-        assert pinned.tobytes() == want.tobytes()
-        assert stats == full_stats
+    @pytest.mark.parametrize("direction", [FWD, REV])
+    @pytest.mark.parametrize("T", [0] + TREE_SIZES)
+    def test_fill_gets_pinned_operand(self, T, direction):
+        # elements are index intervals (lo, hi) and values the single index
+        # the scan has reached: combine checks adjacency of two intervals,
+        # apply that a value meets the interval next to it
+        calls = {"pairs": 0, "applies": 0}
+
+        def combine(a, b):
+            assert len(a) == len(b) == 2
+            assert np.array_equal(a[1] + 1, b[0])
+            calls["pairs"] += len(a[0])
+            return a[0], b[1]
+
+        def apply(a, b):
+            if direction is FWD:
+                (v,), e = a, b
+                assert len(e) == 2 and np.array_equal(v + 1, e[0])
+                reached = e[1]
+            else:
+                e, (v,) = a, b
+                assert len(e) == 2 and np.array_equal(e[1] + 1, v)
+                reached = e[0]
+            calls["applies"] += len(v)
+            return (reached,)
+
+        idx = np.arange(T)
+        end = -1 if direction is FWD else T
+        (out,), stats = par_scan_stacked(
+            (idx, idx), combine, direction, start=(np.int64(end),), apply=apply
+        )
+        np.testing.assert_array_equal(out, np.arange(-1, T) if direction is FWD else np.arange(T + 1))
+        assert calls["pairs"] + calls["applies"] == stats.combine_count
+        assert (calls["applies"] > 0) == (T > 0)
