@@ -1,19 +1,16 @@
 """Exact dynamic programming on finite state/control spaces.
 
 Stage dynamics and costs are dense tables; conditional value functions
-between two time steps are D_x x D_x extended-real matrices whose
-combination is a min-plus matrix product, which is associative and lets the
-whole backward pass run as a scan.
+between two time steps are D_x x D_x matrices over the extended reals
+(float64, +inf for "no path") whose combination is a min-plus matrix
+product. It is associative and lets the whole backward pass run as a scan.
+Min-plus arithmetic only adds and compares, so integer-valued costs give
+exact results; :class:`FiniteProblem` casts integer cost tables to float64.
 
-Two arithmetic modes share all code paths:
-
-* float64 with IEEE +inf marking "no path";
-* int64 with the saturating sentinel ``INT_INF`` (costs must be
-  nonnegative integers), for bit-exact oracle comparisons.
-
-The min-plus kernel :func:`min_plus_matmul` runs in blocks whose
-temporaries stay within a fixed budget of 2**18 elements (2 MB), so a scan's
-memory grows with its (T, D_x, D_x) element stacks, not with T·D_x³.
+The min-plus kernel :func:`min_plus_matmul` and the backward scan's
+matrix-vector fill run in blocks whose temporaries stay within a fixed
+budget of 2**18 elements (2 MB), so a scan's memory grows with its
+(T, D_x, D_x) element stacks, not with T·D_x³.
 
 Both min-plus scans run toward a pinned endpoint, and the fill-in half of
 the tree multiplies by value vectors, not matrices. The backward scan
@@ -43,7 +40,6 @@ from .errors import SolverError
 from .scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
 
 __all__ = [
-    "INT_INF",
     "FiniteProblem",
     "FinitePolicy",
     "build_elements",
@@ -63,10 +59,6 @@ __all__ = [
     "load_problem",
 ]
 
-# Saturating infinity for the exact integer mode. Small enough that
-# INT_INF + INT_INF fits in int64 with room to spare.
-INT_INF = np.int64(1) << 31
-
 _BRUTE_FORCE_BUDGET = 10**7
 
 # Elements in one min-plus temporary: 2 MB of float64. A block that fits a
@@ -74,21 +66,16 @@ _BRUTE_FORCE_BUDGET = 10**7
 _MIN_PLUS_BUDGET = 1 << 18
 
 
-def _is_int(dtype) -> bool:
-    return np.issubdtype(dtype, np.integer)
-
-
-def _inf_for(dtype):
-    return INT_INF if _is_int(dtype) else np.inf
-
-
 @dataclass(frozen=True)
 class FiniteProblem:
     """Tabulated control problem over steps S..T.
 
     f: (T-S, D_x, D_u) next-state indices.
-    ell: (T-S, D_x, D_u) stage costs, +inf (or INT_INF) for forbidden moves.
+    ell: (T-S, D_x, D_u) stage costs, +inf for forbidden moves.
     ell_T: (D_x,) terminal costs, finite for at least one state.
+
+    Costs are stored as float64 (integer tables are cast) and must be
+    finite or +inf: NaN and -inf are rejected.
     """
 
     D_x: int
@@ -105,20 +92,16 @@ class FiniteProblem:
         if n < 0:
             raise ValueError("need T >= S")
         object.__setattr__(self, "f", np.asarray(self.f, dtype=np.int64).reshape(n, self.D_x, self.D_u))
-        ell = np.asarray(self.ell)
-        if not _is_int(ell.dtype):
-            ell = ell.astype(np.float64)
-        object.__setattr__(self, "ell", ell.reshape(n, self.D_x, self.D_u))
-        object.__setattr__(self, "ell_T", np.asarray(self.ell_T, dtype=ell.dtype).reshape(self.D_x))
+        object.__setattr__(self, "ell", np.asarray(self.ell, dtype=np.float64).reshape(n, self.D_x, self.D_u))
+        object.__setattr__(self, "ell_T", np.asarray(self.ell_T, dtype=np.float64).reshape(self.D_x))
         if n > 0 and (self.f.min() < 0 or self.f.max() >= self.D_x):
             raise ValueError("next-state table entries out of range")
         if not (0 <= self.x_S < self.D_x):
             raise ValueError("initial state out of range")
-        inf = _inf_for(ell.dtype)
-        if _is_int(ell.dtype):
-            if (self.ell.size and self.ell.min() < 0) or self.ell_T.min() < 0:
-                raise ValueError("integer mode requires nonnegative costs")
-        if not (self.ell_T < inf).any():
+        for name in ("ell", "ell_T"):
+            if not (getattr(self, name) > -np.inf).all():  # NaN compares false too
+                raise ValueError(f"{name} holds NaN or -inf; costs must be finite or +inf")
+        if not (self.ell_T < np.inf).any():
             raise ValueError("terminal cost must be finite for at least one state")
 
     @property
@@ -135,25 +118,27 @@ class FinitePolicy:
 
 
 def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """out[.., x, y] = min_z A[.., x, z] + B[.., z, y], inf absorbing.
+    """out[.., x, y] = min_z A[.., x, z] + B[.., z, y], +inf absorbing.
 
-    Leading axes are batch axes and broadcast. The sums are laid out as
-    s[b, z, x, y]: A's transpose repeated along y, then B added in place,
-    so the min over z reduces contiguous (x, y) slabs. The batch runs in
-    blocks sized so that s holds at most ``_MIN_PLUS_BUDGET`` elements; a
-    single product above the budget (D > 64) also runs in blocks of z under
-    a running minimum. Beyond the output, no temporary exceeds the budget or
-    one (x, y) slab, whichever is larger. Int mode saturates once, on the
-    output, at INT_INF: min(min_z s, INF) = min_z min(s, INF).
+    Leading axes are batch axes, and A and B must have the same ones (no
+    broadcasting). The sums are laid out as s[b, z, x, y]: A's transpose
+    repeated along y, then B added in place, so the min over z reduces
+    contiguous (x, y) slabs. The batch runs in blocks sized so that s holds
+    at most ``_MIN_PLUS_BUDGET`` elements; a single product above the
+    budget (D > 64) also runs in blocks of z under a running minimum.
+    Beyond the output, no temporary exceeds the budget or one (x, y) slab,
+    whichever is larger.
     """
     X, Z = A.shape[-2:]
     Y = B.shape[-1]
-    if Z == 0 or B.shape[-2] != Z:
-        raise ValueError(f"inner dimensions must agree and be nonzero: {A.shape} vs {B.shape}")
-    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    At = np.broadcast_to(A, batch + (X, Z)).reshape(-1, X, Z).swapaxes(1, 2)
-    B = np.broadcast_to(B, batch + (Z, Y)).reshape(-1, Z, Y)
-    out = np.empty((At.shape[0], X, Y), dtype=np.result_type(A, B))
+    batch = A.shape[:-2]
+    if Z == 0 or B.shape[:-1] != batch + (Z,):
+        raise ValueError(
+            f"inner dimensions must agree and be nonzero, and batch axes be equal: {A.shape} vs {B.shape}"
+        )
+    At = A.reshape(-1, X, Z).swapaxes(1, 2)
+    B = B.reshape(-1, Z, Y)
+    out = np.empty((At.shape[0], X, Y))
     zb = max(1, min(Z, _MIN_PLUS_BUDGET // max(1, X * Y)))
     nb = max(1, _MIN_PLUS_BUDGET // max(1, zb * X * Y))
     for i in range(0, out.shape[0], nb):
@@ -166,15 +151,20 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             else:
                 np.minimum(blk, s.min(axis=1), out=blk)
             del s  # else the next block's s is allocated while this one lives
-    if _is_int(out.dtype):
-        np.minimum(out, INT_INF, out=out)
     return out.reshape(batch + (X, Y))
 
 
 def _fill_suffix(a, b):
-    """(batch, D_x, D_x) elements acting on the value vectors (batch, D_x)
-    after them: one min-plus matrix-vector product each."""
-    return (min_plus_matmul(a[0], b[0][..., None])[..., 0],)
+    """(batch, D_x, D_x) elements E acting on the value vectors v (batch,
+    D_x) after them: out[., x] = min_z E[., x, z] + v[., z], one min-plus
+    matrix-vector product each. The min runs over the contiguous last axis,
+    in batch blocks of at most ``_MIN_PLUS_BUDGET`` sums."""
+    E, v = a[0], b[0]
+    out = np.empty(v.shape)
+    nb = max(1, _MIN_PLUS_BUDGET // E.shape[-1] ** 2)
+    for i in range(0, len(E), nb):
+        (E[i : i + nb] + v[i : i + nb, None, :]).min(axis=2, out=out[i : i + nb])
+    return (out,)
 
 
 def _compose_maps(a, b):
@@ -189,17 +179,15 @@ def _fill_pinned_map(a, b):
 
 
 def build_elements(p: FiniteProblem) -> np.ndarray:
-    """Per-step conditional value matrices as one (N+1, D_x, D_x) stack,
-    terminal convention included.
+    """Per-step conditional value matrices as one (N, D_x, D_x) stack.
 
-    Element k < T: V[x, x'] = min over {u : f_k(x, u) = x'} of ell_k(x, u),
-    +inf when no control reaches x'. Element T broadcasts ell_T over the
-    second argument.
+    Element k: V[x, x'] = min over {u : f_k(x, u) = x'} of ell_k(x, u),
+    +inf when no control reaches x'. The terminal costs are no element:
+    the backward scan starts from ell_T.
     """
-    V = np.full((p.N + 1, p.D_x, p.D_x), _inf_for(p.ell.dtype), dtype=p.ell.dtype)
+    V = np.full((p.N, p.D_x, p.D_x), np.inf)
     k, x, _ = np.indices(p.f.shape, sparse=True)
     np.minimum.at(V, (k, x, p.f), p.ell)
-    V[p.N] = p.ell_T[:, None]
     return V
 
 
@@ -207,23 +195,17 @@ def _policy_from_values(p: FiniteProblem, V: np.ndarray) -> np.ndarray:
     """Greedy control table from value vectors; ties -> smallest index."""
     u = np.zeros((p.N, p.D_x), dtype=np.int64)
     for k in range(p.N):
-        Q = p.ell[k] + V[k + 1][p.f[k]]
-        if _is_int(p.ell.dtype):
-            Q = np.minimum(Q, INT_INF)
-        u[k] = np.argmin(Q, axis=1)
+        u[k] = np.argmin(p.ell[k] + V[k + 1][p.f[k]], axis=1)
     return u
 
 
 def seq_bellman(p: FiniteProblem) -> FinitePolicy:
     """Classic backward value recursion; reference oracle for the scans."""
-    V = np.empty((p.N + 1, p.D_x), dtype=p.ell.dtype)
+    V = np.empty((p.N + 1, p.D_x))
     V[p.N] = p.ell_T
     for k in range(p.N - 1, -1, -1):
-        Q = p.ell[k] + V[k + 1][p.f[k]]
-        if _is_int(p.ell.dtype):
-            Q = np.minimum(Q, INT_INF)
-        V[k] = Q.min(axis=1)
-    if not V[0, p.x_S] < _inf_for(p.ell.dtype):
+        V[k] = (p.ell[k] + V[k + 1][p.f[k]]).min(axis=1)
+    if not V[0, p.x_S] < np.inf:
         raise SolverError("infeasible problem")
     return FinitePolicy(u=_policy_from_values(p, V), V=V)
 
@@ -234,17 +216,17 @@ def solve_backward(p: FiniteProblem, return_stats: bool = False):
     The scan starts from the terminal costs ell_T, and each of the N stage
     matrices acts on the value vector after it (:func:`_fill_suffix`, D_x²
     per product instead of D_x³), so slot k holds V_k. Matches
-    :func:`seq_bellman` exactly (min-plus arithmetic involves no
-    reordering-sensitive rounding for integer-valued costs).
+    :func:`seq_bellman` exactly for integer-valued costs (min-plus
+    arithmetic then involves no reordering-sensitive rounding).
     """
     (V,), stats = par_scan_stacked(
-        (build_elements(p)[: p.N],),
+        (build_elements(p),),
         lambda a, b: (min_plus_matmul(a[0], b[0]),),
         ScanDirection.REVERSE,
         start=(p.ell_T,),
         apply=_fill_suffix,
     )
-    if not V[0, p.x_S] < _inf_for(p.ell.dtype):
+    if not V[0, p.x_S] < np.inf:
         raise SolverError("infeasible problem")
     pol = FinitePolicy(u=_policy_from_values(p, V), V=V)
     return (pol, stats) if return_stats else pol
@@ -257,11 +239,16 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
     The first element is pinned at the start state: the (1, D_x) row x_S of
     the first stage matrix. Every prefix is then the conditional value row
     itself, and each product with it is a (1, D_x) (x) (D_x, D_x) one.
+
+    This is the one library scan on the object engine :func:`par_scan`.
+    ``par_scan_stacked`` with ``start=`` would serve as well; it stays here
+    only because the benchmark's tracer expects a ``scan.object`` span on
+    the routing workload.
     """
     if p.N == 0:
-        return np.empty((0, p.D_x), dtype=p.ell.dtype)
+        return np.empty((0, p.D_x))
     E = build_elements(p)
-    prefix, _ = par_scan([E[0, p.x_S][None], *E[1 : p.N]], min_plus_matmul, ScanDirection.FORWARD)
+    prefix, _ = par_scan([E[0, p.x_S][None], *E[1:]], min_plus_matmul, ScanDirection.FORWARD)
     return np.concatenate(prefix)
 
 
@@ -277,7 +264,7 @@ def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:
         (maps,), _compose_maps, ScanDirection.FORWARD, start=(np.int64(p.x_S),),
         apply=_fill_pinned_map,
     )
-    if not (pol.V[np.arange(p.N + 1), traj] < _inf_for(p.ell.dtype)).all():
+    if not (pol.V[np.arange(p.N + 1), traj] < np.inf).all():
         raise SolverError("policy undefined on reached state")
     return traj
 
@@ -289,9 +276,7 @@ def recover_traj_m2(p: FiniteProblem, fw: np.ndarray, pol: FinitePolicy) -> np.n
     the smallest state index.
     """
     total = fw + pol.V[1:]
-    if _is_int(p.ell.dtype):
-        total = np.minimum(total, INT_INF)
-    if not (total < _inf_for(p.ell.dtype)).any(axis=1).all():
+    if not (total < np.inf).any(axis=1).all():
         raise SolverError("infeasible")
     traj = np.empty(p.N + 1, dtype=np.int64)
     traj[0] = p.x_S
@@ -340,8 +325,6 @@ def trajectory_cost(p: FiniteProblem, xs: np.ndarray, us: np.ndarray):
     cost = p.ell_T[xs[p.N]]
     for k in range(p.N):
         cost = cost + p.ell[k, xs[k], us[k]]
-        if _is_int(p.ell.dtype):
-            cost = min(cost, INT_INF)
     return cost
 
 
@@ -355,32 +338,24 @@ def brute_force_oracle(p: FiniteProblem):
     total = p.D_u**n
     if total > _BRUTE_FORCE_BUDGET:
         raise ValueError(f"brute-force budget exceeded: {total} sequences")
-    inf = _inf_for(p.ell.dtype)
-    if n == 0:
-        return p.ell_T[p.x_S], np.empty(0, dtype=np.int64), np.array([p.x_S])
-
-    best_cost = inf
+    best_cost = np.inf
     best_idx = -1
     chunk = 1 << 16
     weights = p.D_u ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         x = np.full(idx.shape, p.x_S, dtype=np.int64)
-        cost = np.zeros(idx.shape, dtype=p.ell.dtype)
+        cost = np.zeros(idx.shape)
         for k in range(n):
             u = (idx // weights[k]) % p.D_u
             cost = cost + p.ell[k][x, u]
-            if _is_int(p.ell.dtype):
-                cost = np.minimum(cost, INT_INF)
             x = p.f[k][x, u]
         cost = cost + p.ell_T[x]
-        if _is_int(p.ell.dtype):
-            cost = np.minimum(cost, INT_INF)
         i = int(np.argmin(cost))
         if cost[i] < best_cost:
             best_cost = cost[i]
             best_idx = int(idx[i])
-    if not best_cost < inf:
+    if not best_cost < np.inf:
         raise SolverError("infeasible problem")
 
     us = (best_idx // weights) % p.D_u
@@ -395,34 +370,28 @@ def brute_force_oracle(p: FiniteProblem):
 
 
 def _encode_costs(arr: np.ndarray):
-    inf = _inf_for(arr.dtype)
-    integral = _is_int(arr.dtype)
-
     def conv(v):
         if isinstance(v, list):
             return [conv(x) for x in v]
-        if v >= inf:
-            return "inf"
-        return int(v) if integral else float(v)
+        return "inf" if v == np.inf else v
 
     return conv(arr.tolist())
 
 
-def _decode_costs(nested, dtype) -> np.ndarray:
-    inf = _inf_for(np.dtype(dtype))
+def _decode_costs(nested):
+    """Nested cost lists with "inf" strings as numbers; FiniteProblem casts
+    them to float64 and rejects NaN and -inf."""
 
     def conv(v):
         if isinstance(v, list):
             return [conv(x) for x in v]
         if isinstance(v, str):
             if v.lower() in ("inf", "infinity", "+inf"):
-                return inf
+                return np.inf
             raise ValueError(f"bad cost entry {v!r}")
-        if isinstance(v, float) and np.isinf(v):
-            return inf
         return v
 
-    return np.asarray(conv(nested), dtype=dtype)
+    return conv(nested)
 
 
 def problem_to_dict(p: FiniteProblem) -> dict:
@@ -438,15 +407,15 @@ def problem_to_dict(p: FiniteProblem) -> dict:
     }
 
 
-def problem_from_dict(d: dict, dtype=np.float64) -> FiniteProblem:
+def problem_from_dict(d: dict) -> FiniteProblem:
     return FiniteProblem(
         D_x=int(d["D_x"]),
         D_u=int(d["D_u"]),
         S=int(d["S"]),
         T=int(d["T"]),
         f=np.asarray(d["f"], dtype=np.int64) - 1,
-        ell=_decode_costs(d["ell"], dtype),
-        ell_T=_decode_costs(d["ell_T"], dtype),
+        ell=_decode_costs(d["ell"]),
+        ell_T=_decode_costs(d["ell_T"]),
         x_S=int(d["x_S"]) - 1,
     )
 
@@ -456,6 +425,6 @@ def save_problem(p: FiniteProblem, path) -> None:
         json.dump(problem_to_dict(p), fh)
 
 
-def load_problem(path, dtype=np.float64) -> FiniteProblem:
+def load_problem(path) -> FiniteProblem:
     with open(path) as fh:
-        return problem_from_dict(json.load(fh), dtype)
+        return problem_from_dict(json.load(fh))

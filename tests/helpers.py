@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempo_dp import lqt
-from tempo_dp.finite_dp import INT_INF, FiniteProblem
+from tempo_dp.finite_dp import FiniteProblem
 from tempo_dp.lqt import LqtProblem
 
 
 def random_finite_problem(rng, D_x=4, D_u=3, N=8, dtype=np.int64, inf_frac=0.0, cost_max=9):
+    """Random integer costs in arrays of ``dtype``, which FiniteProblem casts
+    to float64; only float tables can hold the ``inf_frac`` of +inf entries."""
     f = rng.integers(0, D_x, size=(N, D_x, D_u))
     ell = rng.integers(0, cost_max + 1, size=(N, D_x, D_u)).astype(dtype)
     ell_T = rng.integers(0, cost_max + 1, size=D_x).astype(dtype)
@@ -199,18 +201,17 @@ def max_value_dev(values_a, values_b):
     return float(max(dS.max(), dv.max()))
 
 
-def min_plus_identity(D_x, dtype=np.float64):
-    """0 on the diagonal, "no path" (inf, or INT_INF in the integer mode)
-    elsewhere: the identity of the min-plus product."""
-    inf = INT_INF if np.issubdtype(np.dtype(dtype), np.integer) else np.inf
-    V = np.full((D_x, D_x), inf, dtype=dtype)
+def min_plus_identity(D_x):
+    """0 on the diagonal, "no path" (inf) elsewhere: the identity of the
+    min-plus product."""
+    V = np.full((D_x, D_x), np.inf)
     np.fill_diagonal(V, 0)
     return V
 
 
-def min_plus_loops(A, B, inf=np.inf):
+def min_plus_loops(A, B):
     """out[.., x, y] = min_z A[.., x, z] + B[.., z, y] by a triple loop over
-    Python numbers; ``inf`` caps every entry (INT_INF in the integer mode)."""
+    Python numbers."""
     a = A.reshape((-1,) + A.shape[-2:]).tolist()
     b = B.reshape((-1,) + B.shape[-2:]).tolist()
     out = []
@@ -219,7 +220,7 @@ def min_plus_loops(A, B, inf=np.inf):
         for x in range(A.shape[-2]):
             row = []
             for y in range(B.shape[-1]):
-                best = inf
+                best = np.inf
                 for z in range(A.shape[-1]):
                     best = min(best, ai[x][z] + bi[z][y])
                 row.append(best)

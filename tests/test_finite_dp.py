@@ -1,6 +1,7 @@
 """Finite-state DP tests: element construction, min-plus algebra, oracle
 agreement (scan vs Bellman vs brute force), trajectory recovery, file I/O."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,11 +21,37 @@ from helpers import (
 )
 
 
+def with_terminal(p):
+    """build_elements plus the terminal costs as a last element, ell_T
+    broadcast over the second argument: the stack of the plain backward
+    scan, whose suffixes have identical columns."""
+    term = np.repeat(p.ell_T[None, :, None], p.D_x, axis=2)
+    return np.concatenate([fd.build_elements(p), term])
+
+
 def two_state_problem():
     # f(x, u) = u: controls select the next state directly
     f = np.array([[[0, 1], [0, 1]]])
     ell = np.array([[[0.0, 5.0], [3.0, 1.0]]])
     return fd.FiniteProblem(D_x=2, D_u=2, S=0, T=1, f=f, ell=ell, ell_T=[0.0, 0.0], x_S=0)
+
+
+class TestFiniteProblem:
+    def test_integer_costs_cast_to_float(self):
+        p = fd.FiniteProblem(
+            D_x=2, D_u=2, S=0, T=1, f=[[[0, 1], [0, 1]]], ell=[[[0, 5], [3, 1]]], ell_T=[0, 2], x_S=0,
+        )
+        assert p.ell.dtype == p.ell_T.dtype == np.float64
+        np.testing.assert_array_equal(p.ell, two_state_problem().ell)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("name", ["ell", "ell_T"])
+    def test_nan_or_negative_inf_rejected(self, name, bad):
+        p = two_state_problem()
+        costs = {"ell": p.ell.copy(), "ell_T": p.ell_T.copy()}
+        costs[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or -inf"):
+            fd.FiniteProblem(D_x=2, D_u=2, S=0, T=1, f=p.f, x_S=0, **costs)
 
 
 class TestBuildElements:
@@ -43,13 +70,14 @@ class TestBuildElements:
         assert np.all(np.isinf(V[off]))
         np.testing.assert_array_equal(np.diag(V), [1, 1, 1])
 
-    def test_terminal_broadcast(self):
+    def test_stage_matrices_only(self):
+        # the terminal costs are the backward scan's start, not an element
         p = fd.FiniteProblem(
             D_x=2, D_u=1, S=0, T=0, f=np.zeros((0, 2, 1), dtype=int),
             ell=np.zeros((0, 2, 1)), ell_T=[7.0, 9.0], x_S=0,
         )
-        term = fd.build_elements(p)[-1]
-        np.testing.assert_array_equal(term, [[7.0, 7.0], [9.0, 9.0]])
+        assert fd.build_elements(p).shape == (0, 2, 2)
+        assert fd.build_elements(two_state_problem()).shape == (1, 2, 2)
 
     def test_duplicate_targets_take_min(self):
         f = np.array([[[1, 1], [0, 0]]])
@@ -62,27 +90,27 @@ class TestBuildElements:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_matches_triple_loop(self, dtype):
+        # integer cost tables are cast to float64; only float ones hold +inf
         rng = np.random.default_rng(20)
         D_x, D_u, N = 4, 3, 6
         f = rng.integers(0, D_x, size=(N, D_x, D_u))
         f[2, 1] = [3, 3, 0]  # two controls reach state 3 from x = 1 at k = 2
-        inf = fd.INT_INF if dtype is np.int64 else np.inf
         ell = rng.integers(0, 10, size=(N, D_x, D_u)).astype(dtype)
         ell[2, 1] = [7, 5, 1]
-        ell[4, 2] = inf  # every control infeasible from x = 2 at k = 4
+        if dtype is np.float64:
+            ell[4, 2] = np.inf  # every control infeasible from x = 2 at k = 4
         ell_T = rng.integers(0, 10, size=D_x).astype(dtype)
         p = fd.FiniteProblem(D_x=D_x, D_u=D_u, S=0, T=N, f=f, ell=ell, ell_T=ell_T, x_S=0)
-        ref = np.full((N + 1, D_x, D_x), inf, dtype=dtype)
+        ref = np.full((N, D_x, D_x), np.inf)
         for k in range(N):
             for x in range(D_x):
                 for u in range(D_u):
                     ref[k, x, f[k, x, u]] = min(ref[k, x, f[k, x, u]], ell[k, x, u])
-        ref[N] = ell_T[:, None]
         V = fd.build_elements(p)
-        assert V.dtype == dtype and V.shape == (N + 1, D_x, D_x)
+        assert V.dtype == np.float64 and V.shape == (N, D_x, D_x)
         np.testing.assert_array_equal(V, ref)
         assert V[2, 1, 3] == 5
-        assert np.all(V[4, 2] == inf)
+        assert np.all(np.isinf(V[4, 2])) == (dtype is np.float64)
 
 
 class TestCombineMinPlus:
@@ -125,23 +153,18 @@ class TestCombineMinPlus:
     def test_associativity_exact(self, dtype):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            mats = []
-            for _ in range(3):
-                V = rng.integers(0, 40, size=(4, 4)).astype(dtype)
-                if dtype is np.float64:
-                    V[rng.random(size=(4, 4)) < 0.3] = np.inf
-                else:
-                    V[rng.random(size=(4, 4)) < 0.3] = fd.INT_INF
-                mats.append(V)
-            a, b, c = mats
+            a, b, c = (random_cost_stack(rng, (4, 4), dtype) for _ in range(3))
             lhs = fd.min_plus_matmul(fd.min_plus_matmul(a, b), c)
             rhs = fd.min_plus_matmul(a, fd.min_plus_matmul(b, c))
             np.testing.assert_array_equal(lhs, rhs)
 
 
 def random_cost_stack(rng, shape, dtype=np.float64, inf_frac=0.3):
-    V = rng.integers(0, 40, size=shape).astype(dtype)
-    V[rng.random(size=shape) < inf_frac] = fd.INT_INF if dtype is np.int64 else np.inf
+    """float64 costs with an ``inf_frac`` of +inf entries, drawn as
+    integers (int64) or as eighths (float64). Sums of either are exact, so
+    min-plus products of them are exactly associative."""
+    V = rng.integers(0, 40, size=shape) / (1 if dtype is np.int64 else 8)
+    V[rng.random(size=shape) < inf_frac] = np.inf
     return V
 
 
@@ -172,7 +195,10 @@ class TestMinPlusMatmul:
         assert out.shape == (3, 5, 2)
         np.testing.assert_array_equal(out, min_plus_loops(A, B))
 
-    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 3, 4)), ((3, 0), (0, 3))])
+    # the last two: batch axes must be equal, they do not broadcast
+    @pytest.mark.parametrize(
+        "shapes", [((2, 3, 4), (2, 3, 4)), ((3, 0), (0, 3)), ((2, 3, 4), (4, 5)), ((1, 3, 4), (2, 4, 5))]
+    )
     def test_inner_dimension_rejected(self, shapes):
         with pytest.raises(ValueError, match="inner dimensions"):
             fd.min_plus_matmul(np.zeros(shapes[0]), np.zeros(shapes[1]))
@@ -194,19 +220,6 @@ class TestMinPlusMatmul:
         rng = np.random.default_rng(4)
         A, B = random_cost_stack(rng, batch + (D, D)), random_cost_stack(rng, batch + (D, D))
         np.testing.assert_array_equal(fd.min_plus_matmul(A, B), min_plus_loops(A, B))
-
-    def test_int_mode_saturates(self):
-        rng = np.random.default_rng(5)
-        A = random_cost_stack(rng, (self.c + 1, 9, 9), np.int64, inf_frac=0.6)
-        B = random_cost_stack(rng, (self.c + 1, 9, 9), np.int64, inf_frac=0.6)
-        out = fd.min_plus_matmul(A, B)
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, min_plus_loops(A, B, inf=int(fd.INT_INF)))
-        assert out.max() <= fd.INT_INF
-        finite = np.einsum("bxz,bzy->bxy", (A < fd.INT_INF).astype(int), (B < fd.INT_INF).astype(int)) > 0
-        assert not finite.all()
-        assert np.all(out[~finite] == fd.INT_INF)
-        assert np.all(out[finite] < fd.INT_INF)
 
     def test_float_inf_rows_and_columns(self):
         rng = np.random.default_rng(6)
@@ -238,25 +251,34 @@ class TestSuffixFill:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_equals_full_product(self, dtype):
-        inf = fd.INT_INF if dtype is np.int64 else np.inf
         rng = np.random.default_rng(9)
         E = random_cost_stack(rng, (5, 9, 9), dtype)
-        E[:, 3, :] = inf
-        E[:, :, 6] = inf
+        E[:, 3, :] = np.inf
+        E[:, :, 6] = np.inf
         v = random_cost_stack(rng, (5, 9, 1), dtype)
-        v[:, 1] = inf
+        v[:, 1] = np.inf
         full = fd.min_plus_matmul(E, np.repeat(v, 9, axis=2))
         (col,) = fd._fill_suffix((E,), (v[:, :, 0],))
         assert col.shape == (5, 9)
         assert np.broadcast_to(col[:, :, None], full.shape).tobytes() == full.tobytes()
-        assert np.all(col[:, 3] == inf)
+        assert np.all(col[:, 3] == np.inf)
+
+    def test_blocks_over_batch(self):
+        # 64 products of D = 64 fill the budget, so 131 run in three blocks
+        D = 64
+        n = 2 * (fd._MIN_PLUS_BUDGET // D**2) + 3
+        rng = np.random.default_rng(13)
+        E = random_cost_stack(rng, (n, D, D))
+        v = random_cost_stack(rng, (n, D))
+        (col,) = fd._fill_suffix((E[::-1],), (v[::-1],))  # REVERSE hands in flipped views
+        assert col.tobytes() == fd.min_plus_matmul(E[::-1], v[::-1, :, None])[:, :, 0].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_scan_with_fill_matches_scan_without(self, dtype):
         rng = np.random.default_rng(10)
         p = random_finite_problem(rng, D_x=5, D_u=3, N=37, dtype=dtype, inf_frac=0.3)
         (suffix,), full_stats = par_scan_stacked(
-            (fd.build_elements(p),), lambda a, b: (fd.min_plus_matmul(a[0], b[0]),), ScanDirection.REVERSE
+            (with_terminal(p),), lambda a, b: (fd.min_plus_matmul(a[0], b[0]),), ScanDirection.REVERSE
         )
         assert np.all(suffix == suffix[:, :, :1])  # identical columns
         pol, stats = fd.solve_backward(p, return_stats=True)
@@ -295,7 +317,8 @@ class TestMapFill:
 
 
 class TestSolve:
-    """finite_dp.solve against the Bellman rollout, exactly, in both modes."""
+    """finite_dp.solve against the Bellman rollout, exactly, on integer
+    and float cost tables."""
 
     @pytest.mark.parametrize("args, message", [
         (("gpu",), "unknown backend 'gpu'"),
@@ -310,8 +333,7 @@ class TestSolve:
     @pytest.mark.parametrize("N", [0, 1, 9, 33])
     def test_matches_bellman_rollout(self, N, dtype):
         rng = np.random.default_rng(600 + N)
-        inf_frac = 0.3 if dtype is np.float64 else 0.0
-        p = random_finite_problem(rng, D_x=5, D_u=3, N=N, dtype=dtype, inf_frac=inf_frac)
+        p = random_finite_problem(rng, D_x=5, D_u=3, N=N, dtype=dtype, inf_frac=0.3)
         ref = fd.seq_bellman(p)
         xs_ref, us_ref = fd.rollout_policy(p, ref)
         xs, us, stats = fd.solve(p, "sequential")
@@ -335,7 +357,7 @@ class TestSolve:
     def test_leaves_problem_unchanged(self, traj_method, dtype):
         # the backward scan starts from p.ell_T itself, so writing into its
         # start value would write into the problem
-        p = random_finite_problem(np.random.default_rng(27), D_x=5, D_u=3, N=9, dtype=dtype)
+        p = random_finite_problem(np.random.default_rng(27), D_x=5, D_u=3, N=9, dtype=dtype, inf_frac=0.3)
         arrays = (p.f, p.ell, p.ell_T)
         before = [a.tobytes() for a in arrays]
         fd.solve(p, "parallel", traj_method)
@@ -378,7 +400,7 @@ class TestBackwardSolvers:
         if engine == "stacked":
             pol = fd.solve_backward(p)
         else:  # element algebra scanned as Python objects
-            elems = list(fd.build_elements(p))
+            elems = list(with_terminal(p))
             out, _ = par_scan(elems, fd.min_plus_matmul, ScanDirection.REVERSE)
             V = np.stack([m[:, 0] for m in out])
             pol = fd.FinitePolicy(u=fd._policy_from_values(p, V), V=V)
@@ -437,10 +459,10 @@ class TestForwardConditional:
     @pytest.mark.parametrize("N", [0, 1, 7])
     def test_returns_stacked_array(self, N, dtype):
         rng = np.random.default_rng(N)
-        p = random_finite_problem(rng, D_x=4, D_u=2, N=N, dtype=dtype)
+        p = random_finite_problem(rng, D_x=4, D_u=2, N=N, dtype=dtype, inf_frac=0.3)
         fw = fd.forward_conditional(p)
         assert isinstance(fw, np.ndarray)
-        assert fw.shape == (N, 4) and fw.dtype == dtype
+        assert fw.shape == (N, 4) and fw.dtype == np.float64
 
     def test_first_entry_is_element_row(self):
         p = two_state_problem()
@@ -497,12 +519,12 @@ class TestTrajectoryRecovery:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_m2_infeasible_row(self, dtype):
-        # a step whose forward costs are all infinite (saturated in int mode)
+        # a step whose forward costs are all infinite
         rng = np.random.default_rng(3)
-        p = random_finite_problem(rng, D_x=4, D_u=2, N=5, dtype=dtype)
+        p = random_finite_problem(rng, D_x=4, D_u=2, N=5, dtype=dtype, inf_frac=0.3)
         pol = fd.solve_backward(p)
         fw = fd.forward_conditional(p)
-        fw[2] = fd.INT_INF if dtype is np.int64 else np.inf
+        fw[2] = np.inf
         with pytest.raises(SolverError, match="infeasible"):
             fd.recover_traj_m2(p, fw, pol)
 
@@ -571,6 +593,19 @@ class TestBruteForce:
         assert cost == 0.5
         np.testing.assert_array_equal(xs, path_x)
 
+    def test_zero_steps(self):
+        p = fd.FiniteProblem(
+            D_x=2, D_u=1, S=0, T=0, f=np.zeros((0, 2, 1), dtype=int),
+            ell=np.zeros((0, 2, 1)), ell_T=[7.0, np.inf], x_S=0,
+        )
+        cost, us, xs = fd.brute_force_oracle(p)
+        assert cost == 7.0 and us.shape == (0,) and list(xs) == [0]
+        q = fd.FiniteProblem(D_x=2, D_u=1, S=0, T=0, f=p.f, ell=p.ell, ell_T=p.ell_T, x_S=1)
+        with pytest.raises(SolverError, match="infeasible problem"):
+            fd.brute_force_oracle(q)
+        with pytest.raises(SolverError, match="infeasible problem"):
+            fd.seq_bellman(q)
+
     def test_budget_guard(self):
         rng = np.random.default_rng(1)
         p = random_finite_problem(rng, D_x=3, D_u=3, N=20)
@@ -608,11 +643,26 @@ class TestJsonInterchange:
         assert d["x_S"] == 1
         assert min(min(min(row) for row in step) for step in d["f"]) == 1
 
-    def test_integer_mode_roundtrip(self, tmp_path):
+    def test_integer_entries_load_as_float(self, tmp_path):
+        # integer cost entries next to "inf": the form the integer mode wrote
         rng = np.random.default_rng(3)
-        p = random_finite_problem(rng, D_x=3, D_u=2, N=4, dtype=np.int64)
+        p = random_finite_problem(rng, D_x=3, D_u=2, N=4, dtype=np.float64, inf_frac=0.3)
+        d = fd.problem_to_dict(p)
+        d["ell"] = [[[c if c == "inf" else int(c) for c in row] for row in step] for step in d["ell"]]
+        d["ell_T"] = [int(c) for c in d["ell_T"]]
         path = tmp_path / "int.json"
-        fd.save_problem(p, path)
-        q = fd.load_problem(path, dtype=np.int64)
-        np.testing.assert_array_equal(p.ell, q.ell)
-        assert q.ell.dtype == np.int64
+        path.write_text(json.dumps(d))
+        assert '"inf"' in path.read_text() and ".0" not in path.read_text()
+        q = fd.load_problem(path)
+        assert q.ell.dtype == q.ell_T.dtype == np.float64
+        np.testing.assert_array_equal(q.ell, p.ell)
+        np.testing.assert_array_equal(q.ell_T, p.ell_T)
+        np.testing.assert_array_equal(fd.solve_backward(q).V, fd.seq_bellman(p).V)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("name", ["ell", "ell_T"])
+    def test_nan_or_negative_inf_rejected(self, name, bad):
+        d = fd.problem_to_dict(two_state_problem())
+        (d["ell"][0][1] if name == "ell" else d["ell_T"])[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or -inf"):
+            fd.problem_from_dict(d)
