@@ -25,6 +25,16 @@ alone. Every batched solve or factorization that fails (control weights,
 normal matrices, Method-2 recovery) raises a SolverError naming its first
 failing step.
 
+At these block sizes (n_u and n_x of a few) a batched numpy.linalg call
+costs more per matrix than its arithmetic, so the small dense algebra of
+the parallel path avoids them where it can. U^-1 comes from one batched
+Cholesky factor of U and then forward and back substitution, one row at a
+time, each row one batched operation over all steps and right-hand sides.
+Matrix-vector products and the gate's column sums are ``einsum`` calls.
+The normal matrix G keeps a batched LU solve: Riccati solves it by LU, so
+an indefinite but nonsingular G passes in both backends alike, where a
+Cholesky factor would reject it in one.
+
 Also here: the generalized-cost (cross-term) reduction to standard form,
 block partial condensing, a dense KKT reference solver, and file I/O.
 
@@ -113,7 +123,7 @@ def _t(M: np.ndarray) -> np.ndarray:
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (M @ v[..., None])[..., 0]
+    return np.einsum("...ij,...j->...i", M, v)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -246,6 +256,11 @@ def _fill_affine(a, b):
     return (_mv(b[0], x) + b[1],)
 
 
+def _norm1(Z: np.ndarray) -> np.ndarray:
+    """Matrix 1-norms (largest absolute column sum), batched."""
+    return np.einsum("...ij->...j", np.abs(Z)).max(axis=-1)
+
+
 def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
     """Zi = (I + C1 J2)^-1, batched, behind the conditioning gate.
 
@@ -258,7 +273,7 @@ def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
         Zi = np.linalg.inv(Z)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"ill-conditioned combine: {exc}") from exc
-    cond = np.abs(Z).sum(axis=-2).max(axis=-1) * np.abs(Zi).sum(axis=-2).max(axis=-1)
+    cond = _norm1(Z) * _norm1(Zi)
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > COND_LIMIT:
         raise SolverError(f"ill-conditioned combine: condition number {worst:.3e}")
@@ -412,10 +427,23 @@ def _batched(fn, what: str, offset: int, *stacks):
 
 
 def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
-    """U^-1 rhs per step by a Cholesky factor; rejects non-PD control weights."""
+    """U^-1 rhs per step by a Cholesky factor U = R R'; rejects non-PD
+    control weights.
+
+    Forward and back substitution run one row of R at a time, each row one
+    batched operation over all steps and right-hand-side columns: for the
+    small n_u here that beats a batched LAPACK solve's per-matrix cost.
+    """
     what = "control weight U not positive definite: factorization failed"
     R = _batched(np.linalg.cholesky, what, offset, U)
-    return np.linalg.solve(_t(R), np.linalg.solve(R, rhs))
+    x = rhs.copy()
+    for i in range(R.shape[-1]):  # R y = rhs
+        x[..., i, :] -= np.einsum("...j,...jk->...k", R[..., i, :i], x[..., :i, :])
+        x[..., i, :] /= R[..., i, i, None]
+    for i in reversed(range(R.shape[-1])):  # R' x = y
+        x[..., i, :] -= np.einsum("...j,...jk->...k", R[..., i + 1 :, i], x[..., i + 1 :, :])
+        x[..., i, :] /= R[..., i, i, None]
+    return x
 
 
 def _element_arrays(p: LqtProblem):

@@ -640,6 +640,50 @@ class TestParallelBackward:
         assert np.max(np.abs(us_s - us_p)) <= 1e-8
 
 
+def rel_err(got, want):
+    assert got.shape == want.shape
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+class TestSmallBlockKernels:
+    """The hand-batched small dense kernels against numpy's general ones."""
+
+    @pytest.mark.parametrize("N", [0, 1, 7])
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 16])
+    def test_substitution_solve_matches_lu(self, m, width, N):
+        rng = np.random.default_rng(100 * m + 10 * width + N)
+        G = rng.normal(size=(N, m, m))
+        U = G @ lqt._t(G) + 0.5 * np.eye(m)
+        rhs = lqt._t(rng.normal(size=(N, width, m)))  # a transposed view, as the callers pass
+        kept = rhs.copy()
+        got = lqt._spd_solve_batched(U, rhs, 0)
+        assert rel_err(got, np.linalg.solve(U, rhs)) <= 1e-12
+        np.testing.assert_array_equal(rhs, kept)
+
+    @pytest.mark.parametrize(
+        "case", ["plain", "transposed", "slot_view", "broadcast_matrix", "broadcast_vector"]
+    )
+    def test_mv_matches_matmul(self, case):
+        rng = np.random.default_rng(31)
+        P = rng.normal(size=(9, 4, 4))
+        v = rng.normal(size=(9, 4))
+        M, x = {
+            "plain": (P, v),
+            "transposed": (lqt._t(P), v),
+            "slot_view": (P[1::2], v[0::2][:4]),
+            "broadcast_matrix": (P[:1], v),
+            "broadcast_vector": (P.reshape(3, 3, 4, 4)[:, :1], v.reshape(3, 3, 4)[:1]),
+        }[case]
+        assert rel_err(lqt._mv(M, x), (M @ x[..., None])[..., 0]) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 4, 4), (3, 2, 5, 5)])
+    def test_gate_norm_is_matrix_one_norm(self, shape):
+        Z = np.random.default_rng(5).normal(size=shape)
+        want = np.linalg.norm(Z, 1, axis=(-2, -1))
+        np.testing.assert_allclose(lqt._norm1(Z), want, rtol=1e-15, atol=0)
+
+
 class TestStepNaming:
     """Every batched solve or factorization names its first failing step."""
 
@@ -669,6 +713,23 @@ class TestStepNaming:
         values = lqt.QuadValue(S, np.zeros((7, 1)))
         with pytest.raises(SolverError, match=r"\(I \+ C S\) singular at step 14$"):
             lqt.traj_method2(p, values)
+
+    def test_non_pd_control_weight_names_step(self):
+        rng = np.random.default_rng(22)
+        p = random_lqt_problem(rng, n_x=3, n_u=2, N=6, cross=True)
+        U = p.U.copy()
+        U[3] = [[1.0, 2.0], [2.0, 1.0]]  # symmetric, indefinite
+        bad = replace(p, S=10, T=16, U=U)
+        std = replace(bad, M=None, s=None)
+        values = lqt.QuadValue(np.zeros((7, 3, 3)), np.zeros((7, 3)))
+        match = "control weight U not positive definite: factorization failed at step 13$"
+        for call in (
+            lambda: lqt.parallel_backward(std),
+            lambda: lqt.traj_method2(std, values),
+            lambda: lqt.transform_general_cost(bad),
+        ):
+            with pytest.raises(SolverError, match=match):
+                call()
 
     def test_batch_only_failure_raises_solver_error(self):
         def fn(a):
