@@ -9,15 +9,6 @@ conditional values for every prefix) come out of one scan. Trajectories are
 recovered either by composing closed-loop affine maps (Method 1) or from
 prefix elements and the backward values (Method 2).
 
-The pairs of one tree level are independent, so the interval combine and
-its two halves that act on values (backward and Method 2) cut each batch
-into blocks of about ``_BLOCK_BUDGET / n_x^3`` pairs and run them on a
-pool of threads, one per usable core with the caller counted (numpy
-releases the GIL inside the batched products and inverses). Every pair's
-arithmetic is the same in any block, so results are byte-identical for any
-core count; small state dimensions never reach two blocks and run on the
-calling thread alone.
-
 The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
 gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
 K^c = K^v S_{k+1} and K = K^c F_k, so the parallel path solves for K^v
@@ -46,13 +37,7 @@ that need the values or gains themselves.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
-import os
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,33 +74,9 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-
-# Work in one block of an interval operator, in pairs x n^3 (one n x n
-# product per pair): 32 pairs at n = 32. A block's temporaries stay near a
-# core's L2 cache, and below two blocks a call is not split.
-_BLOCK_BUDGET = 1 << 20
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-# Threads that run operator blocks, the calling thread included.
-_WORKERS = _usable_cores()
-_pool: ThreadPoolExecutor | None = None  # _WORKERS - 1 threads, made on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the parent's pool threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+# transform_general_cost rejects a step whose X - M U^-1 M' has an eigenvalue
+# below -CONVEX_RTOL times X's largest entry
+CONVEX_RTOL = 1e-10
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -280,84 +241,6 @@ def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
     return Zi
 
 
-def _helper_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tempo_dp-lqt")
-        return _pool
-
-
-def _run_blocks(op, e1, e2, m: int, k: int):
-    """``op(e1, e2)`` on k contiguous blocks of the m pairs, across _WORKERS threads.
-
-    Blocks are claimed in order by the pool threads and by the calling
-    thread, which allocates every output once and copies each block's
-    result into it as it arrives; workers hold only their block's arrays.
-    All blocks finish before this returns or raises; on failure the
-    exception of the lowest-numbered failing block is raised.
-    """
-    edges = [m * i // k for i in range(k + 1)]
-    claim = itertools.count()  # next() is atomic under the GIL
-    done = queue.SimpleQueue()
-
-    def run(i):
-        s = slice(edges[i], edges[i + 1])
-        try:
-            return op(tuple(a[s] for a in e1), tuple(a[s] for a in e2))
-        except Exception as exc:
-            return exc
-
-    def work():
-        while (i := next(claim)) < k:
-            done.put((i, run(i)))
-
-    pool = _helper_pool()
-    helpers = [pool.submit(work) for _ in range(min(_WORKERS - 1, k - 1))]
-    out, failed = None, None
-    try:
-        for _ in range(k):
-            # copy a finished block if there is one, else run one, else wait
-            if done.empty() and (i := next(claim)) < k:
-                res = run(i)
-            else:
-                i, res = done.get()
-            if isinstance(res, Exception):
-                if failed is None or i < failed[0]:
-                    failed = (i, res)
-                continue
-            if out is None:
-                out = tuple(np.empty((m,) + r.shape[1:], r.dtype) for r in res)
-            for o, r in zip(out, res):
-                o[edges[i] : edges[i + 1]] = r
-    finally:
-        wait(helpers)
-    if failed is not None:
-        raise failed[1]
-    return out
-
-
-def _in_blocks(op):
-    """Run a batched interval operator in blocks of about _BLOCK_BUDGET / n^3
-    pairs over all usable cores (see :func:`_run_blocks`).
-
-    Each pair's arithmetic is the same whichever block it lands in, so the
-    results are byte-identical for any block and thread count. Unbatched
-    (2-D) inputs, calls below two blocks and single-core machines call
-    ``op`` directly.
-    """
-
-    @functools.wraps(op)
-    def blocked(e1, e2):
-        shape = np.shape(e1[-1])  # (m, n, n) when batched: J, or a Method-2 value's C
-        k = min(shape[0], shape[0] * shape[-1] ** 3 // _BLOCK_BUDGET) if len(shape) == 3 else 0
-        if k < 2 or _WORKERS < 2:
-            return op(e1, e2)
-        return _run_blocks(op, e1, e2, shape[0], k)
-
-    return blocked
-
-
 def _eta_J(P, e1, eta2, J2):
     """eta and J of e1 (x) e2, from P = (I + C1 J2)^-1 A1."""
     A1, b1, _, eta1, J1 = e1
@@ -374,7 +257,6 @@ def _b_C(W, b1, C1, e2):
     return b, C
 
 
-@_in_blocks
 def _combine_element_arrays(e1, e2):
     """Interval combination, batched over any leading axes.
 
@@ -392,7 +274,6 @@ def _combine_element_arrays(e1, e2):
     return (A2 @ P, *_b_C(W, b1, C1, e2), *_eta_J(P, e1, eta2, J2))
 
 
-@_in_blocks
 def _fill_suffix(e1, e2):
     """Elements e1 acting on the values (eta, J) of the suffixes after them:
     the (eta, J) half of :func:`_combine_element_arrays`."""
@@ -400,7 +281,6 @@ def _fill_suffix(e1, e2):
     return _eta_J(_gated_inverse(e1[2], J2) @ e1[0], e1, eta2, J2)
 
 
-@_in_blocks
 def _fill_prefix(e1, e2):
     """The (b, C) of prefixes from the initial state acted on by the elements
     e2 after them: the (b, C) half of :func:`_combine_element_arrays`."""
@@ -638,7 +518,10 @@ def transform_general_cost(p: LqtProblem) -> tuple[LqtProblem, GeneralCostRecove
     UinvMt = _spd_solve_batched(p.U, _t(M), p.S)
     Xt = _sym(p.X - M @ UinvMt)
     w = np.linalg.eigvalsh(Xt)
-    bad = np.flatnonzero((w < -1e-10).any(axis=-1))
+    # the rounding in X - M U^-1 M' scales with X (the two terms cancel
+    # where the cost completes a square), so the bound is relative to X
+    scale = np.abs(p.X).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero((w < -CONVEX_RTOL * scale[:, None]).any(axis=-1))
     if bad.size:
         k = bad[0]
         raise SolverError(

@@ -80,9 +80,9 @@ class Nominal:
     ubar: np.ndarray  # (N, n_u)
 
 
-def default_nominal(p: NonlinearProblem, x_S: np.ndarray | None = None) -> Nominal:
+def default_nominal(p: NonlinearProblem) -> Nominal:
     """Constant nominal: x held at the initial state, controls zero."""
-    x = np.asarray(p.x0 if x_S is None else x_S, dtype=np.float64)
+    x = np.asarray(p.x0, dtype=np.float64)
     return Nominal(
         xbar=np.repeat(x[None, :], p.N + 1, axis=0),
         ubar=np.zeros((p.N, p.n_u)),

@@ -559,13 +559,19 @@ class TestTrajectoryRecovery:
             assert fd.trajectory_cost(p, xs, us) == pol.V[0, p.x_S]
 
     def test_policy_undefined_error(self):
-        # state 1 is a dead end with infinite cost; force the policy there
-        f = np.array([[[1], [0]]], dtype=int)
-        ell = np.array([[[1.0], [np.inf]]])
-        p = fd.FiniteProblem(D_x=2, D_u=1, S=0, T=1, f=f, ell=ell, ell_T=[np.inf, 0.0], x_S=1)
-        with pytest.raises(SolverError):
-            pol = fd.solve_backward(p)
-            fd.recover_traj_m1(p, pol)
+        # from state 0, control 0 stays and control 1 enters state 1, a dead
+        # end of infinite cost; a policy steered there by hand reaches a
+        # state whose value is infinite
+        f = np.tile([[0, 1], [1, 1]], (2, 1, 1))
+        ell = np.tile([[0.0, 0.0], [np.inf, np.inf]], (2, 1, 1))
+        p = fd.FiniteProblem(D_x=2, D_u=2, S=0, T=2, f=f, ell=ell, ell_T=[0.0, np.inf], x_S=0)
+        pol = fd.solve_backward(p)
+        assert fd.recover_traj_m1(p, pol).tolist() == [0, 0, 0]
+        u = pol.u.copy()
+        u[0, 0] = 1
+        assert pol.V[1, 1] == np.inf
+        with pytest.raises(SolverError, match="policy undefined on reached state"):
+            fd.recover_traj_m1(p, fd.FinitePolicy(u=u, V=pol.V))
 
 
 class TestBruteForce:

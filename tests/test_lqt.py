@@ -1,11 +1,6 @@
 """LQT tests: Riccati vs parallel scan, element algebra against a numeric
 minimization oracle, trajectory recovery, cost transform, condensing, KKT."""
 
-import multiprocessing
-import os
-import sys
-import threading
-import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -415,190 +410,6 @@ class TestPinnedFills:
         assert lqt.traj_method1(p, gains, values).tobytes() == xs.tobytes()
 
 
-def gate_problem(N, bad):
-    """2-state problem whose combines across the boundary between steps
-    ``bad`` and ``bad + 1`` have cond(I + C J) ~ 1e14 (step ``bad`` is nearly
-    free to control in state 0, step ``bad + 1`` weights it heavily)."""
-    U = np.ones((N, 1, 1))
-    U[bad] = 1e-7
-    X = np.tile(np.eye(2), (N, 1, 1))
-    X[bad + 1] = np.diag([1e7, 1.0])
-    return lqt.LqtProblem(
-        S=0, T=N, x0=[1.0, 0.0],
-        F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
-        L=np.tile([[1.0], [0.0]], (N, 1, 1)),
-        H=np.tile(np.eye(2), (N, 1, 1)), X=X, r=np.zeros((N, 2)), U=U,
-        HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
-    )
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """Two block threads (also on one core) and a block budget of ``pairs``
-    pairs of an n-state operator; records (m, k) of every split call."""
-    calls = []
-    run_blocks = lqt._run_blocks
-
-    def spy(op, e1, e2, m, k):
-        calls.append((m, k))
-        return run_blocks(op, e1, e2, m, k)
-
-    def configure(n, pairs, workers=2):
-        monkeypatch.setattr(lqt, "_WORKERS", workers)
-        monkeypatch.setattr(lqt, "_BLOCK_BUDGET", pairs * n**3)
-        return calls
-
-    monkeypatch.setattr(lqt, "_run_blocks", spy)
-    return configure
-
-
-def solve_bytes(p):
-    values, gains, stats = lqt.parallel_backward(p, return_stats=True)
-    arrays = (values.S, values.v, gains.K, gains.Kv, gains.Kc, lqt.traj_method2(p, values))
-    return [a.tobytes() for a in arrays], stats
-
-
-class TestBlockRunner:
-    """The LQT operators split a batch into blocks run across threads; the
-    results must not depend on the split."""
-
-    @pytest.mark.parametrize("scenario", ["mass_spring", "tracking2d"])
-    def test_byte_identical_to_single_block(self, split, scenario):
-        from tempo_dp.scenarios import build_mass_spring, build_tracking2d
-
-        p = build_mass_spring(3, 39) if scenario == "mass_spring" else build_tracking2d(51, seed=4)
-        calls = split(p.n_x, 3, workers=1)
-        ref = solve_bytes(p)
-        assert calls == []
-        split(p.n_x, 3, workers=2)
-        assert solve_bytes(p) == ref
-        # level-0 batches of 19 (mass_spring) or 25 (tracking2d) pairs cut
-        # into blocks of about 3 pairs
-        assert any(k >= 2 and m % k for m, k in calls)
-
-    def test_lowest_failing_block_raises(self, split, monkeypatch):
-        rng = np.random.default_rng(40)
-        e1 = stacked([random_lqt_element(rng, 2) for _ in range(7)])
-        e2 = stacked([random_lqt_element(rng, 2) for _ in range(7)])
-        e1[2][3], e2[4][3] = np.diag([1.0, 0.5]), np.diag([0.3, 1e14])  # cond ~ 1e14
-        e1[2][5], e2[4][5] = np.eye(2), -np.eye(2)  # singular I + C1 J2
-        calls = split(2, 2)
-        gated_inverse = lqt._gated_inverse
-        first = [e1[2][i, 0, 0] for i in (0, 2, 4)]  # tells blocks [0, 2), [2, 4), [4, 7) apart
-
-        def delayed(C1, J2):
-            time.sleep(delay.get(C1[0, 0, 0], 0.0))
-            return gated_inverse(C1, J2)
-
-        monkeypatch.setattr(lqt, "_gated_inverse", delayed)
-        # block 1's failure arrives after block 2's (when another thread
-        # runs block 1), then before it; either way block 1's is raised
-        for delay in ({first[0]: 0.02, first[1]: 0.1}, {first[0]: 0.05, first[2]: 0.1}):
-            for _ in range(2):
-                with pytest.raises(SolverError, match="ill-conditioned combine: condition number"):
-                    lqt._combine_element_arrays(e1, e2)
-        e1[2][3], e2[4][3] = np.eye(2), np.eye(2)
-        with pytest.raises(SolverError, match="ill-conditioned combine: Singular"):
-            lqt._combine_element_arrays(e1, e2)
-        assert calls == [(7, 3)] * 5
-
-    def test_gate_in_later_block_raises_from_both_scans(self, split, monkeypatch):
-        p = gate_problem(40, 27)
-        values, _ = lqt.riccati_backward(p)
-        split(2, 1)  # one pair per block
-        active, finished, raised = [0], [0], []
-        lock = threading.Lock()
-        gated_inverse, run_blocks = lqt._gated_inverse, lqt._run_blocks
-
-        def slow_gate(C1, J2):
-            with lock:
-                active[0] += 1
-            try:
-                time.sleep(0.002)
-                return gated_inverse(C1, J2)
-            finally:
-                with lock:
-                    active[0] -= 1
-                    finished[0] += 1
-
-        def record(op, e1, e2, m, k):
-            start = finished[0]
-            try:
-                return run_blocks(op, e1, e2, m, k)
-            except SolverError:
-                # pairs that fail the gate, and whether every block ran
-                bad = np.flatnonzero(np.linalg.cond(np.eye(2) + e1[2] @ e2[4], 1) > lqt.COND_LIMIT)
-                raised.append((m, k, bad, finished[0] - start, active[0]))
-                raise
-
-        monkeypatch.setattr(lqt, "_gated_inverse", slow_gate)
-        monkeypatch.setattr(lqt, "_run_blocks", record)
-        match = "ill-conditioned combine: condition number"
-        with pytest.raises(SolverError, match=match):
-            lqt.parallel_backward(p)
-        with pytest.raises(SolverError, match=match):
-            lqt.traj_method2(p, values)
-        assert len(raised) == 2
-        for m, k, bad, ran, running in raised:
-            assert k >= 2 and len(bad) and bad.min() >= m // k  # not in block 0
-            assert ran == k and running == 0
-
-    def test_more_threads_than_cores(self, split, monkeypatch):
-        from tempo_dp.scenarios import build_mass_spring
-
-        p = build_mass_spring(3, 61)
-        split(p.n_x, 1, workers=1)
-        ref = solve_bytes(p)
-        monkeypatch.setattr(lqt, "_pool", None)
-        calls = split(p.n_x, 1, workers=8)  # a fresh pool of 7 threads, one pair per block
-        got = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=lambda: got.append(solve_bytes(p)))
-            runner.start()
-            runner.join(120)
-            assert not runner.is_alive(), "multi-block solve did not finish"
-        finally:
-            sys.setswitchinterval(interval)
-            lqt._pool.shutdown(wait=False)
-        # a block claimed twice or never would change the bytes or hang
-        assert got == [ref] and max(k for _, k in calls) >= 30
-
-    def test_one_worker_never_creates_a_pool(self, split, monkeypatch):
-        monkeypatch.setattr(lqt, "_pool", None)
-        calls = split(4, 1, workers=1)
-        lqt.solve(random_lqt_problem(np.random.default_rng(41), N=30), traj_method=2)
-        assert lqt._pool is None and calls == []
-
-    def test_unbatched_input_runs_inline(self, split):
-        rng = np.random.default_rng(42)
-        a, b = random_lqt_element(rng, 3), random_lqt_element(rng, 3)
-        calls = split(3, 1)  # any batched call of two or more pairs would split
-        out = combine_lqt(a, b)
-        assert calls == []
-        ref = lqt._combine_element_arrays(
-            *(tuple(getattr(e, f)[None] for f in ("A", "b", "C", "eta", "J")) for e in (a, b))
-        )
-        assert all(getattr(out, f).tobytes() == r[0].tobytes()
-                   for f, r in zip(("A", "b", "C", "eta", "J"), ref))
-
-    def test_forked_child_solves(self, split):
-        from tempo_dp.scenarios import build_mass_spring
-
-        p = build_mass_spring(3, 37)
-        split(p.n_x, 3)
-        ref = solve_bytes(p)  # the parent's pool exists now
-        ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=lambda: os._exit(0 if solve_bytes(p) == ref else 1))
-        child.start()
-        child.join(30)
-        if child.is_alive():
-            child.kill()
-            pytest.fail("forked child hung in a multi-block solve")
-        assert child.exitcode == 0
-
-
 class TestParallelBackward:
     def test_terminal_only(self):
         p = lqt.LqtProblem(
@@ -920,6 +731,40 @@ class TestGeneralCostTransform:
                              M=M, s=np.zeros((4, 2)))
         with pytest.raises(SolverError, match="not jointly convex after Schur complement at step 9 "):
             lqt.transform_general_cost(bad)
+
+    @staticmethod
+    def weighted(X, M, U):
+        N, n = X.shape[0], X.shape[-1]
+        eye = np.tile(np.eye(n), (N, 1, 1))
+        return lqt.LqtProblem(S=0, T=N, x0=np.zeros(n), F=eye, c=np.zeros((N, n)),
+                              L=eye[:, :, : U.shape[-1]], H=eye, X=X, r=np.zeros((N, n)),
+                              U=U, HT=np.eye(n), XT=np.eye(n), rT=np.zeros(n), M=M)
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 1e8, 1e12])
+    def test_convex_rank_one_weights_accepted_at_any_scale(self, s):
+        # X = s a a', M = 0.5 sqrt(s) a, U = 1: X - M U^-1 M' = 0.75 X is PSD,
+        # with rounding near eps * s in its zero eigenvalues
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(50, 3))
+        X = s * a[:, :, None] * a[:, None, :]
+        M = 0.5 * np.sqrt(s) * a[:, :, None]
+        q, _ = lqt.transform_general_cost(self.weighted(X, M, np.ones((50, 1, 1))))
+        np.testing.assert_allclose(q.X, 0.75 * X, rtol=1e-12, atol=1e-12 * s)
+
+    @pytest.mark.parametrize("s", [1e-4, 1.0, 1e8])
+    def test_slightly_indefinite_rejected_at_any_scale(self, s):
+        # X = s I, and M = sqrt(s (1 + d)) e1 at step 1 (sqrt(s) e1 elsewhere)
+        # leaves X - M M' = s diag(-d, 1) there: PSD up to rounding at d = 0,
+        # and 100 times past CONVEX_RTOL at d = 1e-8, at every scale
+        def problem(d):
+            M = np.zeros((3, 2, 1))
+            M[:, 0, 0] = np.sqrt(s)
+            M[1, 0, 0] = np.sqrt(s * (1 + d))
+            return self.weighted(s * np.tile(np.eye(2), (3, 1, 1)), M, np.ones((3, 1, 1)))
+
+        lqt.transform_general_cost(problem(0.0))
+        with pytest.raises(SolverError, match="not jointly convex after Schur complement at step 1 "):
+            lqt.transform_general_cost(problem(1e-8))
 
 
 class TestCondensing:

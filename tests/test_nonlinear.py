@@ -90,10 +90,12 @@ class TestFiniteDiffJacobian:
         Ju = nl.finite_diff_jacobian(lambda uu: p.f(k, x, uu), u)
         assert p.jac_f_x(k, x, u).shape == (50, 4, 4)
         assert p.jac_f_u(k, x, u).shape == (50, 4, 2)
-        np.testing.assert_allclose(Jx, p.jac_f_x(k, x, u), atol=1e-5)
-        np.testing.assert_allclose(Ju, p.jac_f_u(k, x, u), atol=1e-5)
+        # central differences at _FD_STEP = 1e-6 land about 1e-10 from the
+        # analytic Jacobians; a step of 1e-3 would miss by about 2e-7
+        np.testing.assert_allclose(Jx, p.jac_f_x(k, x, u), atol=1e-8)
+        np.testing.assert_allclose(Ju, p.jac_f_u(k, x, u), atol=1e-8)
         np.testing.assert_allclose(
-            nl.finite_diff_jacobian(lambda xx: p.h(k, xx), x), p.jac_h(k, x), atol=1e-5
+            nl.finite_diff_jacobian(lambda xx: p.h(k, xx), x), p.jac_h(k, x), atol=1e-8
         )
 
     def test_unicycle_matches_analytic(self):
