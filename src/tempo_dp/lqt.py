@@ -27,7 +27,9 @@ an indefinite but nonsingular G passes in both backends alike, where a
 Cholesky factor would reject it in one.
 
 Also here: the generalized-cost (cross-term) reduction to standard form,
-block partial condensing, a dense KKT reference solver, and file I/O.
+block partial condensing, a dense KKT reference solver, and file I/O. The
+KKT solver is the module's only scipy user and imports scipy.linalg when
+first called, so importing this module loads numpy alone.
 
 :func:`solve` is the one entry point that strings these steps together
 (cost transform, optional condensing, sequential or parallel backward pass,
@@ -41,7 +43,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SolverError
 from .scan import ScanDirection, ScanStats, par_scan_stacked
@@ -773,6 +774,8 @@ def kkt_oracle(p: LqtProblem):
     kkt[:nw, nw:] = Acon.T
     kkt[nw:, :nw] = Acon
     rhs = np.concatenate([-q, bcon])
+    import scipy.linalg  # deferred, so that importing lqt loads numpy alone
+
     try:
         sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:

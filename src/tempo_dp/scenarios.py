@@ -5,12 +5,15 @@ damper chain, shortest-path routing on a cost grid, and a unicycle chasing
 a closed track. Builders are deterministic given (parameters, seed);
 waypoint/track shapes come from fixed-seed generators and nothing
 downstream depends on their specific coordinates.
+
+Only the mass-spring builder needs scipy: :func:`zoh_discretize` imports
+scipy.linalg for its matrix exponential when first called, so importing
+this module, and building the other three families, loads numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .finite_dp import FiniteProblem
 from .lqt import LqtProblem
@@ -39,6 +42,8 @@ def zoh_discretize(A_cont: np.ndarray, B_cont: np.ndarray, dt: float) -> tuple[n
     blk = np.zeros((n + m, n + m))
     blk[:n, :n] = A_cont * dt
     blk[:n, n:] = B_cont * dt
+    import scipy.linalg  # deferred, so that importing scenarios loads numpy alone
+
     E = scipy.linalg.expm(blk)
     return E[:n, :n], E[:n, n:]
 
@@ -84,12 +89,10 @@ def build_tracking2d(T: int, seed: int = 0) -> LqtProblem:
     c = np.zeros((T, 4))
     H = np.repeat(H1[None], T, axis=0)
     U = np.repeat((0.1 * np.eye(2))[None], T, axis=0)
-    X = np.empty((T, 2, 2))
-    r = np.empty((T, 2))
-    for k in range(T):
-        w = 100.0 if k % 10 == 0 else 1e-6
-        X[k] = w * np.eye(2)
-        r[k] = wps[k // 10]  # previous waypoint at intermediate steps
+    k = np.arange(T)
+    w = np.where(k % 10 == 0, 100.0, 1e-6)
+    X = w[:, None, None] * np.eye(2)
+    r = wps[k // 10]  # previous waypoint at intermediate steps
     rT = np.concatenate([wps[-1], np.zeros(2)])
     return LqtProblem(
         S=0, T=T, x0=np.array([5.0, 5.0, 0.0, 0.0]),

@@ -71,6 +71,20 @@ class TestTracking2d:
         with pytest.raises(ValueError):
             sc.build_tracking2d(5)
 
+    @pytest.mark.parametrize("T", [25, 10000])
+    def test_weights_and_references_per_step(self, T):
+        # the docstring's definition, one step at a time; T = 25 has trailing steps
+        p = sc.build_tracking2d(T, seed=1)
+        wps = sc._smooth_waypoints(T // 10 + 1, np.array([5.0, 5.0]), np.random.default_rng(1))
+        X = np.empty((T, 2, 2))
+        r = np.empty((T, 2))
+        for k in range(T):
+            X[k] = (100.0 if k % 10 == 0 else 1e-6) * np.eye(2)
+            r[k] = wps[k // 10]
+        np.testing.assert_array_equal(p.X, X)
+        np.testing.assert_array_equal(p.r, r)
+        np.testing.assert_array_equal(p.rT[:2], wps[-1])
+
     def test_trailing_steps_hold_last_waypoint(self):
         p = sc.build_tracking2d(128, seed=0)
         np.testing.assert_array_equal(p.r[127], p.r[120])
