@@ -6,9 +6,9 @@ a closed track. Builders are deterministic given (parameters, seed);
 waypoint/track shapes come from fixed-seed generators and nothing
 downstream depends on their specific coordinates.
 
-Only the mass-spring builder needs scipy: :func:`zoh_discretize` imports
-scipy.linalg for its matrix exponential when first called, so importing
-this module, and building the other three families, loads numpy alone.
+The mass-spring builder's zero-order hold takes its matrix exponential from
+:func:`_expm`, a numpy scaling-and-squaring Padé approximant, so importing
+this module and building any of the four families loads numpy alone.
 """
 
 from __future__ import annotations
@@ -28,23 +28,69 @@ __all__ = [
 ]
 
 
+# Degree-13 Padé numerator coefficients and the 1-norm bound theta_13 below
+# which [13/13] Padé meets double-precision unit roundoff (Higham 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring with a fixed [13/13] Padé approximant.
+
+    A is halved s times until its 1-norm is at most theta_13, the
+    approximant r = q(A)^-1 p(A) is evaluated from A^2, A^4 and A^6 (with
+    p(A) = V + U and q(A) = V - U, U odd and V even in A), and r is squared
+    s times (Higham 2005, Algorithm 2.3 without the lower degrees).
+    """
+    norm = np.linalg.norm(A, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    A = A / 2.0**s
+    b = _PADE13
+    ident = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def zoh_discretize(A_cont: np.ndarray, B_cont: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold discretization via the augmented matrix exponential.
 
     F = exp(A dt); L = (integral_0^dt exp(A tau) d tau) B, both read off
-    exp([[A, B], [0, 0]] dt).
+    exp([[A, B], [0, 0]] dt). The exponential is :func:`_expm`, scaling and
+    squaring with a [13/13] Padé approximant (N. J. Higham, "The scaling
+    and squaring method for the matrix exponential revisited", SIAM J.
+    Matrix Anal. Appl. 26(4), 2005). A must be (n, n), B (n, m), dt
+    positive and A dt and B dt finite; anything else raises ValueError.
     """
-    if dt <= 0:
-        raise ValueError("need dt > 0")
+    dt = float(dt)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"need a finite dt > 0, got {dt}")
     A_cont = np.asarray(A_cont, dtype=np.float64)
     B_cont = np.asarray(B_cont, dtype=np.float64)
-    n, m = B_cont.shape
+    if A_cont.ndim != 2 or A_cont.shape[0] != A_cont.shape[1]:
+        raise ValueError(f"A must be square (n, n), got shape {A_cont.shape}")
+    n = A_cont.shape[0]
+    if B_cont.ndim != 2 or B_cont.shape[0] != n:
+        raise ValueError(f"B must be ({n}, m) to match A, got shape {B_cont.shape}")
+    m = B_cont.shape[1]
     blk = np.zeros((n + m, n + m))
     blk[:n, :n] = A_cont * dt
     blk[:n, n:] = B_cont * dt
-    import scipy.linalg  # deferred, so that importing scenarios loads numpy alone
-
-    E = scipy.linalg.expm(blk)
+    if not np.isfinite(blk).all():
+        raise ValueError("A dt and B dt must be finite")
+    E = _expm(blk)
     return E[:n, :n], E[:n, n:]
 
 
@@ -209,12 +255,9 @@ def build_unicycle(T: int, seed: int = 0) -> NonlinearProblem:
     theta = np.unwrap(np.arctan2(seg[:, 1], seg[:, 0]))
     refs = np.column_stack([pos, theta])
 
-    X = np.empty((T, 3, 3))
-    r = np.empty((T, 3))
-    for k in range(T):
-        w = (100.0, 100.0, 1000.0) if k % 10 == 0 else (1e-6, 1e-6, 1e-6)
-        X[k] = np.diag(w)
-        r[k] = refs[k // 10]
+    k = np.arange(T)
+    X = np.where((k % 10 == 0)[:, None, None], np.diag([100.0, 100.0, 1000.0]), 1e-6 * np.eye(3))
+    r = refs[k // 10]  # previous reference at intermediate steps
     XT = np.diag([1e-6, 1e-6, 1e-6])
     rT = refs[-1] if T % 10 == 0 else refs[T // 10]
 

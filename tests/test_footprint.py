@@ -1,9 +1,9 @@
 """Import footprint: tempo_dp loads numpy alone until a scipy user runs.
 
-Only ``lqt.kkt_oracle`` (dense KKT solve) and ``scenarios.zoh_discretize``
-(the mass_spring builder's matrix exponential) need scipy, and they import
-it when first called. The pytest process has scipy loaded already, so each
-check runs in a fresh interpreter and reports ``sys.modules`` back as JSON.
+Only ``lqt.kkt_oracle`` (dense KKT solve) needs scipy, and it imports it
+when first called; the mass_spring builder's matrix exponential is numpy's.
+The pytest process has scipy loaded already, so each check runs in a fresh
+interpreter and reports ``sys.modules`` back as JSON.
 """
 
 import json
@@ -29,6 +29,7 @@ CLI_RUNS = [
     ["tracking2d", "--T", "128", "--block-size", "8"],
     ["routing", "--T", "64", "--Dx", "5", "--traj-method", "2"],
     ["unicycle", "--T", "50", "--iters", "3"],
+    ["mass_spring", "--T", "50", "--N", "4", "--traj-method", "2"],
 ]
 
 CLI_THEN_ORACLE = PRELUDE + """
@@ -48,13 +49,14 @@ report["kkt_oracle"] = scipy_modules()
 print(json.dumps(report))
 """
 
-MASS_SPRING_FIRST = PRELUDE + """
+MASS_SPRING = PRELUDE + """
 from tempo_dp import lqt, scenarios
 report["import"] = scipy_modules()
-p = scenarios.build_mass_spring(2, 10)
-report["build_mass_spring"] = scipy_modules()
-xs, us, _ = lqt.solve(p, "sequential")
-report["finite"] = bool(np.isfinite(xs).all() and np.isfinite(us).all())
+p = scenarios.build_mass_spring(4, 50)
+xs_seq, us_seq, _ = lqt.solve(p, "sequential")
+xs_par, us_par, _ = lqt.solve(p, "parallel", 2)
+report["solves"] = scipy_modules()
+report["dev"] = float(max(np.abs(xs_par - xs_seq).max(), np.abs(us_par - us_seq).max()))
 report["F_shape"] = list(p.F.shape)
 print(json.dumps(report))
 """
@@ -80,8 +82,9 @@ def test_cli_runs_on_numpy_alone_and_kkt_oracle_loads_scipy():
     assert "scipy.linalg" in report["kkt_oracle"]
 
 
-def test_mass_spring_builder_loads_scipy():
-    report = run_child(MASS_SPRING_FIRST)
+def test_mass_spring_build_and_solves_run_on_numpy_alone():
+    report = run_child(MASS_SPRING)
     assert report["import"] == []
-    assert "scipy.linalg" in report["build_mass_spring"]
-    assert report["finite"] and report["F_shape"] == [10, 4, 4]
+    assert report["solves"] == []
+    assert report["dev"] <= 1e-9
+    assert report["F_shape"] == [50, 8, 8]

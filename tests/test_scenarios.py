@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tempo_dp import scenarios as sc
 
@@ -19,6 +20,14 @@ class TestZohDiscretize:
         assert F[0, 0] == pytest.approx(np.exp(a * dt), rel=1e-12)
         assert L[0, 0] == pytest.approx((np.exp(a * dt) - 1) / a * 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [0.5, 7.0, 60.0, 1000.0])
+    def test_damped_rotation_closed_form(self, b):
+        # exp([[a, b], [-b, a]]) = e^a [[cos b, sin b], [-sin b, cos b]]; up to 8 squarings
+        a = -0.01 * b
+        E = sc._expm(np.array([[a, b], [-b, a]]))
+        exact = np.exp(a) * np.array([[np.cos(b), np.sin(b)], [-np.sin(b), np.cos(b)]])
+        np.testing.assert_allclose(E, exact, rtol=0, atol=1e-12 * np.exp(a))
+
     def test_double_integrator_matches_tracking_model(self):
         dt = 0.1
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -28,8 +37,73 @@ class TestZohDiscretize:
         np.testing.assert_allclose(L, [[dt**2 / 2], [dt]], atol=1e-14)
 
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            sc.zoh_discretize(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+        for dt in (0.0, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite dt > 0"):
+                sc.zoh_discretize(np.zeros((1, 1)), np.ones((1, 1)), dt)
+
+    @pytest.mark.parametrize("A, B", [
+        ([[np.nan, 0.0], [0.0, 0.0]], np.ones((2, 1))),
+        ([[0.0, np.inf], [0.0, 0.0]], np.ones((2, 1))),
+        (np.zeros((2, 2)), [[1.0], [-np.inf]]),
+        (np.zeros((2, 2)), [[np.nan], [0.0]]),
+        ([[1e308, 0.0], [0.0, 0.0]], np.ones((2, 1))),  # finite A, A dt overflows
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_model(self, A, B):
+        with pytest.raises(ValueError, match="must be finite"):
+            sc.zoh_discretize(A, B, 10.0)
+
+    @pytest.mark.parametrize("A, B, match", [
+        (np.zeros((2, 2)), np.ones(2), "B must be"),
+        (np.zeros((2, 2)), np.ones((3, 1)), "B must be"),
+        (np.zeros((2, 2)), np.ones((2, 1, 1)), "B must be"),
+        (np.zeros((2, 3)), np.ones((2, 1)), "A must be square"),
+        (np.zeros(2), np.ones((2, 1)), "A must be square"),
+    ])
+    def test_mismatched_shapes(self, A, B, match):
+        with pytest.raises(ValueError, match=match):
+            sc.zoh_discretize(A, B, 0.1)
+
+    @pytest.mark.parametrize("N", [2, 4, 16, 32])
+    @pytest.mark.parametrize("T", [2, 10, 500, 5000])
+    def test_mass_spring_blocks_match_scipy(self, N, T, monkeypatch):
+        zoh = sc.zoh_discretize
+        seen = []
+
+        def spy(A, B, dt):
+            seen.append((A, B, dt))
+            return zoh(A, B, dt)
+
+        monkeypatch.setattr(sc, "zoh_discretize", spy)
+        p = sc.build_mass_spring(N, T)
+        [(A, B, dt)] = seen
+        n = 2 * N
+        blk = np.zeros((n + 2, n + 2))
+        blk[:n, :n] = A * dt
+        blk[:n, n:] = B * dt
+        E = scipy.linalg.expm(blk)
+        # scipy picks the same degree and squarings but rounds differently;
+        # against a 40-digit reference both err by up to 1.3e-15 on these blocks
+        np.testing.assert_allclose(p.F[0], E[:n, :n], rtol=0, atol=2e-15)
+        np.testing.assert_allclose(p.L[0], E[:n, n:], rtol=0, atol=2e-15)
+
+    def test_expm_matches_scipy_across_squarings(self):
+        # rotation plus damping, so exp(M) stays bounded at every norm;
+        # 1-norms 1e-3 .. 1e3 take 0 to 8 squarings. No n < 5: on 2x2 and 3x3
+        # matrices scipy's own error reaches 1e-11 (2x2 cases are closed-form above)
+        rng = np.random.default_rng(11)
+        squarings = set()
+        for norm in np.logspace(-3, 3, 25):
+            for n in (5, 9, 16):
+                G = rng.normal(size=(n, n))
+                H = rng.normal(size=(n, n))
+                M = (G - G.T) - 0.2 * (H @ H.T) / n
+                M *= norm / np.linalg.norm(M, 1)
+                squarings.add(max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))))
+                E = scipy.linalg.expm(M)
+                dev = np.abs(sc._expm(M) - E).max() / np.abs(E).max()
+                assert dev <= 1e-11, (norm, n, dev)
+        assert squarings == set(range(9))
 
 
 class TestTracking2d:
@@ -183,6 +257,24 @@ class TestUnicycle:
         np.testing.assert_allclose(
             nxt, [1.0 + 0.0, 2.0 + 0.3, np.pi / 2 + 0.02, 3.05], atol=1e-12
         )
+
+    @pytest.mark.parametrize("T", [10, 25, 1000, 1003])
+    def test_weights_and_references_per_step(self, T):
+        # the docstring's definition, one step at a time; T = 25 and 1003 have trailing steps
+        p = sc.build_unicycle(T, seed=1)
+        lap = sc._race_track(40, np.random.default_rng(1))
+        j = np.arange(T // 10 + 1)
+        pos = lap[j % 40]
+        seg = lap[(j + 1) % 40] - pos
+        heading = np.unwrap(np.arctan2(seg[:, 1], seg[:, 0]))
+        X = np.empty((T, 3, 3))
+        r = np.empty((T, 3))
+        for k in range(T):
+            X[k] = np.diag((100.0, 100.0, 1000.0) if k % 10 == 0 else (1e-6, 1e-6, 1e-6))
+            r[k] = (*pos[k // 10], heading[k // 10])
+        np.testing.assert_array_equal(p.X, X)
+        np.testing.assert_array_equal(p.r, r)
+        np.testing.assert_array_equal(p.rT, (*pos[T // 10], heading[T // 10]))
 
     def test_deterministic(self):
         a = sc.build_unicycle(40, seed=9)
