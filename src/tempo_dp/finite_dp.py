@@ -12,7 +12,7 @@ matrix-vector fill run in blocks whose temporaries stay within a fixed
 budget of 2**18 elements (2 MB), so a scan's memory grows with its
 (T, D_x, D_x) element stacks, not with T·D_x³.
 
-Both min-plus scans run toward a pinned endpoint, and the fill-in half of
+Both min-plus scans run toward a pinned endpoint, and the down-sweep of
 the tree multiplies by value vectors, not matrices. The backward scan
 starts from the terminal costs, and each stage matrix acts on the value
 vector after it, so it outputs the (N+1, D_x) value stack itself. The

@@ -7,7 +7,9 @@ dual form, which stays well defined when C is singular. Combining two
 adjacent intervals is associative, so value functions for every suffix (and
 conditional values for every prefix) come out of one scan. Trajectories are
 recovered either by composing closed-loop affine maps (Method 1) or from
-prefix elements and the backward values (Method 2).
+prefix elements and the backward values (Method 2). The scan's up-sweep
+does not depend on its direction, so the backward pass hands the nodes it
+combined to Method 2's forward scan with its values.
 
 The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
 gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
@@ -40,12 +42,12 @@ that need the values or gains themselves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import SolverError
-from .scan import ScanDirection, ScanStats, par_scan_stacked
+from .scan import ScanDirection, ScanStats, forward_from_tree, par_scan_stacked
 from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patches lqt.par_scan)
 
 __all__ = [
@@ -183,15 +185,29 @@ class LqtProblem:
         return self.M is not None or self.s is not None
 
 
+@dataclass(frozen=True, eq=False)
+class _Tree:
+    """The up-sweep nodes that :func:`parallel_backward` kept for Method 2:
+    the even nodes (A, b, C, eta, J) of levels 1, 2, ... over the stage
+    elements of ``problem`` (see ``scan.par_scan_stacked``'s ``tree``)."""
+
+    problem: LqtProblem
+    levels: list
+
+
 @dataclass(frozen=True)
 class QuadValue:
     """Value functions 0.5 x'S_k x - v_k'x for k = 0..N, constants dropped.
 
     S: (N+1, n_x, n_x); v: (N+1, n_x). Index k is relative to the start S.
+    ``tree`` holds what :func:`parallel_backward` hands to
+    :func:`traj_method2` for the problem it solved (None elsewhere); ``==``
+    and ``repr`` ignore it.
     """
 
     S: np.ndarray
     v: np.ndarray
+    tree: _Tree | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -289,12 +305,12 @@ def _fill_prefix(e1, e2):
     return _b_C(e2[0] @ _gated_inverse(C1, e2[4]), b1, C1, e2)
 
 
-def _batched(fn, what: str, offset: int, *stacks):
+def _batched(fn, what: str, offset: int, *stacks, stride: int = 1):
     """``fn`` (a numpy.linalg routine) on whole stacks of per-step operands.
 
     On failure ``fn`` runs again step by step, and the SolverError names the
-    first failing step as ``offset + k``; a failure no single step repeats
-    raises it without a step.
+    first failing step as ``offset + stride * k``; a failure no single step
+    repeats raises it without a step.
     """
     try:
         return fn(*stacks)
@@ -303,11 +319,11 @@ def _batched(fn, what: str, offset: int, *stacks):
             try:
                 fn(*(a[k] for a in stacks))
             except np.linalg.LinAlgError:
-                raise SolverError(f"{what} at step {offset + k}") from None
+                raise SolverError(f"{what} at step {offset + stride * k}") from None
         raise SolverError(what) from None
 
 
-def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
+def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int, stride: int = 1):
     """U^-1 rhs per step by a Cholesky factor U = R R'; rejects non-PD
     control weights.
 
@@ -316,7 +332,7 @@ def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
     small n_u here that beats a batched LAPACK solve's per-matrix cost.
     """
     what = "control weight U not positive definite: factorization failed"
-    R = _batched(np.linalg.cholesky, what, offset, U)
+    R = _batched(np.linalg.cholesky, what, offset, U, stride=stride)
     x = rhs.copy()
     for i in range(R.shape[-1]):  # R y = rhs
         x[..., i, :] -= np.einsum("...j,...jk->...k", R[..., i, :i], x[..., :i, :])
@@ -327,23 +343,24 @@ def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
     return x
 
 
-def _element_arrays(p: LqtProblem):
-    """Stacked (A, b, C, eta, J) of the N stage elements.
+def _element_arrays(p: LqtProblem, stride: int = 1):
+    """Stacked (A, b, C, eta, J) of the stage elements 0, stride, 2 stride, ...
 
     Stage k: (F_k, c_k, L_k U_k^-1 L_k', H_k'X_k r_k, H_k'X_k H_k); A and b
-    are p.F and p.c themselves, which the scans only read.
+    are views of p.F and p.c, which the scans only read.
     """
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
-    C = p.L @ _spd_solve_batched(p.U, _t(p.L), p.S)
-    HtX = _t(p.H) @ p.X
-    eta = _mv(HtX, p.r)
-    J = HtX @ p.H
+    F, c, L, U, H, X, r = (a[::stride] for a in (p.F, p.c, p.L, p.U, p.H, p.X, p.r))
+    C = L @ _spd_solve_batched(U, _t(L), p.S, stride)
+    HtX = _t(H) @ X
+    eta = _mv(HtX, r)
+    J = HtX @ H
     del HtX  # before the symmetrization below copies a whole stack
     for M in (C, J):  # symmetrized in place, with the bits of _sym
         M += _t(M)  # numpy copies the overlapping transposed operand first
         M *= 0.5
-    return p.F, p.c, C, eta, J
+    return F, c, C, eta, J
 
 
 def _terminal(p: LqtProblem):
@@ -401,16 +418,20 @@ def parallel_backward(p: LqtProblem, return_stats: bool = False):
     element acts on the value after it by the (eta, J) half of the
     interval combine, so slot k holds the value function (v_k, S_k). Every
     S leaves a symmetrization, so it is exactly symmetric. Output matches
-    :func:`riccati_backward`.
+    :func:`riccati_backward`. The values carry the up-sweep's even nodes
+    above the elements (``QuadValue.tree``), so that :func:`traj_method2`
+    on the same problem runs no combine.
     """
+    levels: list = []
     (v, Ss), stats = par_scan_stacked(
         _element_arrays(p),
         _combine_element_arrays,
         ScanDirection.REVERSE,
         start=_terminal(p),
         apply=_fill_suffix,
+        tree=levels,
     )
-    values = QuadValue(Ss, v)
+    values = QuadValue(Ss, v, _Tree(p, levels))
     gains = Gains(*_gains_from_values(p, Ss))
     if return_stats:
         return values, gains, stats
@@ -472,16 +493,31 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     x_S = x0. The forward scan starts from (b, C) = (x0, 0) at k = S, and
     each stage element acts on it by the (b, C) half of the interval
     combine.
+
+    Values from :func:`parallel_backward` on this same ``p`` (the object
+    itself) carry that scan's up-sweep, and the forward scan then runs only
+    its down-sweep, over those nodes and the even stage elements (the only
+    ones it reads), with no combine. Other values (Riccati's, a
+    hand-built ``QuadValue``, another problem's) make it run its own
+    up-sweep.
     """
-    (b, C), _ = par_scan_stacked(
-        _element_arrays(p),
-        _combine_element_arrays,
-        ScanDirection.FORWARD,
-        start=(p.x0, np.zeros((p.n_x, p.n_x))),
-        apply=_fill_prefix,
-    )
-    lhs = np.eye(p.n_x) + C @ values.S
+    start = (p.x0, np.zeros((p.n_x, p.n_x)))
+    tree = values.tree
+    if tree is not None and tree.problem is p:
+        evens = [_element_arrays(p, 2), *tree.levels]
+        (b, C), _ = forward_from_tree(evens, p.N, start, _fill_prefix)
+    else:
+        (b, C), _ = par_scan_stacked(
+            _element_arrays(p),
+            _combine_element_arrays,
+            ScanDirection.FORWARD,
+            start=start,
+            apply=_fill_prefix,
+        )
     rhs = b + _mv(C, values.v)
+    lhs = C @ values.S
+    del b, C  # before the batched solve copies its operands
+    lhs += np.eye(p.n_x)
     what = "trajectory recovery matrix (I + C S) singular"
     return _batched(np.linalg.solve, what, p.S, lhs, rhs[..., None])[..., 0]
 

@@ -9,28 +9,36 @@ associative operator:
   numpy arrays with a leading time axis, executing the combines of each
   tree level as batched vectorized calls on strided views.
 
-Both parallel engines run the same odd-even inclusive scan (Blelloch 1990,
-"Prefix sums and their applications"): combine adjacent pairs, scan the
-half-length sequence of pair results recursively, then fill in the even
-positions from their left neighbours. A length-T scan costs
-``C(T) = T - 1 + C(floor(T/2))`` combines (``C(1) = 0``, so
-``C(T) <= 2T - 2``) with no padding and no identity element. The combined
-pairs are a function of T only.
+Both parallel engines run one up-sweep/down-sweep tree (Blelloch 1990,
+"Prefix sums and their applications"), anchored at element 0. A scan runs
+from the value at a pinned endpoint, ``start``, over n elements. The
+up-sweep combines them pairwise: node j of level L + 1 is node 2j of level
+L combined with node 2j + 1, and an odd last node stays unpaired, so level
+L holds the n >> L intervals [j 2^L, (j + 1) 2^L). The down-sweeps only
+``apply`` nodes to values at interval boundaries, level by level from the
+top, where the even boundaries of a level are those of the level above:
 
-The left operand of every fill-in is a prefix of the whole sequence (under
-REVERSE the right operand is a suffix), and so is every output slot: slot 0
-of each recursion level is the first 2^L elements combined. A scan toward
-a pinned endpoint therefore never needs a prefix as an element. Given the
-value at that endpoint as ``start`` (a value vector, a state) and an
-``apply`` that acts with a batch of elements on a batch of values,
-``par_scan_stacked`` runs the first pair of each level and every fill-in
-as ``apply`` calls, so ``combine`` only ever sees elements and pair
-results. Without ``start``, element 0 is the start and ``combine`` the
-action; the tree and the stats are the same either way.
+* forward, from slot 0: each odd boundary 2j + 1 of a level is node 2j
+  acting on the value at boundary 2j;
+* reverse, from slot n: on an odd-sized level the last node first acts on
+  the level's end; then each odd boundary 2j + 1 is node 2j + 1 acting on
+  the value at boundary 2j + 2.
 
-Depth accounting tags every produced node with
-``depth(parent) = max(depth(children)) + 1`` and reports the maximum, a
-span surrogate: for T elements the parallel depth is at most
+The combined intervals therefore depend neither on the direction nor on
+the start, and ``combine`` only ever sees elements and nodes. A reverse
+scan can hand its up-sweep to a forward one over the same elements: the
+forward down-sweep reads only the even nodes of each level, which
+``par_scan_stacked(..., tree=[])`` keeps and :func:`forward_from_tree`
+reads. A scan from a start makes ``sum_L floor(n_L / 2) = n - popcount(n)``
+combines and n applies, with no padding and no identity element. Without
+``start``, element 0 (element T - 1 under REVERSE) is the start and
+``combine`` the action, so a plain length-T scan costs
+``2(T - 1) - popcount(T - 1) <= 2T - 3`` operator calls (none for T = 1).
+
+Depth accounting gives an element and the start depth 0, a level-L node
+depth L, and a value one more than the deeper of the value and the node
+it came from; ``ScanStats`` reports the deepest output slot, a span
+surrogate. For T elements the parallel depth is at most
 ``2*ceil(log2 T) + 1`` while the sequential scan has depth ``T - 1``.
 """
 
@@ -50,6 +58,7 @@ __all__ = [
     "seq_scan",
     "par_scan",
     "par_scan_stacked",
+    "forward_from_tree",
 ]
 
 
@@ -63,7 +72,7 @@ class ScanStats:
     """Operator-call accounting for one scan.
 
     combine_count: total number of combine and apply invocations
-        (vectorized engines count one per pair, fill-ins included).
+        (vectorized engines count one per pair or applied element).
     combine_depth: longest chain of dependent combine and apply calls.
     """
 
@@ -98,50 +107,100 @@ def seq_scan(
 Stack = tuple[np.ndarray, ...]
 
 
-def _odd_even(
+def _up_sweep(x: Stack, combine: Callable[[Stack, Stack], Stack], stats: ScanStats) -> list[Stack]:
+    """The nonempty levels of the up-sweep over ``x``: level 0 is ``x`` and
+    node j of level L + 1 is ``combine`` of nodes 2j and 2j + 1 of level L,
+    one batched call per level."""
+    n = int(x[0].shape[0])
+    levels = [x] if n else []
+    while n > 1:
+        m = n // 2
+        lv = levels[-1]
+        pairs = tuple(a[0 : 2 * m : 2] for a in lv), tuple(a[1 : 2 * m : 2] for a in lv)
+        levels.append(combine(*pairs))
+        stats.combine_count += m
+        n = m
+    return levels
+
+
+def _outputs(s: Stack, n: int, at: int) -> tuple[Stack, np.ndarray]:
+    """n + 1 slots of the batch-of-one start ``s``'s shapes and dtypes, with
+    ``s`` in slot ``at``, and the depth of each slot."""
+    out = tuple(np.empty((n + 1,) + a.shape[1:], a.dtype) for a in s)
+    for o, a in zip(out, s):
+        o[at] = a[0]
+    return out, np.zeros(n + 1, dtype=np.int64)
+
+
+def _sweep_forward(
+    evens: list[Stack],
     s: Stack,
-    x: Stack,
-    d: int,
-    out: Stack,
-    dout: np.ndarray,
-    combine: Callable[[Stack, Stack], Stack],
+    n: int,
     apply: Callable[[Stack, Stack], Stack],
     stats: ScanStats,
-) -> None:
-    """Forward scan of ``x`` from the batch-of-one value ``s`` into ``out``.
+) -> Stack:
+    """Forward down-sweep from the start ``s`` over n elements.
 
-    ``out`` has one slot more than ``x`` (no aliasing): slot 0 is ``s`` and
-    slot k + 1 is ``s`` acted on by elements 0..k. ``s`` and every element
-    have the level's depth ``d``; the depth of each slot is written to
-    ``dout``. Every step works on strided views, so a level costs one
-    batched ``combine`` for the element pairs and two batched ``apply``
-    calls: ``s`` on element 0, and each odd slot on the element after it
-    for the even slots.
+    ``evens[L]`` are the even nodes 0, 2, ... of level L, consumed from
+    the top. Boundary j of level L is slot j 2^L, so each level is one
+    batched ``apply`` on strided views of the outputs.
     """
-    for o, a in zip(out, s):
-        o[0] = a[0]
-    dout[0] = d
-    n = x[0].shape[0]
-    if n == 0:
-        return
-    # the pairs (s, x[0]), (x[1], x[2]), ... land on the odd slots 1, 3, ...
-    s1 = apply(s, tuple(a[0:1] for a in x))
-    m = (n - 1) // 2
-    pairs = tuple(a[1 : 2 * m : 2] for a in x), tuple(a[2 : 2 * m + 1 : 2] for a in x)
-    y = combine(*pairs) if m else pairs[0]
-    stats.combine_count += 1 + m
-    _odd_even(s1, y, d + 1, tuple(o[1::2] for o in out), dout[1::2], combine, apply, stats)
-    e = n // 2  # even slots 2, 4, ...: left odd slot acted on by its own element
-    if e:
-        res = apply(tuple(o[1 : 2 * e : 2] for o in out), tuple(a[1 : 2 * e : 2] for a in x))
-        for o, r in zip(out, res):
-            o[2::2] = r
-        dout[2::2] = dout[1 : 2 * e : 2] + 1  # an odd slot is deeper than d
-        stats.combine_count += e
+    out, dout = _outputs(s, n, 0)
+    while evens:
+        L = len(evens) - 1
+        ev = evens.pop()
+        k = int(ev[0].shape[0])
+        view = tuple(o[:: 1 << L] for o in out)
+        res = apply(tuple(v[0 : 2 * k : 2] for v in view), ev)
+        for v, r in zip(view, res):
+            v[1 : 2 * k : 2] = r
+        dv = dout[:: 1 << L]
+        dv[1 : 2 * k : 2] = np.maximum(dv[0 : 2 * k : 2], L) + 1
+        stats.combine_count += k
+    stats.combine_depth = int(dout.max())
+    return out
 
 
-def _swapped(op: Callable[[Stack, Stack], Stack]) -> Callable[[Stack, Stack], Stack]:
-    return lambda a, b: op(b, a)
+def _sweep_reverse(
+    levels: list[Stack],
+    s: Stack,
+    n: int,
+    apply: Callable[[Stack, Stack], Stack],
+    stats: ScanStats,
+    tree: list | None,
+) -> Stack:
+    """Reverse down-sweep from the start ``s`` over n elements.
+
+    Consumes the up-sweep ``levels`` from the top. With ``tree`` a list,
+    each level from 1 up leaves a contiguous copy of its even nodes there
+    (level 1 first) before it is dropped.
+    """
+    out, dout = _outputs(s, n, n)
+    for L, lv in enumerate(levels):  # the end of each odd-sized level, bottom up
+        nl = n >> L
+        if nl % 2:
+            i, e = (nl - 1) << L, nl << L
+            res = apply(tuple(a[nl - 1 :] for a in lv), tuple(o[e : e + 1] for o in out))
+            for o, r in zip(out, res):
+                o[i] = r[0]
+            dout[i] = max(dout[e], L) + 1
+            stats.combine_count += 1
+    while levels:
+        L = len(levels) - 1
+        lv = levels.pop()
+        m = (n >> L) // 2
+        if m:
+            view = tuple(o[:: 1 << L] for o in out)
+            res = apply(tuple(a[1 : 2 * m : 2] for a in lv), tuple(v[2 : 2 * m + 1 : 2] for v in view))
+            for v, r in zip(view, res):
+                v[1 : 2 * m : 2] = r
+            dv = dout[:: 1 << L]
+            dv[1 : 2 * m : 2] = np.maximum(dv[2 : 2 * m + 1 : 2], L) + 1
+            stats.combine_count += m
+        if tree is not None and L:
+            tree.insert(0, tuple(np.ascontiguousarray(a[::2]) for a in lv))
+    stats.combine_depth = int(dout.max())
+    return out
 
 
 def par_scan(
@@ -149,7 +208,7 @@ def par_scan(
     combine: Callable[[E, E], E],
     direction: ScanDirection = ScanDirection.FORWARD,
 ) -> tuple[list[E], ScanStats]:
-    """Odd-even scan over Python elements.
+    """Up-sweep/down-sweep scan over Python elements.
 
     The elements go through :func:`par_scan_stacked` as one object array,
     so both engines run the same tree. ``combine`` must be associative.
@@ -174,12 +233,13 @@ def par_scan_stacked(
     direction: ScanDirection = ScanDirection.FORWARD,
     start: Stack | None = None,
     apply: Callable[[Stack, Stack], Stack] | None = None,
+    tree: list | None = None,
 ) -> tuple[Stack, ScanStats]:
-    """Odd-even scan over a time-stacked element sequence.
+    """Up-sweep/down-sweep scan over a time-stacked element sequence.
 
     ``arrays`` is a tuple of ndarrays sharing leading axis T (one slot per
     element); ``combine`` maps two equally-batched stacks (possibly strided
-    views) to their combination.
+    views), the earlier intervals first, to their combination.
 
     Without ``start`` this is the plain inclusive scan: T output slots,
     slot k the prefix ending at element k (the suffix starting at k under
@@ -193,30 +253,53 @@ def par_scan_stacked(
     T under REVERSE), and in slot k + 1 (slot k) ``start`` acted on by the
     elements up to k (from k). ``combine`` only ever sees elements and
     ``apply`` only values, and the tree and ``ScanStats`` are those of the
-    plain scan of ``start`` as an element followed by the elements.
+    plain scan of ``start`` as an element followed (preceded under
+    REVERSE) by the elements.
+
+    ``tree``, a list, asks a REVERSE scan from ``start`` to leave the
+    up-sweep's even nodes of levels 1, 2, ... in it, one contiguous stack
+    per level, for :func:`forward_from_tree` over the same elements.
     """
     n = int(arrays[0].shape[0])
     if any(int(x.shape[0]) != n for x in arrays[1:]):
         raise ValueError("stacked arrays disagree on length")
     if (start is None) != (apply is None):
         raise ValueError("start and apply go together")
-    apply = combine if start is None else apply
-    src = arrays
-    if direction is ScanDirection.REVERSE:
-        # a reverse scan is a forward scan of the flipped sequence under the
-        # swapped operators; the flipped views write straight into ``out``
-        src = tuple(np.flip(x, axis=0) for x in arrays)
-        combine, apply = _swapped(combine), _swapped(apply)
-    if start is None:  # element 0 is the start and combine the action
+    forward = direction is ScanDirection.FORWARD
+    if tree is not None and (forward or start is None):
+        raise ValueError("only a reverse scan from start keeps its tree")
+    if start is None:  # the first (last) element is the start and combine the action
         if n == 0:
             raise ValueError("empty scan")
-        s, src = tuple(a[0:1] for a in src), tuple(a[1:] for a in src)
+        apply = combine
+        s = tuple(a[:1] if forward else a[-1:] for a in arrays)
+        arrays = tuple(a[1:] if forward else a[:-1] for a in arrays)
+        n -= 1
     else:
         s = tuple(np.asarray(a)[None] for a in start)
-    out = tuple(np.empty((src[0].shape[0] + 1,) + a.shape[1:], a.dtype) for a in s)
-    dst = tuple(np.flip(o, axis=0) for o in out) if direction is ScanDirection.REVERSE else out
-    depth = np.zeros(len(out[0]), dtype=np.int64)
     stats = ScanStats()
-    _odd_even(s, src, 0, dst, depth, combine, apply, stats)
-    stats.combine_depth = int(depth.max())
-    return out, stats
+    levels = _up_sweep(arrays, combine, stats)
+    if forward:
+        evens = [tuple(a[::2] for a in lv) for lv in levels]
+        del levels  # the views alone hold each level, until it is swept
+        return _sweep_forward(evens, s, n, apply, stats), stats
+    return _sweep_reverse(levels, s, n, apply, stats, tree), stats
+
+
+def forward_from_tree(
+    evens: Sequence[Stack],
+    n: int,
+    start: Stack,
+    apply: Callable[[Stack, Stack], Stack],
+) -> tuple[Stack, ScanStats]:
+    """The FORWARD ``par_scan_stacked`` from ``start`` over n elements, from
+    the even nodes of its up-sweep alone: ``evens[0]`` holds elements 0, 2,
+    4, ... and ``evens[1:]`` the ``tree`` that a REVERSE scan over the same
+    elements left. Only the down-sweep runs, with no combine; the stats
+    count its applies."""
+    sizes = [((n >> L) + 1) // 2 for L in range(max(1, n.bit_length()))]
+    if [int(e[0].shape[0]) for e in evens] != sizes:
+        raise ValueError("tree does not match the elements")
+    s = tuple(np.asarray(a)[None] for a in start)
+    stats = ScanStats()
+    return _sweep_forward(list(evens) if n else [], s, n, apply, stats), stats

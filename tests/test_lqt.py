@@ -300,13 +300,12 @@ class TestConditioningGate:
     def test_gate_fires_in_fill_slots(self, monkeypatch):
         # step j is nearly free to control in state 0 and step j + 1 weights
         # that state heavily: I + C J has condition ~1e14 only across the
-        # boundary between steps j and j + 1. With N = 6 both scans run over
-        # 7 slots: the start value and the 6 stage elements. In both, the
-        # pair combines and the start's apply meet only at tree positions
-        # 1, 3, 5 and 2, so a boundary at position 4 is crossed by even-slot
-        # applies alone. Both scans put the boundary 2|3 there (the reverse
-        # one counting from the terminal), so each gate must fire inside its
-        # scan's apply.
+        # boundary between steps j and j + 1. With N = 6 the up-sweep, which
+        # both scans share, pairs the elements across boundaries 1, 3 and 5
+        # and the level-1 nodes across boundary 2; the odd level-1 node
+        # [4, 6) stays unpaired. So no combine crosses boundary 4, the one
+        # between steps 3 and 4, and each gate must fire inside its scan's
+        # apply.
         N = 6
 
         def problem(j):
@@ -339,7 +338,7 @@ class TestConditioningGate:
         for name in ("_fill_suffix", "_fill_prefix"):
             monkeypatch.setattr(lqt, name, watched(name))
         match = "ill-conditioned combine: condition number"
-        p = problem(2)
+        p = problem(3)
         with pytest.raises(SolverError, match=match):
             lqt.parallel_backward(p)
         values, _ = lqt.riccati_backward(p)
@@ -542,6 +541,16 @@ class TestStepNaming:
             with pytest.raises(SolverError, match=match):
                 call()
 
+    def test_even_elements_name_step(self):
+        # Method 2 over carried nodes rebuilds the even stage elements alone;
+        # a failure there still names the step, not the batch row
+        p = random_lqt_problem(np.random.default_rng(23), n_x=3, n_u=2, N=6)
+        U = p.U.copy()
+        U[4] = [[1.0, 2.0], [2.0, 1.0]]
+        bad = replace(p, S=10, T=16, U=U)
+        with pytest.raises(SolverError, match="factorization failed at step 14$"):
+            lqt._element_arrays(bad, 2)
+
     def test_batch_only_failure_raises_solver_error(self):
         def fn(a):
             if a.ndim == 3:
@@ -683,6 +692,77 @@ class TestTrajectoryRecovery:
         xs1 = lqt.traj_method1(p, gains, values)
         xs2 = lqt.traj_method2(p, values) if engine == "stacked" else object_method2(p, values)
         np.testing.assert_allclose(xs2, xs1, atol=1e-7)
+
+
+def combine_spy(monkeypatch):
+    """Counts the interval combines (pairs) the library makes from here on."""
+    calls = []
+    combine = lqt._combine_element_arrays
+
+    def spy(e1, e2):
+        calls.append(len(e1[0]))
+        return combine(e1, e2)
+
+    monkeypatch.setattr(lqt, "_combine_element_arrays", spy)
+    return calls
+
+
+class TestCarriedTree:
+    """parallel_backward's values carry its up-sweep's nodes to Method 2."""
+
+    def test_method2_makes_no_combine(self, monkeypatch):
+        p = random_lqt_problem(np.random.default_rng(40), n_x=3, n_u=2, N=37)
+        calls = combine_spy(monkeypatch)
+        values, _ = lqt.parallel_backward(p)
+        assert sum(calls) == 37 - bin(37).count("1")
+        calls.clear()
+        lqt.traj_method2(p, values)
+        assert calls == []
+        lqt.traj_method2(p, lqt.QuadValue(values.S, values.v))
+        assert sum(calls) == 37 - bin(37).count("1")
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 6, 7, 64, 65, 500])
+    def test_matches_own_up_sweep_and_riccati(self, N):
+        p = random_lqt_problem(np.random.default_rng(41 + N), n_x=4, n_u=2, N=N)
+        values, _ = lqt.parallel_backward(p)
+        assert values.tree is not None and values.tree.problem is p
+        xs = lqt.traj_method2(p, values)
+        xs_own = lqt.traj_method2(p, lqt.QuadValue(values.S, values.v))
+        np.testing.assert_allclose(xs, xs_own, rtol=0, atol=1e-12)
+        ref_values, ref_gains = lqt.riccati_backward(p)
+        xs_ref, _ = lqt.closed_loop_rollout(p, ref_values, ref_gains)
+        assert np.max(np.abs(xs - xs_ref)) <= 1e-9
+
+    def test_tree_of_another_problem_is_not_used(self, monkeypatch):
+        # q has p's shapes but other stage elements; values that carry p's
+        # tree next to q's S and v must still give q's trajectory
+        p = random_lqt_problem(np.random.default_rng(42), n_x=3, n_u=2, N=20)
+        q = random_lqt_problem(np.random.default_rng(43), n_x=3, n_u=2, N=20)
+        values_p, _ = lqt.parallel_backward(p)
+        ref_values, ref_gains = lqt.riccati_backward(q)
+        mixed = replace(values_p, S=ref_values.S, v=ref_values.v)
+        assert mixed.tree is values_p.tree
+        calls = combine_spy(monkeypatch)
+        xs = lqt.traj_method2(q, mixed)
+        assert calls  # q ran its own up-sweep
+        xs_ref, _ = lqt.closed_loop_rollout(q, ref_values, ref_gains)
+        assert np.max(np.abs(xs - xs_ref)) <= 1e-9
+        # p's own values with an equal but separate copy of p: its own
+        # up-sweep, and the same states
+        twin = replace(p)
+        calls.clear()
+        xs_twin = lqt.traj_method2(twin, values_p)
+        assert calls
+        np.testing.assert_allclose(xs_twin, lqt.traj_method2(p, values_p), rtol=0, atol=1e-12)
+
+    def test_eq_and_repr_ignore_tree(self):
+        p = random_lqt_problem(np.random.default_rng(44), n_x=2, n_u=1, N=9)
+        values, _ = lqt.parallel_backward(p)
+        bare = lqt.QuadValue(values.S, values.v)
+        assert values.tree is not None and bare.tree is None
+        assert values == bare
+        assert repr(values) == repr(bare) and "tree" not in repr(values)
+        assert lqt.riccati_backward(p)[0].tree is None
 
 
 class TestGeneralCostTransform:

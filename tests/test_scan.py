@@ -9,6 +9,7 @@ import pytest
 
 from tempo_dp.scan import (
     ScanDirection,
+    forward_from_tree,
     par_scan,
     par_scan_stacked,
     seq_scan,
@@ -98,17 +99,18 @@ class TestParScan:
 
     def test_direction_duality(self):
         rng = np.random.default_rng(2)
-        xs = [tuple(v) for v in rng.integers(0, 9, size=(23, 2))]
+        xs = list(rng.integers(0, PRIME, size=(23, 2, 2)))
 
-        def op(a, b):  # noncommutative on purpose
-            return (a[0] + b[0], a[1] + 2 * b[1])
+        def op(a, b):  # 2x2 products mod PRIME: associative, not commutative
+            return (a @ b) % PRIME
 
         def op_swapped(a, b):
             return op(b, a)
 
         rev, _ = par_scan(xs, op, REV)
         fwd_of_reversed, _ = par_scan(list(reversed(xs)), op_swapped, FWD)
-        assert rev == list(reversed(fwd_of_reversed))
+        for a, b in zip(rev, reversed(fwd_of_reversed)):
+            np.testing.assert_array_equal(a, b)
 
 
 def lqt_elem_tuple(e):
@@ -265,8 +267,9 @@ def check_tree_stats(obj_stats, stacked_stats, T):
 
 
 class TestOddEvenTree:
-    """Both engines against the sequential oracle for every length 1..70 and
-    around 2^10, with non-commutative operators so any misordered pair shows."""
+    """The up-sweep/down-sweep tree: both engines against the sequential
+    oracle for every length 1..70 and around 2^10, with non-commutative
+    operators so any misordered pair shows, and its operator-call counts."""
 
     @pytest.mark.parametrize("direction", [FWD, REV])
     @pytest.mark.parametrize("T", TREE_SIZES)
@@ -304,11 +307,17 @@ class TestOddEvenTree:
 
     @pytest.mark.parametrize("T", TREE_SIZES)
     def test_combine_count(self, T):
-        def expected(n):  # pairs, then the even fill-in, then the half-length scan
-            return 0 if n <= 1 else n - 1 + expected(n // 2)
-
-        _, stats = par_scan_stacked((np.arange(T),), lambda a, b: (a[0] + b[0],))
-        assert stats.combine_count == expected(T)
+        # the plain scan starts from element 0 (T - 1 under REVERSE) and runs
+        # over the n = T - 1 others: level L + 1 of the up-sweep pairs the
+        # n_L nodes of level L, so sum_L floor(n_L / 2) pairs, and each down-
+        # sweep applies once per element, n applies
+        n, pairs = T - 1, 0
+        while n > 1:
+            n //= 2
+            pairs += n
+        for direction in (FWD, REV):
+            _, stats = par_scan_stacked((np.arange(T),), lambda a, b: (a[0] + b[0],), direction)
+            assert stats.combine_count == pairs + T - 1
 
     @pytest.mark.parametrize("direction", [FWD, REV])
     @pytest.mark.parametrize("T", TREE_SIZES)
@@ -397,3 +406,76 @@ class TestOddEvenTree:
         np.testing.assert_array_equal(out, np.arange(-1, T) if direction is FWD else np.arange(T + 1))
         assert calls["pairs"] + calls["applies"] == stats.combine_count
         assert (calls["applies"] > 0) == (T > 0)
+
+    @pytest.mark.parametrize("T", [0] + TREE_SIZES)
+    def test_directions_share_up_sweep(self, T):
+        # elements are index intervals (lo, hi): combine records every node
+        # it forms and apply every node it reads. Both directions form the
+        # same nodes in the same order, T - popcount(T) of them, and read
+        # only elements and those nodes
+        def run(direction):
+            formed, read = [], []
+
+            def combine(a, b):
+                formed.extend(zip(a[0].tolist(), b[1].tolist()))
+                return a[0], b[1]
+
+            def apply(a, b):
+                (lo, hi), (v,) = (b, a) if direction is FWD else (a, b)
+                read.extend(zip(lo.tolist(), hi.tolist()))
+                return (v,)
+
+            idx = np.arange(T)
+            par_scan_stacked((idx, idx), combine, direction, start=(np.int64(0),), apply=apply)
+            return formed, read
+
+        fwd_formed, fwd_read = run(FWD)
+        rev_formed, rev_read = run(REV)
+        assert fwd_formed == rev_formed
+        assert len(set(fwd_formed)) == len(fwd_formed) == T - bin(T).count("1")
+        nodes = set(fwd_formed) | {(k, k) for k in range(T)}
+        assert set(fwd_read) <= nodes and set(rev_read) <= nodes
+        assert len(fwd_read) == len(rev_read) == T
+
+    @pytest.mark.parametrize("T", [0] + TREE_SIZES)
+    def test_forward_from_reverse_tree(self, T):
+        # 2x2 matrices mod PRIME acting on vectors, as in
+        # test_pin_equals_pin_of_plain_outputs: the tree a reverse scan
+        # leaves, with the even elements, gives the forward scan exactly,
+        # with no combine
+        rng = np.random.default_rng(T + 90)
+        M = rng.integers(0, PRIME, size=(T, 2, 2))
+        w = rng.integers(0, PRIME, size=2)
+
+        def mul(a, b):
+            return ((a[0] @ b[0]) % PRIME,)
+
+        def act_fwd(v, e):
+            return (((v[0][:, None, :] @ e[0])[:, 0]) % PRIME,)
+
+        def act_rev(e, v):
+            return (((e[0] @ v[0][:, :, None])[:, :, 0]) % PRIME,)
+
+        tree = []
+        par_scan_stacked((M,), mul, REV, start=(w,), apply=act_rev, tree=tree)
+        assert len(tree) == max(0, T.bit_length() - 1)
+        assert all(a.flags.c_contiguous for level in tree for a in level)
+        (ref,), ref_stats = par_scan_stacked((M,), mul, FWD, start=(w,), apply=act_fwd)
+        (out,), stats = forward_from_tree([(M[::2],), *tree], T, (w,), act_fwd)
+        assert out.tobytes() == ref.tobytes()
+        assert stats.combine_count == T
+        assert stats.combine_depth == ref_stats.combine_depth
+        if T > 1:
+            with pytest.raises(ValueError, match="tree does not match"):
+                forward_from_tree([(M[::2],), *tree[1:]], T, (w,), act_fwd)
+            with pytest.raises(ValueError, match="tree does not match"):
+                forward_from_tree([(M[::2],), *tree], T + 2, (w,), act_fwd)
+
+    def test_tree_only_from_reverse_start(self):
+        def add(a, b):
+            return (a[0] + b[0],)
+
+        x = (np.arange(4),)
+        for kwargs in ({"direction": FWD, "start": (np.int64(0),), "apply": add}, {"direction": REV}):
+            with pytest.raises(ValueError, match="only a reverse scan from start keeps its tree"):
+                par_scan_stacked(x, add, tree=[], **kwargs)
