@@ -64,7 +64,6 @@ __all__ = [
     "transform_general_cost",
     "GeneralCostRecovery",
     "condense",
-    "CondensingRecovery",
     "solve",
     "kkt_oracle",
     "lqt_cost",
@@ -532,8 +531,6 @@ class GeneralCostRecovery:
     s: np.ndarray
 
     def controls(self, xs: np.ndarray, u_tilde: np.ndarray) -> np.ndarray:
-        if len(u_tilde) == 0:
-            return np.asarray(u_tilde, dtype=np.float64).copy()
         resid = _mv(self.H, xs[:-1]) - self.r
         return u_tilde - _mv(self.UinvMt, resid) + self.s
 
@@ -571,38 +568,20 @@ def transform_general_cost(p: LqtProblem) -> tuple[LqtProblem, GeneralCostRecove
     return q, GeneralCostRecovery(UinvMt=UinvMt, H=p.H, r=p.r, s=s)
 
 
-@dataclass(frozen=True)
-class CondensingRecovery:
-    """Reconstructs intermediate states/controls inside condensed blocks.
-
-    Phi, Gam, d hold, per block g and in-block offset m, the unrolled maps
-    x_{gB+m} = Phi[g, m] x_head + Gam[g, m] u_block + d[g, m].
-    """
-
-    B: int
-    n_u: int
-    Phi: np.ndarray  # (nB, B, n_x, n_x)
-    Gam: np.ndarray  # (nB, B, n_x, B*n_u)
-    d: np.ndarray  # (nB, B, n_x)
-
-    def reconstruct(self, xs_cond: np.ndarray, us_cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nB, B = self.Phi.shape[0], self.B
-        n_x = xs_cond.shape[1]
-        head = xs_cond[:-1, None, :, None]  # (nB, 1, n_x, 1)
-        ub = us_cond[:, None, :, None]  # (nB, 1, B*n_u, 1)
-        xs = (self.Phi @ head + self.Gam @ ub)[..., 0] + self.d
-        xs = np.concatenate([xs.reshape(nB * B, n_x), xs_cond[-1:]])
-        return xs, us_cond.reshape(nB * B, self.n_u)
+def _blocks(a: np.ndarray, B: int) -> np.ndarray:
+    """A stage stack (N, ...) as (N/B, B, ...): block g, in-block offset m."""
+    return a.reshape((-1, B) + a.shape[1:])
 
 
-def condense(p: LqtProblem, B: int) -> tuple[LqtProblem, CondensingRecovery]:
+def condense(p: LqtProblem, B: int) -> LqtProblem:
     """Block-eliminate intermediate states, B steps per block.
 
     The condensed problem has the same state dimension, input dimension
     B*n_u, and horizon (T-S)/B. Stage costs accumulated inside a block
     generally couple the head state with the stacked controls, so the
     output is in general-cost form (run transform_general_cost before
-    solving).
+    solving). The states inside a block follow from its head state and
+    controls by the original dynamics.
     """
     if p.has_general_cost:
         raise ValueError("condense expects a standard-form problem")
@@ -611,75 +590,52 @@ def condense(p: LqtProblem, B: int) -> tuple[LqtProblem, CondensingRecovery]:
     if p.N % B:
         raise ValueError(f"horizon {p.N} not divisible by block size {B} (pad with zero-cost steps)")
     nx, nu = p.n_x, p.n_u
-    nB = p.N // B
-    nuB = B * nu
-
-    def steps(a):  # (N, ...) -> (nB, B, ...): block g, in-block offset m
-        return a.reshape((nB, B) + a.shape[1:])
-
-    F, c, L, H, X, r, U = map(steps, (p.F, p.c, p.L, p.H, p.X, p.r, p.U))
-    Phi_all = np.empty((nB, B, nx, nx))
-    Gam_all = np.empty((nB, B, nx, nuB))
-    d_all = np.empty((nB, B, nx))
-    # each quantity runs over the B in-block steps, batched over the blocks
-    Phi = np.broadcast_to(np.eye(nx), (nB, nx, nx))
-    Gam = np.zeros((nB, nx, nuB))
+    nB, nz = p.N // B, nx + B * nu
+    F, c, L, H, X, r, U = (_blocks(a, B) for a in (p.F, p.c, p.L, p.H, p.X, p.r, p.U))
+    # the block map x_{gB+m} = Z [x_head; u_block] + d and the block's cost
+    # 0.5 z'Q z + q'z in z = [x_head; u_block] run over the B in-block
+    # steps, batched over the blocks
+    Z = np.zeros((nB, nx, nz))
+    Z[:, :, :nx] = np.eye(nx)
     d = np.zeros((nB, nx))
-    Qxx = np.zeros((nB, nx, nx))
-    Qxu = np.zeros((nB, nx, nuB))
-    Quu = np.zeros((nB, nuB, nuB))
-    qx = np.zeros((nB, nx))
-    qu = np.zeros((nB, nuB))
+    Q = np.zeros((nB, nz, nz))
+    q = np.zeros((nB, nz))
     for m in range(B):
-        Phi_all[:, m] = Phi
-        Gam_all[:, m] = Gam
-        d_all[:, m] = d
-        Hx = H[:, m] @ Phi
-        Hu = H[:, m] @ Gam
-        off = _mv(H[:, m], d) - r[:, m]
-        XHx = X[:, m] @ Hx
-        XHu = X[:, m] @ Hu
-        Qxx += _t(Hx) @ XHx
-        Qxu += _t(Hx) @ XHu
-        Quu += _t(Hu) @ XHu
-        qx += _mv(_t(XHx), off)
-        qu += _mv(_t(XHu), off)
-        sl = slice(m * nu, (m + 1) * nu)
-        Quu[:, sl, sl] += U[:, m]
-        # unroll dynamics one step
+        HZ = H[:, m] @ Z
+        XHZ = X[:, m] @ HZ
+        Q += _t(HZ) @ XHZ
+        q += _mv(_t(XHZ), _mv(H[:, m], d) - r[:, m])
+        sl = slice(nx + m * nu, nx + (m + 1) * nu)
+        Q[:, sl, sl] += U[:, m]
         d = _mv(F[:, m], d) + c[:, m]
-        Gam = F[:, m] @ Gam
-        Gam[:, :, sl] = L[:, m]
-        Phi = F[:, m] @ Phi
+        Z = F[:, m] @ Z
+        Z[:, :, sl] = L[:, m]
+    Q = _sym(Q)
     # fit references so the linear terms match, Q [r; s] = -q: lstsq's
     # minimum-norm solution from one batched eigendecomposition of the
     # symmetric Q, applied in factored form (an explicit pseudo-inverse
     # loses about six digits on tracking2d, where cond(Q) ~ 1e8)
-    Xb, Ub = _sym(Qxx), _sym(Quu)
-    Q = np.concatenate([np.concatenate([Xb, Qxu], -1), np.concatenate([_t(Qxu), Ub], -1)], -2)
     w, V = np.linalg.eigh(Q)
     cut = np.finfo(np.float64).eps * Q.shape[-1] * np.abs(w).max(axis=-1, keepdims=True)
     winv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cut)
-    tvec = _mv(V, winv * _mv(_t(V), -np.concatenate([qx, qu], -1)))
-    cond_p = LqtProblem(
+    tvec = _mv(V, winv * _mv(_t(V), -q))
+    return LqtProblem(
         S=0,
         T=nB,
         x0=p.x0,
-        F=Phi,
+        F=Z[:, :, :nx],
         c=d,
-        L=Gam,
+        L=Z[:, :, nx:],
         H=np.broadcast_to(np.eye(nx), (nB, nx, nx)).copy(),
-        X=Xb,
+        X=Q[:, :nx, :nx],
         r=tvec[:, :nx],
-        U=Ub,
+        U=Q[:, nx:, nx:],
         HT=p.HT,
         XT=p.XT,
         rT=p.rT,
-        M=Qxu,
+        M=Q[:, :nx, nx:],
         s=tvec[:, nx:],
     )
-    recovery = CondensingRecovery(B=B, n_u=nu, Phi=Phi_all, Gam=Gam_all, d=d_all)
-    return cond_p, recovery
 
 
 def solve(
@@ -695,8 +651,10 @@ def solve(
     backend runs Riccati and the closed-loop rollout and reports
     ScanStats(N, N); "parallel" runs the reverse scan, trajectory Method
     ``traj_method`` (1 or 2) and the vectorized control law. With
-    ``block_size`` B the problem is condensed to N/B blocks, solved the same
-    way and reconstructed; the stats are those of the condensed solve.
+    ``block_size`` B the problem is condensed to N/B blocks and solved the
+    same way, and the states inside each block are rolled forward from its
+    head by the original dynamics; the stats are those of the condensed
+    solve.
     """
     if backend not in ("sequential", "parallel"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -704,9 +662,13 @@ def solve(
         raise ValueError(f"unknown trajectory method {traj_method!r}")
     std, cost_rec = transform_general_cost(p)
     if block_size is not None:
-        cond, block_rec = condense(std, block_size)
-        xs_c, us_c, stats = solve(cond, backend, traj_method)
-        xs, ut = block_rec.reconstruct(xs_c, us_c)
+        xs_c, us_c, stats = solve(condense(std, block_size), backend, traj_method)
+        ut = us_c.reshape(std.N, std.n_u)
+        xs = np.empty((std.N + 1, std.n_x))
+        xs[::block_size] = xs_c
+        x, F, c, L, u = (_blocks(a, block_size) for a in (xs[:-1], std.F, std.c, std.L, ut))
+        for m in range(block_size - 1):
+            x[:, m + 1] = _mv(F[:, m], x[:, m]) + c[:, m] + _mv(L[:, m], u[:, m])
     elif backend == "sequential":
         values, gains = riccati_backward(std)
         xs, ut = closed_loop_rollout(std, values, gains)

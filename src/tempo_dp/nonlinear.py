@@ -11,7 +11,7 @@ is returned so divergence is visible rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -168,7 +168,6 @@ def nonlinear_cost(p: NonlinearProblem, xs: np.ndarray, us: np.ndarray) -> float
 
 def ilqt(
     p: NonlinearProblem,
-    x_S: np.ndarray | None = None,
     init: Nominal | None = None,
     iters: int = 10,
     backend: str = "parallel",
@@ -190,8 +189,6 @@ def ilqt(
     """
     if iters < 1:
         raise ValueError("need iters >= 1")
-    if x_S is not None:
-        p = replace(p, x0=np.asarray(x_S, dtype=np.float64))
     nom = init if init is not None else default_nominal(p)
     costs = []
     for it in range(iters):

@@ -258,19 +258,16 @@ def condense_loop(p, B):
     """Block condensing one block and one step at a time, with one lstsq
     reference fit per block: reference for lqt.condense.
 
-    Returns the condensed stage arrays (F, c, L, X, U, M, r, s) and the
-    recovery maps (Phi, Gam, d) by name.
+    Returns the condensed stage arrays (F, c, L, X, U, M, r, s) by name.
     """
     nx, nu, nB = p.n_x, p.n_u, p.N // B
-    out = {name: [] for name in ("F", "c", "L", "X", "U", "M", "r", "s", "Phi", "Gam", "d")}
+    out = {name: [] for name in ("F", "c", "L", "X", "U", "M", "r", "s")}
     for g in range(nB):
         Phi, Gam, d = np.eye(nx), np.zeros((nx, B * nu)), np.zeros(nx)
         Qxx, Qxu, Quu = np.zeros((nx, nx)), np.zeros((nx, B * nu)), np.zeros((B * nu, B * nu))
         qx, qu = np.zeros(nx), np.zeros(B * nu)
-        maps = []
         for m in range(B):
             k = g * B + m
-            maps.append((Phi, Gam.copy(), d))
             Hx, Hu, off = p.H[k] @ Phi, p.H[k] @ Gam, p.H[k] @ d - p.r[k]
             Qxx += Hx.T @ p.X[k] @ Hx
             Qxu += Hx.T @ p.X[k] @ Hu
@@ -286,6 +283,6 @@ def condense_loop(p, B):
         Q = np.block([[Qxx, Qxu], [Qxu.T, Quu]])
         t = np.linalg.lstsq(Q, -np.concatenate([qx, qu]), rcond=None)[0]
         for name, value in zip(out, (Phi, d, Gam, (Qxx + Qxx.T) / 2, (Quu + Quu.T) / 2, Qxu,
-                                     t[:nx], t[nx:], *map(np.array, zip(*maps)))):
+                                     t[:nx], t[nx:])):
             out[name].append(value)
     return {name: np.array(values) for name, values in out.items()}

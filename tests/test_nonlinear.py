@@ -276,7 +276,7 @@ class TestIlqt:
     def test_x_S_override(self):
         p = build_unicycle(30, seed=3)
         x_other = p.x0 + np.array([0.5, -0.5, 0.1, 0.0])
-        xs, _, _ = nl.ilqt(p, x_S=x_other, iters=2, backend="sequential")
+        xs, _, _ = nl.ilqt(replace(p, x0=x_other), iters=2, backend="sequential")
         np.testing.assert_allclose(xs[0], x_other, atol=1e-12)
 
     @pytest.mark.parametrize(
