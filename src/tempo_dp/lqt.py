@@ -18,15 +18,32 @@ alone. Every batched solve or factorization that fails (control weights,
 normal matrices, Method-2 recovery) raises a SolverError naming its first
 failing step.
 
+A level-L node's C has rank at most r = 2^L n_u. While 2 r < n_x, the
+nodes carry a thin factor Gt = G' with C = G G' as a sixth array; the
+stage elements take G = L R^-T from the Cholesky factor U = R R'. On those
+levels the combine and the backward fill factor the r x r matrix
+M = I + G1' J2 G1 = R_M R_M' instead of inverting the n_x x n_x
+Z = I + C1 J2. With H = G1 R_M^-T, Woodbury gives Z^-1 = I - H H' J2, and
+Z^-1 C1 = H H' makes the combined C a sum of squares with the factor
+[A2 H, G2], which the combine passes up while it is thin. Z and Z^-1 are
+still formed for the conditioning gate. The switch follows from the array
+shapes alone: mass_spring with n_x = 32 and n_u = 2 has three thin levels,
+and n_x = 4 with n_u = 2 none. Method 2's forward fill keeps the dense
+form, since its prefix C are full-rank, and the nodes handed to it drop
+their factors. On mass_spring with n_x = 32 and T = 4000 the factors raise
+parallel_backward's traced peak to 205 MiB from 200; Method 2's stays at
+206 MiB.
+
 At these block sizes (n_u and n_x of a few) a batched numpy.linalg call
 costs more per matrix than its arithmetic, so the small dense algebra of
-the parallel path avoids them where it can. U^-1 comes from one batched
-Cholesky factor of U and then forward and back substitution, one row at a
-time, each row one batched operation over all steps and right-hand sides.
-Matrix-vector products and the gate's column sums are ``einsum`` calls.
-The normal matrix G keeps a batched LU solve: Riccati solves it by LU, so
-an indefinite but nonsingular G passes in both backends alike, where a
-Cholesky factor would reject it in one.
+the parallel path avoids them where it can. U gets one batched LAPACK
+Cholesky factorization (which names a failing step); M, and the block
+Hessians of condensing, a hand-rolled one, one column per step.
+Substitutions run one row at a time, each row one batched operation over
+all steps and right-hand sides. Matrix-vector products and the gate's
+column sums are ``einsum`` calls. The normal matrix G keeps a batched LU
+solve: Riccati solves it by LU, so an indefinite but nonsingular G passes
+in both backends alike, where a Cholesky factor would reject it in one.
 
 Also here: the generalized-cost (cross-term) reduction to standard form,
 block partial condensing, a dense KKT reference solver, and file I/O. The
@@ -67,7 +84,6 @@ __all__ = [
     "solve",
     "kkt_oracle",
     "lqt_cost",
-    "value_at",
     "problem_to_dict",
     "problem_from_dict",
     "save_problem",
@@ -238,28 +254,95 @@ def _norm1(Z: np.ndarray) -> np.ndarray:
     return np.einsum("...ij->...j", np.abs(Z)).max(axis=-1)
 
 
-def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
-    """Zi = (I + C1 J2)^-1, batched, behind the conditioning gate.
+def _thin(n_x: int, width: int) -> bool:
+    """Whether an element whose C = G G' has a factor G of ``width``
+    columns carries it: only while it is thinner than half the state."""
+    return 2 * width < n_x
 
-    The same inverse gives the exact 1-norm condition number
-    ||Z||_1 ||Zi||_1; beyond COND_LIMIT (or on a singular or non-finite Z)
-    the combine (or fill) raises instead of returning garbage.
-    """
+
+def _gate(cond: np.ndarray) -> None:
+    """The conditioning gate: beyond COND_LIMIT the exact 1-norm condition
+    numbers ``cond`` = ||Z||_1 ||Z^-1||_1 of Z = I + C1 J2 (or a non-finite
+    one) make the combine (or fill) raise instead of returning garbage."""
+    worst = float(np.max(cond))
+    if not np.isfinite(worst) or worst > COND_LIMIT:
+        raise SolverError(f"ill-conditioned combine: condition number {worst:.3e}")
+
+
+def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
+    """Zi = (I + C1 J2)^-1, batched, behind the conditioning gate; a
+    singular Z raises too."""
     Z = np.eye(C1.shape[-1]) + C1 @ J2
     try:
         Zi = np.linalg.inv(Z)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"ill-conditioned combine: {exc}") from exc
-    cond = _norm1(Z) * _norm1(Zi)
-    worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > COND_LIMIT:
-        raise SolverError(f"ill-conditioned combine: condition number {worst:.3e}")
+    _gate(_norm1(Z) * _norm1(Zi))
     return Zi
+
+
+def _cholesky(M: np.ndarray, floor=0.0) -> np.ndarray:
+    """Lower factors R of M = R R', batched, one column of R per step.
+
+    A pivot at or below ``floor`` (>= 0, broadcast over the batch) or a
+    non-finite one leaves NaN in its factor from there on, so a failed
+    factor reads NaN in its last diagonal entry. For the small factors here
+    this beats a batched LAPACK call's per-matrix cost.
+    """
+    R = np.zeros(M.shape)
+    for j in range(M.shape[-1]):
+        r = R[..., j, :j]
+        d = M[..., j, j] - np.einsum("...k,...k->...", r, r)
+        d = np.sqrt(np.where(d > floor, d, np.nan))
+        R[..., j, j] = d
+        rest = M[..., j + 1 :, j] - np.einsum("...ik,...k->...i", R[..., j + 1 :, :j], r)
+        R[..., j + 1 :, j] = rest / d[..., None]
+    return R
+
+
+def _forward_sub(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """R^-1 rhs for lower-triangular R, batched, one row at a time: each row
+    one batched operation over all steps and right-hand-side columns."""
+    x = rhs.copy()
+    for i in range(R.shape[-1]):
+        x[..., i, :] -= np.einsum("...j,...jk->...k", R[..., i, :i], x[..., :i, :])
+        x[..., i, :] /= R[..., i, i, None]
+    return x
+
+
+def _back_sub(R: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R'^-1 y for lower-triangular R, in place, the same way."""
+    for i in reversed(range(R.shape[-1])):
+        y[..., i, :] -= np.einsum("...j,...jk->...k", R[..., i + 1 :, i], y[..., i + 1 :, :])
+        y[..., i, :] /= R[..., i, i, None]
+    return y
+
+
+def _thin_inverse(e1, J2: np.ndarray):
+    """Woodbury for C1 = G1 G1' of rank r: (I + C1 J2)^-1 = I - H H' J2,
+    with H = G1 R^-T and R the Cholesky factor of the r x r matrix
+    M = I + G1' J2 G1, which is SPD for PSD J2.
+
+    Takes the element e1 with its factor Gt1 = G1' and returns
+    (P, H', H' J2) with P = (I + C1 J2)^-1 A1 = A1 - H (H' J2 A1). Z and Zi
+    are formed, one after the other, for the conditioning gate alone; an M
+    that is not positive definite raises.
+    """
+    A1, C1, Gt1 = e1[0], e1[2], e1[5]
+    M = np.eye(Gt1.shape[-2]) + Gt1 @ J2 @ _t(Gt1)
+    R = _cholesky(M)
+    if not np.isfinite(R[..., -1, -1]).all():
+        raise SolverError("ill-conditioned combine: I + G'JG not positive definite")
+    Ht = _forward_sub(R, Gt1)
+    HtJ = Ht @ J2
+    eye = np.eye(C1.shape[-1])
+    _gate(_norm1(eye + C1 @ J2) * _norm1(eye - _t(Ht) @ HtJ))
+    return A1 - _t(Ht) @ (HtJ @ A1), Ht, HtJ
 
 
 def _eta_J(P, e1, eta2, J2):
     """eta and J of e1 (x) e2, from P = (I + C1 J2)^-1 A1."""
-    A1, b1, _, eta1, J1 = e1
+    A1, b1, _, eta1, J1 = e1[:5]
     eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
     J = _sym(_t(P) @ J2 @ A1 + J1)
     return eta, J
@@ -267,7 +350,7 @@ def _eta_J(P, e1, eta2, J2):
 
 def _b_C(W, b1, C1, e2):
     """b and C of e1 (x) e2, from W = A2 (I + C1 J2)^-1."""
-    A2, b2, C2, eta2, _ = e2
+    A2, b2, C2, eta2 = e2[:4]
     b = _mv(W, b1 + _mv(C1, eta2)) + b2
     C = _sym(W @ C1 @ _t(A2) + C2)
     return b, C
@@ -281,25 +364,42 @@ def _combine_element_arrays(e1, e2):
     here), which makes (I + J2 C1)^-1 the transpose of Zi = (I + C1 J2)^-1,
     so one batched inverse (:func:`_gated_inverse`) serves both sides of the
     combination.
+
+    Elements may carry a sixth array, Gt = G' with C = G G' and G thinner
+    than half the state (:func:`_thin`); both inputs carry one or neither.
+    Then Zi = I - H H' J2 comes from an r x r Cholesky factor
+    (:func:`_thin_inverse`) and is never formed here: with K = H' A2',
+    P = A1 - H (H' J2 A1), W (b1 + C1 eta2) = A2 b1 + K' H' (eta2 - J2 b1)
+    and W C1 A2' = K'K, and the output carries Gt = [K; Gt2] while it stays
+    thin.
     """
-    A1, b1, C1, _, _ = e1
-    A2, _, _, eta2, J2 = e2
-    Zi = _gated_inverse(C1, J2)
-    W = A2 @ Zi
-    P = Zi @ A1
-    return (A2 @ P, *_b_C(W, b1, C1, e2), *_eta_J(P, e1, eta2, J2))
+    A1, b1, C1 = e1[:3]
+    A2, b2, C2, eta2, J2 = e2[:5]
+    if len(e1) == 5:
+        Zi = _gated_inverse(C1, J2)
+        W = A2 @ Zi
+        P = Zi @ A1
+        return (A2 @ P, *_b_C(W, b1, C1, e2), *_eta_J(P, e1, eta2, J2))
+    P, Ht, HtJ = _thin_inverse(e1, J2)
+    K = Ht @ _t(A2)
+    b = _mv(A2, b1) + _mv(_t(K), _mv(Ht, eta2 - _mv(J2, b1))) + b2
+    out = (A2 @ P, b, _sym(_t(K) @ K + C2), *_eta_J(P, e1, eta2, J2))
+    Gt = np.concatenate([K, e2[5]], axis=-2)
+    return out + (Gt,) if _thin(A1.shape[-1], Gt.shape[-2]) else out
 
 
 def _fill_suffix(e1, e2):
     """Elements e1 acting on the values (eta, J) of the suffixes after them:
     the (eta, J) half of :func:`_combine_element_arrays`."""
     eta2, J2 = e2
-    return _eta_J(_gated_inverse(e1[2], J2) @ e1[0], e1, eta2, J2)
+    P = _gated_inverse(e1[2], J2) @ e1[0] if len(e1) == 5 else _thin_inverse(e1, J2)[0]
+    return _eta_J(P, e1, eta2, J2)
 
 
 def _fill_prefix(e1, e2):
     """The (b, C) of prefixes from the initial state acted on by the elements
-    e2 after them: the (b, C) half of :func:`_combine_element_arrays`."""
+    e2 after them: the (b, C) half of :func:`_combine_element_arrays`. The
+    prefixes' C are full-rank in general, so this half has no thin form."""
     b1, C1 = e1
     return _b_C(e2[0] @ _gated_inverse(C1, e2[4]), b1, C1, e2)
 
@@ -322,36 +422,32 @@ def _batched(fn, what: str, offset: int, *stacks, stride: int = 1):
         raise SolverError(what) from None
 
 
-def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int, stride: int = 1):
-    """U^-1 rhs per step by a Cholesky factor U = R R'; rejects non-PD
-    control weights.
-
-    Forward and back substitution run one row of R at a time, each row one
-    batched operation over all steps and right-hand-side columns: for the
-    small n_u here that beats a batched LAPACK solve's per-matrix cost.
-    """
+def _control_factor(U: np.ndarray, offset: int, stride: int = 1) -> np.ndarray:
+    """Cholesky factors R of the control weights, U = R R'; rejects a
+    non-PD U naming its step."""
     what = "control weight U not positive definite: factorization failed"
-    R = _batched(np.linalg.cholesky, what, offset, U, stride=stride)
-    x = rhs.copy()
-    for i in range(R.shape[-1]):  # R y = rhs
-        x[..., i, :] -= np.einsum("...j,...jk->...k", R[..., i, :i], x[..., :i, :])
-        x[..., i, :] /= R[..., i, i, None]
-    for i in reversed(range(R.shape[-1])):  # R' x = y
-        x[..., i, :] -= np.einsum("...j,...jk->...k", R[..., i + 1 :, i], x[..., i + 1 :, :])
-        x[..., i, :] /= R[..., i, i, None]
-    return x
+    return _batched(np.linalg.cholesky, what, offset, U, stride=stride)
+
+
+def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int, stride: int = 1):
+    """U^-1 rhs per step by forward and back substitution on U = R R'."""
+    R = _control_factor(U, offset, stride)
+    return _back_sub(R, _forward_sub(R, rhs))
 
 
 def _element_arrays(p: LqtProblem, stride: int = 1):
     """Stacked (A, b, C, eta, J) of the stage elements 0, stride, 2 stride, ...
 
-    Stage k: (F_k, c_k, L_k U_k^-1 L_k', H_k'X_k r_k, H_k'X_k H_k); A and b
-    are views of p.F and p.c, which the scans only read.
+    Stage k: (F_k, c_k, G_k G_k', H_k'X_k r_k, H_k'X_k H_k) with
+    G_k = L_k R_k^-T and U_k = R_k R_k', so that C_k = L_k U_k^-1 L_k'. A and
+    b are views of p.F and p.c, which the scans only read. While G is thin
+    (:func:`_thin`, 2 n_u < n_x) the elements carry Gt = G' as a sixth array.
     """
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
     F, c, L, U, H, X, r = (a[::stride] for a in (p.F, p.c, p.L, p.U, p.H, p.X, p.r))
-    C = L @ _spd_solve_batched(U, _t(L), p.S, stride)
+    Gt = _forward_sub(_control_factor(U, p.S, stride), _t(L))
+    C = _t(Gt) @ Gt
     HtX = _t(H) @ X
     eta = _mv(HtX, r)
     J = HtX @ H
@@ -359,6 +455,8 @@ def _element_arrays(p: LqtProblem, stride: int = 1):
     for M in (C, J):  # symmetrized in place, with the bits of _sym
         M += _t(M)  # numpy copies the overlapping transposed operand first
         M *= 0.5
+    if _thin(p.n_x, p.n_u):
+        return F, c, C, eta, J, Gt
     return F, c, C, eta, J
 
 
@@ -430,7 +528,7 @@ def parallel_backward(p: LqtProblem, return_stats: bool = False):
         apply=_fill_suffix,
         tree=levels,
     )
-    values = QuadValue(Ss, v, _Tree(p, levels))
+    values = QuadValue(Ss, v, _Tree(p, [lv[:5] for lv in levels]))  # Method 2 reads no factor
     gains = Gains(*_gains_from_values(p, Ss))
     if return_stats:
         return values, gains, stats
@@ -503,7 +601,7 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     start = (p.x0, np.zeros((p.n_x, p.n_x)))
     tree = values.tree
     if tree is not None and tree.problem is p:
-        evens = [_element_arrays(p, 2), *tree.levels]
+        evens = [_element_arrays(p, 2)[:5], *tree.levels]
         (b, C), _ = forward_from_tree(evens, p.N, start, _fill_prefix)
     else:
         (b, C), _ = par_scan_stacked(
@@ -611,14 +709,21 @@ def condense(p: LqtProblem, B: int) -> LqtProblem:
         Z = F[:, m] @ Z
         Z[:, :, sl] = L[:, m]
     Q = _sym(Q)
-    # fit references so the linear terms match, Q [r; s] = -q: lstsq's
-    # minimum-norm solution from one batched eigendecomposition of the
-    # symmetric Q, applied in factored form (an explicit pseudo-inverse
-    # loses about six digits on tracking2d, where cond(Q) ~ 1e8)
-    w, V = np.linalg.eigh(Q)
-    cut = np.finfo(np.float64).eps * Q.shape[-1] * np.abs(w).max(axis=-1, keepdims=True)
-    winv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cut)
-    tvec = _mv(V, winv * _mv(_t(V), -q))
+    # fit references so the linear terms match, Q [r; s] = -q: one batched
+    # Cholesky solve, and lstsq's minimum-norm solution on the blocks whose
+    # Q it finds singular (a pivot within rounding of zero), from an
+    # eigendecomposition applied in factored form (an explicit
+    # pseudo-inverse loses about six digits on tracking2d, where
+    # cond(Q) ~ 1e8)
+    tol = np.finfo(np.float64).eps * nz
+    R = _cholesky(Q, tol * np.abs(np.diagonal(Q, axis1=-2, axis2=-1)).max(axis=-1))
+    tvec = -_back_sub(R, _forward_sub(R, q[..., None]))[..., 0]
+    bad = ~np.isfinite(R[:, -1, -1])
+    if bad.any():
+        w, V = np.linalg.eigh(Q[bad])
+        cut = tol * np.abs(w).max(axis=-1, keepdims=True)
+        winv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cut)
+        tvec[bad] = _mv(V, winv * _mv(_t(V), -q[bad]))
     return LqtProblem(
         S=0,
         T=nB,
@@ -695,11 +800,6 @@ def lqt_cost(p: LqtProblem, xs: np.ndarray, us: np.ndarray) -> float:
             cost += e @ (p.M[k] @ u)
     eT = p.HT @ xs[p.N] - p.rT
     return float(cost + 0.5 * eT @ (p.XT @ eT))
-
-
-def value_at(values: QuadValue, k: int, x: np.ndarray) -> float:
-    """0.5 x'S_k x - v_k'x; meaningful only in differences (constant dropped)."""
-    return float(0.5 * x @ (values.S[k] @ x) - values.v[k] @ x)
 
 
 def kkt_oracle(p: LqtProblem):

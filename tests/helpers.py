@@ -168,8 +168,10 @@ def combine_lqt(e1, e2):
 def make_lqt_elements(p):
     """The N stage elements of lqt._element_arrays, then the terminal element
     (0, 0, 0, HT'XT rT, HT'XT HT) written out here: a reverse scan of all
-    N + 1 gives the value functions as the suffixes' (eta, J)."""
-    A, b, C, eta, J = lqt._element_arrays(p)
+    N + 1 gives the value functions as the suffixes' (eta, J). The elements
+    drop the thin factor that lqt._element_arrays adds on wide states, so
+    their combines take the dense path."""
+    A, b, C, eta, J = lqt._element_arrays(p)[:5]
     HtXT = p.HT.T @ p.XT
     JT = HtXT @ p.HT
     z = np.zeros((p.n_x, p.n_x))
@@ -186,6 +188,11 @@ def random_lqt_element(rng, n_x):
         eta=rng.normal(size=n_x),
         J=make_psd(rng, n_x, 0.5),
     )
+
+
+def value_at(values, k, x):
+    """0.5 x'S_k x - v_k'x; meaningful only in differences (constant dropped)."""
+    return float(0.5 * x @ (values.S[k] @ x) - values.v[k] @ x)
 
 
 def max_value_dev(values_a, values_b):
