@@ -18,27 +18,23 @@ alone. Every batched solve or factorization that fails (control weights,
 normal matrices, Method-2 recovery) raises a SolverError naming its first
 failing step.
 
-A level-L node's C has rank at most r = 2^L n_u. While 2 r < n_x, the
-nodes carry a thin factor Gt = G' with C = G G' as a sixth array; the
-stage elements take G = L R^-T from the Cholesky factor U = R R'. On those
-levels the combine and the backward fill factor the r x r matrix
-M = I + G1' J2 G1 = R_M R_M' instead of inverting the n_x x n_x
-Z = I + C1 J2. With H = G1 R_M^-T, Woodbury gives Z^-1 = I - H H' J2, and
-Z^-1 C1 = H H' makes the combined C a sum of squares with the factor
-[A2 H, G2], which the combine passes up while it is thin. Z and Z^-1 are
-still formed for the conditioning gate. The switch follows from the array
-shapes alone: mass_spring with n_x = 32 and n_u = 2 has three thin levels,
-and n_x = 4 with n_u = 2 none. Method 2's forward fill keeps the dense
-form, since its prefix C are full-rank, and the nodes handed to it drop
-their factors. On mass_spring with n_x = 32 and T = 4000 the factors raise
-parallel_backward's traced peak to 205 MiB from 200; Method 2's stays at
-206 MiB.
+A level-L node's C = G G' has rank at most r = 2^L n_u. While
+0 < 2 r < n_x, slot 2 of every stage element and node holds the thin factor
+Gt = G' (r x n_x, never square) in place of C; the stage elements take
+G = L R^-T from the Cholesky factor U = R R'. There the combine and the
+backward fill factor the r x r matrix M = I + G1' J2 G1 = R_M R_M' instead
+of inverting the n_x x n_x Z = I + C1 J2: with H = G1 R_M^-T, Woodbury
+gives Z^-1 = I - H H' J2, and the combined C is Gt'Gt for the stacked
+factor Gt = [A2 H, G2]', formed as C on the level where it stops being
+thin. Z and Z^-1 are still formed for the gate. mass_spring with n_x = 32
+and n_u = 2 has three thin levels, n_x = 4 with n_u = 2 none; Method 2's
+forward fill forms a thin node's C. There, at T = 4000, the traced peaks
+are 160 MiB (parallel_backward) and 197 MiB (Method 2 over its nodes).
 
 At these block sizes (n_u and n_x of a few) a batched numpy.linalg call
 costs more per matrix than its arithmetic, so the small dense algebra of
-the parallel path avoids them where it can. U gets one batched LAPACK
-Cholesky factorization (which names a failing step); M, and the block
-Hessians of condensing, a hand-rolled one, one column per step.
+the parallel path avoids them where it can. U, M and the block Hessians of
+condensing get a hand-rolled Cholesky factorization, one column per step.
 Substitutions run one row at a time, each row one batched operation over
 all steps and right-hand sides. Matrix-vector products and the gate's
 column sums are ``einsum`` calls. The normal matrix G keeps a batched LU
@@ -203,7 +199,7 @@ class LqtProblem:
 @dataclass(frozen=True, eq=False)
 class _Tree:
     """The up-sweep nodes that :func:`parallel_backward` kept for Method 2:
-    the even nodes (A, b, C, eta, J) of levels 1, 2, ... over the stage
+    the even nodes (A, b, C or Gt, eta, J) of levels 1, 2, ... over the stage
     elements of ``problem`` (see ``scan.par_scan_stacked``'s ``tree``)."""
 
     problem: LqtProblem
@@ -255,9 +251,14 @@ def _norm1(Z: np.ndarray) -> np.ndarray:
 
 
 def _thin(n_x: int, width: int) -> bool:
-    """Whether an element whose C = G G' has a factor G of ``width``
-    columns carries it: only while it is thinner than half the state."""
-    return 2 * width < n_x
+    """Whether an element whose C = G G' has a factor G of ``width`` columns
+    holds Gt = G' in place of C: while 0 < width < n_x / 2."""
+    return 0 < 2 * width < n_x
+
+
+def _factored(C: np.ndarray) -> bool:
+    """Whether slot 2 holds a thin factor Gt (r x n_x, never square), not C."""
+    return C.shape[-2] != C.shape[-1]
 
 
 def _gate(cond: np.ndarray) -> None:
@@ -321,36 +322,35 @@ def _back_sub(R: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _thin_inverse(e1, J2: np.ndarray):
     """Woodbury for C1 = G1 G1' of rank r: (I + C1 J2)^-1 = I - H H' J2,
     with H = G1 R^-T and R the Cholesky factor of the r x r matrix
-    M = I + G1' J2 G1, which is SPD for PSD J2.
-
-    Takes the element e1 with its factor Gt1 = G1' and returns
-    (P, H', H' J2) with P = (I + C1 J2)^-1 A1 = A1 - H (H' J2 A1). Z and Zi
-    are formed, one after the other, for the conditioning gate alone; an M
-    that is not positive definite raises.
+    M = I + G1' J2 G1, SPD for PSD J2 (else it raises). Takes e1 with
+    Gt1 = G1' in slot 2 and returns (P, H', H' J2), where
+    P = (I + C1 J2)^-1 A1 = A1 - H (H' J2 A1). Z = I + Gt1'(Gt1 J2), from
+    M's Gt1 J2, and Zi are formed for the conditioning gate alone.
     """
-    A1, C1, Gt1 = e1[0], e1[2], e1[5]
-    M = np.eye(Gt1.shape[-2]) + Gt1 @ J2 @ _t(Gt1)
-    R = _cholesky(M)
+    A1, Gt1 = e1[0], e1[2]
+    GtJ = Gt1 @ J2
+    R = _cholesky(np.eye(Gt1.shape[-2]) + GtJ @ _t(Gt1))
     if not np.isfinite(R[..., -1, -1]).all():
         raise SolverError("ill-conditioned combine: I + G'JG not positive definite")
     Ht = _forward_sub(R, Gt1)
     HtJ = Ht @ J2
-    eye = np.eye(C1.shape[-1])
-    _gate(_norm1(eye + C1 @ J2) * _norm1(eye - _t(Ht) @ HtJ))
+    eye = np.eye(Gt1.shape[-1])
+    _gate(_norm1(eye + _t(Gt1) @ GtJ) * _norm1(eye - _t(Ht) @ HtJ))
     return A1 - _t(Ht) @ (HtJ @ A1), Ht, HtJ
 
 
 def _eta_J(P, e1, eta2, J2):
     """eta and J of e1 (x) e2, from P = (I + C1 J2)^-1 A1."""
-    A1, b1, _, eta1, J1 = e1[:5]
+    A1, b1, _, eta1, J1 = e1
     eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
     J = _sym(_t(P) @ J2 @ A1 + J1)
     return eta, J
 
 
 def _b_C(W, b1, C1, e2):
-    """b and C of e1 (x) e2, from W = A2 (I + C1 J2)^-1."""
-    A2, b2, C2, eta2 = e2[:4]
+    """b and C of e1 (x) e2, from W = A2 (I + C1 J2)^-1 (a thin e2's C2 formed)."""
+    A2, b2, C2, eta2, _ = e2
+    C2 = _sym(_t(C2) @ C2) if _factored(C2) else C2
     b = _mv(W, b1 + _mv(C1, eta2)) + b2
     C = _sym(W @ C1 @ _t(A2) + C2)
     return b, C
@@ -365,34 +365,32 @@ def _combine_element_arrays(e1, e2):
     so one batched inverse (:func:`_gated_inverse`) serves both sides of the
     combination.
 
-    Elements may carry a sixth array, Gt = G' with C = G G' and G thinner
-    than half the state (:func:`_thin`); both inputs carry one or neither.
-    Then Zi = I - H H' J2 comes from an r x r Cholesky factor
-    (:func:`_thin_inverse`) and is never formed here: with K = H' A2',
-    P = A1 - H (H' J2 A1), W (b1 + C1 eta2) = A2 b1 + K' H' (eta2 - J2 b1)
-    and W C1 A2' = K'K, and the output carries Gt = [K; Gt2] while it stays
-    thin.
+    On thin levels (:func:`_thin`) slot 2 of both inputs holds Gt = G' in
+    place of C = G G'. Then Zi = I - H H' J2 comes from an r x r Cholesky
+    factor (:func:`_thin_inverse`) and is never formed here: with
+    K = H' A2', P = A1 - H (H' J2 A1), W (b1 + C1 eta2) = A2 b1 +
+    K' H' (eta2 - J2 b1) and W C1 A2' + C2 = Gt'Gt for Gt = [K; Gt2], which
+    the output holds while it stays thin, and C = sym(Gt'Gt) once it does not.
     """
     A1, b1, C1 = e1[:3]
-    A2, b2, C2, eta2, J2 = e2[:5]
-    if len(e1) == 5:
+    A2, b2, C2, eta2, J2 = e2
+    if not _factored(C1):
         Zi = _gated_inverse(C1, J2)
-        W = A2 @ Zi
         P = Zi @ A1
-        return (A2 @ P, *_b_C(W, b1, C1, e2), *_eta_J(P, e1, eta2, J2))
+        return (A2 @ P, *_b_C(A2 @ Zi, b1, C1, e2), *_eta_J(P, e1, eta2, J2))
     P, Ht, HtJ = _thin_inverse(e1, J2)
     K = Ht @ _t(A2)
     b = _mv(A2, b1) + _mv(_t(K), _mv(Ht, eta2 - _mv(J2, b1))) + b2
-    out = (A2 @ P, b, _sym(_t(K) @ K + C2), *_eta_J(P, e1, eta2, J2))
-    Gt = np.concatenate([K, e2[5]], axis=-2)
-    return out + (Gt,) if _thin(A1.shape[-1], Gt.shape[-2]) else out
+    Gt = np.concatenate([K, C2], axis=-2)
+    C = Gt if _thin(A1.shape[-1], Gt.shape[-2]) else _sym(_t(Gt) @ Gt)
+    return A2 @ P, b, C, *_eta_J(P, e1, eta2, J2)
 
 
 def _fill_suffix(e1, e2):
     """Elements e1 acting on the values (eta, J) of the suffixes after them:
     the (eta, J) half of :func:`_combine_element_arrays`."""
     eta2, J2 = e2
-    P = _gated_inverse(e1[2], J2) @ e1[0] if len(e1) == 5 else _thin_inverse(e1, J2)[0]
+    P = _thin_inverse(e1, J2)[0] if _factored(e1[2]) else _gated_inverse(e1[2], J2) @ e1[0]
     return _eta_J(P, e1, eta2, J2)
 
 
@@ -404,12 +402,11 @@ def _fill_prefix(e1, e2):
     return _b_C(e2[0] @ _gated_inverse(C1, e2[4]), b1, C1, e2)
 
 
-def _batched(fn, what: str, offset: int, *stacks, stride: int = 1):
+def _batched(fn, what: str, offset: int, *stacks):
     """``fn`` (a numpy.linalg routine) on whole stacks of per-step operands.
 
     On failure ``fn`` runs again step by step, and the SolverError names the
-    first failing step as ``offset + stride * k``; a failure no single step
-    repeats raises it without a step.
+    first failing step, ``offset + k``, or none if no single step fails.
     """
     try:
         return fn(*stacks)
@@ -418,20 +415,24 @@ def _batched(fn, what: str, offset: int, *stacks, stride: int = 1):
             try:
                 fn(*(a[k] for a in stacks))
             except np.linalg.LinAlgError:
-                raise SolverError(f"{what} at step {offset + stride * k}") from None
+                raise SolverError(f"{what} at step {offset + k}") from None
         raise SolverError(what) from None
 
 
 def _control_factor(U: np.ndarray, offset: int, stride: int = 1) -> np.ndarray:
-    """Cholesky factors R of the control weights, U = R R'; rejects a
-    non-PD U naming its step."""
-    what = "control weight U not positive definite: factorization failed"
-    return _batched(np.linalg.cholesky, what, offset, U, stride=stride)
+    """Cholesky factors R of the control weights, U = R R'; a non-PD U raises
+    naming its first failing row k as step ``offset + stride * k``."""
+    R = _cholesky(U)
+    bad = np.flatnonzero(~np.isfinite(R[:, -1, -1])) if U.shape[-1] else ()
+    if len(bad):
+        what = "control weight U not positive definite: factorization failed"
+        raise SolverError(f"{what} at step {offset + stride * bad[0]}")
+    return R
 
 
-def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int, stride: int = 1):
+def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
     """U^-1 rhs per step by forward and back substitution on U = R R'."""
-    R = _control_factor(U, offset, stride)
+    R = _control_factor(U, offset)
     return _back_sub(R, _forward_sub(R, rhs))
 
 
@@ -441,22 +442,21 @@ def _element_arrays(p: LqtProblem, stride: int = 1):
     Stage k: (F_k, c_k, G_k G_k', H_k'X_k r_k, H_k'X_k H_k) with
     G_k = L_k R_k^-T and U_k = R_k R_k', so that C_k = L_k U_k^-1 L_k'. A and
     b are views of p.F and p.c, which the scans only read. While G is thin
-    (:func:`_thin`, 2 n_u < n_x) the elements carry Gt = G' as a sixth array.
+    (:func:`_thin`) slot 2 holds Gt = G' (N, n_u, n_x) in place of C.
     """
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
     F, c, L, U, H, X, r = (a[::stride] for a in (p.F, p.c, p.L, p.U, p.H, p.X, p.r))
     Gt = _forward_sub(_control_factor(U, p.S, stride), _t(L))
-    C = _t(Gt) @ Gt
+    thin = _thin(p.n_x, p.n_u)
+    C = Gt if thin else _t(Gt) @ Gt
     HtX = _t(H) @ X
     eta = _mv(HtX, r)
     J = HtX @ H
-    del HtX  # before the symmetrization below copies a whole stack
-    for M in (C, J):  # symmetrized in place, with the bits of _sym
+    del Gt, HtX  # before the symmetrization below copies a whole stack
+    for M in (J,) if thin else (C, J):  # symmetrized in place, with the bits of _sym
         M += _t(M)  # numpy copies the overlapping transposed operand first
         M *= 0.5
-    if _thin(p.n_x, p.n_u):
-        return F, c, C, eta, J, Gt
     return F, c, C, eta, J
 
 
@@ -528,7 +528,7 @@ def parallel_backward(p: LqtProblem, return_stats: bool = False):
         apply=_fill_suffix,
         tree=levels,
     )
-    values = QuadValue(Ss, v, _Tree(p, [lv[:5] for lv in levels]))  # Method 2 reads no factor
+    values = QuadValue(Ss, v, _Tree(p, levels))
     gains = Gains(*_gains_from_values(p, Ss))
     if return_stats:
         return values, gains, stats
@@ -601,7 +601,7 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     start = (p.x0, np.zeros((p.n_x, p.n_x)))
     tree = values.tree
     if tree is not None and tree.problem is p:
-        evens = [_element_arrays(p, 2)[:5], *tree.levels]
+        evens = [_element_arrays(p, 2), *tree.levels]
         (b, C), _ = forward_from_tree(evens, p.N, start, _fill_prefix)
     else:
         (b, C), _ = par_scan_stacked(
@@ -668,7 +668,7 @@ def transform_general_cost(p: LqtProblem) -> tuple[LqtProblem, GeneralCostRecove
 
 def _blocks(a: np.ndarray, B: int) -> np.ndarray:
     """A stage stack (N, ...) as (N/B, B, ...): block g, in-block offset m."""
-    return a.reshape((-1, B) + a.shape[1:])
+    return a.reshape((len(a) // B, B) + a.shape[1:])
 
 
 def condense(p: LqtProblem, B: int) -> LqtProblem:

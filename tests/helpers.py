@@ -165,13 +165,23 @@ def combine_lqt(e1, e2):
     return LqtElement(*out)
 
 
+def densified(e):
+    """An element stack (A, b, C, eta, J) with C in slot 2: a thin factor Gt
+    there (r x n_x, as lqt._element_arrays and the combine leave on wide
+    states) becomes C = (Gt'Gt + (Gt'Gt)') / 2."""
+    A, b, C, eta, J = e
+    if C.shape[-2] != C.shape[-1]:
+        C = np.swapaxes(C, -1, -2) @ C
+        C = (C + np.swapaxes(C, -1, -2)) / 2
+    return A, b, C, eta, J
+
+
 def make_lqt_elements(p):
     """The N stage elements of lqt._element_arrays, then the terminal element
     (0, 0, 0, HT'XT rT, HT'XT HT) written out here: a reverse scan of all
-    N + 1 gives the value functions as the suffixes' (eta, J). The elements
-    drop the thin factor that lqt._element_arrays adds on wide states, so
-    their combines take the dense path."""
-    A, b, C, eta, J = lqt._element_arrays(p)[:5]
+    N + 1 gives the value functions as the suffixes' (eta, J). A thin factor
+    in slot 2 is densified to C, so their combines take the dense path."""
+    A, b, C, eta, J = densified(lqt._element_arrays(p))
     HtXT = p.HT.T @ p.XT
     JT = HtXT @ p.HT
     z = np.zeros((p.n_x, p.n_x))

@@ -17,6 +17,7 @@ from helpers import (
     combine_lqt,
     compose_affine,
     condense_loop,
+    densified,
     lqt_identity,
     make_lqt_elements,
     max_value_dev,
@@ -302,8 +303,8 @@ class TestConditioningGate:
     @pytest.mark.parametrize(
         "rho",
         [1e6, 1e8, *(pytest.param(rho, marks=pytest.mark.xfail(
-            strict=True, reason="S is off by 4.3e-7 to 3.6e-4, Method 2's states by up to"
-                                " 2.1e-3, and nothing raises (ROADMAP item 6)")) for rho in (1e9, 1e10, 1e12))],
+            strict=True, reason="S is off by 1.4e-7 to 1.0e-4, Method 2's states by up to"
+                                " 1.8e-3, and nothing raises (ROADMAP item 6)")) for rho in (1e9, 1e10, 1e12))],
     )
     def test_large_weight_ratio_accurate_or_raises(self, rho):
         # X and XT weighted by sqrt(rho), U by 1/sqrt(rho): Riccati stays
@@ -330,7 +331,7 @@ class TestConditioningGate:
         base = build_mass_spring(4, 400)
         w = np.sqrt(1e10)
         p = replace(base, X=base.X * w, XT=base.XT * w, U=base.U / w)
-        assert len(lqt._element_arrays(p)) == 6
+        assert lqt._element_arrays(p)[2].shape == (400, 2, 8)  # slot 2 holds the factor
         ref_values, _ = lqt.riccati_backward(p)
         values, _ = lqt.parallel_backward(p)
         assert np.abs(values.S - ref_values.S).max() <= 1e-5 * np.abs(ref_values.S).max()
@@ -809,59 +810,74 @@ def rel_dev(a, b):
 
 
 def without_factor(monkeypatch):
-    """From here on the library's stage elements carry no thin factor, so
-    every combine and fill takes the dense path."""
-    element_arrays = lqt._element_arrays
-    monkeypatch.setattr(lqt, "_element_arrays", lambda p, stride=1: element_arrays(p, stride)[:5])
+    """From here on no element or node holds a thin factor, so every
+    combine and fill takes the dense path."""
+    monkeypatch.setattr(lqt, "_thin", lambda n_x, width: False)
 
 
 def thin_levels(n_x, n_u):
-    """The tree levels whose nodes carry a thin factor: level L has width
+    """The tree levels whose nodes hold a thin factor: level L has width
     2^L n_u while twice that stays below n_x."""
     return sum(1 for L in range(n_x.bit_length()) if 2 * (n_u << L) < n_x)
 
 
 class TestThinElements:
     """Elements whose C = G G' has a factor G thinner than half the state
-    carry Gt = G'. Their combines and backward fills factor an r x r matrix
-    instead of inverting an n_x x n_x one, and must agree with the dense
-    path that the same elements without Gt take."""
+    hold Gt = G' in slot 2 in place of C. Their combines and backward fills
+    factor an r x r matrix instead of inverting an n_x x n_x one, and must
+    agree with the dense path that the same problem takes when no element
+    is thin."""
 
     @pytest.mark.parametrize("n_x,n_u", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (8, 4), (8, 2), (16, 2)])
-    def test_factor_carried_by_rule(self, n_x, n_u):
+    def test_factor_carried_by_rule(self, n_x, n_u, monkeypatch):
         p = random_lqt_problem(np.random.default_rng(50 + n_x), n_x=n_x, n_u=n_u, N=5)
         e = lqt._element_arrays(p)
         C = p.L @ np.linalg.solve(p.U, np.swapaxes(p.L, 1, 2))
-        np.testing.assert_allclose(e[2], C, rtol=1e-12, atol=1e-14)
-        assert np.array_equal(e[2], np.swapaxes(e[2], 1, 2))
-        assert len(e) == (6 if 2 * n_u < n_x else 5)
-        assert [el.C.tobytes() for el in make_lqt_elements(p)[:-1]] == [C_k.tobytes() for C_k in e[2]]
-        if len(e) == 6:
-            assert e[5].shape == (5, n_u, n_x)
-            np.testing.assert_allclose(np.swapaxes(e[5], 1, 2) @ e[5], e[2], rtol=1e-14, atol=1e-15)
+        thin = 2 * n_u < n_x
+        assert lqt._thin(n_x, n_u) == thin
+        assert len(e) == 5
+        assert e[2].shape == ((5, n_u, n_x) if thin else (5, n_x, n_x))
+        without_factor(monkeypatch)
+        dense = lqt._element_arrays(p)
+        np.testing.assert_allclose(dense[2], C, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(dense[2], np.swapaxes(dense[2], 1, 2))
+        assert [el.C.tobytes() for el in make_lqt_elements(p)[:-1]] == [C_k.tobytes() for C_k in dense[2]]
+        for k in (0, 1, 3, 4):
+            assert e[k].tobytes() == dense[k].tobytes()
+        if thin:
+            Gt = e[2]
+            np.testing.assert_allclose(np.swapaxes(Gt, 1, 2) @ Gt, dense[2], rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(np.swapaxes(Gt, 1, 2) @ Gt, C, rtol=1e-12, atol=1e-14)
+        else:
+            assert e[2].tobytes() == dense[2].tobytes()
 
     @pytest.mark.parametrize("n_u", [1, 2])
     @pytest.mark.parametrize("n_x", [8, 16])
     def test_combine_and_fills_match_dense(self, n_x, n_u):
         # up the thin levels of a 64-element tree, pair by pair: the combine,
         # the backward fill on random values and the forward fill with the
-        # node on the right, each with and without the factor
+        # node on the right, each on the thin nodes and on their densified
+        # twins
         rng = np.random.default_rng(60 + n_x + n_u)
         level = lqt._element_arrays(random_lqt_problem(rng, n_x=n_x, n_u=n_u, N=64))
         seen = 0
-        while len(level) == 6:
+        while lqt._factored(level[2]):
             e1, e2 = tuple(a[0::2] for a in level), tuple(a[1::2] for a in level)
+            d1, d2 = densified(e1), densified(e2)
             out = lqt._combine_element_arrays(e1, e2)
-            for got, want in zip(out, lqt._combine_element_arrays(e1[:5], e2[:5]), strict=False):
+            assert len(out) == 5
+            for got, want in zip(densified(out), lqt._combine_element_arrays(d1, d2), strict=True):
                 assert rel_dev(got, want) <= 1e-12
-            assert np.array_equal(out[2], np.swapaxes(out[2], -1, -2))
-            if len(out) == 6:
-                np.testing.assert_allclose(np.swapaxes(out[5], 1, 2) @ out[5], out[2], rtol=1e-12, atol=1e-13)
+            width = 2 * level[2].shape[-2]
+            if lqt._thin(n_x, width):
+                assert out[2].shape == (len(e1[0]), width, n_x)
+            else:
+                assert np.array_equal(out[2], np.swapaxes(out[2], -1, -2))
             other = stacked([random_lqt_element(rng, n_x) for _ in range(len(e1[0]))])
-            for got, want in zip(lqt._fill_suffix(e1, other[3:]), lqt._fill_suffix(e1[:5], other[3:])):
+            for got, want in zip(lqt._fill_suffix(e1, other[3:]), lqt._fill_suffix(d1, other[3:]), strict=True):
                 assert rel_dev(got, want) <= 1e-12
             fill = lqt._fill_prefix(other[1:3], e2)
-            assert [a.tobytes() for a in fill] == [a.tobytes() for a in lqt._fill_prefix(other[1:3], e2[:5])]
+            assert [a.tobytes() for a in fill] == [a.tobytes() for a in lqt._fill_prefix(other[1:3], d2)]
             level = out
             seen += 1
         assert seen == thin_levels(n_x, n_u)
@@ -871,20 +887,24 @@ class TestThinElements:
     @pytest.mark.parametrize("n_x", [8, 16])
     def test_scans_match_dense(self, n_x, n_u, N, monkeypatch):
         # the reverse scan, Method 2 over its kept nodes, and Method 2's own
-        # forward scan, against the same scans without the factor
+        # forward scan, against the same scans with no thin element
         p = random_lqt_problem(np.random.default_rng(70 + N), n_x=n_x, n_u=n_u, N=N)
         widths = []
         thin_inverse = lqt._thin_inverse
 
         def spy(e1, J2):
-            widths.append(e1[5].shape[-2])
+            widths.append(e1[2].shape[-2])
             return thin_inverse(e1, J2)
 
         monkeypatch.setattr(lqt, "_thin_inverse", spy)
         values, _ = lqt.parallel_backward(p)
         # every level has an apply; the thin ones take the thin path
         assert sorted(set(widths)) == [n_u << L for L in range(min(thin_levels(n_x, n_u), N.bit_length()))]
-        assert all(len(level) == 5 for level in values.tree.levels)  # Method 2 reads no factor
+        # the kept nodes of level L hold the factor exactly where it is thin
+        for L, level in enumerate(values.tree.levels, start=1):
+            width = n_u << L
+            assert len(level) == 5
+            assert level[2].shape[1:] == ((width, n_x) if lqt._thin(n_x, width) else (n_x, n_x))
         xs = lqt.traj_method2(p, values), lqt.traj_method2(p, lqt.QuadValue(values.S, values.v))
         without_factor(monkeypatch)
         widths.clear()
@@ -893,17 +913,45 @@ class TestThinElements:
         assert rel_dev(values.S, ref_values.S) <= 1e-12
         assert rel_dev(values.v, ref_values.v) <= 1e-12
         for level, ref_level in zip(values.tree.levels, ref_values.tree.levels, strict=True):
-            for got, want in zip(level, ref_level, strict=False):
+            for got, want in zip(densified(level), ref_level, strict=True):
                 assert rel_dev(got, want) <= 1e-12
         ref_xs = lqt.traj_method2(p, ref_values)
         for got in xs:
             assert rel_dev(got, ref_xs) <= 1e-12
 
+    @pytest.mark.parametrize("block_size", [None, 2])
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    def test_no_controls_take_dense_path(self, traj_method, block_size):
+        # n_u = 0: L is (N, 4, 0) and U (N, 0, 0), so C = 0 and the empty
+        # factor is not thin; condensed blocks have no controls either
+        p = random_lqt_problem(np.random.default_rng(90), n_x=4, n_u=0, N=8)
+        assert p.L.shape == (8, 4, 0) and p.U.shape == (8, 0, 0)
+        xs, us, _ = lqt.solve(p, "parallel", traj_method, block_size)
+        xs_ref, us_ref, _ = lqt.solve(p, "sequential")
+        assert us.shape == us_ref.shape == (8, 0)
+        np.testing.assert_allclose(xs, xs_ref, rtol=0, atol=1e-12 * np.abs(xs_ref).max())
+        assert not lqt._thin(4, 0)
+        C = lqt._element_arrays(p)[2]
+        assert C.shape == (8, 4, 4) and not C.any()
+
+    def test_gate_sees_dense_condition_numbers(self, monkeypatch):
+        # the thin path forms Z = I + Gt1'(Gt1 J2) and Zi for the gate alone:
+        # the condition numbers it checks are those of the dense path
+        rng = np.random.default_rng(85)
+        level = lqt._element_arrays(random_lqt_problem(rng, n_x=8, n_u=1, N=16))
+        e1, e2 = tuple(a[0::2] for a in level), tuple(a[1::2] for a in level)
+        conds = []
+        monkeypatch.setattr(lqt, "_gate", conds.append)
+        lqt._combine_element_arrays(e1, e2)
+        lqt._combine_element_arrays(densified(e1), densified(e2))
+        thin, dense = conds
+        assert thin.shape == dense.shape == (8,)
+        np.testing.assert_allclose(thin, dense, rtol=1e-10, atol=0)
+
     def test_indefinite_values_rejected(self):
         # M = I + G1' J2 G1 = 1 - 2 has no Cholesky factor
         e1 = stacked([random_lqt_element(np.random.default_rng(80), 4)])
-        Gt = np.array([[[1.0, 0.0, 0.0, 0.0]]])
-        e1 = (e1[0], e1[1], np.swapaxes(Gt, 1, 2) @ Gt, e1[3], e1[4], Gt)
+        e1 = (e1[0], e1[1], np.array([[[1.0, 0.0, 0.0, 0.0]]]), e1[3], e1[4])
         J2 = np.diag([-2.0, 1.0, 1.0, 1.0])[None]
         with pytest.raises(SolverError, match="ill-conditioned combine: I \\+ G'JG not positive definite"):
             lqt._fill_suffix(e1, (np.zeros((1, 4)), J2))
@@ -928,7 +976,7 @@ class TestThinElements:
             H=np.tile(np.eye(4), (N, 1, 1)), X=X[:N], r=np.zeros((N, 4)), U=U,
             HT=np.eye(4), XT=X[N], rT=np.zeros(4),
         )
-        assert len(lqt._element_arrays(p)) == 6
+        assert lqt._element_arrays(p)[2].shape == (N, 1, 4)
         raised = []
 
         def watched(name):
