@@ -42,9 +42,7 @@ solve: Riccati solves it by LU, so an indefinite but nonsingular G passes
 in both backends alike, where a Cholesky factor would reject it in one.
 
 Also here: the generalized-cost (cross-term) reduction to standard form,
-block partial condensing, a dense KKT reference solver, and file I/O. The
-KKT solver is the module's only scipy user and imports scipy.linalg when
-first called, so importing this module loads numpy alone.
+block partial condensing, a dense KKT reference solver, and file I/O.
 
 :func:`solve` is the one entry point that strings these steps together
 (cost transform, optional condensing, sequential or parallel backward pass,
@@ -118,7 +116,8 @@ class LqtProblem:
     0.5 (H x - r)' X (H x - r) + 0.5 u' U u, plus the terminal cost
     0.5 (HT x_T - rT)' XT (HT x_T - rT). Optional cross terms M (coupling
     H x - r with u - s) and control references s generalize the stage cost;
-    solvers require them eliminated first (transform_general_cost).
+    solvers require them eliminated first (transform_general_cost). Every
+    array must be finite, and X, U and XT symmetric.
     """
 
     S: int
@@ -170,6 +169,10 @@ class LqtProblem:
             raise ValueError("cross-term M has wrong shape")
         if self.s is not None and self.s.shape != (n, self.n_u):
             raise ValueError("control reference s has wrong shape")
+        for name in ("x0", "F", "c", "L", "H", "X", "r", "U", "HT", "XT", "rT", "M", "s"):
+            A = getattr(self, name)
+            if A is not None and not np.isfinite(A).all():
+                raise ValueError(f"{name} must be finite")
         for name in ("X", "U", "XT"):
             A = getattr(self, name)
             if A.size and not np.allclose(A, _t(A), rtol=1e-12, atol=1e-12):
@@ -759,13 +762,15 @@ def solve(
     ``block_size`` B the problem is condensed to N/B blocks and solved the
     same way, and the states inside each block are rolled forward from its
     head by the original dynamics; the stats are those of the condensed
-    solve.
+    solve. Every control weight U_k must be positive definite; on either
+    backend the first step where it is not raises a SolverError.
     """
     if backend not in ("sequential", "parallel"):
         raise ValueError(f"unknown backend {backend!r}")
     if traj_method not in (1, 2):
         raise ValueError(f"unknown trajectory method {traj_method!r}")
     std, cost_rec = transform_general_cost(p)
+    _control_factor(std.U, std.S)  # both backends reject a non-PD U alike
     if block_size is not None:
         xs_c, us_c, stats = solve(condense(std, block_size), backend, traj_method)
         ut = us_c.reshape(std.N, std.n_u)
@@ -803,7 +808,7 @@ def lqt_cost(p: LqtProblem, xs: np.ndarray, us: np.ndarray) -> float:
 
 
 def kkt_oracle(p: LqtProblem):
-    """Global optimum by one dense symmetric-indefinite KKT factorization.
+    """Global optimum by one dense LU solve of the KKT system.
 
     Handles the general cost form (cross terms M, references s) natively.
     Returns (cost, controls, states).
@@ -872,11 +877,9 @@ def kkt_oracle(p: LqtProblem):
     kkt[:nw, nw:] = Acon.T
     kkt[nw:, :nw] = Acon
     rhs = np.concatenate([-q, bcon])
-    import scipy.linalg  # deferred, so that importing lqt loads numpy alone
-
     try:
-        sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"KKT matrix singular: {exc}") from exc
     w = sol[:nw]
     cost = float(0.5 * w @ (P @ w) + q @ w + const)
@@ -916,7 +919,7 @@ def problem_to_dict(p: LqtProblem) -> dict:
 
 
 def problem_from_dict(d: dict) -> LqtProblem:
-    return LqtProblem(
+    p = LqtProblem(
         S=int(d["S"]),
         T=int(d["T"]),
         x0=np.asarray(d["x_S"], dtype=np.float64),
@@ -933,6 +936,10 @@ def problem_from_dict(d: dict) -> LqtProblem:
         M=np.asarray(d["M"], dtype=np.float64) if "M" in d else None,
         s=np.asarray(d["s"], dtype=np.float64) if "s" in d else None,
     )
+    for name in ("n_x", "n_u", "n_r"):
+        if name in d and int(d[name]) != getattr(p, name):
+            raise ValueError(f"declared {name} = {d[name]} but the arrays give {getattr(p, name)}")
+    return p
 
 
 def save_problem(p: LqtProblem, path) -> None:

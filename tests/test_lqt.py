@@ -9,7 +9,7 @@ import pytest
 from tempo_dp import lqt
 from tempo_dp.errors import SolverError
 from tempo_dp.scan import ScanDirection, par_scan, par_scan_stacked
-from tempo_dp.scenarios import build_mass_spring
+from tempo_dp.scenarios import build_mass_spring, build_tracking2d
 
 from helpers import (
     AffineMap,
@@ -39,6 +39,16 @@ def scalar_problem(N=1, F=1.0, L=1.0, c=0.0, H=1.0, X=1.0, r=0.0, U=1.0, x0=1.0,
         F=F * one, c=c * vec, L=L * one, H=H * one, X=X * one, r=r * vec, U=U * one,
         HT=[[HT]], XT=[[XT]], rT=[rT],
     )
+
+
+class TestProblemData:
+    @pytest.mark.parametrize("name", ["x0", "F", "c", "L", "H", "X", "r", "U", "HT", "XT", "rT", "M", "s"])
+    def test_non_finite_entry_names_field(self, name):
+        p = random_lqt_problem(np.random.default_rng(30), n_x=3, n_u=2, N=4, cross=True)
+        a = getattr(p, name).copy()
+        a.flat[-1] = np.nan  # on the diagonal of X, U and XT, so they stay symmetric
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(p, **{name: a})
 
 
 class TestRiccatiBackward:
@@ -576,6 +586,8 @@ class TestStepNaming:
             lambda: lqt.parallel_backward(std),
             lambda: lqt.traj_method2(std, values),
             lambda: lqt.transform_general_cost(bad),
+            lambda: lqt.solve(std, "sequential"),
+            lambda: lqt.solve(std, "parallel"),
         ):
             with pytest.raises(SolverError, match=match):
                 call()
@@ -1275,6 +1287,14 @@ class TestKktOracle:
         with pytest.raises(ValueError, match="too large"):
             lqt.kkt_oracle(p)
 
+    def test_singular_kkt_matrix_raises(self):
+        # with no cost at all the Hessian block is zero and the controls are
+        # free, so the KKT matrix is singular
+        p = build_tracking2d(20)
+        p = replace(p, X=0 * p.X, U=0 * p.U, XT=0 * p.XT)
+        with pytest.raises(SolverError, match="^KKT matrix singular"):
+            lqt.kkt_oracle(p)
+
 
 class TestInvariants:
     def test_cost_difference_check(self):
@@ -1328,6 +1348,14 @@ class TestFileInterchange:
         for f in ("F", "c", "L", "H", "X", "r", "U", "HT", "XT", "rT", "x0", "M", "s"):
             np.testing.assert_array_equal(getattr(p, f), getattr(q, f))
         assert (p.S, p.T) == (q.S, q.T)
+
+    @pytest.mark.parametrize("name", ["n_x", "n_u", "n_r"])
+    def test_declared_dimension_must_match_arrays(self, name):
+        p = random_lqt_problem(np.random.default_rng(26), n_x=4, n_u=2, N=5)
+        d = lqt.problem_to_dict(p)
+        d[name] = 7
+        with pytest.raises(ValueError, match=f"declared {name} = 7 but the arrays give {getattr(p, name)}$"):
+            lqt.problem_from_dict(d)
 
     def test_trajectory_csv(self, tmp_path):
         xs = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
