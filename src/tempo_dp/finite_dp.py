@@ -7,18 +7,19 @@ product. It is associative and lets the whole backward pass run as a scan.
 Min-plus arithmetic only adds and compares, so integer-valued costs give
 exact results; :class:`FiniteProblem` casts integer cost tables to float64.
 
-The min-plus kernel :func:`min_plus_matmul` and the backward scan's
-matrix-vector fill run in blocks whose temporaries stay within a fixed
-budget of 2**18 elements (2 MB), so a scan's memory grows with its
-(T, D_x, D_x) element stacks, not with T·D_x³.
+The min-plus kernel :func:`min_plus_matmul` runs in blocks whose
+temporaries stay within a fixed budget of 2**18 elements (2 MB), so a
+scan's memory grows with its (T, D_x, D_x) element stacks, not with
+T·D_x³.
 
-Both min-plus scans run toward a pinned endpoint, and the down-sweep of
-the tree multiplies by value vectors, not matrices. The backward scan
-starts from the terminal costs, and each stage matrix acts on the value
-vector after it, so it outputs the (N+1, D_x) value stack itself. The
-forward conditional scan starts from the row of the start state, so every
-prefix is a (1, D_x) row. Each scan costs about T·D_x³ + T·D_x² min-plus
-operations instead of 2T·D_x³.
+Every scan starts from a degenerate element of its own algebra, so one
+operator serves the whole tree. The backward scan starts from the terminal
+costs as a one-column matrix, ell_T[:, None], and each stage matrix is
+combined with the column after it, so it outputs the (N+1, D_x, 1) value
+stack itself. The forward conditional scan starts from the row of the
+start state, so every prefix is a (1, D_x) row, and Method 1 from [x_S], a
+map from a one-point set, so every prefix is the state reached. Each
+min-plus scan costs about T·D_x³ + T·D_x² operations instead of 2T·D_x³.
 
 Elements are plain arrays: value matrices under :func:`min_plus_matmul`,
 and Method 1's closed-loop state maps as index arrays composed by indexing.
@@ -75,7 +76,8 @@ class FiniteProblem:
     ell_T: (D_x,) terminal costs, finite for at least one state.
 
     Costs are stored as float64 (integer tables are cast) and must be
-    finite or +inf: NaN and -inf are rejected.
+    finite or +inf: NaN and -inf are rejected. A table of another shape is
+    rejected, naming the field.
     """
 
     D_x: int
@@ -91,9 +93,15 @@ class FiniteProblem:
         n = self.T - self.S
         if n < 0:
             raise ValueError("need T >= S")
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=np.int64).reshape(n, self.D_x, self.D_u))
-        object.__setattr__(self, "ell", np.asarray(self.ell, dtype=np.float64).reshape(n, self.D_x, self.D_u))
-        object.__setattr__(self, "ell_T", np.asarray(self.ell_T, dtype=np.float64).reshape(self.D_x))
+        table = (n, self.D_x, self.D_u)
+        fields = (("f", np.int64, table), ("ell", np.float64, table), ("ell_T", np.float64, (self.D_x,)))
+        for name, dtype, shape in fields:
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            if a.size == 0 == np.prod(shape):
+                a = a.reshape(shape)  # an empty table has no entries to scramble, and JSON's [] no shape
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+            object.__setattr__(self, name, a)
         if n > 0 and (self.f.min() < 0 or self.f.max() >= self.D_x):
             raise ValueError("next-state table entries out of range")
         if not (0 <= self.x_S < self.D_x):
@@ -126,8 +134,10 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     contiguous (x, y) slabs. The batch runs in blocks sized so that s holds
     at most ``_MIN_PLUS_BUDGET`` elements; a single product above the
     budget (D > 64) also runs in blocks of z under a running minimum.
-    Beyond the output, no temporary exceeds the budget or one (x, y) slab,
-    whichever is larger.
+    A one-column B (the backward scan's value columns) takes the sums as
+    s[b, x, z] = A + B's column, with the min over the contiguous last
+    axis, in the same batch blocks. Beyond the output, no temporary exceeds
+    the budget or one (x, y) slab, whichever is larger.
     """
     X, Z = A.shape[-2:]
     Y = B.shape[-1]
@@ -136,7 +146,15 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"inner dimensions must agree and be nonzero, and batch axes be equal: {A.shape} vs {B.shape}"
         )
-    At = A.reshape(-1, X, Z).swapaxes(1, 2)
+    A = A.reshape(-1, X, Z)
+    if Y == 1:
+        v = B.reshape(-1, Z)
+        out = np.empty((A.shape[0], X))
+        nb = max(1, _MIN_PLUS_BUDGET // (X * Z))
+        for i in range(0, len(out), nb):
+            (A[i : i + nb] + v[i : i + nb, None, :]).min(axis=2, out=out[i : i + nb])
+        return out.reshape(batch + (X, 1))
+    At = A.swapaxes(1, 2)
     B = B.reshape(-1, Z, Y)
     out = np.empty((At.shape[0], X, Y))
     zb = max(1, min(Z, _MIN_PLUS_BUDGET // max(1, X * Y)))
@@ -154,28 +172,10 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(batch + (X, Y))
 
 
-def _fill_suffix(a, b):
-    """(batch, D_x, D_x) elements E acting on the value vectors v (batch,
-    D_x) after them: out[., x] = min_z E[., x, z] + v[., z], one min-plus
-    matrix-vector product each. The min runs over the contiguous last axis,
-    in batch blocks of at most ``_MIN_PLUS_BUDGET`` sums."""
-    E, v = a[0], b[0]
-    out = np.empty(v.shape)
-    nb = max(1, _MIN_PLUS_BUDGET // E.shape[-1] ** 2)
-    for i in range(0, len(E), nb):
-        (E[i : i + nb] + v[i : i + nb, None, :]).min(axis=2, out=out[i : i + nb])
-    return (out,)
-
-
 def _compose_maps(a, b):
-    """a (x) b = f_b o f_a for (batch, D_x) stacks of next-state maps."""
+    """a (x) b = f_b o f_a for (batch, n) and (batch, D_x) stacks of maps:
+    a takes n points to states, and b states to states."""
     return (np.take_along_axis(b[0], a[0], axis=1),)
-
-
-def _fill_pinned_map(a, b):
-    """The states a (batch,) acted on by the maps b (batch, D_x): b of each
-    state."""
-    return (np.take_along_axis(b[0], a[0][:, None], axis=1)[:, 0],)
 
 
 def build_elements(p: FiniteProblem) -> np.ndarray:
@@ -183,7 +183,7 @@ def build_elements(p: FiniteProblem) -> np.ndarray:
 
     Element k: V[x, x'] = min over {u : f_k(x, u) = x'} of ell_k(x, u),
     +inf when no control reaches x'. The terminal costs are no element:
-    the backward scan starts from ell_T.
+    the backward scan starts from them as a one-column matrix.
     """
     V = np.full((p.N, p.D_x, p.D_x), np.inf)
     k, x, _ = np.indices(p.f.shape, sparse=True)
@@ -213,19 +213,19 @@ def seq_bellman(p: FiniteProblem) -> FinitePolicy:
 def solve_backward(p: FiniteProblem, return_stats: bool = False):
     """Backward pass as a reverse parallel scan of min-plus matrices.
 
-    The scan starts from the terminal costs ell_T, and each of the N stage
-    matrices acts on the value vector after it (:func:`_fill_suffix`, D_x²
-    per product instead of D_x³), so slot k holds V_k. Matches
-    :func:`seq_bellman` exactly for integer-valued costs (min-plus
-    arithmetic then involves no reordering-sensitive rounding).
+    The scan starts from the terminal costs as the one-column matrix
+    ell_T[:, None], and each of the N stage matrices is combined with the
+    column after it (D_x² per product instead of D_x³), so slot k holds
+    V_k. Matches :func:`seq_bellman` exactly for integer-valued costs
+    (min-plus arithmetic then involves no reordering-sensitive rounding).
     """
     (V,), stats = par_scan_stacked(
         (build_elements(p),),
         lambda a, b: (min_plus_matmul(a[0], b[0]),),
         ScanDirection.REVERSE,
-        start=(p.ell_T,),
-        apply=_fill_suffix,
+        start=(p.ell_T[:, None],),
     )
+    V = V[:, :, 0]
     if not V[0, p.x_S] < np.inf:
         raise SolverError("infeasible problem")
     pol = FinitePolicy(u=_policy_from_values(p, V), V=V)
@@ -241,9 +241,10 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
     itself, and each product with it is a (1, D_x) (x) (D_x, D_x) one.
 
     This is the one library scan on the object engine :func:`par_scan`.
-    ``par_scan_stacked`` with ``start=`` would serve as well; it stays here
-    only because the benchmark's tracer expects a ``scan.object`` span on
-    the routing workload.
+    ``par_scan_stacked`` from the degenerate start ``start=(row,)``, a
+    (1, D_x) row that is 0 at x_S and +inf elsewhere, would serve as well;
+    the object engine stays here only because the benchmark's tracer
+    expects a ``scan.object`` span on the routing workload.
     """
     if p.N == 0:
         return np.empty((0, p.D_x))
@@ -256,14 +257,14 @@ def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:
     """Trajectory via composition of closed-loop state maps (Method 1).
 
     Map k is x -> f_k(x, u_k(x)), row k of an (N, D_x) index stack. The
-    scan starts from x_S, and each map acts on the state before it by one
-    lookup, so it outputs the states.
+    scan starts from [x_S], the map from a one-point set to x_S, so every
+    prefix is the map to the state reached, and each composition with it
+    is one lookup.
     """
     maps = np.take_along_axis(p.f, pol.u[:, :, None], axis=2)[:, :, 0]
-    (traj,), _ = par_scan_stacked(
-        (maps,), _compose_maps, ScanDirection.FORWARD, start=(np.int64(p.x_S),),
-        apply=_fill_pinned_map,
-    )
+    start = (np.array([p.x_S], dtype=np.int64),)
+    (traj,), _ = par_scan_stacked((maps,), _compose_maps, ScanDirection.FORWARD, start=start)
+    traj = traj[:, 0]
     if not (pol.V[np.arange(p.N + 1), traj] < np.inf).all():
         raise SolverError("policy undefined on reached state")
     return traj

@@ -7,9 +7,12 @@ dual form, which stays well defined when C is singular. Combining two
 adjacent intervals is associative, so value functions for every suffix (and
 conditional values for every prefix) come out of one scan. Trajectories are
 recovered either by composing closed-loop affine maps (Method 1) or from
-prefix elements and the backward values (Method 2). The scan's up-sweep
-does not depend on its direction, so the backward pass hands the nodes it
-combined to Method 2's forward scan with its values.
+prefix elements and the backward values (Method 2). Each scan starts from a
+degenerate element of its own algebra, one with a zero-dimensional pinned
+endpoint, so the interval combine (the affine composition for Method 1) is
+the only operator of its tree. The scan's up-sweep does not depend on its
+direction, so the backward pass hands the nodes it combined to Method 2's
+forward scan with its values.
 
 The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
 gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
@@ -21,15 +24,16 @@ failing step.
 A level-L node's C = G G' has rank at most r = 2^L n_u. While
 0 < 2 r < n_x, slot 2 of every stage element and node holds the thin factor
 Gt = G' (r x n_x, never square) in place of C; the stage elements take
-G = L R^-T from the Cholesky factor U = R R'. There the combine and the
-backward fill factor the r x r matrix M = I + G1' J2 G1 = R_M R_M' instead
-of inverting the n_x x n_x Z = I + C1 J2: with H = G1 R_M^-T, Woodbury
-gives Z^-1 = I - H H' J2, and the combined C is Gt'Gt for the stacked
-factor Gt = [A2 H, G2]', formed as C on the level where it stops being
-thin. Z and Z^-1 are still formed for the gate. mass_spring with n_x = 32
-and n_u = 2 has three thin levels, n_x = 4 with n_u = 2 none; Method 2's
-forward fill forms a thin node's C. There, at T = 4000, the traced peaks
-are 160 MiB (parallel_backward) and 197 MiB (Method 2 over its nodes).
+G = L R^-T from the Cholesky factor U = R R'. There the combine, also that
+of a node with the backward scan's value after it, factors the r x r
+matrix M = I + G1' J2 G1 = R_M R_M' instead of inverting the n_x x n_x
+Z = I + C1 J2: with H = G1 R_M^-T, Woodbury gives Z^-1 = I - H H' J2, and
+the combined C is Gt'Gt for the stacked factor Gt = [A2 H, G2]', formed as
+C on the level where it stops being thin. Z and Z^-1 are still formed for
+the gate. mass_spring with n_x = 32 and n_u = 2 has three thin levels,
+n_x = 4 with n_u = 2 none; Method 2's prefixes have full-rank C, and their
+combine forms a thin node's C. There, at T = 4000, the traced peaks are
+160 MiB (parallel_backward) and 181 MiB (Method 2 over its nodes).
 
 At these block sizes (n_u and n_x of a few) a batched numpy.linalg call
 costs more per matrix than its arithmetic, so the small dense algebra of
@@ -242,12 +246,6 @@ def _compose_affine_arrays(a, b):
     return Fb @ Fa, _mv(Fb, ca) + cb
 
 
-def _fill_affine(a, b):
-    """States a acted on by the closed-loop maps b: one matrix-vector product."""
-    (x,) = a
-    return (_mv(b[0], x) + b[1],)
-
-
 def _norm1(Z: np.ndarray) -> np.ndarray:
     """Matrix 1-norms (largest absolute column sum), batched."""
     return np.einsum("...ij->...j", np.abs(Z)).max(axis=-1)
@@ -267,7 +265,7 @@ def _factored(C: np.ndarray) -> bool:
 def _gate(cond: np.ndarray) -> None:
     """The conditioning gate: beyond COND_LIMIT the exact 1-norm condition
     numbers ``cond`` = ||Z||_1 ||Z^-1||_1 of Z = I + C1 J2 (or a non-finite
-    one) make the combine (or fill) raise instead of returning garbage."""
+    one) make the combine raise instead of returning garbage."""
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > COND_LIMIT:
         raise SolverError(f"ill-conditioned combine: condition number {worst:.3e}")
@@ -345,18 +343,12 @@ def _thin_inverse(e1, J2: np.ndarray):
 def _eta_J(P, e1, eta2, J2):
     """eta and J of e1 (x) e2, from P = (I + C1 J2)^-1 A1."""
     A1, b1, _, eta1, J1 = e1
-    eta = _mv(_t(P), eta2 - _mv(J2, b1)) + eta1
-    J = _sym(_t(P) @ J2 @ A1 + J1)
-    return eta, J
-
-
-def _b_C(W, b1, C1, e2):
-    """b and C of e1 (x) e2, from W = A2 (I + C1 J2)^-1 (a thin e2's C2 formed)."""
-    A2, b2, C2, eta2, _ = e2
-    C2 = _sym(_t(C2) @ C2) if _factored(C2) else C2
-    b = _mv(W, b1 + _mv(C1, eta2)) + b2
-    C = _sym(W @ C1 @ _t(A2) + C2)
-    return b, C
+    PtJ = _t(P) @ J2
+    eta = _mv(_t(P), eta2) - _mv(PtJ, b1) + eta1
+    J = PtJ @ A1
+    del PtJ  # before the sum and its symmetrization allocate stacks as large
+    J += J1
+    return eta, _sym(J)
 
 
 def _combine_element_arrays(e1, e2):
@@ -368,10 +360,17 @@ def _combine_element_arrays(e1, e2):
     so one batched inverse (:func:`_gated_inverse`) serves both sides of the
     combination.
 
-    On thin levels (:func:`_thin`) slot 2 of both inputs holds Gt = G' in
-    place of C = G G'. Then Zi = I - H H' J2 comes from an r x r Cholesky
-    factor (:func:`_thin_inverse`) and is never formed here: with
-    K = H' A2', P = A1 - H (H' J2 A1), W (b1 + C1 eta2) = A2 b1 +
+    An element maps an endpoint of dimension A.shape[-1] to one of
+    A.shape[-2], and either may be 0: the scans' starts are such degenerate
+    elements (see :func:`parallel_backward`, :func:`traj_method2`). The
+    products P'J2 and W C1, W = A2 Zi, are formed once, so the terms of a
+    zero-dimensional side cost nothing.
+
+    On thin levels (:func:`_thin`, decided on the output endpoint) slot 2 of
+    e1 holds Gt = G' in place of C = G G', and so does e2's unless e2 ends
+    in a zero-dimensional endpoint. Then Zi = I - H H' J2 comes from an
+    r x r Cholesky factor (:func:`_thin_inverse`) and is never formed here:
+    with K = H' A2', P = A1 - H (H' J2 A1), W (b1 + C1 eta2) = A2 b1 +
     K' H' (eta2 - J2 b1) and W C1 A2' + C2 = Gt'Gt for Gt = [K; Gt2], which
     the output holds while it stays thin, and C = sym(Gt'Gt) once it does not.
     """
@@ -379,30 +378,22 @@ def _combine_element_arrays(e1, e2):
     A2, b2, C2, eta2, J2 = e2
     if not _factored(C1):
         Zi = _gated_inverse(C1, J2)
-        P = Zi @ A1
-        return (A2 @ P, *_b_C(A2 @ Zi, b1, C1, e2), *_eta_J(P, e1, eta2, J2))
+        P, W = Zi @ A1, A2 @ Zi
+        del Zi
+        WC = W @ C1
+        b = _mv(W, b1) + _mv(WC, eta2) + b2
+        del W
+        C = WC @ _t(A2)
+        del WC
+        C += _sym(_t(C2) @ C2) if _factored(C2) else C2
+        return A2 @ P, b, _sym(C), *_eta_J(P, e1, eta2, J2)
     P, Ht, HtJ = _thin_inverse(e1, J2)
     K = Ht @ _t(A2)
-    b = _mv(A2, b1) + _mv(_t(K), _mv(Ht, eta2 - _mv(J2, b1))) + b2
+    b = _mv(A2, b1) + _mv(_t(K), _mv(Ht, eta2) - _mv(HtJ, b1)) + b2
+    del Ht, HtJ
     Gt = np.concatenate([K, C2], axis=-2)
-    C = Gt if _thin(A1.shape[-1], Gt.shape[-2]) else _sym(_t(Gt) @ Gt)
+    C = Gt if _thin(A2.shape[-2], Gt.shape[-2]) else _sym(_t(Gt) @ Gt)
     return A2 @ P, b, C, *_eta_J(P, e1, eta2, J2)
-
-
-def _fill_suffix(e1, e2):
-    """Elements e1 acting on the values (eta, J) of the suffixes after them:
-    the (eta, J) half of :func:`_combine_element_arrays`."""
-    eta2, J2 = e2
-    P = _thin_inverse(e1, J2)[0] if _factored(e1[2]) else _gated_inverse(e1[2], J2) @ e1[0]
-    return _eta_J(P, e1, eta2, J2)
-
-
-def _fill_prefix(e1, e2):
-    """The (b, C) of prefixes from the initial state acted on by the elements
-    e2 after them: the (b, C) half of :func:`_combine_element_arrays`. The
-    prefixes' C are full-rank in general, so this half has no thin form."""
-    b1, C1 = e1
-    return _b_C(e2[0] @ _gated_inverse(C1, e2[4]), b1, C1, e2)
 
 
 def _batched(fn, what: str, offset: int, *stacks):
@@ -514,21 +505,21 @@ def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
 def parallel_backward(p: LqtProblem, return_stats: bool = False):
     """Backward pass as a reverse scan of interval elements.
 
-    The scan starts from the terminal value (v_N, S_N), and each stage
-    element acts on the value after it by the (eta, J) half of the
-    interval combine, so slot k holds the value function (v_k, S_k). Every
-    S leaves a symmetrization, so it is exactly symmetric. Output matches
+    The scan starts from the terminal value as an element into a
+    zero-dimensional endpoint, (A, b, C) of shapes (0, n_x), (0,), (0, 0)
+    and (eta, J) = (v_N, S_N), so slot k holds the suffix from step k,
+    whose (eta, J) is the value function (v_k, S_k). Every S leaves a
+    symmetrization, so it is exactly symmetric. Output matches
     :func:`riccati_backward`. The values carry the up-sweep's even nodes
     above the elements (``QuadValue.tree``), so that :func:`traj_method2`
-    on the same problem runs no combine.
+    on the same problem runs no up-sweep.
     """
     levels: list = []
-    (v, Ss), stats = par_scan_stacked(
+    (_, _, _, v, Ss), stats = par_scan_stacked(
         _element_arrays(p),
         _combine_element_arrays,
         ScanDirection.REVERSE,
-        start=_terminal(p),
-        apply=_fill_suffix,
+        start=(np.zeros((0, p.n_x)), np.zeros(0), np.zeros((0, 0)), *_terminal(p)),
         tree=levels,
     )
     values = QuadValue(Ss, v, _Tree(p, levels))
@@ -572,15 +563,15 @@ def _closed_loop_maps(p: LqtProblem, values: QuadValue, gains: Gains):
 def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
     """Trajectory by scanning closed-loop affine maps (Method 1).
 
-    The scan starts from the initial state, and each map acts on the state
-    before it by one matrix-vector product, so it forms only the states.
+    The scan starts from the initial state as a map from R^0, (F, c) =
+    ((n_x, 0) zeros, x0), so each prefix is the constant map to its state,
+    and each composition with it is one matrix-vector product.
     """
-    (xs,), _ = par_scan_stacked(
+    (_, xs), _ = par_scan_stacked(
         _closed_loop_maps(p, values, gains),
         _compose_affine_arrays,
         ScanDirection.FORWARD,
-        start=(p.x0,),
-        apply=_fill_affine,
+        start=(np.zeros((p.n_x, 0)), p.x0),
     )
     return xs
 
@@ -590,34 +581,34 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
 
     x_k = (I + C_{S,k} S_k)^-1 (b_{S,k} + C_{S,k} v_k) for k = S..T, where
     (b, C)_{S,k} is the interval from the start to step k conditioned on
-    x_S = x0. The forward scan starts from (b, C) = (x0, 0) at k = S, and
-    each stage element acts on it by the (b, C) half of the interval
-    combine.
+    x_S = x0. The forward scan starts from the element out of a
+    zero-dimensional start, (A, b, C, eta, J) = ((n_x, 0), x0, 0, (0,),
+    (0, 0)), so every prefix is conditioned on x0 and its combine with a
+    stage element forms only (b, C).
 
     Values from :func:`parallel_backward` on this same ``p`` (the object
     itself) carry that scan's up-sweep, and the forward scan then runs only
     its down-sweep, over those nodes and the even stage elements (the only
-    ones it reads), with no combine. Other values (Riccati's, a
-    hand-built ``QuadValue``, another problem's) make it run its own
-    up-sweep.
+    ones it reads). Other values (Riccati's, a hand-built ``QuadValue``,
+    another problem's) make it run its own up-sweep.
     """
-    start = (p.x0, np.zeros((p.n_x, p.n_x)))
+    n = p.n_x
+    start = (np.zeros((n, 0)), p.x0, np.zeros((n, n)), np.zeros(0), np.zeros((0, 0)))
     tree = values.tree
     if tree is not None and tree.problem is p:
         evens = [_element_arrays(p, 2), *tree.levels]
-        (b, C), _ = forward_from_tree(evens, p.N, start, _fill_prefix)
+        (_, b, C, _, _), _ = forward_from_tree(evens, p.N, start, _combine_element_arrays)
     else:
-        (b, C), _ = par_scan_stacked(
+        (_, b, C, _, _), _ = par_scan_stacked(
             _element_arrays(p),
             _combine_element_arrays,
             ScanDirection.FORWARD,
             start=start,
-            apply=_fill_prefix,
         )
     rhs = b + _mv(C, values.v)
     lhs = C @ values.S
     del b, C  # before the batched solve copies its operands
-    lhs += np.eye(p.n_x)
+    lhs += np.eye(n)
     what = "trajectory recovery matrix (I + C S) singular"
     return _batched(np.linalg.solve, what, p.S, lhs, rhs[..., None])[..., 0]
 

@@ -10,30 +10,34 @@ associative operator:
   tree level as batched vectorized calls on strided views.
 
 Both parallel engines run one up-sweep/down-sweep tree (Blelloch 1990,
-"Prefix sums and their applications"), anchored at element 0. A scan runs
-from the value at a pinned endpoint, ``start``, over n elements. The
-up-sweep combines them pairwise: node j of level L + 1 is node 2j of level
-L combined with node 2j + 1, and an odd last node stays unpaired, so level
-L holds the n >> L intervals [j 2^L, (j + 1) 2^L). The down-sweeps only
-``apply`` nodes to values at interval boundaries, level by level from the
-top, where the even boundaries of a level are those of the level above:
+"Prefix sums and their applications"), anchored at element 0, and call one
+operator, ``combine``. A scan runs from the value at a pinned endpoint,
+``start``, over n elements. The start is itself an element of the scan's
+algebra, one more element at the pinned end; it may be degenerate, an
+element out of (into) a trivial endpoint, so that the outputs have its
+smaller shapes. The up-sweep combines the n elements pairwise: node j of
+level L + 1 is node 2j of level L combined with node 2j + 1, and an odd
+last node stays unpaired, so level L holds the n >> L intervals
+[j 2^L, (j + 1) 2^L). The down-sweeps only combine values at interval
+boundaries with nodes, level by level from the top, where the even
+boundaries of a level are those of the level above:
 
-* forward, from slot 0: each odd boundary 2j + 1 of a level is node 2j
-  acting on the value at boundary 2j;
-* reverse, from slot n: on an odd-sized level the last node first acts on
-  the level's end; then each odd boundary 2j + 1 is node 2j + 1 acting on
-  the value at boundary 2j + 2.
+* forward, from slot 0: each odd boundary 2j + 1 of a level is the value at
+  boundary 2j combined with node 2j;
+* reverse, from slot n: on an odd-sized level the last node is first
+  combined with the level's end; then each odd boundary 2j + 1 is node
+  2j + 1 combined with the value at boundary 2j + 2.
 
 The combined intervals therefore depend neither on the direction nor on
-the start, and ``combine`` only ever sees elements and nodes. A reverse
-scan can hand its up-sweep to a forward one over the same elements: the
-forward down-sweep reads only the even nodes of each level, which
-``par_scan_stacked(..., tree=[])`` keeps and :func:`forward_from_tree`
+the start, and the up-sweep's ``combine`` only ever sees elements and
+nodes. A reverse scan can hand its up-sweep to a forward one over the same
+elements: the forward down-sweep reads only the even nodes of each level,
+which ``par_scan_stacked(..., tree=[])`` keeps and :func:`forward_from_tree`
 reads. A scan from a start makes ``sum_L floor(n_L / 2) = n - popcount(n)``
-combines and n applies, with no padding and no identity element. Without
-``start``, element 0 (element T - 1 under REVERSE) is the start and
-``combine`` the action, so a plain length-T scan costs
-``2(T - 1) - popcount(T - 1) <= 2T - 3`` operator calls (none for T = 1).
+combines in the up-sweep and n in the down-sweep, with no padding and no
+identity element. Without ``start``, element 0 (element T - 1 under
+REVERSE) is the start, so a plain length-T scan costs
+``2(T - 1) - popcount(T - 1) <= 2T - 3`` combines (none for T = 1).
 
 Depth accounting gives an element and the start depth 0, a level-L node
 depth L, and a value one more than the deeper of the value and the node
@@ -71,9 +75,9 @@ class ScanDirection(Enum):
 class ScanStats:
     """Operator-call accounting for one scan.
 
-    combine_count: total number of combine and apply invocations
-        (vectorized engines count one per pair or applied element).
-    combine_depth: longest chain of dependent combine and apply calls.
+    combine_count: total number of combined pairs, up-sweep and down-sweep
+        (vectorized engines count one per pair of a batched call).
+    combine_depth: longest chain of dependent combines.
     """
 
     combine_count: int = 0
@@ -136,14 +140,14 @@ def _sweep_forward(
     evens: list[Stack],
     s: Stack,
     n: int,
-    apply: Callable[[Stack, Stack], Stack],
+    combine: Callable[[Stack, Stack], Stack],
     stats: ScanStats,
 ) -> Stack:
     """Forward down-sweep from the start ``s`` over n elements.
 
     ``evens[L]`` are the even nodes 0, 2, ... of level L, consumed from
     the top. Boundary j of level L is slot j 2^L, so each level is one
-    batched ``apply`` on strided views of the outputs.
+    batched ``combine`` of values and nodes on strided views of the outputs.
     """
     out, dout = _outputs(s, n, 0)
     while evens:
@@ -151,7 +155,7 @@ def _sweep_forward(
         ev = evens.pop()
         k = int(ev[0].shape[0])
         view = tuple(o[:: 1 << L] for o in out)
-        res = apply(tuple(v[0 : 2 * k : 2] for v in view), ev)
+        res = combine(tuple(v[0 : 2 * k : 2] for v in view), ev)
         for v, r in zip(view, res):
             v[1 : 2 * k : 2] = r
         dv = dout[:: 1 << L]
@@ -165,7 +169,7 @@ def _sweep_reverse(
     levels: list[Stack],
     s: Stack,
     n: int,
-    apply: Callable[[Stack, Stack], Stack],
+    combine: Callable[[Stack, Stack], Stack],
     stats: ScanStats,
     tree: list | None,
 ) -> Stack:
@@ -180,7 +184,7 @@ def _sweep_reverse(
         nl = n >> L
         if nl % 2:
             i, e = (nl - 1) << L, nl << L
-            res = apply(tuple(a[nl - 1 :] for a in lv), tuple(o[e : e + 1] for o in out))
+            res = combine(tuple(a[nl - 1 :] for a in lv), tuple(o[e : e + 1] for o in out))
             for o, r in zip(out, res):
                 o[i] = r[0]
             dout[i] = max(dout[e], L) + 1
@@ -191,7 +195,7 @@ def _sweep_reverse(
         m = (n >> L) // 2
         if m:
             view = tuple(o[:: 1 << L] for o in out)
-            res = apply(tuple(a[1 : 2 * m : 2] for a in lv), tuple(v[2 : 2 * m + 1 : 2] for v in view))
+            res = combine(tuple(a[1 : 2 * m : 2] for a in lv), tuple(v[2 : 2 * m + 1 : 2] for v in view))
             for v, r in zip(view, res):
                 v[1 : 2 * m : 2] = r
             dv = dout[:: 1 << L]
@@ -232,7 +236,6 @@ def par_scan_stacked(
     combine: Callable[[Stack, Stack], Stack],
     direction: ScanDirection = ScanDirection.FORWARD,
     start: Stack | None = None,
-    apply: Callable[[Stack, Stack], Stack] | None = None,
     tree: list | None = None,
 ) -> tuple[Stack, ScanStats]:
     """Up-sweep/down-sweep scan over a time-stacked element sequence.
@@ -245,16 +248,16 @@ def par_scan_stacked(
     slot k the prefix ending at element k (the suffix starting at k under
     REVERSE), of the elements' shapes.
 
-    ``start`` and ``apply`` go together. ``start`` is a tuple of unbatched
-    arrays, the value at a pinned endpoint, and ``apply(values, elements)``
-    (``apply(elements, values)`` under REVERSE) maps a batch of values and
-    a batch of elements to the values they reach. The outputs then have
-    T + 1 slots of ``start``'s shapes and dtypes: ``start`` in slot 0 (slot
-    T under REVERSE), and in slot k + 1 (slot k) ``start`` acted on by the
-    elements up to k (from k). ``combine`` only ever sees elements and
-    ``apply`` only values, and the tree and ``ScanStats`` are those of the
-    plain scan of ``start`` as an element followed (preceded under
-    REVERSE) by the elements.
+    ``start`` is a tuple of unbatched arrays, one more element at the
+    pinned end, first (last under REVERSE). It may be degenerate: an element
+    out of (into) a trivial endpoint, whose arrays have other, possibly
+    zero, sizes than the elements', as long as ``combine`` takes it as an
+    operand and returns its shapes. The outputs then have T + 1 slots of
+    ``start``'s shapes and dtypes: ``start`` in slot 0 (slot T under
+    REVERSE), and in slot k + 1 (slot k) ``start`` combined with the
+    elements up to k (from k). The tree and ``ScanStats`` are those of the
+    plain scan of ``start`` followed (preceded under REVERSE) by the
+    elements, and the up-sweep combines elements and nodes alone.
 
     ``tree``, a list, asks a REVERSE scan from ``start`` to leave the
     up-sweep's even nodes of levels 1, 2, ... in it, one contiguous stack
@@ -263,15 +266,12 @@ def par_scan_stacked(
     n = int(arrays[0].shape[0])
     if any(int(x.shape[0]) != n for x in arrays[1:]):
         raise ValueError("stacked arrays disagree on length")
-    if (start is None) != (apply is None):
-        raise ValueError("start and apply go together")
     forward = direction is ScanDirection.FORWARD
     if tree is not None and (forward or start is None):
         raise ValueError("only a reverse scan from start keeps its tree")
-    if start is None:  # the first (last) element is the start and combine the action
+    if start is None:  # the first (last) element is the start
         if n == 0:
             raise ValueError("empty scan")
-        apply = combine
         s = tuple(a[:1] if forward else a[-1:] for a in arrays)
         arrays = tuple(a[1:] if forward else a[:-1] for a in arrays)
         n -= 1
@@ -282,24 +282,24 @@ def par_scan_stacked(
     if forward:
         evens = [tuple(a[::2] for a in lv) for lv in levels]
         del levels  # the views alone hold each level, until it is swept
-        return _sweep_forward(evens, s, n, apply, stats), stats
-    return _sweep_reverse(levels, s, n, apply, stats, tree), stats
+        return _sweep_forward(evens, s, n, combine, stats), stats
+    return _sweep_reverse(levels, s, n, combine, stats, tree), stats
 
 
 def forward_from_tree(
     evens: Sequence[Stack],
     n: int,
     start: Stack,
-    apply: Callable[[Stack, Stack], Stack],
+    combine: Callable[[Stack, Stack], Stack],
 ) -> tuple[Stack, ScanStats]:
     """The FORWARD ``par_scan_stacked`` from ``start`` over n elements, from
     the even nodes of its up-sweep alone: ``evens[0]`` holds elements 0, 2,
     4, ... and ``evens[1:]`` the ``tree`` that a REVERSE scan over the same
-    elements left. Only the down-sweep runs, with no combine; the stats
-    count its applies."""
+    elements left. Only the down-sweep runs, n combines of values with
+    nodes, and the stats count those."""
     sizes = [((n >> L) + 1) // 2 for L in range(max(1, n.bit_length()))]
     if [int(e[0].shape[0]) for e in evens] != sizes:
         raise ValueError("tree does not match the elements")
     s = tuple(np.asarray(a)[None] for a in start)
     stats = ScanStats()
-    return _sweep_forward(list(evens) if n else [], s, n, apply, stats), stats
+    return _sweep_forward(list(evens) if n else [], s, n, combine, stats), stats

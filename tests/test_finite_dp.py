@@ -2,6 +2,7 @@
 agreement (scan vs Bellman vs brute force), trajectory recovery, file I/O."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,20 @@ class TestFiniteProblem:
         costs[name].flat[1] = bad
         with pytest.raises(ValueError, match=f"^{name} holds NaN or -inf"):
             fd.FiniteProblem(D_x=2, D_u=2, S=0, T=1, f=p.f, x_S=0, **costs)
+
+
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("f", (1, 3, 4)), ("ell", (1, 3, 4)), ("ell", (2, 4, 3)), ("ell_T", (2, 2)), ("ell_T", (3,))],
+        ids=["f-transposed", "ell-transposed", "ell-extra-step", "ell_T-square", "ell_T-short"],
+    )
+    def test_mis_shaped_table_rejected(self, name, shape):
+        # D_x = 4, D_u = 3, N = 1: a (1, 3, 4) or (2, 2) table has the
+        # declared size, and a reshape would read it scrambled
+        tables = {"f": np.zeros((1, 4, 3), dtype=np.int64), "ell": np.zeros((1, 4, 3)), "ell_T": np.zeros(4)}
+        tables[name] = np.zeros(shape, dtype=tables[name].dtype)
+        with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}, expected"):
+            fd.FiniteProblem(D_x=4, D_u=3, S=0, T=1, x_S=0, **tables)
 
 
 class TestBuildElements:
@@ -244,10 +259,11 @@ class TestMinPlusMatmul:
 
 
 class TestSuffixFill:
-    """solve_backward's apply on value vectors equals the full min-plus
-    product with the suffix they stand for (identical columns) bit for bit,
-    inf rows and columns included, and the scan from ell_T equals the plain
-    scan with the terminal matrix as its last element."""
+    """solve_backward's start is the one-column matrix ell_T[:, None], so its
+    down-sweep takes min_plus_matmul's one-column case, which equals the
+    general product on the suffix it stands for (identical columns) bit for
+    bit, inf rows and columns included; and the scan from ell_T[:, None]
+    equals the plain scan with the terminal matrix as its last element."""
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_equals_full_product(self, dtype):
@@ -258,10 +274,11 @@ class TestSuffixFill:
         v = random_cost_stack(rng, (5, 9, 1), dtype)
         v[:, 1] = np.inf
         full = fd.min_plus_matmul(E, np.repeat(v, 9, axis=2))
-        (col,) = fd._fill_suffix((E,), (v[:, :, 0],))
-        assert col.shape == (5, 9)
-        assert np.broadcast_to(col[:, :, None], full.shape).tobytes() == full.tobytes()
+        col = fd.min_plus_matmul(E, v)
+        assert col.shape == (5, 9, 1)
+        assert np.broadcast_to(col, full.shape).tobytes() == full.tobytes()
         assert np.all(col[:, 3] == np.inf)
+        np.testing.assert_array_equal(col, min_plus_loops(E, v))
 
     def test_blocks_over_batch(self):
         # 64 products of D = 64 fill the budget, so 131 run in three blocks
@@ -269,9 +286,10 @@ class TestSuffixFill:
         n = 2 * (fd._MIN_PLUS_BUDGET // D**2) + 3
         rng = np.random.default_rng(13)
         E = random_cost_stack(rng, (n, D, D))
-        v = random_cost_stack(rng, (n, D))
-        (col,) = fd._fill_suffix((E[::-1],), (v[::-1],))  # REVERSE hands in flipped views
-        assert col.tobytes() == fd.min_plus_matmul(E[::-1], v[::-1, :, None])[:, :, 0].tobytes()
+        v = random_cost_stack(rng, (n, D, 1))
+        col = fd.min_plus_matmul(E[::-1], v[::-1])  # REVERSE hands in flipped views
+        full = fd.min_plus_matmul(E[::-1], np.repeat(v[::-1], 2, axis=2))
+        assert col.tobytes() == full[:, :, :1].copy().tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_scan_with_fill_matches_scan_without(self, dtype):
@@ -287,18 +305,20 @@ class TestSuffixFill:
 
 
 class TestMapFill:
-    """recover_traj_m1's apply on states equals the full composition with
-    the constant maps they stand for, and the scan from a start state
-    equals the plain scan with that constant map as its first element."""
+    """recover_traj_m1 starts from [x_S], the map from a one-point set, whose
+    composition with a map equals the full composition with the constant
+    map it stands for; and the scan from it equals the plain scan with that
+    constant map as its first element."""
 
     def test_equals_full_compose(self):
         rng = np.random.default_rng(11)
         a = np.repeat(rng.integers(0, 9, size=(5, 1)), 9, axis=1)  # constant maps
         b = rng.integers(0, 9, size=(5, 9))
         (full,) = fd._compose_maps((a,), (b,))
-        (ent,) = fd._fill_pinned_map((a[:, 0],), (b,))
-        np.testing.assert_array_equal(np.broadcast_to(ent[:, None], full.shape), full)
-        np.testing.assert_array_equal(ent, b[np.arange(5), a[:, 0]])
+        (ent,) = fd._compose_maps((a[:, :1],), (b,))
+        assert ent.shape == (5, 1)
+        np.testing.assert_array_equal(np.broadcast_to(ent, full.shape), full)
+        np.testing.assert_array_equal(ent[:, 0], b[np.arange(5), a[:, 0]])
 
     @pytest.mark.parametrize("N", [0, 1, 2, 37])
     def test_scan_with_fill_matches_scan_without(self, N):
@@ -309,11 +329,15 @@ class TestMapFill:
             (np.concatenate([start, maps]),), fd._compose_maps, ScanDirection.FORWARD
         )
         (states,), stats = par_scan_stacked(
-            (maps,), fd._compose_maps, ScanDirection.FORWARD, start=(np.int64(3),),
-            apply=fd._fill_pinned_map,
+            (maps,), fd._compose_maps, ScanDirection.FORWARD, start=(start[0, :1],)
         )
-        assert states.tobytes() == full[:, 0].tobytes()
+        assert states.shape == (N + 1, 1)
+        assert states.tobytes() == full[:, :1].copy().tobytes()
         assert stats == full_stats
+        p = fd.FiniteProblem(
+            D_x=7, D_u=1, S=0, T=N, f=maps[:, :, None], ell=np.zeros((N, 7, 1)), ell_T=np.zeros(7), x_S=3
+        )
+        assert fd.recover_traj_m1(p, fd.seq_bellman(p)).tobytes() == full[:, 0].tobytes()
 
 
 class TestSolve:
@@ -664,6 +688,21 @@ class TestJsonInterchange:
         np.testing.assert_array_equal(q.ell, p.ell)
         np.testing.assert_array_equal(q.ell_T, p.ell_T)
         np.testing.assert_array_equal(fd.solve_backward(q).V, fd.seq_bellman(p).V)
+
+    def test_declared_dimensions_must_match_arrays(self):
+        d = fd.problem_to_dict(two_state_problem())
+        d["D_u"] = 3
+        with pytest.raises(ValueError, match=r"^f has shape \(1, 2, 2\), expected \(1, 2, 3\)"):
+            fd.problem_from_dict(d)
+
+    def test_zero_steps_roundtrip(self, tmp_path):
+        # the empty tables are written as [], which carries no shape
+        p = fd.FiniteProblem(D_x=3, D_u=2, S=4, T=4, f=np.zeros((0, 3, 2), dtype=np.int64),
+                             ell=np.zeros((0, 3, 2)), ell_T=[1.0, 0.0, 2.0], x_S=2)
+        fd.save_problem(p, tmp_path / "empty.json")
+        q = fd.load_problem(tmp_path / "empty.json")
+        assert q.f.shape == q.ell.shape == (0, 3, 2)
+        np.testing.assert_array_equal(q.ell_T, p.ell_T)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     @pytest.mark.parametrize("name", ["ell", "ell_T"])

@@ -336,8 +336,8 @@ class TestConditioningGate:
 
     def test_thin_level_accurate_at_large_weight_ratio(self):
         # the sweep above at rho = 1e10: level 0 of mass_spring(4, 400)
-        # (n_x = 8, n_u = 2) is thin, and its combines and fills keep S
-        # within 1e-5 of Riccati, where the dense path reads 6.5e-5
+        # (n_x = 8, n_u = 2) is thin, and its combines, in both sweeps,
+        # keep S within 1e-5 of Riccati, where the dense path reads 6.5e-5
         base = build_mass_spring(4, 400)
         w = np.sqrt(1e10)
         p = replace(base, X=base.X * w, XT=base.XT * w, U=base.U / w)
@@ -352,9 +352,9 @@ class TestConditioningGate:
         # boundary between steps j and j + 1. With N = 6 the up-sweep, which
         # both scans share, pairs the elements across boundaries 1, 3 and 5
         # and the level-1 nodes across boundary 2; the odd level-1 node
-        # [4, 6) stays unpaired. So no combine crosses boundary 4, the one
-        # between steps 3 and 4, and each gate must fire inside its scan's
-        # apply.
+        # [4, 6) stays unpaired. So no up-sweep pair crosses boundary 4, the
+        # one between steps 3 and 4, and each gate must fire in its scan's
+        # down-sweep, on a value: an operand with a zero-dimensional end.
         N = 6
 
         def problem(j):
@@ -370,22 +370,17 @@ class TestConditioningGate:
                 HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
             )
 
-        raised_in = []
+        raised_on = []
+        combine = lqt._combine_element_arrays
 
-        def watched(name):
-            fill = getattr(lqt, name)
+        def watched(e1, e2):
+            try:
+                return combine(e1, e2)
+            except SolverError:
+                raised_on.append("suffix" if e2[0].shape[-2] == 0 else "prefix" if e1[0].shape[-1] == 0 else "")
+                raise
 
-            def wrapper(a, b):
-                try:
-                    return fill(a, b)
-                except SolverError:
-                    raised_in.append(name)
-                    raise
-
-            return wrapper
-
-        for name in ("_fill_suffix", "_fill_prefix"):
-            monkeypatch.setattr(lqt, name, watched(name))
+        monkeypatch.setattr(lqt, "_combine_element_arrays", watched)
         match = "ill-conditioned combine: condition number"
         p = problem(3)
         with pytest.raises(SolverError, match=match):
@@ -393,58 +388,113 @@ class TestConditioningGate:
         values, _ = lqt.riccati_backward(p)
         with pytest.raises(SolverError, match=match):
             lqt.traj_method2(p, values)
-        assert raised_in == ["_fill_suffix", "_fill_prefix"]
+        assert raised_on == ["suffix", "prefix"]
 
 
 def stacked(elements):
     return tuple(np.stack([getattr(e, f) for e in elements]) for f in ("A", "b", "C", "eta", "J"))
 
 
+def terminal_start(eta, J):
+    """Batched values (eta, J) as the backward scan's start: elements into a
+    zero-dimensional endpoint."""
+    k, n = eta.shape
+    return np.zeros((k, 0, n)), np.zeros((k, 0)), np.zeros((k, 0, 0)), eta, J
+
+
+def initial_start(b, C):
+    """Batched (b, C) as Method 2's start: elements out of a zero-dimensional
+    start."""
+    k, n = b.shape
+    return np.zeros((k, n, 0)), b, C, np.zeros((k, 0)), np.zeros((k, 0, 0))
+
+
+def check_degenerate(out, full, kept):
+    """``out`` of a combine with a degenerate operand equals ``full``, the
+    combine with the zero-padded element it stands for, bit for bit in the
+    slots ``kept``; its other slots are empty, and full's are zero."""
+    for i, (got, want) in enumerate(zip(out, full, strict=True)):
+        if i in kept:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got.size == 0 and not want.any()
+
+
 class TestPinnedFills:
-    """Each scan fill takes its pinned operand as the arrays the scan outputs
-    and equals the full combine on operands of the pinned form, bit for bit;
-    the full combine leaves the other arrays of that form exactly zero."""
+    """Each scan starts from a degenerate element, whose pinned endpoint is
+    zero-dimensional. A combine with it equals the combine with the full
+    element it stands for, zero-padded, in the arrays the scan reads, and
+    the scan from it equals the plain scan with that full element at the
+    pinned end."""
 
     def test_suffix_fill(self):
         rng = np.random.default_rng(31)
         e1 = stacked([random_lqt_element(rng, 3) for _ in range(5)])
         _, _, _, eta2, J2 = stacked([random_lqt_element(rng, 3) for _ in range(5)])
         zero = np.zeros_like(e1[0])
-        e2 = (zero, np.zeros_like(eta2), zero, eta2, J2)  # pinned at the terminal
-        full = lqt._combine_element_arrays(e1, e2)
-        fill = lqt._fill_suffix(e1, (eta2, J2))
-        assert [a.tobytes() for a in fill] == [full[3].tobytes(), full[4].tobytes()]
-        for i in (0, 1, 2):
-            assert np.all(full[i] == 0)
+        full = lqt._combine_element_arrays(e1, (zero, np.zeros_like(eta2), zero, eta2, J2))
+        out = lqt._combine_element_arrays(e1, terminal_start(eta2, J2))
+        assert [a.shape for a in out] == [(5, 0, 3), (5, 0), (5, 0, 0), (5, 3), (5, 3, 3)]
+        check_degenerate(out, full, kept=(3, 4))
 
     def test_prefix_fill(self):
         rng = np.random.default_rng(32)
         _, b1, C1, _, _ = stacked([random_lqt_element(rng, 3) for _ in range(5)])
         e2 = stacked([random_lqt_element(rng, 3) for _ in range(5)])
         zero = np.zeros_like(C1)
-        e1 = (zero, b1, C1, np.zeros_like(b1), zero)  # pinned at the initial state
-        full = lqt._combine_element_arrays(e1, e2)
-        fill = lqt._fill_prefix((b1, C1), e2)
-        assert [a.tobytes() for a in fill] == [full[1].tobytes(), full[2].tobytes()]
-        for i in (0, 3, 4):
-            assert np.all(full[i] == 0)
+        full = lqt._combine_element_arrays((zero, b1, C1, np.zeros_like(b1), zero), e2)
+        out = lqt._combine_element_arrays(initial_start(b1, C1), e2)
+        assert [a.shape for a in out] == [(5, 3, 0), (5, 3), (5, 3, 3), (5, 0), (5, 0, 0)]
+        check_degenerate(out, full, kept=(1, 2))
 
     def test_affine_fill(self):
         rng = np.random.default_rng(33)
         c = rng.normal(size=(5, 3))
-        a = (np.zeros((5, 3, 3)), c)  # pinned: the state itself
         b = (rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3)))
-        full = lqt._compose_affine_arrays(a, b)
-        (fill,) = lqt._fill_affine((c,), b)
-        assert fill.tobytes() == full[1].tobytes()
-        assert np.all(full[0] == 0)
+        full = lqt._compose_affine_arrays((np.zeros((5, 3, 3)), c), b)  # the constant map to c
+        out = lqt._compose_affine_arrays((np.zeros((5, 3, 0)), c), b)  # c as a map from R^0
+        assert out[0].shape == (5, 3, 0)
+        check_degenerate(out, full, kept=(1,))
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_zero_width_operands(self, level):
+        # mass_spring with n_x = 32 and n_u = 2: level 0 holds thin factors,
+        # level 3 (width 16) dense C. Each level's nodes with the values
+        # after them (the backward scan) and with the prefixes before them
+        # (Method 2), as degenerate and as zero-padded full elements
+        nodes = lqt._element_arrays(build_mass_spring(16, 64))
+        for _ in range(level):
+            nodes = lqt._combine_element_arrays(tuple(a[0::2] for a in nodes), tuple(a[1::2] for a in nodes))
+        k, n = nodes[1].shape
+        assert lqt._factored(nodes[2]) == (level == 0)
+        rng = np.random.default_rng(36 + level)
+        R = rng.normal(size=(2, k, n, n)) / n
+        J, C = R @ np.swapaxes(R, -1, -2)  # PSD
+        eta, b = rng.normal(size=(2, k, n))
+        zero, empty = np.zeros((k, n, n)), np.zeros((k, n))
+        out = lqt._combine_element_arrays(nodes, terminal_start(eta, J))
+        full = lqt._combine_element_arrays(nodes, (zero, empty, zero, eta, J))
+        check_degenerate(out, full, kept=(3, 4))
+        out = lqt._combine_element_arrays(initial_start(b, C), nodes)
+        full = lqt._combine_element_arrays((zero, b, C, empty, zero), nodes)
+        check_degenerate(out, full, kept=(1, 2))
 
     @pytest.mark.parametrize("N", [1, 2, 5, 37])
-    def test_pinned_scans_equal_plain_scans(self, N):
-        # parallel_backward and traj_method1 against the same scans run with
-        # combine alone over the start as an element followed by the stage
-        # elements: the arrays they read, byte for byte, and the stats
+    def test_pinned_scans_equal_plain_scans(self, N, monkeypatch):
+        # parallel_backward, traj_method1 and traj_method2 (its own up-sweep)
+        # against the same scans run over the start as a full element
+        # followed (preceded) by the stage elements: the arrays they read,
+        # byte for byte, Method 2's states to 1e-12, and the stats
         p = random_lqt_problem(np.random.default_rng(34 + N), n_x=3, n_u=2, N=N)
+        seen = []
+        scan = lqt.par_scan_stacked
+
+        def recording(*args, **kwargs):
+            out, stats = scan(*args, **kwargs)
+            seen.append(stats)
+            return out, stats
+
+        monkeypatch.setattr(lqt, "par_scan_stacked", recording)
         full, full_stats = par_scan_stacked(
             stacked(make_lqt_elements(p)), lqt._combine_element_arrays, REV
         )
@@ -454,8 +504,16 @@ class TestPinnedFills:
         assert stats == full_stats
         Ft, ct = lqt._closed_loop_maps(p, values, gains)
         maps = (np.concatenate([np.zeros((1, 3, 3)), Ft]), np.concatenate([p.x0[None], ct]))
-        (_, xs), _ = par_scan_stacked(maps, lqt._compose_affine_arrays, FWD)
+        (_, xs), m1_stats = par_scan_stacked(maps, lqt._compose_affine_arrays, FWD)
         assert lqt.traj_method1(p, gains, values).tobytes() == xs.tobytes()
+        z = np.zeros((1, 3, 3))
+        first = (z, p.x0[None], z, np.zeros((1, 3)), z)
+        elements = tuple(np.concatenate([a, e]) for a, e in zip(first, lqt._element_arrays(p)))
+        (_, b, C, _, _), m2_stats = par_scan_stacked(elements, lqt._combine_element_arrays, FWD)
+        want = np.linalg.solve(np.eye(3) + C @ values.S, (b + lqt._mv(C, values.v))[..., None])[..., 0]
+        got = lqt.traj_method2(p, lqt.QuadValue(values.S, values.v))
+        assert rel_dev(got, want) <= 1e-12
+        assert seen == [stats, m1_stats, m2_stats]
 
 
 class TestParallelBackward:
@@ -746,7 +804,8 @@ class TestTrajectoryRecovery:
 
 
 def combine_spy(monkeypatch):
-    """Counts the interval combines (pairs) the library makes from here on."""
+    """Counts the interval combines (pairs) the library makes from here on,
+    up-sweep and down-sweep."""
     calls = []
     combine = lqt._combine_element_arrays
 
@@ -761,16 +820,20 @@ def combine_spy(monkeypatch):
 class TestCarriedTree:
     """parallel_backward's values carry its up-sweep's nodes to Method 2."""
 
-    def test_method2_makes_no_combine(self, monkeypatch):
-        p = random_lqt_problem(np.random.default_rng(40), n_x=3, n_u=2, N=37)
+    def test_method2_makes_no_up_sweep(self, monkeypatch):
+        # a scan from a start over N elements pairs N - popcount(N) in its
+        # up-sweep and N in its down-sweep
+        N = 37
+        p = random_lqt_problem(np.random.default_rng(40), n_x=3, n_u=2, N=N)
         calls = combine_spy(monkeypatch)
         values, _ = lqt.parallel_backward(p)
-        assert sum(calls) == 37 - bin(37).count("1")
+        assert sum(calls) == 2 * N - bin(N).count("1")
         calls.clear()
         lqt.traj_method2(p, values)
-        assert calls == []
+        assert sum(calls) == N
+        calls.clear()
         lqt.traj_method2(p, lqt.QuadValue(values.S, values.v))
-        assert sum(calls) == 37 - bin(37).count("1")
+        assert sum(calls) == 2 * N - bin(N).count("1")
 
     @pytest.mark.parametrize("N", [1, 2, 3, 6, 7, 64, 65, 500])
     def test_matches_own_up_sweep_and_riccati(self, N):
@@ -795,7 +858,7 @@ class TestCarriedTree:
         assert mixed.tree is values_p.tree
         calls = combine_spy(monkeypatch)
         xs = lqt.traj_method2(q, mixed)
-        assert calls  # q ran its own up-sweep
+        assert sum(calls) == 2 * 20 - bin(20).count("1")  # q ran its own up-sweep
         xs_ref, _ = lqt.closed_loop_rollout(q, ref_values, ref_gains)
         assert np.max(np.abs(xs - xs_ref)) <= 1e-9
         # p's own values with an equal but separate copy of p: its own
@@ -803,7 +866,7 @@ class TestCarriedTree:
         twin = replace(p)
         calls.clear()
         xs_twin = lqt.traj_method2(twin, values_p)
-        assert calls
+        assert sum(calls) == 2 * 20 - bin(20).count("1")
         np.testing.assert_allclose(xs_twin, lqt.traj_method2(p, values_p), rtol=0, atol=1e-12)
 
     def test_eq_and_repr_ignore_tree(self):
@@ -823,7 +886,7 @@ def rel_dev(a, b):
 
 def without_factor(monkeypatch):
     """From here on no element or node holds a thin factor, so every
-    combine and fill takes the dense path."""
+    combine takes the dense path."""
     monkeypatch.setattr(lqt, "_thin", lambda n_x, width: False)
 
 
@@ -835,8 +898,9 @@ def thin_levels(n_x, n_u):
 
 class TestThinElements:
     """Elements whose C = G G' has a factor G thinner than half the state
-    hold Gt = G' in slot 2 in place of C. Their combines and backward fills
-    factor an r x r matrix instead of inverting an n_x x n_x one, and must
+    hold Gt = G' in slot 2 in place of C. Their combines, with each other
+    and with the values after them, factor an r x r matrix instead of
+    inverting an n_x x n_x one, and must
     agree with the dense path that the same problem takes when no element
     is thin."""
 
@@ -867,9 +931,9 @@ class TestThinElements:
     @pytest.mark.parametrize("n_x", [8, 16])
     def test_combine_and_fills_match_dense(self, n_x, n_u):
         # up the thin levels of a 64-element tree, pair by pair: the combine,
-        # the backward fill on random values and the forward fill with the
-        # node on the right, each on the thin nodes and on their densified
-        # twins
+        # the combine with random values after the nodes (backward) and with
+        # random prefixes before them (forward), each on the thin nodes and
+        # on their densified twins
         rng = np.random.default_rng(60 + n_x + n_u)
         level = lqt._element_arrays(random_lqt_problem(rng, n_x=n_x, n_u=n_u, N=64))
         seen = 0
@@ -886,10 +950,13 @@ class TestThinElements:
             else:
                 assert np.array_equal(out[2], np.swapaxes(out[2], -1, -2))
             other = stacked([random_lqt_element(rng, n_x) for _ in range(len(e1[0]))])
-            for got, want in zip(lqt._fill_suffix(e1, other[3:]), lqt._fill_suffix(d1, other[3:]), strict=True):
+            after = terminal_start(*other[3:])
+            for got, want in zip(lqt._combine_element_arrays(e1, after)[3:],
+                                 lqt._combine_element_arrays(d1, after)[3:], strict=True):
                 assert rel_dev(got, want) <= 1e-12
-            fill = lqt._fill_prefix(other[1:3], e2)
-            assert [a.tobytes() for a in fill] == [a.tobytes() for a in lqt._fill_prefix(other[1:3], d2)]
+            before = initial_start(*other[1:3])
+            prefix = lqt._combine_element_arrays(before, e2)
+            assert [a.tobytes() for a in prefix] == [a.tobytes() for a in lqt._combine_element_arrays(before, d2)]
             level = out
             seen += 1
         assert seen == thin_levels(n_x, n_u)
@@ -910,7 +977,7 @@ class TestThinElements:
 
         monkeypatch.setattr(lqt, "_thin_inverse", spy)
         values, _ = lqt.parallel_backward(p)
-        # every level has an apply; the thin ones take the thin path
+        # every level has a down-sweep; the thin ones take the thin path
         assert sorted(set(widths)) == [n_u << L for L in range(min(thin_levels(n_x, n_u), N.bit_length()))]
         # the kept nodes of level L hold the factor exactly where it is thin
         for L, level in enumerate(values.tree.levels, start=1):
@@ -966,17 +1033,17 @@ class TestThinElements:
         e1 = (e1[0], e1[1], np.array([[[1.0, 0.0, 0.0, 0.0]]]), e1[3], e1[4])
         J2 = np.diag([-2.0, 1.0, 1.0, 1.0])[None]
         with pytest.raises(SolverError, match="ill-conditioned combine: I \\+ G'JG not positive definite"):
-            lqt._fill_suffix(e1, (np.zeros((1, 4)), J2))
+            lqt._combine_element_arrays(e1, terminal_start(np.zeros((1, 4)), J2))
 
-    @pytest.mark.parametrize("N,raised_in", [(6, "_combine_element_arrays"), (5, "_fill_suffix")])
-    def test_gate_fires_on_thin_level(self, N, raised_in, monkeypatch):
+    @pytest.mark.parametrize("N,sweep", [(6, "up"), (5, "down")])
+    def test_gate_fires_on_thin_level(self, N, sweep, monkeypatch):
         # n_x = 4, n_u = 1: only level 0 is thin. Step j is nearly free to
         # control in state 0 and the state after it is weighted heavily, so
         # I + C J has condition ~1e14 only across that boundary. Elements 0
         # and 1 form a level-0 pair of the up-sweep; with N = 5 the last
-        # element stays unpaired, and its fill on the terminal value is the
-        # first operator that crosses the last boundary
-        j = 0 if raised_in == "_combine_element_arrays" else N - 1
+        # element stays unpaired, and its combine with the terminal value,
+        # in the down-sweep, is the first that crosses the last boundary
+        j = 0 if sweep == "up" else N - 1
         U = np.ones((N, 1, 1))
         U[j] = 1e-7
         X = np.tile(np.eye(4), (N + 1, 1, 1))
@@ -998,16 +1065,19 @@ class TestThinElements:
                 try:
                     return fn(*args)
                 except SolverError:
-                    raised.append(name)
+                    if name == "_thin_inverse":
+                        raised.append(name)
+                    else:  # a down-sweep combine's second operand is a value, with a 0-dimensional end
+                        raised.append("down" if args[1][0].shape[-2] == 0 else "up")
                     raise
 
             return wrapper
 
-        for name in ("_thin_inverse", "_combine_element_arrays", "_fill_suffix"):
+        for name in ("_thin_inverse", "_combine_element_arrays"):
             monkeypatch.setattr(lqt, name, watched(name))
         with pytest.raises(SolverError, match=r"ill-conditioned combine: condition number 1\.000e\+14"):
             lqt.parallel_backward(p)
-        assert raised == ["_thin_inverse", raised_in]
+        assert raised == ["_thin_inverse", sweep]
 
 
 class TestGeneralCostTransform:

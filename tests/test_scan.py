@@ -242,16 +242,6 @@ class TestStackedEngine:
         with pytest.raises(ValueError, match="empty scan"):
             par_scan_stacked((np.zeros((0, 2)),), lambda a, b: a)
 
-    def test_pin_needs_fill(self):
-        # the start value needs an apply that acts on it, and an apply
-        # needs a start value to act on
-        def add(a, b):
-            return (a[0] + b[0],)
-
-        for kwargs in ({"start": (np.int64(0),)}, {"apply": add}):
-            with pytest.raises(ValueError, match="start and apply go together"):
-                par_scan_stacked((np.arange(4),), add, **kwargs)
-
 
 TREE_SIZES = list(range(1, 71)) + [1023, 1024, 1025]
 PRIME = 1_000_003  # 2x2 products mod PRIME stay exact in int64
@@ -310,7 +300,7 @@ class TestOddEvenTree:
         # the plain scan starts from element 0 (T - 1 under REVERSE) and runs
         # over the n = T - 1 others: level L + 1 of the up-sweep pairs the
         # n_L nodes of level L, so sum_L floor(n_L / 2) pairs, and each down-
-        # sweep applies once per element, n applies
+        # sweep combines a value with each element once, n pairs
         n, pairs = T - 1, 0
         while n > 1:
             n //= 2
@@ -333,11 +323,12 @@ class TestOddEvenTree:
     @pytest.mark.parametrize("direction", [FWD, REV])
     @pytest.mark.parametrize("T", [0] + TREE_SIZES)
     def test_pin_equals_pin_of_plain_outputs(self, T, direction):
-        # 2x2 matrices mod PRIME acting on vectors: rows from the left going
-        # forward, columns from the right under REVERSE. The scan from the
-        # start equals the sequential fold from it exactly, and row 0 (column
-        # 0) of the plain scan with the start as an element, tree and stats
-        # included
+        # 2x2 matrices mod PRIME, started from a vector as a degenerate
+        # element: a 1x2 row going forward, a 2x1 column under REVERSE, so
+        # one matrix product serves the whole tree. The scan from the start
+        # equals the sequential fold from it exactly, and row 0 (column 0)
+        # of the plain scan with the start as a full element, tree and
+        # stats included
         rng = np.random.default_rng(T + 50)
         M = rng.integers(0, PRIME, size=(T, 2, 2))
         w = rng.integers(0, PRIME, size=2)
@@ -345,88 +336,80 @@ class TestOddEvenTree:
         def mul(a, b):
             return ((a[0] @ b[0]) % PRIME,)
 
+        full_start = np.zeros((1, 2, 2), dtype=M.dtype)
         if direction is FWD:
-            def act(v, e):
-                return (((v[0][:, None, :] @ e[0])[:, 0]) % PRIME,)
-
+            start = w[None]
             fold = [w]
             for k in range(T):
                 fold.append((fold[-1] @ M[k]) % PRIME)
-            first = np.zeros((1, 2, 2), dtype=M.dtype)
-            first[0, 0] = w  # the start as an element: its row 0
-            plain = np.concatenate([first, M])
+            full_start[0, 0] = w  # its row 0
+            plain = np.concatenate([full_start, M])
         else:
-            def act(e, v):
-                return (((e[0] @ v[0][:, :, None])[:, :, 0]) % PRIME,)
-
+            start = w[:, None]
             fold = [w]
             for k in range(T - 1, -1, -1):
                 fold.insert(0, (M[k] @ fold[0]) % PRIME)
-            last = np.zeros((1, 2, 2), dtype=M.dtype)
-            last[0, :, 0] = w  # the start as an element: its column 0
-            plain = np.concatenate([M, last])
-        (out,), stats = par_scan_stacked((M,), mul, direction, start=(w,), apply=act)
-        assert out.shape == (T + 1, 2)
-        assert out.tobytes() == np.stack(fold).tobytes()
+            full_start[0, :, 0] = w  # its column 0
+            plain = np.concatenate([M, full_start])
+        (out,), stats = par_scan_stacked((M,), mul, direction, start=(start,))
+        assert out.shape == (T + 1,) + start.shape
+        assert out.reshape(T + 1, 2).tobytes() == np.stack(fold).tobytes()
         (full,), plain_stats = par_scan_stacked((plain,), mul, direction)
         assert stats == plain_stats
-        np.testing.assert_array_equal(full[:, 0] if direction is FWD else full[:, :, 0], out)
+        np.testing.assert_array_equal(full[:, :1] if direction is FWD else full[:, :, :1], out)
 
     @pytest.mark.parametrize("direction", [FWD, REV])
     @pytest.mark.parametrize("T", [0] + TREE_SIZES)
     def test_fill_gets_pinned_operand(self, T, direction):
-        # elements are index intervals (lo, hi) and values the single index
-        # the scan has reached: combine checks adjacency of two intervals,
-        # apply that a value meets the interval next to it
-        calls = {"pairs": 0, "applies": 0}
+        # elements are index intervals (lo, hi) and the start the empty
+        # interval at the pinned end, (-1, -1) going forward and (T, T)
+        # under REVERSE. Every combine gets adjacent intervals, the earlier
+        # first; a down-sweep batch gets values, intervals that reach the
+        # pinned end, on the pinned side, and an up-sweep batch none
+        end = -1 if direction is FWD else T
+        calls = {"pairs": 0, "values": 0}
 
         def combine(a, b):
             assert len(a) == len(b) == 2
             assert np.array_equal(a[1] + 1, b[0])
-            calls["pairs"] += len(a[0])
+            pinned = a[0] == end if direction is FWD else b[1] == end
+            assert pinned.all() or not pinned.any()
+            calls["values" if pinned.any() else "pairs"] += len(pinned)
             return a[0], b[1]
 
-        def apply(a, b):
-            if direction is FWD:
-                (v,), e = a, b
-                assert len(e) == 2 and np.array_equal(v + 1, e[0])
-                reached = e[1]
-            else:
-                e, (v,) = a, b
-                assert len(e) == 2 and np.array_equal(e[1] + 1, v)
-                reached = e[0]
-            calls["applies"] += len(v)
-            return (reached,)
-
         idx = np.arange(T)
-        end = -1 if direction is FWD else T
-        (out,), stats = par_scan_stacked(
-            (idx, idx), combine, direction, start=(np.int64(end),), apply=apply
-        )
-        np.testing.assert_array_equal(out, np.arange(-1, T) if direction is FWD else np.arange(T + 1))
-        assert calls["pairs"] + calls["applies"] == stats.combine_count
-        assert (calls["applies"] > 0) == (T > 0)
+        (lo, hi), stats = par_scan_stacked((idx, idx), combine, direction, start=(np.int64(end),) * 2)
+        if direction is FWD:
+            np.testing.assert_array_equal(lo, np.full(T + 1, -1))
+            np.testing.assert_array_equal(hi, np.arange(-1, T))
+        else:
+            np.testing.assert_array_equal(lo, np.arange(T + 1))
+            np.testing.assert_array_equal(hi, np.full(T + 1, T))
+        assert calls["pairs"] + calls["values"] == stats.combine_count
+        assert calls["values"] == T
 
     @pytest.mark.parametrize("T", [0] + TREE_SIZES)
     def test_directions_share_up_sweep(self, T):
-        # elements are index intervals (lo, hi): combine records every node
-        # it forms and apply every node it reads. Both directions form the
-        # same nodes in the same order, T - popcount(T) of them, and read
-        # only elements and those nodes
+        # elements are index intervals (lo, hi) and the start the empty
+        # interval at the pinned end, as above: combine records every node
+        # it forms from two nodes and every node it combines with a value.
+        # Both directions form the same nodes in the same order,
+        # T - popcount(T) of them, and combine values only with elements
+        # and those nodes
         def run(direction):
+            end = -1 if direction is FWD else T
             formed, read = [], []
 
             def combine(a, b):
-                formed.extend(zip(a[0].tolist(), b[1].tolist()))
+                if (a[0] if direction is FWD else b[1])[0] == end:  # a value and a node
+                    lo, hi = b if direction is FWD else a
+                    read.extend(zip(lo.tolist(), hi.tolist()))
+                else:
+                    formed.extend(zip(a[0].tolist(), b[1].tolist()))
                 return a[0], b[1]
 
-            def apply(a, b):
-                (lo, hi), (v,) = (b, a) if direction is FWD else (a, b)
-                read.extend(zip(lo.tolist(), hi.tolist()))
-                return (v,)
-
             idx = np.arange(T)
-            par_scan_stacked((idx, idx), combine, direction, start=(np.int64(0),), apply=apply)
+            par_scan_stacked((idx, idx), combine, direction, start=(np.int64(end),) * 2)
             return formed, read
 
         fwd_formed, fwd_read = run(FWD)
@@ -439,43 +422,38 @@ class TestOddEvenTree:
 
     @pytest.mark.parametrize("T", [0] + TREE_SIZES)
     def test_forward_from_reverse_tree(self, T):
-        # 2x2 matrices mod PRIME acting on vectors, as in
-        # test_pin_equals_pin_of_plain_outputs: the tree a reverse scan
+        # 2x2 matrices mod PRIME from a vector as a degenerate element, as
+        # in test_pin_equals_pin_of_plain_outputs: the tree a reverse scan
         # leaves, with the even elements, gives the forward scan exactly,
-        # with no combine
+        # with no up-sweep
         rng = np.random.default_rng(T + 90)
         M = rng.integers(0, PRIME, size=(T, 2, 2))
         w = rng.integers(0, PRIME, size=2)
+        row, col = w[None], w[:, None]
 
         def mul(a, b):
             return ((a[0] @ b[0]) % PRIME,)
 
-        def act_fwd(v, e):
-            return (((v[0][:, None, :] @ e[0])[:, 0]) % PRIME,)
-
-        def act_rev(e, v):
-            return (((e[0] @ v[0][:, :, None])[:, :, 0]) % PRIME,)
-
         tree = []
-        par_scan_stacked((M,), mul, REV, start=(w,), apply=act_rev, tree=tree)
+        par_scan_stacked((M,), mul, REV, start=(col,), tree=tree)
         assert len(tree) == max(0, T.bit_length() - 1)
         assert all(a.flags.c_contiguous for level in tree for a in level)
-        (ref,), ref_stats = par_scan_stacked((M,), mul, FWD, start=(w,), apply=act_fwd)
-        (out,), stats = forward_from_tree([(M[::2],), *tree], T, (w,), act_fwd)
+        (ref,), ref_stats = par_scan_stacked((M,), mul, FWD, start=(row,))
+        (out,), stats = forward_from_tree([(M[::2],), *tree], T, (row,), mul)
         assert out.tobytes() == ref.tobytes()
         assert stats.combine_count == T
         assert stats.combine_depth == ref_stats.combine_depth
         if T > 1:
             with pytest.raises(ValueError, match="tree does not match"):
-                forward_from_tree([(M[::2],), *tree[1:]], T, (w,), act_fwd)
+                forward_from_tree([(M[::2],), *tree[1:]], T, (row,), mul)
             with pytest.raises(ValueError, match="tree does not match"):
-                forward_from_tree([(M[::2],), *tree], T + 2, (w,), act_fwd)
+                forward_from_tree([(M[::2],), *tree], T + 2, (row,), mul)
 
     def test_tree_only_from_reverse_start(self):
         def add(a, b):
             return (a[0] + b[0],)
 
         x = (np.arange(4),)
-        for kwargs in ({"direction": FWD, "start": (np.int64(0),), "apply": add}, {"direction": REV}):
+        for kwargs in ({"direction": FWD, "start": (np.int64(0),)}, {"direction": REV}):
             with pytest.raises(ValueError, match="only a reverse scan from start keeps its tree"):
                 par_scan_stacked(x, add, tree=[], **kwargs)
