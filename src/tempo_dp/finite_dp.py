@@ -18,13 +18,22 @@ costs as a one-column matrix, ell_T[:, None], and each stage matrix is
 combined with the column after it, so it outputs the (N+1, D_x, 1) value
 stack itself. The forward conditional scan starts from the row of the
 start state, so every prefix is a (1, D_x) row, and Method 1 from [x_S], a
-map from a one-point set, so every prefix is the state reached. Each
-min-plus scan costs about T·D_x³ + T·D_x² operations instead of 2T·D_x³.
+map from a one-point set, so every prefix is the state reached.
 
-Elements are plain arrays: value matrices under :func:`min_plus_matmul`,
-and Method 1's closed-loop state maps as index arrays composed by indexing.
-:func:`solve`, the twin of :func:`tempo_dp.lqt.solve`, strings the steps
-together.
+Row x of stage element k has at most D_u finite entries, at the states
+f_k(x, u). So when D_u < D_x a stage element also carries its tables,
+(E, f, ell), and a product with it on the left is a gather of D_u rows of
+the right operand, min_u ell[x, u] + B[f(x, u), :], which costs D_x·D_u·Y
+sums instead of D_x²·Y. It equals the dense product bit for bit: rounding
+is monotone, so min(a1 + b, a2 + b) = min(a1, a2) + b. The first level of
+each up-sweep then costs D_x²·D_u per pair, the higher levels D_x³, and
+the down-sweep's column and row products D_x² (D_x·D_u for the backward
+scan's level-0 Bellman steps).
+
+Elements are plain arrays: value matrices, alone or with their tables,
+under one min-plus ``combine``, and Method 1's closed-loop state maps as
+index arrays composed by indexing. :func:`solve`, the twin of
+:func:`tempo_dp.lqt.solve`, strings the steps together.
 
 States and controls are 0-based in memory. The JSON interchange format is
 1-based (see :func:`problem_to_dict` / :func:`problem_from_dict`).
@@ -77,7 +86,8 @@ class FiniteProblem:
 
     Costs are stored as float64 (integer tables are cast) and must be
     finite or +inf: NaN and -inf are rejected. A table of another shape is
-    rejected, naming the field.
+    rejected, naming the field, and so is D_u < 1: a state without
+    controls has no next state.
     """
 
     D_x: int
@@ -93,6 +103,8 @@ class FiniteProblem:
         n = self.T - self.S
         if n < 0:
             raise ValueError("need T >= S")
+        if self.D_u < 1:
+            raise ValueError(f"need D_u >= 1 controls, got D_u = {self.D_u}")
         table = (n, self.D_x, self.D_u)
         fields = (("f", np.int64, table), ("ell", np.float64, table), ("ell_T", np.float64, (self.D_x,)))
         for name, dtype, shape in fields:
@@ -172,6 +184,54 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(batch + (X, Y))
 
 
+def _gather_min_plus(f: np.ndarray, ell: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """out[.., x, y] = min_u ell[.., x, u] + B[.., f[.., x, u], y]: the
+    min-plus product of stage elements, given by their tables, with B.
+
+    Leading axes are batch axes, as in :func:`min_plus_matmul`, whose
+    product with the dense element this equals bit for bit. The sums are
+    gathered as s[b, u, x, y] and folded by an elementwise minimum over u,
+    so each step reads a contiguous (x, y) slab. Blocks of the batch, and
+    of u for a product above the budget, keep s within
+    ``_MIN_PLUS_BUDGET`` elements or one (x, y) slab, whichever is larger.
+    """
+    X, U = f.shape[-2:]
+    Y = B.shape[-1]
+    batch = f.shape[:-2]
+    fu = f.reshape(-1, X, U).swapaxes(1, 2)
+    lu = ell.reshape(-1, X, U).swapaxes(1, 2)
+    B = B.reshape((-1,) + B.shape[-2:])
+    out = np.full((fu.shape[0], X, Y), np.inf)
+    ub = max(1, min(U, _MIN_PLUS_BUDGET // max(1, X * Y)))
+    nb = max(1, _MIN_PLUS_BUDGET // max(1, ub * X * Y))
+    for i in range(0, out.shape[0], nb):
+        blk = out[i : i + nb]
+        rows = np.arange(blk.shape[0])[:, None, None]
+        for k in range(0, U, ub):
+            s = B[i : i + nb][rows, fu[i : i + nb, k : k + ub]]
+            s += lu[i : i + nb, k : k + ub, :, None]
+            for j in range(s.shape[1]):
+                np.minimum(blk, s[:, j], out=blk)
+            del s  # as in min_plus_matmul: free s before the next block's
+    return out.reshape(batch + (X, Y))
+
+
+def _combine(a, b):
+    """a (x) b for (E,) value matrices and (E, f, ell) stage elements, each
+    array batched alike: a stage element on the left gathers from its
+    tables, any other product is :func:`min_plus_matmul` of the matrices."""
+    if len(a) == 3:
+        return (_gather_min_plus(a[1], a[2], b[0]),)
+    return (min_plus_matmul(a[0], b[0]),)
+
+
+def _stage_elements(p: FiniteProblem) -> tuple[np.ndarray, ...]:
+    """The N stage elements as stacks: (E, f, ell) when D_u < D_x, so that
+    products with them on the left gather from the tables, else (E,)."""
+    E = build_elements(p)
+    return (E, p.f, p.ell) if p.D_u < p.D_x else (E,)
+
+
 def _compose_maps(a, b):
     """a (x) b = f_b o f_a for (batch, n) and (batch, D_x) stacks of maps:
     a takes n points to states, and b states to states."""
@@ -214,16 +274,14 @@ def solve_backward(p: FiniteProblem, return_stats: bool = False):
     """Backward pass as a reverse parallel scan of min-plus matrices.
 
     The scan starts from the terminal costs as the one-column matrix
-    ell_T[:, None], and each of the N stage matrices is combined with the
-    column after it (D_x² per product instead of D_x³), so slot k holds
-    V_k. Matches :func:`seq_bellman` exactly for integer-valued costs
-    (min-plus arithmetic then involves no reordering-sensitive rounding).
+    ell_T[:, None], and each of the N stage elements is combined with the
+    column after it (D_x² per product instead of D_x³, D_x·D_u where the
+    element gathers from its tables), so slot k holds V_k. Matches
+    :func:`seq_bellman` exactly for integer-valued costs (min-plus
+    arithmetic then involves no reordering-sensitive rounding).
     """
     (V,), stats = par_scan_stacked(
-        (build_elements(p),),
-        lambda a, b: (min_plus_matmul(a[0], b[0]),),
-        ScanDirection.REVERSE,
-        start=(p.ell_T[:, None],),
+        _stage_elements(p), _combine, ScanDirection.REVERSE, start=(p.ell_T[:, None],)
     )
     V = V[:, :, 0]
     if not V[0, p.x_S] < np.inf:
@@ -238,7 +296,9 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
 
     The first element is pinned at the start state: the (1, D_x) row x_S of
     the first stage matrix. Every prefix is then the conditional value row
-    itself, and each product with it is a (1, D_x) (x) (D_x, D_x) one.
+    itself, and each product with it is a (1, D_x) (x) (D_x, D_x) one. The
+    other stage elements go in as tuples of :func:`_stage_elements`, so the
+    up-sweep's first-level pairs gather from the earlier element's tables.
 
     This is the one library scan on the object engine :func:`par_scan`.
     ``par_scan_stacked`` from the degenerate start ``start=(row,)``, a
@@ -248,9 +308,10 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
     """
     if p.N == 0:
         return np.empty((0, p.D_x))
-    E = build_elements(p)
-    prefix, _ = par_scan([E[0, p.x_S][None], *E[1:]], min_plus_matmul, ScanDirection.FORWARD)
-    return np.concatenate(prefix)
+    stage = _stage_elements(p)
+    elements = [(stage[0][0, p.x_S][None],), *zip(*(a[1:] for a in stage))]
+    prefix, _ = par_scan(elements, _combine, ScanDirection.FORWARD)
+    return np.concatenate([r[0] for r in prefix])
 
 
 def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 from tempo_dp import finite_dp as fd
 from tempo_dp.errors import SolverError
-from tempo_dp.scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
+from tempo_dp.scan import ScanDirection, ScanStats, par_scan, par_scan_stacked, seq_scan
 
 from helpers import (
     enumerate_conditional,
@@ -67,6 +67,15 @@ class TestFiniteProblem:
         tables[name] = np.zeros(shape, dtype=tables[name].dtype)
         with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}, expected"):
             fd.FiniteProblem(D_x=4, D_u=3, S=0, T=1, x_S=0, **tables)
+
+    @pytest.mark.parametrize("D_u", [0, -1])
+    def test_no_controls_rejected(self, D_u):
+        for T in (0, 1):
+            with pytest.raises(ValueError, match=rf"D_u >= 1 .* D_u = {D_u}$"):
+                fd.FiniteProblem(
+                    D_x=2, D_u=D_u, S=0, T=T, f=np.zeros((T, 2, 0), dtype=np.int64),
+                    ell=np.zeros((T, 2, 0)), ell_T=[0.0, 1.0], x_S=0,
+                )
 
 
 class TestBuildElements:
@@ -338,6 +347,170 @@ class TestMapFill:
             D_x=7, D_u=1, S=0, T=N, f=maps[:, :, None], ell=np.zeros((N, 7, 1)), ell_T=np.zeros(7), x_S=3
         )
         assert fd.recover_traj_m1(p, fd.seq_bellman(p)).tobytes() == full[:, 0].tobytes()
+
+
+def gather_problem(rng, D_x, D_u, N, costs):
+    """Random tables where control 1 often reaches control 0's next state
+    (duplicate next states), 30% of moves but control 0's forbidden, and
+    integer, eighth or arbitrary float costs."""
+    f = rng.integers(0, D_x, size=(N, D_x, D_u))
+    if D_u > 1:
+        f[..., 1] = np.where(rng.random((N, D_x)) < 0.5, f[..., 0], f[..., 1])
+    shape = (N, D_x, D_u)
+    ell = {
+        "integer": lambda: rng.integers(0, 10, size=shape).astype(float),
+        "eighths": lambda: rng.integers(0, 80, size=shape) / 8,
+        "float": lambda: rng.uniform(0.0, 10.0, size=shape),
+    }[costs]()
+    forbidden = rng.random(shape) < 0.3
+    forbidden[..., 0] = False
+    ell[forbidden] = np.inf
+    return fd.FiniteProblem(
+        D_x=D_x, D_u=D_u, S=0, T=N, f=f, ell=ell, ell_T=rng.integers(0, 10, size=D_x) / 4,
+        x_S=int(rng.integers(0, D_x)),
+    )
+
+
+def dense_backward(p):
+    """solve_backward's scan over the dense stage matrices alone."""
+    (V,), stats = par_scan_stacked(
+        (fd.build_elements(p),),
+        lambda a, b: (fd.min_plus_matmul(a[0], b[0]),),
+        ScanDirection.REVERSE,
+        start=(p.ell_T[:, None],),
+    )
+    return V[:, :, 0], stats
+
+
+def dense_forward(p):
+    """forward_conditional's scan over the dense stage matrices alone."""
+    if p.N == 0:
+        return np.empty((0, p.D_x))
+    E = fd.build_elements(p)
+    prefix, _ = par_scan([E[0, p.x_S][None], *E[1:]], fd.min_plus_matmul, ScanDirection.FORWARD)
+    return np.concatenate(prefix)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Operand shapes of every min_plus_matmul and _gather_min_plus call."""
+    calls = {"dense": [], "gather": []}
+    dense, gather = fd.min_plus_matmul, fd._gather_min_plus
+
+    def spy_dense(A, B):
+        calls["dense"].append((A.shape, B.shape))
+        return dense(A, B)
+
+    def spy_gather(f, ell, B):
+        calls["gather"].append((f.shape, B.shape))
+        return gather(f, ell, B)
+
+    monkeypatch.setattr(fd, "min_plus_matmul", spy_dense)
+    monkeypatch.setattr(fd, "_gather_min_plus", spy_gather)
+    return calls
+
+
+class TestStageGather:
+    """With D_u < D_x a stage element carries its tables, and a product
+    with it on the left gathers D_u rows of the right operand. That equals
+    the dense min-plus product bit for bit, so every scan output equals
+    the dense scans' and, for sums without rounding, Bellman's."""
+
+    @pytest.mark.parametrize("costs", ["integer", "eighths", "float"])
+    @pytest.mark.parametrize("Y", [1, 4, 9])
+    def test_equals_dense_product(self, costs, Y):
+        rng = np.random.default_rng(Y)
+        p = gather_problem(rng, D_x=9, D_u=3, N=6, costs=costs)
+        E = fd.build_elements(p)
+        B = random_cost_stack(rng, (6, 9, Y))
+        if costs == "float":
+            B[B < np.inf] = rng.uniform(0.0, 10.0, size=int((B < np.inf).sum()))
+        out = fd._gather_min_plus(p.f, p.ell, B)
+        assert out.shape == (6, 9, Y)
+        assert out.tobytes() == fd.min_plus_matmul(E, B).tobytes()
+        np.testing.assert_array_equal(out, min_plus_loops(E, B))
+        single = fd._gather_min_plus(p.f[2], p.ell[2], B[2])  # the object scan's unbatched operands
+        assert single.tobytes() == out[2].tobytes()
+        flipped = fd._gather_min_plus(p.f[::-2], p.ell[::-2], B[::-2])  # strided views
+        assert flipped.tobytes() == out[::-2].tobytes()
+
+    def test_duplicate_next_states_take_min(self):
+        # both controls of state 0 reach state 1; the cheaper one counts
+        f = np.array([[[1, 1], [0, 1], [2, 0]]])
+        ell = np.array([[[5.0, 2.0], [np.inf, 1.0], [3.0, np.inf]]])
+        B = np.array([[[0.0, 1.0], [10.0, np.inf], [4.0, 4.0]]])
+        np.testing.assert_array_equal(
+            fd._gather_min_plus(f, ell, B), [[[12.0, np.inf], [11.0, np.inf], [7.0, 7.0]]]
+        )
+
+    @pytest.mark.parametrize("costs", ["integer", "eighths", "float"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 37])
+    def test_scans_equal_dense_scans_and_bellman(self, N, costs):
+        rng = np.random.default_rng(N)
+        p = gather_problem(rng, D_x=6, D_u=3, N=N, costs=costs)
+        V, stats = dense_backward(p)
+        pol, got_stats = fd.solve_backward(p, return_stats=True)
+        assert pol.V.tobytes() == V.tobytes()
+        assert got_stats == stats
+        fw = fd.forward_conditional(p)
+        assert fw.tobytes() == dense_forward(p).tobytes()
+        if costs != "float":  # exact sums: no reordering-sensitive rounding
+            ref = fd.seq_bellman(p)
+            np.testing.assert_array_equal(pol.V, ref.V)
+            np.testing.assert_array_equal(pol.u, ref.u)
+            E = fd.build_elements(p)
+            rows, _ = seq_scan([E[0, p.x_S][None], *E[1:]], min_plus_loops) if N else ([], None)
+            np.testing.assert_array_equal(fw, np.reshape(rows, (N, 6)))
+            for k in range(1, min(N, 4) + 1):
+                np.testing.assert_array_equal(fw[k - 1], enumerate_conditional(p, k))
+            xs, _ = fd.rollout_policy(p, ref)
+            for method in (1, 2):
+                np.testing.assert_array_equal(fd.solve(p, "parallel", method)[0], xs)
+
+    @pytest.mark.parametrize("D_u", [5, 7])
+    def test_dense_path_when_controls_cover_states(self, D_u, spies):
+        p = gather_problem(np.random.default_rng(D_u), D_x=5, D_u=D_u, N=13, costs="integer")
+        pol = fd.solve_backward(p)
+        fw = fd.forward_conditional(p)
+        assert spies["gather"] == [] and spies["dense"]
+        np.testing.assert_array_equal(pol.V, fd.seq_bellman(p).V)
+        assert fw.tobytes() == dense_forward(p).tobytes()
+
+    @pytest.mark.parametrize("budget", [4 * 8 * 3 * 8, 2 * 8 * 8, 1], ids=["batch-blocks", "u-blocks", "one"])
+    def test_blocked_gathers_equal(self, budget, monkeypatch, spies):
+        # level 0 of the up-sweep pairs 20 of the 41 stage elements; at 4
+        # products of 8x3x8 sums per block that batch splits in five, at two
+        # (x, y) slabs per block the three controls split in two
+        p = gather_problem(np.random.default_rng(3), D_x=8, D_u=3, N=41, costs="eighths")
+        V, stats = dense_backward(p)
+        fw = dense_forward(p)
+        monkeypatch.setattr(fd, "_MIN_PLUS_BUDGET", budget)
+        pol, got_stats = fd.solve_backward(p, return_stats=True)
+        assert ((20, 8, 3), (20, 8, 8)) in spies["gather"]
+        assert pol.V.tobytes() == V.tobytes() and got_stats == stats
+        assert fd.forward_conditional(p).tobytes() == fw.tobytes()
+        np.testing.assert_array_equal(pol.V, fd.seq_bellman(p).V)
+
+    def test_level_zero_never_dense(self, spies):
+        from tempo_dp.scenarios import build_routing
+
+        p = build_routing(31, 500, seed=2)
+        pol, stats = fd.solve_backward(p, return_stats=True)
+        # level 0 of the up-sweep and of the down-sweep: 250 pairs each
+        assert not [c for c in spies["dense"] if c[0] == (250, 31, 31)]
+        assert spies["gather"][0] == ((250, 31, 3), (250, 31, 31))
+        assert ((250, 31, 3), (250, 31, 1)) in spies["gather"]
+        spies["dense"].clear()
+        spies["gather"].clear()
+        fw = fd.forward_conditional(p)
+        # the object scan's up-sweep pairs the 499 elements after the pinned
+        # row, 249 of them on level 0, 243 above
+        assert spies["gather"] == [((31, 3), (31, 31))] * 249
+        assert [c for c in spies["dense"] if c[0] == (31, 31)] == [((31, 31), (31, 31))] * 243
+        V, dense_stats = dense_backward(p)
+        assert stats == dense_stats
+        assert pol.V.tobytes() == V.tobytes()
+        assert fw.tobytes() == dense_forward(p).tobytes()
 
 
 class TestSolve:
