@@ -331,11 +331,32 @@ def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:
     return traj
 
 
+def _connecting_controls(p: FiniteProblem, V: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """For each step k the smallest control that moves xs[k] to xs[k+1]
+    optimally, or -1 where none does.
+
+    A move is optimal when f[k, x_k, u] = x_{k+1} and
+    ell[k, x_k, u] + V[k+1, x_{k+1}] is finite and equal to the minimum over
+    u at x_k. These are the sums :func:`_policy_from_values` forms, so the
+    test is exact, and along a path of the policy's own moves the result is
+    the policy's control. One vectorized pass, O(N·D_u).
+    """
+    k = np.arange(p.N)
+    f = p.f[k, xs[:-1]]
+    q = p.ell[k, xs[:-1]] + V[k[:, None] + 1, f]
+    ok = (f == xs[1:, None]) & (q == q.min(axis=1, keepdims=True)) & (q < np.inf)
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+
+
 def recover_traj_m2(p: FiniteProblem, fw: np.ndarray, pol: FinitePolicy) -> np.ndarray:
     """Trajectory by minimizing forward conditional + backward value sums.
 
     ``fw`` is the (N, D_x) output of :func:`forward_conditional`; ties go to
-    the smallest state index.
+    the smallest state index. Each step's minimizer is taken on its own, so
+    when optimal paths tie and cross, consecutive states may come from
+    different paths. Every step is therefore checked to be an optimal move
+    (:func:`_connecting_controls`), and a SolverError names the first that
+    is not.
     """
     total = fw + pol.V[1:]
     if not (total < np.inf).any(axis=1).all():
@@ -343,6 +364,13 @@ def recover_traj_m2(p: FiniteProblem, fw: np.ndarray, pol: FinitePolicy) -> np.n
     traj = np.empty(p.N + 1, dtype=np.int64)
     traj[0] = p.x_S
     traj[1:] = np.argmin(total, axis=1)
+    bad = np.flatnonzero(_connecting_controls(p, pol.V, traj) < 0)
+    if bad.size:
+        k = bad[0]
+        raise SolverError(
+            f"Method 2 states are no optimal path at step {p.S + k}:"
+            f" no optimal control moves state {traj[k]} to {traj[k + 1]} (tied optima)"
+        )
     return traj
 
 
@@ -353,8 +381,12 @@ def solve(
 
     The "sequential" backend runs :func:`seq_bellman` and the closed-loop
     rollout and reports ScanStats(N, N); "parallel" runs
-    :func:`solve_backward`, trajectory Method ``traj_method`` (1 or 2) and
-    reads the controls off the policy along the states.
+    :func:`solve_backward` and trajectory Method ``traj_method`` (1 or 2),
+    and its controls are those that connect consecutive states optimally
+    (:func:`_connecting_controls`; on Method 1's path, the policy's). When
+    optimal paths tie so that Method 2's states are no path
+    (:func:`recover_traj_m2` raises), Method 1's path over the same policy
+    is returned instead: it is exact and has log depth too.
     """
     if backend not in ("sequential", "parallel"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -365,10 +397,13 @@ def solve(
         return xs, us, ScanStats(p.N, p.N)
     pol, stats = solve_backward(p, return_stats=True)
     if traj_method == 2:
-        xs = recover_traj_m2(p, forward_conditional(p), pol)
+        try:
+            xs = recover_traj_m2(p, forward_conditional(p), pol)
+        except SolverError:  # tied optima crossed
+            xs = recover_traj_m1(p, pol)
     else:
         xs = recover_traj_m1(p, pol)
-    return xs, pol.u[np.arange(p.N), xs[:-1]], stats
+    return xs, _connecting_controls(p, pol.V, xs), stats
 
 
 def rollout_policy(p: FiniteProblem, pol: FinitePolicy) -> tuple[np.ndarray, np.ndarray]:

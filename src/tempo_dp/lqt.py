@@ -22,7 +22,7 @@ normal matrices, Method-2 recovery) raises a SolverError naming its first
 failing step.
 
 A level-L node's C = G G' has rank at most r = 2^L n_u. While
-0 < 2 r < n_x, slot 2 of every stage element and node holds the thin factor
+0 < r < n_x, slot 2 of every stage element and node holds the thin factor
 Gt = G' (r x n_x, never square) in place of C; the stage elements take
 G = L R^-T from the Cholesky factor U = R R'. There the combine, also that
 of a node with the backward scan's value after it, factors the r x r
@@ -30,10 +30,10 @@ matrix M = I + G1' J2 G1 = R_M R_M' instead of inverting the n_x x n_x
 Z = I + C1 J2: with H = G1 R_M^-T, Woodbury gives Z^-1 = I - H H' J2, and
 the combined C is Gt'Gt for the stacked factor Gt = [A2 H, G2]', formed as
 C on the level where it stops being thin. Z and Z^-1 are still formed for
-the gate. mass_spring with n_x = 32 and n_u = 2 has three thin levels,
-n_x = 4 with n_u = 2 none; Method 2's prefixes have full-rank C, and their
+the gate. mass_spring with n_x = 32 and n_u = 2 has four thin levels,
+n_x = 4 with n_u = 2 one; Method 2's prefixes have full-rank C, and their
 combine forms a thin node's C. There, at T = 4000, the traced peaks are
-160 MiB (parallel_backward) and 181 MiB (Method 2 over its nodes).
+159 MiB (parallel_backward) and 180 MiB (Method 2 over its nodes).
 
 At these block sizes (n_u and n_x of a few) a batched numpy.linalg call
 costs more per matrix than its arithmetic, so the small dense algebra of
@@ -111,6 +111,21 @@ def _as_float(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _symmetric(A: np.ndarray) -> bool:
+    """Whether a finite (N, n, n) stack passes
+    np.allclose(A, A', rtol=1e-12, atol=1e-12): allclose's own elementwise
+    test, |A - A'| <= 1e-12 + 1e-12 |A'|, without its non-finite handling.
+    It runs over blocks of about 2^15 entries, whose temporaries stay in
+    cache: on a (500, 32, 32) stack the whole-stack test takes three times
+    as long."""
+    nb = max(1, (1 << 15) // max(1, A.shape[-1] ** 2))
+    for i in range(0, len(A), nb):
+        a, at = A[i : i + nb], _t(A[i : i + nb])
+        if not (np.abs(a - at) <= 1e-12 + 1e-12 * np.abs(at)).all():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LqtProblem:
     """Time-varying tracking problem over steps S..T.
@@ -177,9 +192,8 @@ class LqtProblem:
             A = getattr(self, name)
             if A is not None and not np.isfinite(A).all():
                 raise ValueError(f"{name} must be finite")
-        for name in ("X", "U", "XT"):
-            A = getattr(self, name)
-            if A.size and not np.allclose(A, _t(A), rtol=1e-12, atol=1e-12):
+        for name, A in (("X", self.X), ("U", self.U), ("XT", self.XT[None])):
+            if not _symmetric(A):
                 raise ValueError(f"{name} must be symmetric")
 
     @property
@@ -253,8 +267,9 @@ def _norm1(Z: np.ndarray) -> np.ndarray:
 
 def _thin(n_x: int, width: int) -> bool:
     """Whether an element whose C = G G' has a factor G of ``width`` columns
-    holds Gt = G' in place of C: while 0 < width < n_x / 2."""
-    return 0 < 2 * width < n_x
+    holds Gt = G' in place of C: while 0 < width < n_x, so that Gt is never
+    square (:func:`_factored`) and M = I + G'J G is smaller than Z."""
+    return 0 < width < n_x
 
 
 def _factored(C: np.ndarray) -> bool:

@@ -687,6 +687,15 @@ class TestForwardConditional:
             np.testing.assert_array_equal(fw[k - 1], enumerate_conditional(p, k))
 
 
+def tied_problem(seed):
+    """A random problem whose integer costs in 0..2 and terminal costs in
+    0..1 tie many optimal paths."""
+    rng = np.random.default_rng(700 + seed)
+    D_x, D_u, N = int(rng.integers(3, 12)), int(rng.integers(2, 4)), int(rng.integers(1, 30))
+    return fd.FiniteProblem(D_x=D_x, D_u=D_u, S=0, T=N, f=rng.integers(0, D_x, (N, D_x, D_u)),
+                            ell=rng.integers(0, 3, (N, D_x, D_u)), ell_T=rng.integers(0, 2, D_x), x_S=0)
+
+
 class TestTrajectoryRecovery:
     def test_m1_identity_dynamics(self):
         f = np.zeros((3, 2, 2), dtype=int)
@@ -746,6 +755,81 @@ class TestTrajectoryRecovery:
         np.testing.assert_array_equal(t1, t2)
         _, _, xs, _ = enumeration_oracle(p)
         np.testing.assert_array_equal(t1, xs)
+
+    def test_m2_crossing_ties_raise_and_solve_falls_back(self):
+        # all stage costs 0, ell_T = [9, 9, 9, 0, 0]: step 0 sends state 0 to
+        # 1 (u = 0) or 2 (u = 1), step 1 sends 1 to 4 and 2 to 3 under both
+        # controls, every other state stays. The per-step minimizers of
+        # Method 2 are 1 and then 3, which no control reaches from 1
+        D_x, D_u, N = 5, 2, 2
+        f = np.tile(np.arange(D_x)[:, None], (N, 1, D_u))
+        f[0, 0] = [1, 2]
+        f[1, 1] = [4, 4]
+        f[1, 2] = [3, 3]
+        p = fd.FiniteProblem(D_x=D_x, D_u=D_u, S=3, T=3 + N, f=f, ell=np.zeros((N, D_x, D_u)),
+                             ell_T=[9, 9, 9, 0, 0], x_S=0)
+        pol = fd.solve_backward(p)
+        fw = fd.forward_conditional(p)
+        np.testing.assert_array_equal(np.argmin(fw + pol.V[1:], axis=1), [1, 3])
+        with pytest.raises(SolverError, match="^Method 2 states are no optimal path at step 4: "
+                                              "no optimal control moves state 1 to 3"):
+            fd.recover_traj_m2(p, fw, pol)
+        xs_ref, us_ref, _ = fd.solve(p, "sequential")
+        assert xs_ref.tolist() == [0, 1, 4]
+        for traj_method in (1, 2):
+            xs, us, stats = fd.solve(p, "parallel", traj_method)
+            np.testing.assert_array_equal(xs, xs_ref)
+            np.testing.assert_array_equal(us, us_ref)
+            assert stats == fd.solve_backward(p, return_stats=True)[1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tied_optima_give_optimal_paths(self, seed):
+        # every result of both methods is a path, its controls move it, and
+        # its cost is V[0, x_S] exactly. Whether Method 2 raised decides
+        # which path the solve returns
+        p = tied_problem(seed)
+        N = p.N
+        pol = fd.solve_backward(p)
+        try:
+            m2 = fd.recover_traj_m2(p, fd.forward_conditional(p), pol)
+        except SolverError:
+            m2 = None
+        for traj_method in (1, 2):
+            xs, us, _ = fd.solve(p, "parallel", traj_method)
+            assert xs[0] == p.x_S
+            np.testing.assert_array_equal(p.f[np.arange(N), xs[:-1], us], xs[1:])
+            assert fd.trajectory_cost(p, xs, us) == pol.V[0, p.x_S]
+            want = m2 if traj_method == 2 and m2 is not None else fd.recover_traj_m1(p, pol)
+            np.testing.assert_array_equal(xs, want)
+
+    def test_tied_sweep_exercises_both_outcomes(self):
+        # the sweep above holds problems where Method 2's states are a path
+        # and problems where they are not (28 of 40)
+        raised = 0
+        for seed in range(40):
+            p = tied_problem(seed)
+            try:
+                fd.recover_traj_m2(p, fd.forward_conditional(p), fd.solve_backward(p))
+            except SolverError:
+                raised += 1
+        assert 0 < raised < 40
+
+    @pytest.mark.parametrize("D_x,T", [(5, 16), (7, 64), (15, 64), (31, 500)])
+    def test_routing_method2_needs_no_fallback(self, D_x, T):
+        # build_routing's ties do not cross: Method 2's own states are the
+        # Bellman rollout's, and the controls are the policy's along them
+        from tempo_dp.scenarios import build_routing
+
+        for seed in range(3):
+            p = build_routing(D_x, T, seed=seed)
+            pol = fd.solve_backward(p)
+            m2 = fd.recover_traj_m2(p, fd.forward_conditional(p), pol)
+            xs, us, _ = fd.solve(p, "parallel", 2)
+            xs_ref, us_ref, _ = fd.solve(p, "sequential")
+            np.testing.assert_array_equal(xs, m2)
+            np.testing.assert_array_equal(xs, xs_ref)
+            np.testing.assert_array_equal(us, pol.u[np.arange(p.N), xs[:-1]])
+            np.testing.assert_array_equal(us, us_ref)
 
     def test_recovered_cost_equals_value(self):
         rng = np.random.default_rng(5)

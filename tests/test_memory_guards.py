@@ -23,8 +23,8 @@ from tempo_dp import lqt, scenarios
 # n_x = 32, T = 4000: the backward pass's traced memory grows with the
 # element stacks and up-sweep nodes it holds at once, so a copied stack,
 # a node kept twice or a dense C beside a thin factor shows here first.
-# parallel_backward peaks near 160 MiB (levels 0-2 hold G' in C's slot)
-# and Method 2 over the values and carried nodes near 181 MiB
+# parallel_backward peaks near 159 MiB (levels 0-3 hold G' in C's slot)
+# and Method 2 over the values and carried nodes near 180 MiB
 p = scenarios.build_mass_spring(16, 4000)
 tracemalloc.start()
 values, _ = lqt.parallel_backward(p)
