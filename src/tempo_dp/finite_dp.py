@@ -148,8 +148,10 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     budget (D > 64) also runs in blocks of z under a running minimum.
     A one-column B (the backward scan's value columns) takes the sums as
     s[b, x, z] = A + B's column, with the min over the contiguous last
-    axis, in the same batch blocks. Beyond the output, no temporary exceeds
-    the budget or one (x, y) slab, whichever is larger.
+    axis, and a one-row A (the forward scan's prefix rows) as
+    s[b, z, y] = A's row + B, with the min over z, both in the same batch
+    blocks. Beyond the output, no temporary exceeds the budget or one
+    product's sums, whichever is larger.
     """
     X, Z = A.shape[-2:]
     Y = B.shape[-1]
@@ -166,6 +168,14 @@ def min_plus_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         for i in range(0, len(out), nb):
             (A[i : i + nb] + v[i : i + nb, None, :]).min(axis=2, out=out[i : i + nb])
         return out.reshape(batch + (X, 1))
+    if X == 1:
+        a = A.reshape(-1, Z, 1)
+        B = B.reshape(-1, Z, Y)
+        out = np.empty((len(a), Y))
+        nb = max(1, _MIN_PLUS_BUDGET // (Z * Y))
+        for i in range(0, len(out), nb):
+            (a[i : i + nb] + B[i : i + nb]).min(axis=1, out=out[i : i + nb])
+        return out.reshape(batch + (1, Y))
     At = A.swapaxes(1, 2)
     B = B.reshape(-1, Z, Y)
     out = np.empty((At.shape[0], X, Y))

@@ -29,21 +29,29 @@ of a node with the backward scan's value after it, factors the r x r
 matrix M = I + G1' J2 G1 = R_M R_M' instead of inverting the n_x x n_x
 Z = I + C1 J2: with H = G1 R_M^-T, Woodbury gives Z^-1 = I - H H' J2, and
 the combined C is Gt'Gt for the stacked factor Gt = [A2 H, G2]', formed as
-C on the level where it stops being thin. Z and Z^-1 are still formed for
-the gate. mass_spring with n_x = 32 and n_u = 2 has four thin levels,
-n_x = 4 with n_u = 2 one; Method 2's prefixes have full-rank C, and their
-combine forms a thin node's C. There, at T = 4000, the traced peaks are
-159 MiB (parallel_backward) and 180 MiB (Method 2 over its nodes).
+C on the level where it stops being thin. mass_spring with n_x = 32 and
+n_u = 2 has four thin levels, n_x = 4 with n_u = 2 one; Method 2's
+prefixes have full-rank C, and their combine forms a thin node's C. There,
+at T = 4000, the traced peaks are 159 MiB (parallel_backward) and 180 MiB
+(Method 2 over its nodes).
+
+Every combine passes a conditioning gate: it raises once the 1-norm
+condition number of Z passes COND_LIMIT. A whole tree level is first
+certified from a few largest entries, n_x^2 max|Z| max|Z^-1| (on a thin
+level bounded through the r x n_x factors, so Z and Z^-1 are not formed);
+the exact condition numbers are taken only where that bound cannot clear
+COND_LIMIT / 2.
 
 At these block sizes (n_u and n_x of a few) a batched numpy.linalg call
 costs more per matrix than its arithmetic, so the small dense algebra of
 the parallel path avoids them where it can. U, M and the block Hessians of
 condensing get a hand-rolled Cholesky factorization, one column per step.
 Substitutions run one row at a time, each row one batched operation over
-all steps and right-hand sides. Matrix-vector products and the gate's
-column sums are ``einsum`` calls. The normal matrix G keeps a batched LU
-solve: Riccati solves it by LU, so an indefinite but nonsingular G passes
-in both backends alike, where a Cholesky factor would reject it in one.
+all steps and right-hand sides. Matrix-vector products and the exact
+gate's column sums are ``einsum`` calls. The normal matrix G keeps a
+batched LU solve: Riccati solves it by LU, so an indefinite but
+nonsingular G passes in both backends alike, where a Cholesky factor would
+reject it in one.
 
 Also here: the generalized-cost (cross-term) reduction to standard form,
 block partial condensing, a dense KKT reference solver, and file I/O.
@@ -261,8 +269,14 @@ def _compose_affine_arrays(a, b):
 
 
 def _norm1(Z: np.ndarray) -> np.ndarray:
-    """Matrix 1-norms (largest absolute column sum), batched."""
-    return np.einsum("...ij->...j", np.abs(Z)).max(axis=-1)
+    """Matrix 1-norms (largest absolute column sum), batched; 0 for an
+    empty matrix."""
+    return np.einsum("...ij->...j", np.abs(Z)).max(axis=-1, initial=0.0)
+
+
+def _absmax(a: np.ndarray) -> float:
+    """The largest absolute entry of a whole stack; 0 for an empty one."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _thin(n_x: int, width: int) -> bool:
@@ -280,21 +294,36 @@ def _factored(C: np.ndarray) -> bool:
 def _gate(cond: np.ndarray) -> None:
     """The conditioning gate: beyond COND_LIMIT the exact 1-norm condition
     numbers ``cond`` = ||Z||_1 ||Z^-1||_1 of Z = I + C1 J2 (or a non-finite
-    one) make the combine raise instead of returning garbage."""
+    one) make the combine raise instead of returning garbage. It runs only
+    on a level that :func:`_certified` cannot clear."""
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > COND_LIMIT:
         raise SolverError(f"ill-conditioned combine: condition number {worst:.3e}")
 
 
+def _certified(n: int, z: float, zi: float) -> bool:
+    """Whether a whole level of combines passes the gate without its exact
+    condition numbers: z and zi bound the entries of every Z and Z^-1 of
+    the level (n x n), and ||A||_1 <= n max|a_ij| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 6) makes
+    n^2 z zi a bound on every ||Z||_1 ||Z^-1||_1. The level passes while
+    that bound is at most COND_LIMIT / 2; a NaN or inf bound never does."""
+    return n * n * z * zi <= COND_LIMIT / 2
+
+
 def _gated_inverse(C1: np.ndarray, J2: np.ndarray) -> np.ndarray:
     """Zi = (I + C1 J2)^-1, batched, behind the conditioning gate; a
-    singular Z raises too."""
-    Z = np.eye(C1.shape[-1]) + C1 @ J2
+    singular Z raises too. The level's largest entries of Z and Zi certify
+    it (:func:`_certified`); only where they cannot does the exact gate
+    take the 1-norms."""
+    n = C1.shape[-1]
+    Z = np.eye(n) + C1 @ J2
     try:
         Zi = np.linalg.inv(Z)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"ill-conditioned combine: {exc}") from exc
-    _gate(_norm1(Z) * _norm1(Zi))
+    if not _certified(n, _absmax(Z), _absmax(Zi)):
+        _gate(_norm1(Z) * _norm1(Zi))
     return Zi
 
 
@@ -340,18 +369,27 @@ def _thin_inverse(e1, J2: np.ndarray):
     with H = G1 R^-T and R the Cholesky factor of the r x r matrix
     M = I + G1' J2 G1, SPD for PSD J2 (else it raises). Takes e1 with
     Gt1 = G1' in slot 2 and returns (P, H', H' J2), where
-    P = (I + C1 J2)^-1 A1 = A1 - H (H' J2 A1). Z = I + Gt1'(Gt1 J2), from
-    M's Gt1 J2, and Zi are formed for the conditioning gate alone.
+    P = (I + C1 J2)^-1 A1 = A1 - H (H' J2 A1).
+
+    The gate reads Z = I + Gt1'(Gt1 J2) and Zi = I - Ht'(Ht J2) through
+    the r x n_x arrays at hand: an entry of Gt1'(Gt1 J2) is a sum of r
+    products, so 1 + r max|Gt1| max|Gt1 J2| bounds Z's entries, and likewise
+    Zi's, and :func:`_certified` clears the level from these bounds. Only
+    where it cannot are Z and Zi formed, for the exact gate.
     """
     A1, Gt1 = e1[0], e1[2]
+    r, n = Gt1.shape[-2:]
     GtJ = Gt1 @ J2
-    R = _cholesky(np.eye(Gt1.shape[-2]) + GtJ @ _t(Gt1))
+    R = _cholesky(np.eye(r) + GtJ @ _t(Gt1))
     if not np.isfinite(R[..., -1, -1]).all():
         raise SolverError("ill-conditioned combine: I + G'JG not positive definite")
     Ht = _forward_sub(R, Gt1)
     HtJ = Ht @ J2
-    eye = np.eye(Gt1.shape[-1])
-    _gate(_norm1(eye + _t(Gt1) @ GtJ) * _norm1(eye - _t(Ht) @ HtJ))
+    z = 1 + r * _absmax(Gt1) * _absmax(GtJ)
+    zi = 1 + r * _absmax(Ht) * _absmax(HtJ)
+    if not _certified(n, z, zi):
+        eye = np.eye(n)
+        _gate(_norm1(eye + _t(Gt1) @ GtJ) * _norm1(eye - _t(Ht) @ HtJ))
     return A1 - _t(Ht) @ (HtJ @ A1), Ht, HtJ
 
 

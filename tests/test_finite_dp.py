@@ -254,6 +254,58 @@ class TestMinPlusMatmul:
         np.testing.assert_array_equal(out, min_plus_loops(A, B))
         assert np.all(np.isinf(out[:, 2, :])) and np.all(np.isinf(out[:, :, 5]))
 
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
+    def test_one_row(self, batch):
+        # the forward scan's (1, D_x) prefix rows: batched and unbatched
+        rng = np.random.default_rng(10 + len(batch))
+        A = random_cost_stack(rng, batch + (1, self.D))
+        B = random_cost_stack(rng, batch + (self.D, 7))
+        out = fd.min_plus_matmul(A, B)
+        assert out.shape == batch + (1, 7)
+        np.testing.assert_array_equal(out, min_plus_loops(A, B))
+
+    def test_one_row_equals_general_path_bitwise(self):
+        # sums of arbitrary floats round, and the one-row path rounds them
+        # as the general path does: row 0 of a two-row product
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(4, 2, self.D)) * 10.0 ** rng.integers(-8, 8, size=(4, 2, self.D))
+        B = rng.normal(size=(4, self.D, self.D)) * 10.0 ** rng.integers(-8, 8, size=(4, self.D, self.D))
+        out = fd.min_plus_matmul(A[:, :1], B)
+        assert out.tobytes() == fd.min_plus_matmul(A, B)[:, :1].tobytes()
+        np.testing.assert_array_equal(out, min_plus_loops(A[:, :1], B))
+
+    def test_one_row_inf(self):
+        rng = np.random.default_rng(12)
+        A = random_cost_stack(rng, (4, 1, 8))
+        B = random_cost_stack(rng, (4, 8, 8))
+        A[1] = np.inf  # a row that reaches nothing
+        B[:, :, 5] = np.inf
+        B[2, 3, :] = np.inf
+        out = fd.min_plus_matmul(A, B)
+        np.testing.assert_array_equal(out, min_plus_loops(A, B))
+        assert np.all(np.isinf(out[1])) and np.all(np.isinf(out[:, :, 5]))
+
+    def test_one_row_strided_views(self):
+        # rows cut from a stack's strided slots, and a flipped stack
+        m = 9
+        rng = np.random.default_rng(13)
+        S = random_cost_stack(rng, (2 * m, self.D, self.D))
+        for X in (S, np.flip(S, axis=0)):
+            a, b = X[0 : 2 * m : 2, 3:4], X[1 : 2 * m : 2]
+            np.testing.assert_array_equal(fd.min_plus_matmul(a, b), min_plus_loops(a, b))
+            row = X[1, ::-1][None, 4, ::2]  # a (1, 16) row with negative strides
+            np.testing.assert_array_equal(fd.min_plus_matmul(row, X[0, ::2]), min_plus_loops(row, X[0, ::2]))
+
+    @pytest.mark.parametrize("which", ["r", "r+1", "2r+3"])
+    def test_one_row_batch_around_block_size(self, which):
+        r = fd._MIN_PLUS_BUDGET // self.D**2  # one-row products per batch block
+        assert r >= 2
+        n = {"r": r, "r+1": r + 1, "2r+3": 2 * r + 3}[which]
+        rng = np.random.default_rng(n)
+        A = random_cost_stack(rng, (n, 1, self.D))
+        B = random_cost_stack(rng, (n, self.D, self.D))
+        np.testing.assert_array_equal(fd.min_plus_matmul(A, B), min_plus_loops(A, B))
+
     def test_temporaries_bounded(self):
         rng = np.random.default_rng(7)
         A = rng.random((256, self.D, self.D))

@@ -1,7 +1,7 @@
 """LQT tests: Riccati vs parallel scan, element algebra against a numeric
 minimization oracle, trajectory recovery, cost transform, condensing, KKT."""
 
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -290,23 +290,88 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def gate_pairs():
+    """(cond_1(I + C1 J2), e1, e2) for 2-state element pairs whose J2 is
+    scaled from 1e8 to 1e16, skipping conditions within a factor 10 of
+    COND_LIMIT."""
+    rng = np.random.default_rng(21)
+    for scale in np.logspace(8, 16, 33):
+        Q1, Q2 = rotation(rng.uniform(0, np.pi)), rotation(rng.uniform(0, np.pi))
+        C1 = Q1 @ np.diag([1.0, 0.5]) @ Q1.T
+        J2 = Q2 @ np.diag([0.3, scale]) @ Q2.T
+        cond = np.linalg.cond(np.eye(2) + C1 @ J2, 1)
+        if lqt.COND_LIMIT / 10 <= cond <= lqt.COND_LIMIT * 10:
+            continue
+        e1 = LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=C1,
+                        eta=rng.normal(size=2), J=np.eye(2))
+        e2 = LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=np.eye(2),
+                        eta=rng.normal(size=2), J=J2)
+        yield cond, e1, e2
+
+
+def terminal_weight_problem(N=6):
+    """Only the first state is actuated, nearly free to control, and
+    heavily weighted at the end: I + C J has condition ~1e14 at the last
+    stage/terminal combine, although Riccati itself is fine."""
+    return lqt.LqtProblem(
+        S=0, T=N, x0=[1.0, 0.0],
+        F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
+        L=np.tile([[1.0], [0.0]], (N, 1, 1)),
+        H=np.tile(np.eye(2), (N, 1, 1)), X=np.tile(np.eye(2), (N, 1, 1)),
+        r=np.zeros((N, 2)), U=np.full((N, 1, 1), 1e-7),
+        HT=np.eye(2), XT=np.diag([1e7, 1.0]), rT=np.zeros(2),
+    )
+
+
+def boundary_weight_problem(j, N=6):
+    """Step j is nearly free to control in state 0 and step j + 1 weights
+    that state heavily: I + C J has condition ~1e14 only across the
+    boundary between steps j and j + 1."""
+    U = np.ones((N, 1, 1))
+    U[j] = 1e-7
+    X = np.tile(np.eye(2), (N, 1, 1))
+    X[j + 1] = np.diag([1e7, 1.0])
+    return lqt.LqtProblem(
+        S=0, T=N, x0=[1.0, 0.0],
+        F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
+        L=np.tile([[1.0], [0.0]], (N, 1, 1)),
+        H=np.tile(np.eye(2), (N, 1, 1)), X=X, r=np.zeros((N, 2)), U=U,
+        HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
+    )
+
+
+def thin_boundary_weight_problem(N, j):
+    """n_x = 4, n_u = 1, so levels 0 and 1 are thin. Step j is nearly free
+    to control in state 0 and the state after it is weighted heavily, so
+    I + C J has condition ~1e14 only across that boundary."""
+    U = np.ones((N, 1, 1))
+    U[j] = 1e-7
+    X = np.tile(np.eye(4), (N + 1, 1, 1))
+    X[j + 1, 0, 0] = 1e7
+    return lqt.LqtProblem(
+        S=0, T=N, x0=[1.0, 0.0, 0.0, 0.0],
+        F=np.tile(np.eye(4), (N, 1, 1)), c=np.zeros((N, 4)),
+        L=np.tile([[1.0], [0.0], [0.0], [0.0]], (N, 1, 1)),
+        H=np.tile(np.eye(4), (N, 1, 1)), X=X[:N], r=np.zeros((N, 4)), U=U,
+        HT=np.eye(4), XT=X[N], rT=np.zeros(4),
+    )
+
+
+def weight_ratio_problem(rho):
+    """mass_spring(4, 400) with X and XT weighted by sqrt(rho) and U by
+    1/sqrt(rho): Riccati stays accurate, while the combine forms
+    C J ~ L U^-1 L' H'X H (ROADMAP item 6's sweep)."""
+    base = build_mass_spring(4, 400)
+    w = np.sqrt(rho)
+    return replace(base, X=base.X * w, XT=base.XT * w, U=base.U / w)
+
+
 class TestConditioningGate:
     """combine_lqt raises exactly when cond_1(I + C1 J2) exceeds COND_LIMIT."""
 
     def test_gate_matches_condition_number(self):
-        rng = np.random.default_rng(21)
         below = above = 0
-        for scale in np.logspace(8, 16, 33):
-            Q1, Q2 = rotation(rng.uniform(0, np.pi)), rotation(rng.uniform(0, np.pi))
-            C1 = Q1 @ np.diag([1.0, 0.5]) @ Q1.T
-            J2 = Q2 @ np.diag([0.3, scale]) @ Q2.T
-            cond = np.linalg.cond(np.eye(2) + C1 @ J2, 1)
-            if lqt.COND_LIMIT / 10 <= cond <= lqt.COND_LIMIT * 10:
-                continue
-            e1 = LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=C1,
-                                eta=rng.normal(size=2), J=np.eye(2))
-            e2 = LqtElement(A=rng.normal(size=(2, 2)), b=rng.normal(size=2), C=np.eye(2),
-                                eta=rng.normal(size=2), J=J2)
+        for cond, e1, e2 in gate_pairs():
             if cond > lqt.COND_LIMIT:
                 above += 1
                 with pytest.raises(SolverError, match="ill-conditioned combine"):
@@ -319,18 +384,7 @@ class TestConditioningGate:
 
     @pytest.mark.parametrize("engine", ["stacked", "object"])
     def test_gate_fires_inside_parallel_backward(self, engine):
-        # only the first state is actuated, nearly free to control, and
-        # heavily weighted at the end: I + C J has condition ~1e14 at the
-        # last stage/terminal combine, although Riccati itself is fine
-        N = 6
-        p = lqt.LqtProblem(
-            S=0, T=N, x0=[1.0, 0.0],
-            F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
-            L=np.tile([[1.0], [0.0]], (N, 1, 1)),
-            H=np.tile(np.eye(2), (N, 1, 1)), X=np.tile(np.eye(2), (N, 1, 1)),
-            r=np.zeros((N, 2)), U=np.full((N, 1, 1), 1e-7),
-            HT=np.eye(2), XT=np.diag([1e7, 1.0]), rT=np.zeros(2),
-        )
+        p = terminal_weight_problem()
         lqt.riccati_backward(p)
         with pytest.raises(SolverError, match="ill-conditioned combine"):
             backward(p, engine)
@@ -343,12 +397,8 @@ class TestConditioningGate:
             for rho in (1e10, 1e12))],
     )
     def test_large_weight_ratio_accurate_or_raises(self, rho):
-        # X and XT weighted by sqrt(rho), U by 1/sqrt(rho): Riccati stays
-        # accurate, while the combine forms C J ~ L U^-1 L' H'X H. The
-        # parallel pass must match Riccati or raise.
-        base = build_mass_spring(4, 400)
-        w = np.sqrt(rho)
-        p = replace(base, X=base.X * w, XT=base.XT * w, U=base.U / w)
+        # the parallel pass must match Riccati or raise
+        p = weight_ratio_problem(rho)
         ref_values, ref_gains = lqt.riccati_backward(p)
         xs_ref = lqt.closed_loop_rollout(p, ref_values, ref_gains)[0]
         try:
@@ -364,38 +414,19 @@ class TestConditioningGate:
         # the sweep above at rho = 1e10: levels 0 and 1 of mass_spring(4, 400)
         # (n_x = 8, n_u = 2) are thin, and their combines, in both sweeps,
         # keep S within 1e-5 of Riccati, where the dense path reads 6.5e-5
-        base = build_mass_spring(4, 400)
-        w = np.sqrt(1e10)
-        p = replace(base, X=base.X * w, XT=base.XT * w, U=base.U / w)
+        p = weight_ratio_problem(1e10)
         assert lqt._element_arrays(p)[2].shape == (400, 2, 8)  # slot 2 holds the factor
         ref_values, _ = lqt.riccati_backward(p)
         values, _ = lqt.parallel_backward(p)
         assert np.abs(values.S - ref_values.S).max() <= 1e-5 * np.abs(ref_values.S).max()
 
     def test_gate_fires_in_fill_slots(self, monkeypatch):
-        # step j is nearly free to control in state 0 and step j + 1 weights
-        # that state heavily: I + C J has condition ~1e14 only across the
-        # boundary between steps j and j + 1. With N = 6 the up-sweep, which
-        # both scans share, pairs the elements across boundaries 1, 3 and 5
+        # boundary_weight_problem(j): with N = 6 the up-sweep, which both
+        # scans share, pairs the elements across boundaries 1, 3 and 5
         # and the level-1 nodes across boundary 2; the odd level-1 node
         # [4, 6) stays unpaired. So no up-sweep pair crosses boundary 4, the
         # one between steps 3 and 4, and each gate must fire in its scan's
         # down-sweep, on a value: an operand with a zero-dimensional end.
-        N = 6
-
-        def problem(j):
-            U = np.ones((N, 1, 1))
-            U[j] = 1e-7
-            X = np.tile(np.eye(2), (N, 1, 1))
-            X[j + 1] = np.diag([1e7, 1.0])
-            return lqt.LqtProblem(
-                S=0, T=N, x0=[1.0, 0.0],
-                F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)),
-                L=np.tile([[1.0], [0.0]], (N, 1, 1)),
-                H=np.tile(np.eye(2), (N, 1, 1)), X=X, r=np.zeros((N, 2)), U=U,
-                HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
-            )
-
         raised_on = []
         combine = lqt._combine_element_arrays
 
@@ -408,7 +439,7 @@ class TestConditioningGate:
 
         monkeypatch.setattr(lqt, "_combine_element_arrays", watched)
         match = "ill-conditioned combine: condition number"
-        p = problem(3)
+        p = boundary_weight_problem(3)
         with pytest.raises(SolverError, match=match):
             lqt.parallel_backward(p)
         values, _ = lqt.riccati_backward(p)
@@ -628,6 +659,10 @@ class TestSmallBlockKernels:
         Z = np.random.default_rng(5).normal(size=shape)
         want = np.linalg.norm(Z, 1, axis=(-2, -1))
         np.testing.assert_allclose(lqt._norm1(Z), want, rtol=1e-15, atol=0)
+
+    def test_gate_norm_of_empty_matrices(self):
+        assert np.array_equal(lqt._norm1(np.zeros((3, 0, 0))), np.zeros(3))
+        assert lqt._absmax(np.zeros((3, 0, 0))) == 0.0
 
 
 class TestStepNaming:
@@ -1043,12 +1078,15 @@ class TestThinElements:
         assert C.shape == (8, 4, 4) and not C.any()
 
     def test_gate_sees_dense_condition_numbers(self, monkeypatch):
-        # the thin path forms Z = I + Gt1'(Gt1 J2) and Zi for the gate alone:
-        # the condition numbers it checks are those of the dense path
+        # where the level's certificate cannot clear COND_LIMIT (forced here
+        # by a limit below every condition number), the thin path forms
+        # Z = I + Gt1'(Gt1 J2) and Zi for the exact gate: the condition
+        # numbers it checks are those of the dense path
         rng = np.random.default_rng(85)
         level = lqt._element_arrays(random_lqt_problem(rng, n_x=8, n_u=1, N=16))
         e1, e2 = tuple(a[0::2] for a in level), tuple(a[1::2] for a in level)
         conds = []
+        monkeypatch.setattr(lqt, "COND_LIMIT", 1.0)
         monkeypatch.setattr(lqt, "_gate", conds.append)
         lqt._combine_element_arrays(e1, e2)
         lqt._combine_element_arrays(densified(e1), densified(e2))
@@ -1066,24 +1104,11 @@ class TestThinElements:
 
     @pytest.mark.parametrize("N,sweep", [(6, "up"), (5, "down")])
     def test_gate_fires_on_thin_level(self, N, sweep, monkeypatch):
-        # n_x = 4, n_u = 1: levels 0 and 1 are thin. Step j is nearly free to
-        # control in state 0 and the state after it is weighted heavily, so
-        # I + C J has condition ~1e14 only across that boundary. Elements 0
-        # and 1 form a level-0 pair of the up-sweep; with N = 5 the last
-        # element stays unpaired, and its combine with the terminal value,
-        # in the down-sweep, is the first that crosses the last boundary
-        j = 0 if sweep == "up" else N - 1
-        U = np.ones((N, 1, 1))
-        U[j] = 1e-7
-        X = np.tile(np.eye(4), (N + 1, 1, 1))
-        X[j + 1, 0, 0] = 1e7
-        p = lqt.LqtProblem(
-            S=0, T=N, x0=[1.0, 0.0, 0.0, 0.0],
-            F=np.tile(np.eye(4), (N, 1, 1)), c=np.zeros((N, 4)),
-            L=np.tile([[1.0], [0.0], [0.0], [0.0]], (N, 1, 1)),
-            H=np.tile(np.eye(4), (N, 1, 1)), X=X[:N], r=np.zeros((N, 4)), U=U,
-            HT=np.eye(4), XT=X[N], rT=np.zeros(4),
-        )
+        # thin_boundary_weight_problem: elements 0 and 1 form a level-0 pair
+        # of the up-sweep; with N = 5 the last element stays unpaired, and
+        # its combine with the terminal value, in the down-sweep, is the
+        # first that crosses the last boundary
+        p = thin_boundary_weight_problem(N, 0 if sweep == "up" else N - 1)
         assert lqt._element_arrays(p)[2].shape == (N, 1, 4)
         raised = []
 
@@ -1107,6 +1132,173 @@ class TestThinElements:
         with pytest.raises(SolverError, match=r"ill-conditioned combine: condition number 1\.000e\+14"):
             lqt.parallel_backward(p)
         assert raised == ["_thin_inverse", sweep]
+
+
+class TestLevelCertificate:
+    """Each combine level is first certified from its largest entries:
+    n^2 max|Z| max|Z^-1| bounds every pair's ||Z||_1 ||Z^-1||_1, and the
+    exact condition numbers are taken only where that bound cannot clear
+    COND_LIMIT / 2. The gate's decisions and messages are those of the
+    exact gate alone."""
+
+    @staticmethod
+    def stacks(rng, m, n, width):
+        """m pairs of C1 (n x n) or, for 0 < width < n, its factor Gt1
+        (width x n), and PSD J2, with mixed signs. The factors' entries are
+        scaled by 10^-6 to 10^6, per pair and per column, so the entries of
+        C1 and J2 span 10^-12 to 10^12."""
+        def scaled(a):
+            per_pair = 10.0 ** rng.uniform(-4, 4, size=(m, 1, 1))
+            return a * per_pair * 10.0 ** rng.uniform(-2, 2, size=(m, 1, n))
+
+        G = scaled(rng.normal(size=(m, width or n, n)))
+        R = scaled(rng.normal(size=(m, n, n)))
+        J2 = lqt._t(R) @ R
+        return (G if width else lqt._t(G) @ G), (J2 + lqt._t(J2)) / 2
+
+    @staticmethod
+    def exact_path(monkeypatch):
+        """Make every level take the exact gate; returns the certificate's
+        arguments (n, z, zi) and the condition numbers the gate saw, per
+        level."""
+        args, conds = [], []
+
+        def never_certain(*a):
+            args.append(a)
+            return False
+
+        monkeypatch.setattr(lqt, "_certified", never_certain)
+        monkeypatch.setattr(lqt, "_gate", conds.append)
+        return args, conds
+
+    @staticmethod
+    def gate(first, J2):
+        """The gate of one level of combines whose e1 holds ``first`` (C1 or
+        a thin factor Gt1) in slot 2."""
+        n = J2.shape[-1]
+        if first.shape[-2] == n:
+            return lqt._gated_inverse(first, J2)
+        e1 = (np.ones(first.shape[:-2] + (n, n)), None, first, None, None)
+        return lqt._thin_inverse(e1, J2)
+
+    @pytest.mark.parametrize("n,width", [(4, 0), (8, 0), (4, 1), (4, 2), (4, 3), (8, 2), (16, 5)])
+    def test_bound_covers_exact_condition_numbers(self, n, width, monkeypatch):
+        m = 64
+        first, J2 = self.stacks(np.random.default_rng(200 + 10 * n + width), m, n, width)
+        certified = lqt._certified
+        args, conds = self.exact_path(monkeypatch)
+
+        def clears(a, cond):
+            """Whether the certificate passes a level where COND_LIMIT / 2
+            lies just below ``cond``: it must not, if it bounds ``cond``."""
+            with monkeypatch.context() as limit:
+                limit.setattr(lqt, "COND_LIMIT", 2 * cond * (1 - 1e-12))
+                return certified(*a)
+
+        self.gate(first, J2)  # the whole level
+        (level,), (level_conds,) = args, conds
+        assert level_conds.shape == (m,)
+        assert not clears(level, level_conds.max())
+        args.clear(), conds.clear()
+        for k in range(m):  # and every pair on its own
+            self.gate(first[k : k + 1], J2[k : k + 1])
+        for a, (cond,) in zip(args, conds, strict=True):
+            assert not clears(a, cond)
+        # the gate's numbers are the 1-norm condition numbers of Z itself
+        C1 = densified((None, None, first, None, None))[2]
+        exact = np.linalg.cond(np.eye(n) + C1 @ J2, 1)
+        assert np.isfinite(exact).all() and exact.max() > 1e10
+        ok = exact < 1e8  # where the computed inverse keeps its digits
+        assert ok.sum() >= 8
+        np.testing.assert_allclose(np.concatenate(conds)[ok], exact[ok], rtol=1e-6)
+
+    @pytest.mark.parametrize("n,width", [(4, 0), (4, 2), (8, 3)])
+    def test_certificate_reads_largest_entries(self, n, width, monkeypatch):
+        # dense: max|Z| and max|Z^-1|; thin: 1 + r max|Gt1| max|Gt1 J2| and
+        # 1 + r max|Ht| max|Ht J2|, from the factors alone
+        first, J2 = self.stacks(np.random.default_rng(300 + n + width), 16, n, width)
+        args, _ = self.exact_path(monkeypatch)
+        out = self.gate(first, J2)
+        ((got_n, z, zi),) = args
+        assert got_n == n
+        if width:
+            _, Ht, HtJ = out
+            assert z == 1 + width * np.abs(first).max() * np.abs(first @ J2).max()
+            assert zi == 1 + width * np.abs(Ht).max() * np.abs(HtJ).max()
+        else:
+            assert z == np.abs(np.eye(n) + first @ J2).max()
+            assert zi == np.abs(out).max()
+
+    def test_certificate_passes_within_its_bound(self, monkeypatch):
+        assert lqt._certified(4, 1.0, lqt.COND_LIMIT / 32)
+        assert not lqt._certified(4, 1.0, lqt.COND_LIMIT / 31)
+        for zi in (np.inf, np.nan):
+            assert not lqt._certified(4, 1.0, zi)
+        assert not lqt._certified(4, 0.0, np.inf)  # 0 * inf is NaN
+        assert lqt._certified(0, 1.0, 1.0)  # no state: nothing to condition
+        monkeypatch.setattr(lqt, "COND_LIMIT", 1.0)
+        assert not lqt._certified(1, 1.0, 1.0)
+
+    @staticmethod
+    def gate_outcomes():
+        """What every gate problem of TestConditioningGate and
+        TestThinElements, and ROADMAP item 6's weight-ratio sweep, gives:
+        its output arrays and stats, or the message it raises."""
+        def run(fn, *args):
+            try:
+                out = fn(*args)
+            except SolverError as exc:
+                return str(exc)
+            return [a.tobytes() if isinstance(a, np.ndarray) else a for a in out]
+
+        def values(p, engine):
+            values, gains = backward(p, engine)
+            return values.S, values.v, gains.K, gains.Kv, gains.Kc
+
+        def method2(p):
+            return (lqt.traj_method2(p, lqt.riccati_backward(p)[0]),)
+
+        got = [run(lambda a, b: astuple(combine_lqt(a, b)), e1, e2) for _, e1, e2 in gate_pairs()]
+        p = terminal_weight_problem()
+        got += [run(values, p, "stacked"), run(values, p, "object")]
+        p = boundary_weight_problem(3)
+        got += [run(values, p, "stacked"), run(method2, p)]
+        for N, j in ((6, 0), (5, 4)):
+            got.append(run(values, thin_boundary_weight_problem(N, j), "stacked"))
+        for rho in (1e6, 1e8, 1e9, 1e10, 1e11, 1e12):
+            p = weight_ratio_problem(rho)
+            got += [run(values, p, "stacked"), run(method2, p)]
+            got += [run(lqt.solve, p, "parallel", method) for method in (1, 2)]
+        return got
+
+    def test_certificate_does_not_change_decisions(self, monkeypatch):
+        default = self.gate_outcomes()
+        raised = [o for o in default if isinstance(o, str)]
+        assert len(raised) == 18
+        assert sum("condition number 1.000e+14" in o for o in raised) == 6
+        monkeypatch.setattr(lqt, "_certified", lambda n, z, zi: False)
+        assert self.gate_outcomes() == default
+
+    def test_benchmark_families_take_no_exact_norms(self, monkeypatch):
+        from tempo_dp import nonlinear
+        from tempo_dp.scenarios import build_unicycle
+
+        levels = []
+        certified = lqt._certified
+
+        def counted(n, z, zi):
+            levels.append(n)
+            return certified(n, z, zi)
+
+        def exact(Z):
+            raise AssertionError("exact 1-norms taken")
+
+        monkeypatch.setattr(lqt, "_certified", counted)
+        monkeypatch.setattr(lqt, "_norm1", exact)
+        lqt.solve(build_tracking2d(10000), "parallel", 1)
+        lqt.solve(build_mass_spring(16, 500), "parallel", 2)
+        nonlinear.ilqt(build_unicycle(1000), iters=5)
+        assert len(levels) > 100 and set(levels) == {4, 32}
 
 
 class TestGeneralCostTransform:
@@ -1274,6 +1466,27 @@ class TestCondensing:
 
 class TestSolve:
     """``lqt.solve`` over every dispatch choice, against the dense KKT oracle."""
+
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
+    def test_no_state(self, backend, traj_method):
+        # n_x = 0: every combine's Z is (0, 0), with no entry and no norm
+        # for the gate. A control then only pays its own cost, so with the
+        # cross terms eliminated u = s + U^-1 M' r, as Riccati finds
+        N = 5
+        rng = np.random.default_rng(24)
+        p = lqt.LqtProblem(
+            S=0, T=N, x0=np.zeros(0),
+            F=np.zeros((N, 0, 0)), c=np.zeros((N, 0)), L=np.zeros((N, 0, 1)),
+            H=np.zeros((N, 1, 0)), X=np.full((N, 1, 1), 2.0), r=rng.normal(size=(N, 1)),
+            U=rng.uniform(1, 2, size=(N, 1, 1)), HT=np.zeros((1, 0)), XT=np.ones((1, 1)), rT=np.ones(1),
+            M=rng.uniform(-1, 1, size=(N, 1, 1)), s=rng.normal(size=(N, 1)),
+        )
+        xs, us, _ = lqt.solve(p, backend, traj_method)
+        _, us_ref, _ = lqt.solve(p, "sequential")
+        assert xs.shape == (N + 1, 0) and us.shape == (N, 1)
+        np.testing.assert_allclose(us, us_ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(us, p.s + p.M[:, 0] / p.U[:, 0] * p.r, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("cross", [False, True], ids=["standard", "cross"])
     @pytest.mark.parametrize("block_size", [None, 1, 2, 4])
