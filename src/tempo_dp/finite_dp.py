@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, as_int
 from .scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
 
 __all__ = [
@@ -86,8 +86,9 @@ class FiniteProblem:
 
     Costs are stored as float64 (integer tables are cast) and must be
     finite or +inf: NaN and -inf are rejected. A table of another shape is
-    rejected, naming the field, and so is D_u < 1: a state without
-    controls has no next state.
+    rejected, naming the field, and so is a D_x, D_u, S, T or x_S that is
+    not an integer, and D_u < 1: a state without controls has no next
+    state.
     """
 
     D_x: int
@@ -100,6 +101,8 @@ class FiniteProblem:
     x_S: int
 
     def __post_init__(self):
+        for name in ("D_x", "D_u", "S", "T", "x_S"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         n = self.T - self.S
         if n < 0:
             raise ValueError("need T >= S")
@@ -516,14 +519,14 @@ def problem_to_dict(p: FiniteProblem) -> dict:
 
 def problem_from_dict(d: dict) -> FiniteProblem:
     return FiniteProblem(
-        D_x=int(d["D_x"]),
-        D_u=int(d["D_u"]),
-        S=int(d["S"]),
-        T=int(d["T"]),
+        D_x=d["D_x"],
+        D_u=d["D_u"],
+        S=d["S"],
+        T=d["T"],
         f=np.asarray(d["f"], dtype=np.int64) - 1,
         ell=_decode_costs(d["ell"]),
         ell_T=_decode_costs(d["ell_T"]),
-        x_S=int(d["x_S"]) - 1,
+        x_S=as_int(d["x_S"], "x_S") - 1,
     )
 
 

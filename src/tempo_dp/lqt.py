@@ -31,9 +31,7 @@ Z = I + C1 J2: with H = G1 R_M^-T, Woodbury gives Z^-1 = I - H H' J2, and
 the combined C is Gt'Gt for the stacked factor Gt = [A2 H, G2]', formed as
 C on the level where it stops being thin. mass_spring with n_x = 32 and
 n_u = 2 has four thin levels, n_x = 4 with n_u = 2 one; Method 2's
-prefixes have full-rank C, and their combine forms a thin node's C. There,
-at T = 4000, the traced peaks are 159 MiB (parallel_backward) and 180 MiB
-(Method 2 over its nodes).
+prefixes have full-rank C, and their combine forms a thin node's C.
 
 Every combine passes a conditioning gate: it raises once the 1-norm
 condition number of Z passes COND_LIMIT. A whole tree level is first
@@ -69,7 +67,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, as_int
 from .scan import ScanDirection, ScanStats, forward_from_tree, par_scan_stacked
 from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patches lqt.par_scan)
 
@@ -115,10 +113,6 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + _t(M)) / 2
 
 
-def _as_float(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 def _symmetric(A: np.ndarray) -> bool:
     """Whether a finite (N, n, n) stack passes
     np.allclose(A, A', rtol=1e-12, atol=1e-12): allclose's own elementwise
@@ -134,6 +128,27 @@ def _symmetric(A: np.ndarray) -> bool:
     return True
 
 
+# LqtProblem's arrays in file order: field, key in problem files, shape in
+# dimension names, and whether the field is optional. N is T - S; every other
+# dimension takes its size from the first array that has it (n_rT counts the
+# terminal outputs).
+_ARRAYS = (
+    ("x0", "x_S", ("n_x",), False),
+    ("F", "F", ("N", "n_x", "n_x"), False),
+    ("c", "c", ("N", "n_x"), False),
+    ("L", "L", ("N", "n_x", "n_u"), False),
+    ("H", "H", ("N", "n_r", "n_x"), False),
+    ("X", "X", ("N", "n_r", "n_r"), False),
+    ("r", "r", ("N", "n_r"), False),
+    ("U", "U", ("N", "n_u", "n_u"), False),
+    ("HT", "H_T", ("n_rT", "n_x"), False),
+    ("XT", "X_T", ("n_rT", "n_rT"), False),
+    ("rT", "r_T", ("n_rT",), False),
+    ("M", "M", ("N", "n_r", "n_u"), True),
+    ("s", "s", ("N", "n_u"), True),
+)
+
+
 @dataclass(frozen=True)
 class LqtProblem:
     """Time-varying tracking problem over steps S..T.
@@ -143,8 +158,11 @@ class LqtProblem:
     0.5 (H x - r)' X (H x - r) + 0.5 u' U u, plus the terminal cost
     0.5 (HT x_T - rT)' XT (HT x_T - rT). Optional cross terms M (coupling
     H x - r with u - s) and control references s generalize the stage cost;
-    solvers require them eliminated first (transform_general_cost). Every
-    array must be finite, and X, U and XT symmetric.
+    solvers require them eliminated first (transform_general_cost).
+
+    S and T must be integers, every array must be finite and of the shape
+    ``_ARRAYS`` gives it, and X, U and XT symmetric; a ValueError names the
+    first field that is not.
     """
 
     S: int
@@ -164,42 +182,26 @@ class LqtProblem:
     s: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.T - self.S
-        if n < 0:
+        for name in ("S", "T"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        if self.T < self.S:
             raise ValueError("need T >= S")
-        for name in ("x0", "F", "c", "L", "H", "X", "r", "U", "HT", "XT", "rT"):
-            object.__setattr__(self, name, _as_float(getattr(self, name)))
-        for name in ("M", "s"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _as_float(getattr(self, name)))
-        nx = self.x0.shape[0]
-        if self.L.ndim != 3 or self.H.ndim != 3:
-            raise ValueError("L and H must be stacked 3-d arrays")
-        shapes = {
-            "F": (n, nx, nx),
-            "c": (n, nx),
-            "L": (n, nx, self.n_u),
-            "H": (n, self.n_r, nx),
-            "X": (n, self.n_r, self.n_r),
-            "r": (n, self.n_r),
-            "U": (n, self.n_u, self.n_u),
-        }
-        for name, shape in shapes.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        if self.HT.ndim != 2 or self.HT.shape[1] != nx:
-            raise ValueError("terminal output map has wrong shape")
-        nrT = self.HT.shape[0]
-        if self.XT.shape != (nrT, nrT) or self.rT.shape != (nrT,):
-            raise ValueError("terminal cost has wrong shape")
-        if self.M is not None and self.M.shape != (n, self.n_r, self.n_u):
-            raise ValueError("cross-term M has wrong shape")
-        if self.s is not None and self.s.shape != (n, self.n_u):
-            raise ValueError("control reference s has wrong shape")
-        for name in ("x0", "F", "c", "L", "H", "X", "r", "U", "HT", "XT", "rT", "M", "s"):
-            A = getattr(self, name)
-            if A is not None and not np.isfinite(A).all():
+        dims = {"N": self.T - self.S}
+        for name, _, shape, optional in _ARRAYS:
+            a = getattr(self, name)
+            if a is None and optional:
+                continue
+            a = np.asarray(a, dtype=np.float64)
+            if a.ndim == len(shape):
+                for dim, size in zip(shape, a.shape):
+                    dims.setdefault(dim, size)
+            expected = tuple(dims.get(dim, dim) for dim in shape)
+            if a.shape != expected:
+                want = str(expected).replace("'", "")  # a dimension not yet sized stays a name
+                raise ValueError(f"{name} has shape {a.shape}, expected {want}")
+            if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, a)
         for name, A in (("X", self.X), ("U", self.U), ("XT", self.XT[None])):
             if not _symmetric(A):
                 raise ValueError(f"{name} must be symmetric")
@@ -937,51 +939,23 @@ def kkt_oracle(p: LqtProblem):
 
 
 def problem_to_dict(p: LqtProblem) -> dict:
-    d = {
-        "S": p.S,
-        "T": p.T,
-        "n_x": p.n_x,
-        "n_u": p.n_u,
-        "n_r": p.n_r,
-        "x_S": p.x0.tolist(),
-        "F": p.F.tolist(),
-        "c": p.c.tolist(),
-        "L": p.L.tolist(),
-        "H": p.H.tolist(),
-        "X": p.X.tolist(),
-        "r": p.r.tolist(),
-        "U": p.U.tolist(),
-        "H_T": p.HT.tolist(),
-        "X_T": p.XT.tolist(),
-        "r_T": p.rT.tolist(),
-    }
-    if p.M is not None:
-        d["M"] = p.M.tolist()
-    if p.s is not None:
-        d["s"] = p.s.tolist()
+    """S, T, n_x, n_u, n_r, then the arrays as lists under their file keys."""
+    d = {"S": p.S, "T": p.T, "n_x": p.n_x, "n_u": p.n_u, "n_r": p.n_r}
+    for name, key, _, _ in _ARRAYS:
+        a = getattr(p, name)
+        if a is not None:
+            d[key] = a.tolist()
     return d
 
 
 def problem_from_dict(d: dict) -> LqtProblem:
-    p = LqtProblem(
-        S=int(d["S"]),
-        T=int(d["T"]),
-        x0=np.asarray(d["x_S"], dtype=np.float64),
-        F=np.asarray(d["F"], dtype=np.float64),
-        c=np.asarray(d["c"], dtype=np.float64),
-        L=np.asarray(d["L"], dtype=np.float64),
-        H=np.asarray(d["H"], dtype=np.float64),
-        X=np.asarray(d["X"], dtype=np.float64),
-        r=np.asarray(d["r"], dtype=np.float64),
-        U=np.asarray(d["U"], dtype=np.float64),
-        HT=np.asarray(d["H_T"], dtype=np.float64),
-        XT=np.asarray(d["X_T"], dtype=np.float64),
-        rT=np.asarray(d["r_T"], dtype=np.float64),
-        M=np.asarray(d["M"], dtype=np.float64) if "M" in d else None,
-        s=np.asarray(d["s"], dtype=np.float64) if "s" in d else None,
-    )
+    """The inverse of :func:`problem_to_dict`. A required key that is
+    missing raises KeyError, and declared dimensions that disagree with the
+    arrays a ValueError."""
+    arrays = {name: d[key] for name, key, _, optional in _ARRAYS if key in d or not optional}
+    p = LqtProblem(S=d["S"], T=d["T"], **arrays)
     for name in ("n_x", "n_u", "n_r"):
-        if name in d and int(d[name]) != getattr(p, name):
+        if name in d and as_int(d[name], name) != getattr(p, name):
             raise ValueError(f"declared {name} = {d[name]} but the arrays give {getattr(p, name)}")
     return p
 

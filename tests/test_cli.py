@@ -179,6 +179,10 @@ class TestRunScenario:
         np.testing.assert_array_equal(outputs["sequential"][1], us)
         assert all(r.max_seq_par_deviation == 0.0 for r in records)
 
+    def test_unknown_scenario(self):
+        with pytest.raises(ValueError, match="^unknown scenario 'nope'$"):
+            cli.build_scenario("nope", 16)
+
     @pytest.mark.parametrize("backend", ["sequential", "parallel", "both"])
     def test_routing_unknown_trajectory_method(self, backend):
         scn = cli.build_scenario("routing", 16)

@@ -68,6 +68,39 @@ class TestFiniteProblem:
         with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}, expected"):
             fd.FiniteProblem(D_x=4, D_u=3, S=0, T=1, x_S=0, **tables)
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("name", ["D_x", "D_u", "S", "T", "x_S"])
+    def test_non_integer_field_rejected(self, name, value):
+        fields = dict(D_x=2, D_u=2, S=0, T=1, x_S=0)
+        fields[name] = value
+        p = two_state_problem()
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            fd.FiniteProblem(f=p.f, ell=p.ell, ell_T=p.ell_T, **fields)
+
+    def test_numpy_integers_stored_as_int(self):
+        p = two_state_problem()
+        q = fd.FiniteProblem(D_x=np.int64(2), D_u=np.int32(2), S=np.int64(0), T=np.uint8(1), f=p.f, ell=p.ell,
+                             ell_T=p.ell_T, x_S=np.int16(1))
+        for name in ("D_x", "D_u", "S", "T", "x_S"):
+            assert type(getattr(q, name)) is int
+        json.dumps(fd.problem_to_dict(q))  # numpy integers would not serialize
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [({"S": 2}, "^need T >= S$"),
+         ({"f": [[[0, 2], [0, 1]]]}, "^next-state table entries out of range$"),
+         ({"f": [[[0, 1], [-1, 1]]]}, "^next-state table entries out of range$"),
+         ({"x_S": 2}, "^initial state out of range$"),
+         ({"x_S": -1}, "^initial state out of range$"),
+         ({"ell_T": [np.inf, np.inf]}, "^terminal cost must be finite for at least one state$")],
+        ids=["T-before-S", "f-above", "f-below", "x_S-above", "x_S-below", "ell_T-all-inf"],
+    )
+    def test_out_of_range_rejected(self, change, match):
+        p = two_state_problem()
+        fields = dict(D_x=2, D_u=2, S=0, T=1, f=p.f, ell=p.ell, ell_T=p.ell_T, x_S=0)
+        with pytest.raises(ValueError, match=match):
+            fd.FiniteProblem(**{**fields, **change})
+
     @pytest.mark.parametrize("D_u", [0, -1])
     def test_no_controls_rejected(self, D_u):
         for T in (0, 1):
@@ -1012,6 +1045,20 @@ class TestJsonInterchange:
         q = fd.load_problem(tmp_path / "empty.json")
         assert q.f.shape == q.ell.shape == (0, 3, 2)
         np.testing.assert_array_equal(q.ell_T, p.ell_T)
+
+    @pytest.mark.parametrize("bad", ["-inf", "nan", ""])
+    def test_bad_cost_string_rejected(self, bad):
+        d = fd.problem_to_dict(two_state_problem())
+        d["ell"][0][1][0] = bad
+        with pytest.raises(ValueError, match=f"^bad cost entry {bad!r}$"):
+            fd.problem_from_dict(d)
+
+    @pytest.mark.parametrize("name, value", [("x_S", 1.5), ("x_S", "2"), ("T", 1.0), ("D_x", "2")])
+    def test_non_integer_field_in_file_rejected(self, name, value):
+        d = fd.problem_to_dict(two_state_problem())
+        d[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            fd.problem_from_dict(d)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     @pytest.mark.parametrize("name", ["ell", "ell_T"])

@@ -1,6 +1,8 @@
 """LQT tests: Riccati vs parallel scan, element algebra against a numeric
 minimization oracle, trajectory recovery, cost transform, condensing, KKT."""
 
+import json
+import re
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -49,6 +51,49 @@ class TestProblemData:
         a.flat[-1] = np.nan  # on the diagonal of X, U and XT, so they stay symmetric
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             replace(p, **{name: a})
+
+    @pytest.mark.parametrize(
+        "name, shape, expected",
+        [("x0", (3, 1), "(n_x,)"), ("x0", (), "(n_x,)"),
+         ("F", (4, 3, 2), "(4, 3, 3)"), ("F", (5, 3, 3), "(4, 3, 3)"),
+         ("c", (4, 2), "(4, 3)"),
+         ("L", (4, 1, 3), "(4, 3, 3)"), ("L", (4, 3), "(4, 3, n_u)"),
+         ("H", (4, 2, 2), "(4, 2, 3)"), ("H", (4, 3), "(4, n_r, 3)"),
+         ("X", (4, 3, 3), "(4, 2, 2)"),
+         ("r", (4, 3), "(4, 2)"),
+         ("U", (4, 2, 2), "(4, 1, 1)"),
+         ("HT", (3, 2), "(3, 3)"), ("HT", (3,), "(n_rT, 3)"),
+         ("XT", (2, 2), "(3, 3)"),
+         ("rT", (2,), "(3,)"),
+         ("M", (4, 1, 2), "(4, 2, 1)"),
+         ("s", (4,), "(4, 1)")],
+    )
+    def test_mis_shaped_array_rejected(self, name, shape, expected):
+        # N = 4, n_x = 3, n_u = 1, n_r = 2 and three terminal outputs; the
+        # first array with a dimension sizes it (L sizes n_u), so until then
+        # the message prints its name
+        p = random_lqt_problem(np.random.default_rng(31), n_x=3, n_u=1, N=4, n_r=2, cross=True)
+        assert p.HT.shape == (3, 3)
+        message = rf"^{name} has shape {re.escape(str(shape))}, expected {re.escape(expected)}$"
+        with pytest.raises(ValueError, match=message):
+            replace(p, **{name: np.zeros(shape)})
+
+    @pytest.mark.parametrize("value", [1.5, 4.0, "4", None])
+    @pytest.mark.parametrize("name", ["S", "T"])
+    def test_non_integer_step_rejected(self, name, value):
+        p = random_lqt_problem(np.random.default_rng(32), N=4)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            replace(p, **{name: value})
+
+    def test_numpy_integer_steps_stored_as_int(self):
+        p = replace(random_lqt_problem(np.random.default_rng(32), N=4), S=np.int64(2), T=np.int32(6))
+        assert type(p.S) is int and type(p.T) is int
+        assert json.loads(json.dumps(lqt.problem_to_dict(p)))["T"] == 6
+
+    def test_end_before_start_rejected(self):
+        p = random_lqt_problem(np.random.default_rng(32), N=4)
+        with pytest.raises(ValueError, match="^need T >= S$"):
+            replace(p, S=5)
 
     @pytest.mark.parametrize("scale", [0.0, 1e3])
     @pytest.mark.parametrize("name", ["X", "U", "XT"])
@@ -368,6 +413,11 @@ def weight_ratio_problem(rho):
 
 class TestConditioningGate:
     """combine_lqt raises exactly when cond_1(I + C1 J2) exceeds COND_LIMIT."""
+
+    def test_singular_z_raises(self):
+        # Z = I + C1 J2 = 0: an indefinite X can make J2 cancel the identity
+        with pytest.raises(SolverError, match="^ill-conditioned combine: Singular matrix$"):
+            lqt._gated_inverse(np.eye(2)[None], -np.eye(2)[None])
 
     def test_gate_matches_condition_number(self):
         below = above = 0
@@ -1382,6 +1432,17 @@ class TestGeneralCostTransform:
         with pytest.raises(SolverError, match="not jointly convex after Schur complement at step 1 "):
             lqt.transform_general_cost(problem(1e-8))
 
+    @pytest.mark.parametrize(
+        "step, match",
+        [(lqt._element_arrays, "^eliminate cross terms first"),
+         (lambda p: lqt.condense(p, 2), "^condense expects a standard-form problem$")],
+        ids=["elements", "condense"],
+    )
+    def test_steps_reject_general_cost(self, step, match):
+        p = random_lqt_problem(np.random.default_rng(1), N=4, cross=True)
+        with pytest.raises(ValueError, match=match):
+            step(p)
+
 
 class TestCondensing:
     def test_block_one_identity_reduction(self):
@@ -1593,6 +1654,14 @@ class TestKktOracle:
         np.testing.assert_allclose(us, us_ref, atol=1e-7)
         np.testing.assert_allclose(xs, xs_ref, atol=1e-7)
 
+    def test_zero_horizon(self):
+        # only the terminal cost 0.5 * 4 * (1.5 * 2 - 1)^2 = 8 remains
+        p = scalar_problem(N=0, x0=2.0, HT=1.5, XT=4.0, rT=1.0)
+        cost, us, xs = lqt.kkt_oracle(p)
+        assert cost == 8.0 == lqt.lqt_cost(p, xs, us)
+        assert us.shape == (0, 1)
+        np.testing.assert_array_equal(xs, [[2.0]])
+
     def test_size_guard(self):
         rng = np.random.default_rng(22)
         p = random_lqt_problem(rng, n_x=8, n_u=4, N=500)
@@ -1667,6 +1736,54 @@ class TestFileInterchange:
         d = lqt.problem_to_dict(p)
         d[name] = 7
         with pytest.raises(ValueError, match=f"declared {name} = 7 but the arrays give {getattr(p, name)}$"):
+            lqt.problem_from_dict(d)
+
+    def test_declared_dimension_must_be_integer(self):
+        d = lqt.problem_to_dict(build_tracking2d(20))
+        d["n_x"] = 4.7
+        with pytest.raises(ValueError, match=r"^n_x must be an integer, got 4\.7$"):
+            lqt.problem_from_dict(d)
+
+    # N = 1, n_x = 2, n_u = 1, n_r = 1 and one terminal output, with M and s
+    TINY = (
+        '{"S": 3, "T": 4, "n_x": 2, "n_u": 1, "n_r": 1, "x_S": [1.0, -2.0], "F": [[[1.0, 0.5], [0.0, 1.0]]],'
+        ' "c": [[0.0, 0.25]], "L": [[[0.0], [1.0]]], "H": [[[1.0, 0.0]]], "X": [[[2.0]]], "r": [[0.5]],'
+        ' "U": [[[0.1]]], "H_T": [[1.0, -1.0]], "X_T": [[3.0]], "r_T": [2.0], "M": [[[0.125]]], "s": [[-1.0]]}'
+    )
+
+    def test_file_format(self, tmp_path):
+        p = lqt.LqtProblem(
+            S=3, T=4, x0=[1, -2], F=[[[1, 0.5], [0, 1]]], c=[[0, 0.25]], L=[[[0], [1]]], H=[[[1, 0]]],
+            X=[[[2]]], r=[[0.5]], U=[[[0.1]]], HT=[[1, -1]], XT=[[3]], rT=[2], M=[[[0.125]]], s=[[-1]],
+        )
+        assert json.dumps(lqt.problem_to_dict(p)) == self.TINY
+        lqt.save_problem(p, tmp_path / "tiny.json")
+        assert (tmp_path / "tiny.json").read_text() == self.TINY
+        q = lqt.load_problem(tmp_path / "tiny.json")
+        for f in fields(p):
+            np.testing.assert_array_equal(getattr(q, f.name), getattr(p, f.name), err_msg=f.name)
+
+    def test_missing_key(self):
+        d = json.loads(self.TINY)
+        for key in list(d):
+            rest = {k: v for k, v in d.items() if k != key}
+            if key in ("n_x", "n_u", "n_r", "M", "s"):
+                lqt.problem_from_dict(rest)  # optional
+            else:
+                with pytest.raises(KeyError, match=key):
+                    lqt.problem_from_dict(rest)
+
+    def test_nested_initial_state_rejected(self):
+        d = json.loads(self.TINY)
+        d["x_S"] = [d["x_S"]]
+        with pytest.raises(ValueError, match=r"^x0 has shape \(1, 2\), expected \(n_x,\)$"):
+            lqt.problem_from_dict(d)
+
+    @pytest.mark.parametrize("name, value", [("S", 3.0), ("T", 4.5)])
+    def test_non_integer_step_in_file_rejected(self, name, value):
+        d = json.loads(self.TINY)
+        d[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
             lqt.problem_from_dict(d)
 
     def test_trajectory_csv(self, tmp_path):

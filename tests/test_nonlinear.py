@@ -70,6 +70,10 @@ class TestFiniteDiffJacobian:
         J2 = nl.finite_diff_jacobian(fn, pts.reshape(2, 3, 3))
         np.testing.assert_array_equal(J2, J.reshape(2, 3, 3, 3))
 
+    def test_zero_width_point(self):
+        J = nl.finite_diff_jacobian(lambda x: np.ones(x.shape[:-1] + (3,)), np.zeros((5, 0)))
+        assert J.shape == (5, 3, 0)
+
     def test_calls_fn_on_whole_stacks(self):
         shapes = []
 
@@ -289,6 +293,10 @@ class TestIlqt:
         p = build_unicycle(20, seed=0)
         with pytest.raises(ValueError, match=match):
             nl.ilqt(p, iters=1, **kwargs)
+
+    def test_rejects_no_iterations(self):
+        with pytest.raises(ValueError, match="^need iters >= 1$"):
+            nl.ilqt(build_unicycle(20, seed=0), iters=0)
 
     @pytest.mark.parametrize("backend", ["sequential", "parallel"])
     def test_return_stats(self, backend):

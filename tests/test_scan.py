@@ -242,6 +242,10 @@ class TestStackedEngine:
         with pytest.raises(ValueError, match="empty scan"):
             par_scan_stacked((np.zeros((0, 2)),), lambda a, b: a)
 
+    def test_length_mismatch_errors(self):
+        with pytest.raises(ValueError, match="^stacked arrays disagree on length$"):
+            par_scan_stacked((np.zeros(3), np.zeros(4)), lambda a, b: a, FWD)
+
 
 TREE_SIZES = list(range(1, 71)) + [1023, 1024, 1025]
 PRIME = 1_000_003  # 2x2 products mod PRIME stay exact in int64

@@ -281,3 +281,17 @@ class TestUnicycle:
         b = sc.build_unicycle(40, seed=9)
         np.testing.assert_array_equal(a.r, b.r)
         np.testing.assert_array_equal(a.x0, b.x0)
+
+
+@pytest.mark.parametrize(
+    "build, args, match",
+    [(sc.build_tracking2d, (9,), "^need T >= 10$"),
+     (sc.build_mass_spring, (1, 10), "^need at least two masses$"),
+     (sc.build_mass_spring, (2, 1), "^need T >= 2$"),
+     (sc.build_routing, (5, 0), "^need T >= 1$"),
+     (sc.build_unicycle, (9,), "^need T >= 10$")],
+    ids=["tracking2d-T", "mass_spring-N", "mass_spring-T", "routing-T", "unicycle-T"],
+)
+def test_builders_reject_small_sizes(build, args, match):
+    with pytest.raises(ValueError, match=match):
+        build(*args)
