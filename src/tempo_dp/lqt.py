@@ -10,9 +10,11 @@ recovered either by composing closed-loop affine maps (Method 1) or from
 prefix elements and the backward values (Method 2). Each scan starts from a
 degenerate element of its own algebra, one with a zero-dimensional pinned
 endpoint, so the interval combine (the affine composition for Method 1) is
-the only operator of its tree. The scan's up-sweep does not depend on its
-direction, so the backward pass hands the nodes it combined to Method 2's
-forward scan with its values.
+the only operator of its tree; a combine with such an element forms only
+the half of the output that the zero-dimensional endpoint leaves nonempty,
+(eta, J) into it and (b, C) out of it. The scan's up-sweep does not depend
+on its direction, so the backward pass hands the nodes it combined to
+Method 2's forward scan with its values.
 
 The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
 gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
@@ -46,10 +48,11 @@ the parallel path avoids them where it can. U, M and the block Hessians of
 condensing get a hand-rolled Cholesky factorization, one column per step.
 Substitutions run one row at a time, each row one batched operation over
 all steps and right-hand sides. Matrix-vector products and the exact
-gate's column sums are ``einsum`` calls. The normal matrix G keeps a
-batched LU solve: Riccati solves it by LU, so an indefinite but
-nonsingular G passes in both backends alike, where a Cholesky factor would
-reject it in one.
+gate's column sums are ``einsum`` calls. The normal matrix G of the gains
+is solved on its Cholesky factor too, and by LU on the steps where that
+factor fails (G not positive definite, which takes an indefinite S), as
+Riccati solves it: an indefinite but nonsingular G passes in both
+backends alike, and only a singular one raises.
 
 Also here: the generalized-cost (cross-term) reduction to standard form,
 block partial condensing, a dense KKT reference solver, and file I/O.
@@ -412,14 +415,17 @@ def _combine_element_arrays(e1, e2):
     e1 covers the chronologically earlier interval. C and J of both inputs
     must be symmetric (maintained by construction and re-symmetrization
     here), which makes (I + J2 C1)^-1 the transpose of Zi = (I + C1 J2)^-1,
-    so one batched inverse (:func:`_gated_inverse`) serves both sides of the
-    combination.
+    so one batched inverse (:func:`_gated_inverse`) serves both halves of
+    the combination: (A, b, C) through W = A2 Zi, and (eta, J) through
+    P = Zi A1 (:func:`_eta_J`).
 
     An element maps an endpoint of dimension A.shape[-1] to one of
     A.shape[-2], and either may be 0: the scans' starts are such degenerate
-    elements (see :func:`parallel_backward`, :func:`traj_method2`). The
-    products P'J2 and W C1, W = A2 Zi, are formed once, so the terms of a
-    zero-dimensional side cost nothing.
+    elements (see :func:`parallel_backward`, :func:`traj_method2`). A
+    combine into a zero-dimensional endpoint (A2 with no rows: the backward
+    down-sweep) forms only P, eta and J, and one out of a zero-dimensional
+    start (A1 with no columns: Method 2's prefixes) only W, b and C; the
+    other half's outputs are empty arrays of their shapes.
 
     On thin levels (:func:`_thin`, decided on the output endpoint) slot 2 of
     e1 holds Gt = G' in place of C = G G', and so does e2's unless e2 ends
@@ -429,26 +435,36 @@ def _combine_element_arrays(e1, e2):
     K' H' (eta2 - J2 b1) and W C1 A2' + C2 = Gt'Gt for Gt = [K; Gt2], which
     the output holds while it stays thin, and C = sym(Gt'Gt) once it does not.
     """
-    A1, b1, C1 = e1[:3]
+    A1, b1, C1, eta1, J1 = e1
     A2, b2, C2, eta2, J2 = e2
+    m, k = A2.shape[-2], A1.shape[-1]  # the output maps R^k to R^m
     if not _factored(C1):
         Zi = _gated_inverse(C1, J2)
-        P, W = Zi @ A1, A2 @ Zi
+        P = Zi @ A1 if k else None
+        W = A2 @ Zi if m else None
         del Zi
-        WC = W @ C1
-        b = _mv(W, b1) + _mv(WC, eta2) + b2
-        del W
-        C = WC @ _t(A2)
-        del WC
-        C += _sym(_t(C2) @ C2) if _factored(C2) else C2
-        return A2 @ P, b, _sym(C), *_eta_J(P, e1, eta2, J2)
-    P, Ht, HtJ = _thin_inverse(e1, J2)
-    K = Ht @ _t(A2)
-    b = _mv(A2, b1) + _mv(_t(K), _mv(Ht, eta2) - _mv(HtJ, b1)) + b2
-    del Ht, HtJ
-    Gt = np.concatenate([K, C2], axis=-2)
-    C = Gt if _thin(A2.shape[-2], Gt.shape[-2]) else _sym(_t(Gt) @ Gt)
-    return A2 @ P, b, C, *_eta_J(P, e1, eta2, J2)
+        if m:
+            WC = W @ C1
+            b = _mv(W, b1) + _mv(WC, eta2) + b2
+            del W
+            C = WC @ _t(A2)
+            del WC
+            C += _sym(_t(C2) @ C2) if _factored(C2) else C2
+            C = _sym(C)
+    elif m:
+        P, Ht, HtJ = _thin_inverse(e1, J2)
+        K = Ht @ _t(A2)
+        b = _mv(A2, b1) + _mv(_t(K), _mv(Ht, eta2) - _mv(HtJ, b1)) + b2
+        del Ht, HtJ
+        Gt = np.concatenate([K, C2], axis=-2)
+        C = Gt if _thin(m, Gt.shape[-2]) else _sym(_t(Gt) @ Gt)
+    else:
+        P = _thin_inverse(e1, J2)[0]
+    if not m:
+        b, C = b2, C2  # empty, of the output's shapes
+    eta, J = _eta_J(P, e1, eta2, J2) if k else (eta1, J1)  # likewise
+    A = A2 @ P if m and k else np.empty(A2.shape[:-1] + (k,))
+    return A, b, C, eta, J
 
 
 def _batched(fn, what: str, offset: int, *stacks):
@@ -549,10 +565,23 @@ def riccati_backward(p: LqtProblem) -> tuple[QuadValue, Gains]:
 
 def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
     """Vectorized gain triples from the stacked S_{k+1} matrices: one solve
-    Kv = (L'S L + U)^-1 L', then Kc = Kv S and K = Kc F."""
+    Kv = G^-1 L' with G = L'S L + U, then Kc = Kv S and K = Kc F.
+
+    G is solved on its Cholesky factor (:func:`_cholesky`), and by LU on
+    the steps where that factor fails, as Riccati solves every step: there
+    G is not positive definite (which takes an indefinite S), and only a
+    singular G raises."""
     Sn = Ss[1:]
     Lt = _t(p.L)
-    Kv = _batched(np.linalg.solve, "control normal matrix singular", p.S, Lt @ Sn @ p.L + p.U, Lt)
+    G = Lt @ Sn @ p.L + p.U
+    R = _cholesky(G)
+    Kv = _back_sub(R, _forward_sub(R, Lt))
+    bad = np.flatnonzero(~np.isfinite(R[:, -1, -1])) if p.n_u else ()
+    if len(bad):
+        try:
+            Kv[bad] = np.linalg.solve(G[bad], Lt[bad])
+        except np.linalg.LinAlgError:  # the whole stack again, to name the first singular step
+            _batched(np.linalg.solve, "control normal matrix singular", p.S, G, Lt)
     Kc = Kv @ Sn
     return Kc @ p.F, Kv, Kc
 
@@ -816,7 +845,10 @@ def solve(
     if traj_method not in (1, 2):
         raise ValueError(f"unknown trajectory method {traj_method!r}")
     std, cost_rec = transform_general_cost(p)
-    _control_factor(std.U, std.S)  # both backends reject a non-PD U alike
+    if block_size is not None or backend == "sequential":
+        # Riccati's LU on G and condensing would take a non-PD U; the
+        # parallel pass factors U itself, with the same error
+        _control_factor(std.U, std.S)
     if block_size is not None:
         xs_c, us_c, stats = solve(condense(std, block_size), backend, traj_method)
         ut = us_c.reshape(std.N, std.n_u)

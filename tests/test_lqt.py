@@ -625,6 +625,29 @@ class TestPinnedFills:
         assert rel_dev(got, want) <= 1e-12
         assert seen == [stats, m1_stats, m2_stats]
 
+    @pytest.mark.parametrize(
+        "build, args, traj_method",
+        [(build_tracking2d, (64,), 1), (build_tracking2d, (64,), 2), (build_mass_spring, (16, 64), 2)],
+        ids=["tracking2d-m1", "tracking2d-m2", "mass_spring-m2"],
+    )
+    def test_combines_skip_empty_halves(self, build, args, traj_method, monkeypatch):
+        # a combine into a zero-dimensional endpoint forms only (eta, J), one
+        # out of a zero-dimensional start only (b, C): no product or
+        # eta/J step of the whole solve sees a zero-size operand
+        sizes = []
+
+        def spying(fn):
+            def spy(*args):
+                for a in args:
+                    sizes.extend(np.size(x) for x in (a if isinstance(a, tuple) else (a,)))
+                return fn(*args)
+            return spy
+
+        for name in ("_mv", "_eta_J"):
+            monkeypatch.setattr(lqt, name, spying(getattr(lqt, name)))
+        lqt.solve(build(*args), "parallel", traj_method)
+        assert sizes and min(sizes) > 0
+
 
 class TestParallelBackward:
     def test_terminal_only(self):
@@ -774,6 +797,24 @@ class TestStepNaming:
         with pytest.raises(SolverError, match="factorization failed at step 14$"):
             lqt._element_arrays(bad, 2)
 
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    def test_parallel_solve_factors_u_once(self, traj_method, monkeypatch):
+        # the parallel pass factors U as it builds the stage elements, and
+        # a non-PD U_k raises there the sequential backend's message
+        p = random_lqt_problem(np.random.default_rng(24), n_x=3, n_u=2, N=6)
+        U = p.U.copy()
+        U[3] = [[1.0, 2.0], [2.0, 1.0]]
+        bad = replace(p, S=10, T=16, U=U)
+        match = "control weight U not positive definite: factorization failed at step 13$"
+        for backend in ("sequential", "parallel"):
+            with pytest.raises(SolverError, match=match):
+                lqt.solve(bad, backend, traj_method)
+        rows = []
+        factor = lqt._control_factor
+        monkeypatch.setattr(lqt, "_control_factor", lambda U, *a: rows.append(len(U)) or factor(U, *a))
+        lqt.solve(p, "parallel", traj_method)
+        assert rows.count(6) == 1  # Method 2 also factors the 3 even rows it rebuilds
+
     def test_batch_only_failure_raises_solver_error(self):
         def fn(a):
             if a.ndim == 3:
@@ -782,6 +823,48 @@ class TestStepNaming:
 
         with pytest.raises(SolverError, match="^batch op failed$"):
             lqt._batched(fn, "batch op failed", 0, np.zeros((3, 2, 2)))
+
+
+class TestNormalMatrixSolve:
+    """The gains solve G = L'S L + U by Cholesky, and by LU where G is not
+    positive definite, as Riccati does at every step."""
+
+    def test_indefinite_normal_matrix_takes_lu(self):
+        # L = U = 1 and S_2 = -2 make G = -1 at k = 1
+        p = scalar_problem(N=4)
+        Ss = np.ones((5, 1, 1))
+        Ss[2] = -2.0
+        K, Kv, Kc = lqt._gains_from_values(p, Ss)
+        want = np.linalg.solve(lqt._t(p.L) @ Ss[1:] @ p.L + p.U, lqt._t(p.L))
+        assert Kv[1, 0, 0] == want[1, 0, 0] == -1.0
+        assert rel_err(Kv, want) <= 1e-15
+        np.testing.assert_array_equal(K, Kc @ p.F)
+
+    def test_mixed_definiteness_matches_lu(self):
+        # random symmetric S: G is positive definite at some steps and
+        # indefinite at others
+        rng = np.random.default_rng(25)
+        p = random_lqt_problem(rng, n_x=3, n_u=2, N=40)
+        Ss = lqt._sym(rng.normal(size=(41, 3, 3)) * 3.0)
+        G = lqt._t(p.L) @ Ss[1:] @ p.L + p.U
+        pd = (np.linalg.eigvalsh(G) > 0).all(axis=-1)
+        assert pd.any() and not pd.all()
+        want = np.linalg.solve(G, lqt._t(p.L))
+        _, Kv, _ = lqt._gains_from_values(p, Ss)
+        assert rel_err(Kv, want) <= 1e-12
+
+    def test_singular_step_named_among_indefinite_ones(self):
+        p = replace(scalar_problem(N=6), S=10, T=16)
+        Ss = np.ones((7, 1, 1))
+        Ss[[2, 5]] = -2.0  # G = -1 at steps 11 and 14
+        Ss[4] = -1.0  # G = 0 at step 13
+        with pytest.raises(SolverError, match="control normal matrix singular at step 13$"):
+            lqt._gains_from_values(p, Ss)
+
+    def test_no_controls(self):
+        p = random_lqt_problem(np.random.default_rng(26), n_x=4, n_u=0, N=5)
+        gains = lqt._gains_from_values(p, np.ones((6, 4, 4)))
+        assert [g.shape for g in gains] == [(5, 0, 4)] * 3
 
 
 def truncated(p, N):
