@@ -14,14 +14,20 @@ the only operator of its tree; a combine with such an element forms only
 the half of the output that the zero-dimensional endpoint leaves nonempty,
 (eta, J) into it and (b, C) out of it. The scan's up-sweep does not depend
 on its direction, so the backward pass hands the nodes it combined to
-Method 2's forward scan with its values.
+Method 2's forward scan with its values. That scan runs over the pairs of
+stage elements, level 1 of the up-sweep, and forms the prefixes of the even
+steps alone: by the principle of optimality each odd state is the one-stage
+minimization x_{2j+1} = argmin_y V_{2j,2j+1}(x_{2j}, y) + V_{2j+1}(y) from
+the even state before it, which equals the full scan's state in exact
+arithmetic.
 
 The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
 gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
 K^c = K^v S_{k+1} and K = K^c F_k, so the parallel path solves for K^v
 alone. Every batched solve or factorization that fails (control weights,
 normal matrices, Method-2 recovery) raises a SolverError naming its first
-failing step.
+failing step; a backward scan that raises names the first step whose cost
+weight X (or XT) is indefinite, where one is.
 
 A level-L node's C = G G' has rank at most r = 2^L n_u. While
 0 < r < n_x, slot 2 of every stage element and node holds the thin factor
@@ -467,11 +473,21 @@ def _combine_element_arrays(e1, e2):
     return A, b, C, eta, J
 
 
-def _batched(fn, what: str, offset: int, *stacks):
+def _first_indefinite(A: np.ndarray, scale: np.ndarray):
+    """The first row k of a symmetric stack A with an eigenvalue below
+    -CONVEX_RTOL times the largest entry of row k of ``scale``, and that
+    eigenvalue; None if there is none."""
+    w = np.linalg.eigvalsh(A)
+    bound = -CONVEX_RTOL * np.abs(scale).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero((w < bound[:, None]).any(axis=-1))
+    return (bad[0], w[bad[0]].min()) if bad.size else None
+
+
+def _batched(fn, what: str, steps, *stacks):
     """``fn`` (a numpy.linalg routine) on whole stacks of per-step operands.
 
-    On failure ``fn`` runs again step by step, and the SolverError names the
-    first failing step, ``offset + k``, or none if no single step fails.
+    On failure ``fn`` runs again row by row, and the SolverError names the
+    first failing row k as step ``steps[k]``, or none if no single row fails.
     """
     try:
         return fn(*stacks)
@@ -480,7 +496,7 @@ def _batched(fn, what: str, offset: int, *stacks):
             try:
                 fn(*(a[k] for a in stacks))
             except np.linalg.LinAlgError:
-                raise SolverError(f"{what} at step {offset + k}") from None
+                raise SolverError(f"{what} at step {steps[k]}") from None
         raise SolverError(what) from None
 
 
@@ -501,27 +517,42 @@ def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
     return _back_sub(R, _forward_sub(R, rhs))
 
 
-def _element_arrays(p: LqtProblem, stride: int = 1):
-    """Stacked (A, b, C, eta, J) of the stage elements 0, stride, 2 stride, ...
+def _symmetrize(M: np.ndarray) -> None:
+    """M = (M + M') / 2 in place, with the bits of :func:`_sym`."""
+    M += _t(M)  # numpy copies the overlapping transposed operand first
+    M *= 0.5
 
-    Stage k: (F_k, c_k, G_k G_k', H_k'X_k r_k, H_k'X_k H_k) with
-    G_k = L_k R_k^-T and U_k = R_k R_k', so that C_k = L_k U_k^-1 L_k'. A and
-    b are views of p.F and p.c, which the scans only read. While G is thin
-    (:func:`_thin`) slot 2 holds Gt = G' (N, n_u, n_x) in place of C.
+
+def _stage_dynamics(p: LqtProblem, stride: int = 1):
+    """(A, b, C) of the stage elements 0, stride, 2 stride, ...:
+    (F_k, c_k, G_k G_k') with G_k = L_k R_k^-T and U_k = R_k R_k', so that
+    C_k = L_k U_k^-1 L_k'. A and b are views of p.F and p.c, which the
+    scans only read. While G is thin (:func:`_thin`) slot 2 holds
+    Gt = G' (N, n_u, n_x) in place of C.
     """
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
-    F, c, L, U, H, X, r = (a[::stride] for a in (p.F, p.c, p.L, p.U, p.H, p.X, p.r))
+    F, c, L, U = (a[::stride] for a in (p.F, p.c, p.L, p.U))
     Gt = _forward_sub(_control_factor(U, p.S, stride), _t(L))
-    thin = _thin(p.n_x, p.n_u)
-    C = Gt if thin else _t(Gt) @ Gt
+    if _thin(p.n_x, p.n_u):
+        return F, c, Gt
+    C = _t(Gt) @ Gt
+    _symmetrize(C)
+    return F, c, C
+
+
+def _element_arrays(p: LqtProblem, stride: int = 1):
+    """Stacked (A, b, C, eta, J) of the stage elements 0, stride, 2 stride, ...
+
+    Stage k: (:func:`_stage_dynamics`, H_k'X_k r_k, H_k'X_k H_k).
+    """
+    F, c, C = _stage_dynamics(p, stride)
+    H, X, r = (a[::stride] for a in (p.H, p.X, p.r))
     HtX = _t(H) @ X
     eta = _mv(HtX, r)
     J = HtX @ H
-    del Gt, HtX  # before the symmetrization below copies a whole stack
-    for M in (J,) if thin else (C, J):  # symmetrized in place, with the bits of _sym
-        M += _t(M)  # numpy copies the overlapping transposed operand first
-        M *= 0.5
+    del HtX  # before the symmetrization below copies a whole stack
+    _symmetrize(J)
     return F, c, C, eta, J
 
 
@@ -581,7 +612,7 @@ def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
         try:
             Kv[bad] = np.linalg.solve(G[bad], Lt[bad])
         except np.linalg.LinAlgError:  # the whole stack again, to name the first singular step
-            _batched(np.linalg.solve, "control normal matrix singular", p.S, G, Lt)
+            _batched(np.linalg.solve, "control normal matrix singular", range(p.S, p.T), G, Lt)
     Kc = Kv @ Sn
     return Kc @ p.F, Kv, Kc
 
@@ -599,13 +630,25 @@ def parallel_backward(p: LqtProblem, return_stats: bool = False):
     on the same problem runs no up-sweep.
     """
     levels: list = []
-    (_, _, _, v, Ss), stats = par_scan_stacked(
-        _element_arrays(p),
-        _combine_element_arrays,
-        ScanDirection.REVERSE,
-        start=(np.zeros((0, p.n_x)), np.zeros(0), np.zeros((0, 0)), *_terminal(p)),
-        tree=levels,
-    )
+    elements = _element_arrays(p)
+    try:
+        (_, _, _, v, Ss), stats = par_scan_stacked(
+            elements,
+            _combine_element_arrays,
+            ScanDirection.REVERSE,
+            start=(np.zeros((0, p.n_x)), np.zeros(0), np.zeros((0, 0)), *_terminal(p)),
+            tree=levels,
+        )
+    except SolverError as exc:  # a combine that an indefinite cost weight broke names its step
+        for name, A, first in (("X", p.X, p.S), ("XT", p.XT[None], p.T)):
+            bad = _first_indefinite(A, A)
+            if bad is not None:
+                raise SolverError(
+                    f"cost weight {name} not positive semidefinite at step {first + bad[0]}"
+                    f" (min eigenvalue {bad[1]:.3e})"
+                ) from exc
+        raise
+    del elements  # before the gains allocate their stacks
     values = QuadValue(Ss, v, _Tree(p, levels))
     gains = Gains(*_gains_from_values(p, Ss))
     if return_stats:
@@ -660,41 +703,85 @@ def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
     return xs
 
 
+def _recover(C: np.ndarray, S: np.ndarray, v: np.ndarray, w: np.ndarray, steps: np.ndarray):
+    """Method 2's states x = (I + C S)^-1 (w + C v), batched over the rows,
+    which are the steps ``steps``; S is symmetric, as a value's is.
+
+    Where slot 2 holds a thin factor Gt (C = Gt'Gt, :func:`_thin`),
+    Woodbury gives (I + C S)^-1 = I - Ht'Ht S with Ht = R^-1 Gt and
+    I + Gt S Gt' = R R', the algebra of :func:`_thin_inverse`; the rows
+    whose factor fails (S indefinite) are solved by LU. Otherwise one
+    batched n_x x n_x solve. Only a singular I + C S raises, naming its step.
+    """
+    what = "trajectory recovery matrix (I + C S) singular"
+    if not _factored(C):
+        rhs = w + _mv(C, v)
+        lhs = C @ S
+        lhs += np.eye(C.shape[-1])
+        return _batched(np.linalg.solve, what, steps, lhs, rhs[..., None])[..., 0]
+    rhs = w + _mv(_t(C), _mv(C, v))
+    CS = C @ S
+    R = _cholesky(np.eye(C.shape[-2]) + CS @ _t(C))
+    Ht = _forward_sub(R, C)
+    x = rhs - _mv(_t(Ht), _mv(Ht, _mv(S, rhs)))
+    bad = np.flatnonzero(~np.isfinite(R[:, -1, -1]))
+    if len(bad):
+        lhs = _t(C[bad]) @ CS[bad]
+        lhs += np.eye(C.shape[-1])
+        x[bad] = _batched(np.linalg.solve, what, steps[bad], lhs, rhs[bad][..., None])[..., 0]
+    return x
+
+
 def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     """Trajectory from forward prefix elements and backward values (Method 2).
 
-    x_k = (I + C_{S,k} S_k)^-1 (b_{S,k} + C_{S,k} v_k) for k = S..T, where
-    (b, C)_{S,k} is the interval from the start to step k conditioned on
-    x_S = x0. The forward scan starts from the element out of a
-    zero-dimensional start, (A, b, C, eta, J) = ((n_x, 0), x0, 0, (0,),
-    (0, 0)), so every prefix is conditioned on x0 and its combine with a
-    stage element forms only (b, C).
+    x_k = argmin_x V_{S,k}(x0, x) + V_k(x), where V_{S,k} is the interval
+    from the start to step k conditioned on x_S = x0, and in dual form
+    x_k = (I + C_{S,k} S_k)^-1 (b_{S,k} + C_{S,k} v_k). The prefixes come
+    from a forward scan from the element out of a zero-dimensional start,
+    (A, b, C, eta, J) = ((n_x, 0), x0, 0, (0,), (0, 0)), so each is
+    conditioned on x0 and its combine forms only (b, C).
+
+    The scan forms the prefixes of the even steps 2j alone: it runs over
+    the pairs e_{2j} (x) e_{2j+1} of stage elements, level 1 of the
+    up-sweep. V_{S,2j+1}(x0, .) is V_{S,2j} combined with stage 2j, and
+    the x-part of their joint minimizer is x_{2j}, so each odd state is one
+    conditioned minimization from the even state before it:
+    x_{2j+1} = argmin_y V_{2j,2j+1}(x_{2j}, y) + V_{2j+1}(y)
+    = (I + C_{2j} S_{2j+1})^-1 (F x_{2j} + c + C_{2j} v_{2j+1}), with stage
+    2j's C = L U^-1 L' (:func:`_recover`). In exact arithmetic this is the
+    state of the full forward scan, at half its down-sweep.
 
     Values from :func:`parallel_backward` on this same ``p`` (the object
-    itself) carry that scan's up-sweep, and the forward scan then runs only
-    its down-sweep, over those nodes and the even stage elements (the only
-    ones it reads). Other values (Riccati's, a hand-built ``QuadValue``,
-    another problem's) make it run its own up-sweep.
+    itself) carry that scan's up-sweep, whose level-1 nodes are the pairs,
+    and the forward scan then runs only its down-sweep over them. Other
+    values (Riccati's, a hand-built ``QuadValue``, another problem's) make
+    it form the pairs and run its own up-sweep.
     """
-    n = p.n_x
+    n, N = p.n_x, p.N
+    m = N // 2
     start = (np.zeros((n, 0)), p.x0, np.zeros((n, n)), np.zeros(0), np.zeros((0, 0)))
     tree = values.tree
     if tree is not None and tree.problem is p:
-        evens = [_element_arrays(p, 2), *tree.levels]
-        (_, b, C, _, _), _ = forward_from_tree(evens, p.N, start, _combine_element_arrays)
+        F, c, C = _stage_dynamics(p, 2)
+        (_, b, P, _, _), _ = forward_from_tree(tree.levels, m, start, _combine_element_arrays)
     else:
-        (_, b, C, _, _), _ = par_scan_stacked(
-            _element_arrays(p),
-            _combine_element_arrays,
-            ScanDirection.FORWARD,
-            start=start,
+        stage = _element_arrays(p)
+        F, c, C = (a[::2] for a in stage[:3])
+        pairs = _combine_element_arrays(*(tuple(a[i : 2 * m : 2] for a in stage) for i in (0, 1)))
+        del stage
+        (_, b, P, _, _), _ = par_scan_stacked(
+            pairs, _combine_element_arrays, ScanDirection.FORWARD, start=start
         )
-    rhs = b + _mv(C, values.v)
-    lhs = C @ values.S
-    del b, C  # before the batched solve copies its operands
-    lhs += np.eye(n)
-    what = "trajectory recovery matrix (I + C S) singular"
-    return _batched(np.linalg.solve, what, p.S, lhs, rhs[..., None])[..., 0]
+        del pairs
+    S, v = values.S, values.v
+    xs = np.empty((N + 1, n))
+    steps = np.arange(p.S, p.T + 1)
+    xs[::2] = _recover(P, S[::2], v[::2], b, steps[::2])
+    del b, P
+    w = _mv(F, xs[0:N:2]) + c
+    xs[1::2] = _recover(C, S[1::2], v[1::2], w, steps[1::2])
+    return xs
 
 
 @dataclass(frozen=True)
@@ -727,16 +814,13 @@ def transform_general_cost(p: LqtProblem) -> tuple[LqtProblem, GeneralCostRecove
     s = p.s if p.s is not None else np.zeros((n, nu))
     UinvMt = _spd_solve_batched(p.U, _t(M), p.S)
     Xt = _sym(p.X - M @ UinvMt)
-    w = np.linalg.eigvalsh(Xt)
     # the rounding in X - M U^-1 M' scales with X (the two terms cancel
     # where the cost completes a square), so the bound is relative to X
-    scale = np.abs(p.X).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero((w < -CONVEX_RTOL * scale[:, None]).any(axis=-1))
-    if bad.size:
-        k = bad[0]
+    bad = _first_indefinite(Xt, p.X)
+    if bad is not None:
         raise SolverError(
-            f"cost not jointly convex after Schur complement at step {p.S + k}"
-            f" (min eigenvalue {w[k].min():.3e})"
+            f"cost not jointly convex after Schur complement at step {p.S + bad[0]}"
+            f" (min eigenvalue {bad[1]:.3e})"
         )
     F2 = p.F - p.L @ UinvMt @ p.H
     c2 = p.c + _mv(p.L @ UinvMt, p.r) + _mv(p.L, s)

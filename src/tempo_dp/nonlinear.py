@@ -144,7 +144,7 @@ def linearize(p: NonlinearProblem, nom: Nominal) -> lqt.LqtProblem:
         U2 = np.swapaxes(Jg, -1, -2) @ p.U @ Jg
         rhs = (p.s - p.g(k, ub))[..., None]
         what = "control-output Jacobian singular"
-        s2 = ub + lqt._batched(np.linalg.solve, what, 0, Jg, rhs)[..., 0]
+        s2 = ub + lqt._batched(np.linalg.solve, what, k, Jg, rhs)[..., 0]
     xT = nom.xbar[N]
     HT = p.jac_hT(xT) if p.jac_hT else finite_diff_jacobian(p.hT, xT)
     rT2 = p.rT - p.hT(xT) + HT @ xT

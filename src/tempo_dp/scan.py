@@ -296,9 +296,11 @@ def forward_from_tree(
     the even nodes of its up-sweep alone: ``evens[0]`` holds elements 0, 2,
     4, ... and ``evens[1:]`` the ``tree`` that a REVERSE scan over the same
     elements left. Only the down-sweep runs, n combines of values with
-    nodes, and the stats count those."""
-    sizes = [((n >> L) + 1) // 2 for L in range(max(1, n.bit_length()))]
-    if [int(e[0].shape[0]) for e in evens] != sizes:
+    nodes, and the stats count those. For n = 0 ``evens`` is empty or
+    holds the empty level 0 alone, and the output is the start."""
+    sizes = [((n >> L) + 1) // 2 for L in range(n.bit_length())]
+    got = [int(e[0].shape[0]) for e in evens]
+    if got != sizes and not (n == 0 and got == [0]):
         raise ValueError("tree does not match the elements")
     s = tuple(np.asarray(a)[None] for a in start)
     stats = ScanStats()

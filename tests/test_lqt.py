@@ -443,7 +443,7 @@ class TestConditioningGate:
         "rho",
         [1e6, 1e8, 1e9, *(pytest.param(rho, marks=pytest.mark.xfail(
             strict=True, reason="S is off by 4.4e-7 and 2.5e-5, Method 1's states by 3.7e-7 and 1.9e-5,"
-                                " Method 2's by 1.9e-5 and 1.4e-3, and nothing raises (ROADMAP item 6)"))
+                                " Method 2's by 1.5e-6 and 1.8e-4, and nothing raises (ROADMAP item 6)"))
             for rho in (1e10, 1e12))],
     )
     def test_large_weight_ratio_accurate_or_raises(self, rho):
@@ -591,9 +591,10 @@ class TestPinnedFills:
     def test_pinned_scans_equal_plain_scans(self, N, monkeypatch):
         # parallel_backward, traj_method1 and traj_method2 (its own up-sweep)
         # against the same scans run over the start as a full element
-        # followed (preceded) by the stage elements: the arrays they read,
-        # byte for byte, Method 2's states to 1e-12, and the stats. With
-        # n_u = n_x no element is thin, so the stage elements hold C, as
+        # followed (preceded) by the stage elements, for Method 2 by the
+        # pairs of stage elements: the arrays they read, byte for byte,
+        # Method 2's states to 1e-12, and the stats. With n_u = n_x no
+        # element is thin, so the stage elements hold C, as
         # make_lqt_elements' do
         p = random_lqt_problem(np.random.default_rng(34 + N), n_x=3, n_u=3, N=N)
         seen = []
@@ -618,10 +619,18 @@ class TestPinnedFills:
         assert lqt.traj_method1(p, gains, values).tobytes() == xs.tobytes()
         z = np.zeros((1, 3, 3))
         first = (z, p.x0[None], z, np.zeros((1, 3)), z)
-        elements = tuple(np.concatenate([a, e]) for a, e in zip(first, lqt._element_arrays(p)))
+        stage = lqt._element_arrays(p)
+        pairs = lqt._combine_element_arrays(*(tuple(a[i : N // 2 * 2 : 2] for a in stage) for i in (0, 1)))
+        elements = tuple(np.concatenate([a, e]) for a, e in zip(first, pairs))
         (_, b, C, _, _), m2_stats = par_scan_stacked(elements, lqt._combine_element_arrays, FWD)
-        want = np.linalg.solve(np.eye(3) + C @ values.S, (b + lqt._mv(C, values.v))[..., None])[..., 0]
-        got = lqt.traj_method2(p, lqt.QuadValue(values.S, values.v))
+        S, v = values.S, values.v
+        want = np.empty((N + 1, 3))
+        want[::2] = np.linalg.solve(np.eye(3) + C @ S[::2], (b + lqt._mv(C, v[::2]))[..., None])[..., 0]
+        # each odd state from the even one before it, through stage 2j's C
+        F, c, Ce = (a[::2] for a in stage[:3])
+        w = lqt._mv(F, want[0:N:2]) + c + lqt._mv(Ce, v[1::2])
+        want[1::2] = np.linalg.solve(np.eye(3) + Ce @ S[1::2], w[..., None])[..., 0]
+        got = lqt.traj_method2(p, lqt.QuadValue(S, v))
         assert rel_dev(got, want) <= 1e-12
         assert seen == [stats, m1_stats, m2_stats]
 
@@ -768,6 +777,59 @@ class TestStepNaming:
         with pytest.raises(SolverError, match=r"\(I \+ C S\) singular at step 14$"):
             lqt.traj_method2(p, values)
 
+    def test_method2_names_singular_odd_step(self):
+        # an odd state is one minimization from the even state before it,
+        # through stage 2j's C = L U^-1 L' = 1: S_5 = -1 makes
+        # I + C S singular at x_{S+5} alone
+        p = replace(scalar_problem(N=6, X=0.0), S=10, T=16)
+        S = np.zeros((7, 1, 1))
+        S[5] = -1.0
+        values = lqt.QuadValue(S, np.zeros((7, 1)))
+        with pytest.raises(SolverError, match=r"\(I \+ C S\) singular at step 15$"):
+            lqt.traj_method2(p, values)
+
+    @pytest.mark.parametrize("s5, singular", [(-3.0, False), (-1.0, True)])
+    def test_method2_thin_odd_step_indefinite_value(self, s5, singular):
+        # n_x = 2, n_u = 1: stage elements hold Gt = [1, 0], so C = diag(1, 0).
+        # At the odd step 5 the hand-built S = diag(s5, 0) makes
+        # I + Gt S Gt' = 1 + s5 fail its factor; that row is solved by LU,
+        # which raises, naming the step, only where I + C S is singular
+        N = 6
+        p = lqt.LqtProblem(
+            S=10, T=10 + N, x0=[1.0, 2.0],
+            F=np.tile(np.eye(2), (N, 1, 1)), c=np.ones((N, 2)), L=np.tile([[1.0], [0.0]], (N, 1, 1)),
+            H=np.tile(np.eye(2), (N, 1, 1)), X=np.zeros((N, 2, 2)), r=np.zeros((N, 2)),
+            U=np.ones((N, 1, 1)), HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
+        )
+        assert lqt._stage_dynamics(p, 2)[2].shape == (3, 1, 2)
+        S = np.tile(np.eye(2), (N + 1, 1, 1))
+        S[5] = np.diag([s5, 0.0])
+        v = np.random.default_rng(27).normal(size=(N + 1, 2))
+        values = lqt.QuadValue(S, v)
+        if singular:
+            with pytest.raises(SolverError, match=r"\(I \+ C S\) singular at step 15$"):
+                lqt.traj_method2(p, values)
+            return
+        xs = lqt.traj_method2(p, values)
+        C = np.diag([1.0, 0.0])
+        want = np.linalg.solve(np.eye(2) + C @ S[5], p.F[4] @ xs[4] + p.c[4] + C @ v[5])
+        np.testing.assert_allclose(xs[5], want, rtol=0, atol=1e-14)
+
+    def test_indefinite_cost_weight_names_step(self):
+        # X = -1 on N = 4 scalar steps: Riccati solves it, while the first
+        # combine's Z = I + C1 J2 = 1 - 1 is singular. The parallel pass then
+        # names the first step whose X is indefinite, chained to the combine's
+        # error; an indefinite XT alone names step T
+        p = scalar_problem(N=4, X=-1.0)
+        xs, _, _ = lqt.solve(p, "sequential")
+        np.testing.assert_allclose(xs[:, 0], [1, 0.5, -0.5, -1, -0.5], rtol=0, atol=1e-15)
+        for bad, match in ((replace(p, S=10, T=14), "X not positive semidefinite at step 10 "),
+                           (replace(scalar_problem(N=4, XT=-1.0), S=3, T=7),
+                            "XT not positive semidefinite at step 7 ")):
+            with pytest.raises(SolverError, match=f"^cost weight {match}") as raised:
+                lqt.parallel_backward(bad)
+            assert str(raised.value.__cause__) == "ill-conditioned combine: Singular matrix"
+
     def test_non_pd_control_weight_names_step(self):
         rng = np.random.default_rng(22)
         p = random_lqt_problem(rng, n_x=3, n_u=2, N=6, cross=True)
@@ -788,14 +850,15 @@ class TestStepNaming:
                 call()
 
     def test_even_elements_name_step(self):
-        # Method 2 over carried nodes rebuilds the even stage elements alone;
-        # a failure there still names the step, not the batch row
+        # Method 2 over carried nodes rebuilds the even stages' (F, c, C)
+        # alone; a failure there still names the step, not the batch row
         p = random_lqt_problem(np.random.default_rng(23), n_x=3, n_u=2, N=6)
         U = p.U.copy()
         U[4] = [[1.0, 2.0], [2.0, 1.0]]
         bad = replace(p, S=10, T=16, U=U)
-        with pytest.raises(SolverError, match="factorization failed at step 14$"):
-            lqt._element_arrays(bad, 2)
+        for build in (lqt._stage_dynamics, lqt._element_arrays):
+            with pytest.raises(SolverError, match="factorization failed at step 14$"):
+                build(bad, 2)
 
     @pytest.mark.parametrize("traj_method", [1, 2])
     def test_parallel_solve_factors_u_once(self, traj_method, monkeypatch):
@@ -1019,18 +1082,22 @@ class TestCarriedTree:
 
     def test_method2_makes_no_up_sweep(self, monkeypatch):
         # a scan from a start over N elements pairs N - popcount(N) in its
-        # up-sweep and N in its down-sweep
+        # up-sweep and N in its down-sweep. Method 2 scans the m = N // 2
+        # pairs of stage elements, level 1 of the up-sweep: over the
+        # carried tree its down-sweep alone, m combines; on its own it
+        # forms the m pairs first, then m - popcount(m) and m
         N = 37
+        m = N // 2
         p = random_lqt_problem(np.random.default_rng(40), n_x=3, n_u=2, N=N)
         calls = combine_spy(monkeypatch)
         values, _ = lqt.parallel_backward(p)
         assert sum(calls) == 2 * N - bin(N).count("1")
         calls.clear()
         lqt.traj_method2(p, values)
-        assert sum(calls) == N
+        assert sum(calls) == m
         calls.clear()
         lqt.traj_method2(p, lqt.QuadValue(values.S, values.v))
-        assert sum(calls) == 2 * N - bin(N).count("1")
+        assert sum(calls) == m + (m - bin(m).count("1")) + m
 
     @pytest.mark.parametrize("N", [1, 2, 3, 6, 7, 64, 65, 500])
     def test_matches_own_up_sweep_and_riccati(self, N):
@@ -1044,6 +1111,31 @@ class TestCarriedTree:
         xs_ref, _ = lqt.closed_loop_rollout(p, ref_values, ref_gains)
         assert np.max(np.abs(xs - xs_ref)) <= 1e-9
 
+    @pytest.mark.parametrize("n_x, n_u", [(4, 2), (3, 3), (3, 0)], ids=["thin", "dense", "no-control"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 37, 64, 65])
+    def test_even_prefixes_and_odd_steps_match_riccati(self, N, n_x, n_u):
+        # the even states from the scan over pairs, each odd one from the
+        # even state before it, over the carried tree and on its own
+        p = random_lqt_problem(np.random.default_rng(45 + N), n_x=n_x, n_u=n_u, N=N)
+        assert lqt._factored(lqt._stage_dynamics(p, 2)[2]) == (n_u == 2)
+        ref_values, ref_gains = lqt.riccati_backward(p)
+        xs_ref, _ = lqt.closed_loop_rollout(p, ref_values, ref_gains)
+        values, _ = lqt.parallel_backward(p)
+        for vals in (values, lqt.QuadValue(values.S, values.v)):
+            xs = lqt.traj_method2(p, vals)
+            assert xs.shape == (N + 1, n_x)
+            assert np.max(np.abs(xs - xs_ref)) <= 1e-9
+
+    def test_zero_horizon(self):
+        # N = 0: no pair and no odd step; the state is x0
+        q = random_lqt_problem(np.random.default_rng(46), n_x=3, n_u=2, N=1)
+        p = lqt.LqtProblem(S=0, T=0, x0=q.x0, F=q.F[:0], c=q.c[:0], L=q.L[:0], H=q.H[:0],
+                           X=q.X[:0], r=q.r[:0], U=q.U[:0], HT=q.HT, XT=q.XT, rT=q.rT)
+        values, _ = lqt.parallel_backward(p)
+        assert values.tree.levels == []
+        for vals in (values, lqt.QuadValue(values.S, values.v)):
+            np.testing.assert_array_equal(lqt.traj_method2(p, vals), p.x0[None])
+
     def test_tree_of_another_problem_is_not_used(self, monkeypatch):
         # q has p's shapes but other stage elements; values that carry p's
         # tree next to q's S and v must still give q's trajectory
@@ -1053,9 +1145,10 @@ class TestCarriedTree:
         ref_values, ref_gains = lqt.riccati_backward(q)
         mixed = replace(values_p, S=ref_values.S, v=ref_values.v)
         assert mixed.tree is values_p.tree
+        own = 10 + (10 - bin(10).count("1")) + 10  # the pairs, their up-sweep and down-sweep
         calls = combine_spy(monkeypatch)
         xs = lqt.traj_method2(q, mixed)
-        assert sum(calls) == 2 * 20 - bin(20).count("1")  # q ran its own up-sweep
+        assert sum(calls) == own  # q ran its own up-sweep
         xs_ref, _ = lqt.closed_loop_rollout(q, ref_values, ref_gains)
         assert np.max(np.abs(xs - xs_ref)) <= 1e-9
         # p's own values with an equal but separate copy of p: its own
@@ -1063,7 +1156,7 @@ class TestCarriedTree:
         twin = replace(p)
         calls.clear()
         xs_twin = lqt.traj_method2(twin, values_p)
-        assert sum(calls) == 2 * 20 - bin(20).count("1")
+        assert sum(calls) == own
         np.testing.assert_allclose(xs_twin, lqt.traj_method2(p, values_p), rtol=0, atol=1e-12)
 
     def test_eq_and_repr_ignore_tree(self):

@@ -24,7 +24,8 @@ from tempo_dp import lqt, scenarios
 # element stacks and up-sweep nodes it holds at once, so a copied stack,
 # a node kept twice or a dense C beside a thin factor shows here first.
 # parallel_backward peaks near 159 MiB (levels 0-3 hold G' in C's slot)
-# and Method 2 over the values and carried nodes near 180 MiB
+# and Method 2 over the values and carried nodes near 120 MiB (its scan
+# forms the prefixes of the even steps alone)
 p = scenarios.build_mass_spring(16, 4000)
 tracemalloc.start()
 values, _ = lqt.parallel_backward(p)
@@ -42,10 +43,10 @@ if not peak_mb < 190:
 xs_dev = float(abs(xs - lqt.closed_loop_rollout(p, ref_values, ref_gains)[0]).max())
 if not xs_dev <= 1e-9:
     sys.exit(f"traj_method2: states differ from the Riccati rollout by {xs_dev:.3e} > 1e-9")
-if not m2_peak_mb < 235:
-    sys.exit(f"traj_method2 traced peak {m2_peak_mb:.1f} MiB >= 235 MiB")
+if not m2_peak_mb < 144:
+    sys.exit(f"traj_method2 traced peak {m2_peak_mb:.1f} MiB >= 144 MiB")
 print(f"LQT n_x=32 T=4000: S, v within {dev:.1e} of Riccati, traced peak {peak_mb:.1f} MiB < 190 MiB; "
-      f"Method-2 states within {xs_dev:.1e} of the rollout, traced peak {m2_peak_mb:.1f} MiB < 235 MiB")
+      f"Method-2 states within {xs_dev:.1e} of the rollout, traced peak {m2_peak_mb:.1f} MiB < 144 MiB")
 """
 
 FINITE_DP_GUARD = """

@@ -453,6 +453,22 @@ class TestOddEvenTree:
             with pytest.raises(ValueError, match="tree does not match"):
                 forward_from_tree([(M[::2],), *tree], T + 2, (row,), mul)
 
+    def test_forward_from_tree_over_no_elements(self):
+        # n = 0 has no level (a reverse scan over one element leaves an
+        # empty tree, and Method 2 scans its N // 2 pairs from that tree):
+        # the output is the start alone, with no combine
+        def mul(a, b):
+            raise AssertionError("no combine over no elements")
+
+        row = np.array([[3, 4]])
+        for evens in ([], [(np.zeros((0, 2, 2), int),)]):
+            (out,), stats = forward_from_tree(evens, 0, (row,), mul)
+            assert out.tobytes() == row[None].tobytes()
+            assert (stats.combine_count, stats.combine_depth) == (0, 0)
+        for evens, n in (([(np.zeros((1, 2, 2), int),)], 0), ([], 1)):
+            with pytest.raises(ValueError, match="tree does not match"):
+                forward_from_tree(evens, n, (row,), mul)
+
     def test_tree_only_from_reverse_start(self):
         def add(a, b):
             return (a[0] + b[0],)
