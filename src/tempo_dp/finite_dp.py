@@ -16,19 +16,24 @@ Every scan starts from a degenerate element of its own algebra, so one
 operator serves the whole tree. The backward scan starts from the terminal
 costs as a one-column matrix, ell_T[:, None], and each stage matrix is
 combined with the column after it, so it outputs the (N+1, D_x, 1) value
-stack itself. The forward conditional scan starts from the row of the
-start state, so every prefix is a (1, D_x) row, and Method 1 from [x_S], a
-map from a one-point set, so every prefix is the state reached.
+stack itself. The forward conditional scan runs over pairs of stage
+elements from the row of the start state, so every prefix is a (1, D_x)
+row, and Method 1 from [x_S], a map from a one-point set, so every prefix
+is the state reached.
 
 Row x of stage element k has at most D_u finite entries, at the states
 f_k(x, u). So when D_u < D_x a stage element also carries its tables,
 (E, f, ell), and a product with it on the left is a gather of D_u rows of
 the right operand, min_u ell[x, u] + B[f(x, u), :], which costs D_x·D_u·Y
 sums instead of D_x²·Y. It equals the dense product bit for bit: rounding
-is monotone, so min(a1 + b, a2 + b) = min(a1, a2) + b. The first level of
-each up-sweep then costs D_x²·D_u per pair, the higher levels D_x³, and
-the down-sweep's column and row products D_x² (D_x·D_u for the backward
-scan's level-0 Bellman steps).
+is monotone, so min(a1 + b, a2 + b) = min(a1, a2) + b. A product of two
+elements with tables keeps the composed tables, f_b[f_a] and
+ell_a + ell_b[f_a] of width W = W_a·W_b, while 2W < D_x, as ``lqt._thin``
+keeps factors by rank. The first level of each up-sweep then costs
+D_x²·D_u sums per pair; where the level-1 nodes keep width D_u² (D_x = 31,
+D_u = 3), the second costs D_x²·D_u², and the higher levels D_x³. The
+down-sweep's column and row products cost D_x² (D_x·W for the backward
+scan's products with a node that keeps tables).
 
 Elements are plain arrays: value matrices, alone or with their tables,
 under one min-plus ``combine``, and Method 1's closed-loop state maps as
@@ -230,12 +235,32 @@ def _gather_min_plus(f: np.ndarray, ell: np.ndarray, B: np.ndarray) -> np.ndarra
 
 
 def _combine(a, b):
-    """a (x) b for (E,) value matrices and (E, f, ell) stage elements, each
-    array batched alike: a stage element on the left gathers from its
-    tables, any other product is :func:`min_plus_matmul` of the matrices."""
-    if len(a) == 3:
-        return (_gather_min_plus(a[1], a[2], b[0]),)
-    return (min_plus_matmul(a[0], b[0]),)
+    """a (x) b for (E,) value matrices and (E, f, ell) elements with
+    tables, each array batched alike: an element with tables on the left
+    gathers from them, any other product is :func:`min_plus_matmul` of the
+    matrices.
+
+    When both operands carry tables, so does the product while its width
+    W = W_a·W_b stays below D_x / 2: f = f_b[f_a] and
+    ell = ell_a + ell_b[f_a], one column per control pair. A next state
+    may repeat; the gather takes the minimum, and (ell_a + ell_b) + B is
+    the dense path's E + B, so later products stay bit for bit the dense
+    ones.
+    """
+    if len(a) == 1:
+        return (min_plus_matmul(a[0], b[0]),)
+    E = _gather_min_plus(a[1], a[2], b[0])
+    X, Ua = a[1].shape[-2:]
+    if len(b) == 1 or 2 * Ua * b[1].shape[-1] >= X:
+        return (E,)
+    Ub = b[1].shape[-1]
+    fa = a[1].reshape(-1, X, Ua)
+    at = fa + X * np.arange(len(fa))[:, None, None]  # rows of b's tables, flat over the batch
+    f = np.take(b[1].reshape(-1, Ub), at, axis=0)  # np.take: twice as fast as b[1][rows, fa] on short rows
+    ell = np.take(b[2].reshape(-1, Ub), at, axis=0)
+    ell += a[2].reshape(fa.shape)[..., None]
+    shape = a[1].shape[:-2] + (X, Ua * Ub)
+    return E, f.reshape(shape), ell.reshape(shape)
 
 
 def _stage_elements(p: FiniteProblem) -> tuple[np.ndarray, ...]:
@@ -307,24 +332,34 @@ def forward_conditional(p: FiniteProblem) -> np.ndarray:
     """V_{S->k}(x_S, .) for k = S+1..T via a forward scan; row k-S-1 of the
     returned (N, D_x) array holds step k.
 
-    The first element is pinned at the start state: the (1, D_x) row x_S of
-    the first stage matrix. Every prefix is then the conditional value row
-    itself, and each product with it is a (1, D_x) (x) (D_x, D_x) one. The
-    other stage elements go in as tuples of :func:`_stage_elements`, so the
-    up-sweep's first-level pairs gather from the earlier element's tables.
+    The scan runs over pairs, the first level of the up-sweep: one batched
+    :func:`_combine` forms P_j = E_2j (x) E_2j+1 for j < N // 2, with
+    composed tables where they are narrow, so products with a pair on the
+    left gather from them. The first element is pinned at the start state:
+    the (1, D_x) row x_S of P_0. Every prefix is then the conditional value
+    row of an even step S + 2j + 2, and each product with it is a
+    (1, D_x) (x) (D_x, D_x) one. Each odd step's row is the even row before
+    it times one stage matrix, r_2j+1 = r_2j (x) E_2j, all in one batched
+    one-row product from r_0, the row that is 0 at x_S and +inf elsewhere.
 
     This is the one library scan on the object engine :func:`par_scan`.
-    ``par_scan_stacked`` from the degenerate start ``start=(row,)``, a
-    (1, D_x) row that is 0 at x_S and +inf elsewhere, would serve as well;
-    the object engine stays here only because the benchmark's tracer
-    expects a ``scan.object`` span on the routing workload.
+    ``par_scan_stacked`` from the degenerate start ``start=(r_0,)`` would
+    serve as well; the object engine stays here only because the
+    benchmark's tracer expects a ``scan.object`` span on the routing
+    workload.
     """
-    if p.N == 0:
-        return np.empty((0, p.D_x))
+    N, m = p.N, p.N // 2
     stage = _stage_elements(p)
-    elements = [(stage[0][0, p.x_S][None],), *zip(*(a[1:] for a in stage))]
-    prefix, _ = par_scan(elements, _combine, ScanDirection.FORWARD)
-    return np.concatenate([r[0] for r in prefix])
+    rows = np.empty((N + 1, 1, p.D_x))
+    rows[0] = np.inf
+    rows[0, 0, p.x_S] = 0.0
+    if m:
+        pairs = _combine(*(tuple(a[i : 2 * m : 2] for a in stage) for i in (0, 1)))
+        elements = [(pairs[0][0, p.x_S][None],), *zip(*(a[1:] for a in pairs))]
+        prefix, _ = par_scan(elements, _combine, ScanDirection.FORWARD)
+        rows[2::2] = [r[0] for r in prefix]
+    rows[1::2] = min_plus_matmul(rows[: N : 2], stage[0][::2])
+    return rows[1:, 0]
 
 
 def recover_traj_m1(p: FiniteProblem, pol: FinitePolicy) -> np.ndarray:

@@ -4,6 +4,7 @@ agreement (scan vs Bellman vs brute force), trajectory recovery, file I/O."""
 import json
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -468,12 +469,20 @@ def dense_backward(p):
 
 
 def dense_forward(p):
-    """forward_conditional's scan over the dense stage matrices alone."""
-    if p.N == 0:
-        return np.empty((0, p.D_x))
+    """forward_conditional's association over the dense stage matrices
+    alone: dense pairs E_2j (x) E_2j+1, the object scan over them from row
+    x_S of the first pair, then each odd row r_2j+1 = r_2j (x) E_2j from
+    r_0, the row that is 0 at x_S."""
     E = fd.build_elements(p)
-    prefix, _ = par_scan([E[0, p.x_S][None], *E[1:]], fd.min_plus_matmul, ScanDirection.FORWARD)
-    return np.concatenate(prefix)
+    m = p.N // 2
+    rows = np.full((p.N + 1, 1, p.D_x), np.inf)
+    rows[0, 0, p.x_S] = 0.0
+    if m:
+        P = fd.min_plus_matmul(E[0 : 2 * m : 2], E[1 : 2 * m : 2])
+        prefix, _ = par_scan([P[0, p.x_S][None], *P[1:]], fd.min_plus_matmul, ScanDirection.FORWARD)
+        rows[2::2] = prefix
+    rows[1::2] = fd.min_plus_matmul(rows[: p.N : 2], E[::2])
+    return rows[1:, 0]
 
 
 @pytest.fixture
@@ -529,28 +538,80 @@ class TestStageGather:
         )
 
     @pytest.mark.parametrize("costs", ["integer", "eighths", "float"])
-    @pytest.mark.parametrize("N", [0, 1, 2, 37])
+    @pytest.mark.parametrize("D_x, D_u, widths", [(19, 3, [9]), (40, 2, [4, 16])])
+    def test_composed_tables_equal_dense_product(self, D_x, D_u, widths, costs):
+        # up the tree from the stage elements: a product of two elements with
+        # tables keeps f_b[f_a] and ell_a + ell_b[f_a] while 2W < D_x, and a
+        # gather from them equals the dense product with B bit for bit
+        rng = np.random.default_rng(D_x)
+        p = gather_problem(rng, D_x=D_x, D_u=D_u, N=8, costs=costs)
+        level, dense = fd._stage_elements(p), fd.build_elements(p)
+        kept = []
+        while len(level) == 3 and len(dense) > 1:
+            a, b = (tuple(x[i::2] for x in level) for i in (0, 1))
+            level, dense = fd._combine(a, b), fd.min_plus_matmul(dense[0::2], dense[1::2])
+            assert level[0].tobytes() == dense.tobytes()
+            single = fd._combine(tuple(x[-1] for x in a), tuple(x[-1] for x in b))  # the object scan's operands
+            flipped = fd._combine(tuple(x[::-2] for x in a), tuple(x[::-2] for x in b))  # strided views
+            assert len(single) == len(flipped) == len(level)
+            if len(level) == 1:
+                break
+            kept.append(level[1].shape[-1])
+            f, ell = level[1:]
+            assert np.isinf(ell).any()  # forbidden moves
+            assert (np.sort(f, axis=-1)[..., 1:] == np.sort(f, axis=-1)[..., :-1]).any()  # repeated next states
+            B = random_cost_stack(rng, (len(dense), D_x, 5))
+            if costs == "float":
+                B[B < np.inf] = rng.uniform(0.0, 10.0, size=int((B < np.inf).sum()))
+            out = fd._gather_min_plus(f, ell, B)
+            assert out.tobytes() == fd.min_plus_matmul(dense, B).tobytes()
+            assert fd._gather_min_plus(single[1], single[2], B[-1]).tobytes() == out[-1].tobytes()
+            assert fd._gather_min_plus(flipped[1], flipped[2], B[::-2]).tobytes() == out[::-2].tobytes()
+        assert kept == widths
+
+    @pytest.mark.parametrize("D_x, kept", [(31, True), (15, False)])
+    def test_tables_kept_below_half_the_states(self, D_x, kept):
+        # two stage elements of D_u = 3 controls compose to width 9
+        from tempo_dp.scenarios import build_routing
+
+        stage = fd._stage_elements(build_routing(D_x, 8, seed=1))
+        pairs = fd._combine(*(tuple(x[i::2] for x in stage) for i in (0, 1)))
+        assert len(pairs) == (3 if kept else 1)
+        if kept:
+            assert pairs[1].shape == pairs[2].shape == (4, 31, 9)
+            assert len(fd._combine(*(tuple(x[i::2] for x in pairs) for i in (0, 1)))) == 1  # width 81
+
+    @pytest.mark.parametrize("costs", ["integer", "eighths", "float"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5, 37, 64, 65])
     def test_scans_equal_dense_scans_and_bellman(self, N, costs):
+        # D_x = 6: no product keeps tables; 19: level-1 nodes keep width
+        # D_u² = 9; 40: level-2 nodes too, width 16, composed from composed
         rng = np.random.default_rng(N)
-        p = gather_problem(rng, D_x=6, D_u=3, N=N, costs=costs)
-        V, stats = dense_backward(p)
-        pol, got_stats = fd.solve_backward(p, return_stats=True)
-        assert pol.V.tobytes() == V.tobytes()
-        assert got_stats == stats
-        fw = fd.forward_conditional(p)
-        assert fw.tobytes() == dense_forward(p).tobytes()
-        if costs != "float":  # exact sums: no reordering-sensitive rounding
+        for D_x, D_u in [(6, 3), (19, 3), (40, 2)]:
+            p = gather_problem(rng, D_x=D_x, D_u=D_u, N=N, costs=costs)
+            V, stats = dense_backward(p)
+            pol, got_stats = fd.solve_backward(p, return_stats=True)
+            assert pol.V.tobytes() == V.tobytes()
+            assert got_stats == stats
+            fw = fd.forward_conditional(p)
+            assert fw.tobytes() == dense_forward(p).tobytes()
+            if costs == "float":
+                continue
+            # exact sums: no reordering-sensitive rounding
             ref = fd.seq_bellman(p)
             np.testing.assert_array_equal(pol.V, ref.V)
             np.testing.assert_array_equal(pol.u, ref.u)
             E = fd.build_elements(p)
             rows, _ = seq_scan([E[0, p.x_S][None], *E[1:]], min_plus_loops) if N else ([], None)
-            np.testing.assert_array_equal(fw, np.reshape(rows, (N, 6)))
-            for k in range(1, min(N, 4) + 1):
+            np.testing.assert_array_equal(fw, np.reshape(rows, (N, D_x)))
+            for k in range(1, min(N, 5) + 1):  # odd rows 1, 3, 5 and even rows 2, 4
                 np.testing.assert_array_equal(fw[k - 1], enumerate_conditional(p, k))
             xs, _ = fd.rollout_policy(p, ref)
-            for method in (1, 2):
-                np.testing.assert_array_equal(fd.solve(p, "parallel", method)[0], xs)
+            np.testing.assert_array_equal(fd.solve(p, "parallel", 1)[0], xs)
+            xs2, us2, _ = fd.solve(p, "parallel", 2)
+            assert (us2 >= 0).all() and fd.trajectory_cost(p, xs2, us2) == ref.V[0, p.x_S]
+            if ((fw + ref.V[1:] == ref.V[0, p.x_S]).sum(axis=1) == 1).all():  # one optimal path
+                np.testing.assert_array_equal(xs2, xs)
 
     @pytest.mark.parametrize("D_u", [5, 7])
     def test_dense_path_when_controls_cover_states(self, D_u, spies):
@@ -581,17 +642,28 @@ class TestStageGather:
 
         p = build_routing(31, 500, seed=2)
         pol, stats = fd.solve_backward(p, return_stats=True)
-        # level 0 of the up-sweep and of the down-sweep: 250 pairs each
-        assert not [c for c in spies["dense"] if c[0] == (250, 31, 31)]
-        assert spies["gather"][0] == ((250, 31, 3), (250, 31, 31))
-        assert ((250, 31, 3), (250, 31, 1)) in spies["gather"]
+        # levels 0 and 1 of the up-sweep and of the down-sweep gather, from
+        # the stage tables and from the level-1 nodes' composed tables of
+        # width 9; from level 2 up the products are dense
+        assert spies["gather"] == [
+            ((250, 31, 3), (250, 31, 31)),
+            ((125, 31, 9), (125, 31, 31)),
+            ((125, 31, 9), (125, 31, 1)),
+            ((250, 31, 3), (250, 31, 1)),
+        ]
+        assert not [c for c in spies["dense"] if c[0][0] in (250, 125)]
         spies["dense"].clear()
         spies["gather"].clear()
         fw = fd.forward_conditional(p)
-        # the object scan's up-sweep pairs the 499 elements after the pinned
-        # row, 249 of them on level 0, 243 above
-        assert spies["gather"] == [((31, 3), (31, 31))] * 249
-        assert [c for c in spies["dense"] if c[0] == (31, 31)] == [((31, 31), (31, 31))] * 243
+        # one batched gather forms the 250 pairs with their tables; the
+        # object scan over them pairs the 249 after the pinned row, 124 by
+        # gathers on its level 0 and 119 dense above, and its down-sweep
+        # makes 249 one-row products; one batched one-row product forms
+        # the 250 odd rows
+        assert spies["gather"] == [((250, 31, 3), (250, 31, 31))] + [((31, 9), (31, 31))] * 124
+        assert Counter(spies["dense"]) == {
+            ((1, 31), (31, 31)): 249, ((31, 31), (31, 31)): 119, ((250, 1, 31), (250, 31, 31)): 1
+        }
         V, dense_stats = dense_backward(p)
         assert stats == dense_stats
         assert pol.V.tobytes() == V.tobytes()
