@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -20,16 +19,9 @@ import numpy as np
 from . import finite_dp, lqt, nonlinear, scenarios
 from .errors import SolverError
 
-__all__ = ["Scenario", "RunRecord", "build_scenario", "run_scenario", "main"]
+__all__ = ["RunRecord", "build_scenario", "run_scenario", "main"]
 
 SCENARIOS = ("tracking2d", "mass_spring", "routing", "unicycle")
-
-
-@dataclass
-class Scenario:
-    name: str
-    params: dict
-    problem: object
 
 
 @dataclass
@@ -43,66 +35,57 @@ class RunRecord:
     max_seq_par_deviation: float | None = None
 
 
-def build_scenario(name: str, T: int, N: int = 4, Dx: int = 5, seed: int = 0) -> Scenario:
+def build_scenario(name: str, T: int, N: int = 4, Dx: int = 5, seed: int = 0):
+    """The problem of scenario ``name`` over T steps."""
     if name == "tracking2d":
-        return Scenario(name, {"T": T, "seed": seed}, scenarios.build_tracking2d(T, seed=seed))
+        return scenarios.build_tracking2d(T, seed=seed)
     if name == "mass_spring":
-        return Scenario(name, {"T": T, "N": N}, scenarios.build_mass_spring(N, T))
+        return scenarios.build_mass_spring(N, T)
     if name == "routing":
-        return Scenario(name, {"T": T, "Dx": Dx, "seed": seed}, scenarios.build_routing(Dx, T, seed=seed))
+        return scenarios.build_routing(Dx, T, seed=seed)
     if name == "unicycle":
-        return Scenario(name, {"T": T, "seed": seed}, scenarios.build_unicycle(T, seed=seed))
+        return scenarios.build_unicycle(T, seed=seed)
     raise ValueError(f"unknown scenario {name!r}")
 
 
-def _median_ms(fn, repeats: int):
-    fn()  # warm-up
-    times = []
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(times), result
-
-
 def run_scenario(
-    scn: Scenario,
+    name: str,
+    problem,
     backend: str = "both",
-    repeats: int = 10,
     traj_method: int = 1,
     block_size: int | None = None,
     iters: int = 10,
 ) -> tuple[list[RunRecord], dict]:
-    """Time the requested backends and collect trajectories and records.
+    """Solve ``problem`` once per requested backend; collect its
+    trajectories and records.
 
     ``backend`` is "sequential", "parallel" or "both". LQT scenarios go
     through :func:`lqt.solve` and finite-state ones through
-    :func:`finite_dp.solve`; ``block_size`` applies to LQT only. The
-    sequential row reports a backward pass over the N steps of the problem
-    actually solved as N combines of depth N.
+    :func:`finite_dp.solve`; ``block_size`` applies to LQT only. A record's
+    ``wall_ms`` is the wall time of the one solve whose outputs are
+    returned, first-call costs included (``perfbench/run.py`` times
+    solves). The sequential row reports a backward pass over the N steps of
+    the problem actually solved as N combines of depth N.
     """
-    p = scn.problem
-    is_lqt = isinstance(p, lqt.LqtProblem)
+    is_lqt = isinstance(problem, lqt.LqtProblem)
     if block_size is not None and not is_lqt:
-        raise ValueError(f"block size applies to LQT scenarios only, not {scn.name}")
+        raise ValueError(f"block size applies to LQT scenarios only, not {name}")
     backends = ("sequential", "parallel") if backend == "both" else (backend,)
-    if not set(backends) <= {"sequential", "parallel"}:
-        raise ValueError(f"unknown backend {backend!r}")
     records: list[RunRecord] = []
     outputs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    T = scn.params["T"]
     for be in backends:
         if is_lqt:
-            solve = partial(lqt.solve, p, be, traj_method, block_size)
-        elif isinstance(p, finite_dp.FiniteProblem):
-            solve = partial(finite_dp.solve, p, be, traj_method)
+            solve = partial(lqt.solve, problem, be, traj_method, block_size)
+        elif isinstance(problem, finite_dp.FiniteProblem):
+            solve = partial(finite_dp.solve, problem, be, traj_method)
         else:
-            solve = partial(nonlinear.ilqt, p, iters=iters, backend=be,
+            solve = partial(nonlinear.ilqt, problem, iters=iters, backend=be,
                             traj_method=traj_method, return_stats=True)
-        ms, (xs, us, *_, stats) = _median_ms(solve, repeats)  # ilqt's costs dropped
+        t0 = time.perf_counter()
+        xs, us, *_, stats = solve()  # ilqt's costs dropped
+        ms = (time.perf_counter() - t0) * 1e3
         outputs[be] = (np.asarray(xs, dtype=np.float64), np.asarray(us, dtype=np.float64))
-        records.append(RunRecord(scn.name, be, T, ms, stats.combine_count, stats.combine_depth))
+        records.append(RunRecord(name, be, problem.N, ms, stats.combine_count, stats.combine_depth))
     if len(backends) == 2:
         xs_a, us_a = outputs["sequential"]
         xs_b, us_b = outputs["parallel"]
@@ -157,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scn = build_scenario(args.scenario, args.T, N=args.N, Dx=args.Dx, seed=args.seed)
+        problem = build_scenario(args.scenario, args.T, N=args.N, Dx=args.Dx, seed=args.seed)
     except ValueError as exc:
         print(f"tempo-dp: error: {exc}", file=sys.stderr)
         return 1
@@ -165,7 +148,8 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         records, outputs = run_scenario(
-            scn,
+            args.scenario,
+            problem,
             backend={"seq": "sequential", "par": "parallel"}.get(args.backend, args.backend),
             traj_method=args.traj_method,
             block_size=args.block_size,

@@ -511,10 +511,17 @@ def _control_factor(U: np.ndarray, offset: int, stride: int = 1) -> np.ndarray:
     return R
 
 
-def _spd_solve_batched(U: np.ndarray, rhs: np.ndarray, offset: int):
-    """U^-1 rhs per step by forward and back substitution on U = R R'."""
-    R = _control_factor(U, offset)
-    return _back_sub(R, _forward_sub(R, rhs))
+def _psd_solve(M: np.ndarray, rhs: np.ndarray, what: str, steps: np.ndarray):
+    """M^-1 rhs for a stack of symmetric M, by forward and back substitution
+    on the Cholesky factor M = R R', and by LU on the rows whose factor
+    fails (M not positive definite); only a singular row raises, naming its
+    step ``steps[k]`` (:func:`_batched`)."""
+    R = _cholesky(M)
+    x = _back_sub(R, _forward_sub(R, rhs))
+    bad = np.flatnonzero(~np.isfinite(R[:, -1, -1])) if M.shape[-1] else ()
+    if len(bad):
+        x[bad] = _batched(np.linalg.solve, what, steps[bad], M[bad], rhs[bad])
+    return x
 
 
 def _symmetrize(M: np.ndarray) -> None:
@@ -541,16 +548,15 @@ def _stage_dynamics(p: LqtProblem, stride: int = 1):
     return F, c, C
 
 
-def _element_arrays(p: LqtProblem, stride: int = 1):
-    """Stacked (A, b, C, eta, J) of the stage elements 0, stride, 2 stride, ...
+def _element_arrays(p: LqtProblem):
+    """Stacked (A, b, C, eta, J) of the stage elements.
 
     Stage k: (:func:`_stage_dynamics`, H_k'X_k r_k, H_k'X_k H_k).
     """
-    F, c, C = _stage_dynamics(p, stride)
-    H, X, r = (a[::stride] for a in (p.H, p.X, p.r))
-    HtX = _t(H) @ X
-    eta = _mv(HtX, r)
-    J = HtX @ H
+    F, c, C = _stage_dynamics(p)
+    HtX = _t(p.H) @ p.X
+    eta = _mv(HtX, p.r)
+    J = HtX @ p.H
     del HtX  # before the symmetrization below copies a whole stack
     _symmetrize(J)
     return F, c, C, eta, J
@@ -598,21 +604,13 @@ def _gains_from_values(p: LqtProblem, Ss: np.ndarray):
     """Vectorized gain triples from the stacked S_{k+1} matrices: one solve
     Kv = G^-1 L' with G = L'S L + U, then Kc = Kv S and K = Kc F.
 
-    G is solved on its Cholesky factor (:func:`_cholesky`), and by LU on
-    the steps where that factor fails, as Riccati solves every step: there
-    G is not positive definite (which takes an indefinite S), and only a
-    singular G raises."""
+    G is solved as Riccati solves every step (:func:`_psd_solve`): it is
+    not positive definite only for an indefinite S, and only a singular G
+    raises."""
     Sn = Ss[1:]
     Lt = _t(p.L)
     G = Lt @ Sn @ p.L + p.U
-    R = _cholesky(G)
-    Kv = _back_sub(R, _forward_sub(R, Lt))
-    bad = np.flatnonzero(~np.isfinite(R[:, -1, -1])) if p.n_u else ()
-    if len(bad):
-        try:
-            Kv[bad] = np.linalg.solve(G[bad], Lt[bad])
-        except np.linalg.LinAlgError:  # the whole stack again, to name the first singular step
-            _batched(np.linalg.solve, "control normal matrix singular", range(p.S, p.T), G, Lt)
+    Kv = _psd_solve(G, Lt, "control normal matrix singular", np.arange(p.S, p.T))
     Kc = Kv @ Sn
     return Kc @ p.F, Kv, Kc
 
@@ -708,10 +706,11 @@ def _recover(C: np.ndarray, S: np.ndarray, v: np.ndarray, w: np.ndarray, steps: 
     which are the steps ``steps``; S is symmetric, as a value's is.
 
     Where slot 2 holds a thin factor Gt (C = Gt'Gt, :func:`_thin`),
-    Woodbury gives (I + C S)^-1 = I - Ht'Ht S with Ht = R^-1 Gt and
-    I + Gt S Gt' = R R', the algebra of :func:`_thin_inverse`; the rows
-    whose factor fails (S indefinite) are solved by LU. Otherwise one
-    batched n_x x n_x solve. Only a singular I + C S raises, naming its step.
+    Woodbury gives (I + C S)^-1 = I - Gt'(I + Gt S Gt')^-1 Gt S, and the
+    r x r matrix I + Gt S Gt' is singular exactly where I + C S is
+    (det(I + Gt'Gt S) = det(I + Gt S Gt')); it is solved by
+    :func:`_psd_solve`. Otherwise one batched n_x x n_x solve. Only a
+    singular I + C S raises, naming its step.
     """
     what = "trajectory recovery matrix (I + C S) singular"
     if not _factored(C):
@@ -721,15 +720,10 @@ def _recover(C: np.ndarray, S: np.ndarray, v: np.ndarray, w: np.ndarray, steps: 
         return _batched(np.linalg.solve, what, steps, lhs, rhs[..., None])[..., 0]
     rhs = w + _mv(_t(C), _mv(C, v))
     CS = C @ S
-    R = _cholesky(np.eye(C.shape[-2]) + CS @ _t(C))
-    Ht = _forward_sub(R, C)
-    x = rhs - _mv(_t(Ht), _mv(Ht, _mv(S, rhs)))
-    bad = np.flatnonzero(~np.isfinite(R[:, -1, -1]))
-    if len(bad):
-        lhs = _t(C[bad]) @ CS[bad]
-        lhs += np.eye(C.shape[-1])
-        x[bad] = _batched(np.linalg.solve, what, steps[bad], lhs, rhs[bad][..., None])[..., 0]
-    return x
+    M = CS @ _t(C)
+    M += np.eye(C.shape[-2])
+    y = _psd_solve(M, _mv(CS, rhs)[..., None], what, steps)[..., 0]
+    return rhs - _mv(_t(C), y)
 
 
 def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
@@ -812,7 +806,8 @@ def transform_general_cost(p: LqtProblem) -> tuple[LqtProblem, GeneralCostRecove
         return p, recovery
     M = p.M if p.M is not None else np.zeros((n, nr, nu))
     s = p.s if p.s is not None else np.zeros((n, nu))
-    UinvMt = _spd_solve_batched(p.U, _t(M), p.S)
+    R = _control_factor(p.U, p.S)
+    UinvMt = _back_sub(R, _forward_sub(R, _t(M)))
     Xt = _sym(p.X - M @ UinvMt)
     # the rounding in X - M U^-1 M' scales with X (the two terms cancel
     # where the cost completes a square), so the bound is relative to X

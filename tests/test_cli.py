@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from tempo_dp import cli, finite_dp, lqt, scenarios
+from tempo_dp import cli, finite_dp, lqt, nonlinear, scenarios
 from tempo_dp.errors import SolverError
 
 
@@ -114,13 +114,13 @@ class TestMain:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(lqt, "parallel_backward", counting)
-        iters, repeats = 3, 10  # repeats: run_scenario's default, plus one warm-up
+        iters = 3
         rc = cli.main(
             ["unicycle", "--T", "30", "--backend", "both", "--iters", str(iters),
              "--out", str(tmp_path)]
         )
         assert rc == 0
-        assert len(calls) == iters * (repeats + 1)
+        assert len(calls) == iters  # the parallel backend's one solve
         rows = read_runs(tmp_path / "runs.csv")
         par = next(r for r in rows if r["backend"] == "parallel")
         assert 0 < int(par["combine_depth"]) <= 2 * int(np.ceil(np.log2(30 + 1))) + 1
@@ -155,12 +155,12 @@ class TestMain:
 
 class TestRunScenario:
     def test_library_backend_names(self):
-        scn = cli.build_scenario("tracking2d", 64)
-        records, outputs = cli.run_scenario(scn, backend="both", repeats=1)
+        p = cli.build_scenario("tracking2d", 64)
+        records, outputs = cli.run_scenario("tracking2d", p, backend="both")
         assert set(outputs) == {"sequential", "parallel"}
         assert [r.backend for r in records] == ["sequential", "parallel"]
         with pytest.raises(ValueError, match="unknown backend"):
-            cli.run_scenario(scn, backend="seq", repeats=1)
+            cli.run_scenario("tracking2d", p, backend="seq")
 
     @pytest.mark.parametrize("traj_method", [1, 2])
     @pytest.mark.parametrize("N", [0, 16])
@@ -170,8 +170,7 @@ class TestRunScenario:
         else:
             p = finite_dp.FiniteProblem(D_x=3, D_u=2, S=0, T=0, f=np.empty((0, 3, 2)),
                                         ell=np.empty((0, 3, 2)), ell_T=[1.0, 0.0, 2.0], x_S=2)
-        scn = cli.Scenario("routing", {"T": N}, p)
-        records, outputs = cli.run_scenario(scn, backend="both", repeats=1, traj_method=traj_method)
+        records, outputs = cli.run_scenario("routing", p, backend="both", traj_method=traj_method)
         xs, us = outputs["parallel"]
         pol = finite_dp.seq_bellman(p)
         assert xs.shape == (N + 1,) and us.shape == (N,)
@@ -185,6 +184,26 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("backend", ["sequential", "parallel", "both"])
     def test_routing_unknown_trajectory_method(self, backend):
-        scn = cli.build_scenario("routing", 16)
+        p = cli.build_scenario("routing", 16)
         with pytest.raises(ValueError, match="unknown trajectory method 3"):
-            cli.run_scenario(scn, backend=backend, repeats=1, traj_method=3)
+            cli.run_scenario("routing", p, backend=backend, traj_method=3)
+
+    @pytest.mark.parametrize("backend", ["sequential", "parallel", "both"])
+    @pytest.mark.parametrize(
+        "name, module, entry",
+        [("tracking2d", lqt, "solve"), ("routing", finite_dp, "solve"), ("unicycle", nonlinear, "ilqt")],
+    )
+    def test_one_solve_per_backend(self, name, module, entry, backend, monkeypatch):
+        calls = []
+        original = getattr(module, entry)
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("backend") or args[1])  # ilqt takes its backend by keyword
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, entry, counting)
+        records, outputs = cli.run_scenario(name, cli.build_scenario(name, 32), backend=backend, iters=2)
+        want = ["sequential", "parallel"] if backend == "both" else [backend]
+        assert calls == want
+        assert [r.backend for r in records] == want and list(outputs) == want
+        assert all(r.T == 32 for r in records)

@@ -1067,6 +1067,86 @@ class TestBruteForce:
         np.testing.assert_array_equal(xs, ref_xs)
 
 
+def oracle_draw(seed):
+    """A small random problem for the differential test against
+    brute_force_oracle: D_x in [1, 11], D_u in [1, 3], N in [0, 8] (up to 11
+    when D_u <= 2), costs in {0, 1, 2} so that optima tie often, 20% of ell
+    and 30% of ell_T +inf, at least one finite terminal cost."""
+    rng = np.random.default_rng(seed)
+    D_x = int(rng.integers(1, 12))
+    D_u = int(rng.integers(1, 4))
+    N = int(rng.integers(0, 9 if D_u == 3 else 12))
+    f = rng.integers(0, D_x, size=(N, D_x, D_u))
+    ell = rng.integers(0, 3, size=(N, D_x, D_u)).astype(np.float64)
+    ell[rng.random(ell.shape) < 0.2] = np.inf
+    ell_T = rng.integers(0, 3, size=D_x).astype(np.float64)
+    ell_T[rng.random(D_x) < 0.3] = np.inf
+    if not (ell_T < np.inf).any():
+        ell_T[rng.integers(0, D_x)] = rng.integers(0, 3)
+    return fd.FiniteProblem(D_x=D_x, D_u=D_u, S=0, T=N, f=f, ell=ell, ell_T=ell_T,
+                            x_S=int(rng.integers(0, D_x)))
+
+
+ORACLE_SEEDS = range(600)
+SOLVES = (("sequential",), ("parallel", 1), ("parallel", 2))
+
+
+class TestAgainstBruteForce:
+    """solve's three paths against the exhaustive oracle on seeded draws:
+    each returns a path from x_S whose cost is the optimum, and each raises
+    where the oracle finds no finite path."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_solves_match_oracle(self, seed):
+        p = oracle_draw(seed)
+        try:
+            cost, _, _ = fd.brute_force_oracle(p)
+        except SolverError as exc:
+            assert "infeasible" in str(exc)
+            for args in SOLVES:
+                with pytest.raises(SolverError):
+                    fd.solve(p, *args)
+            return
+        for args in SOLVES:
+            xs, us, _ = fd.solve(p, *args)
+            assert xs[0] == p.x_S and xs.shape == (p.N + 1,) and us.shape == (p.N,)
+            np.testing.assert_array_equal(xs[1:], p.f[np.arange(p.N), xs[:-1], us])
+            assert fd.trajectory_cost(p, xs, us) == cost, args
+
+    def test_draws_reach_edge_cases(self, monkeypatch):
+        # the corners the seeds are there for: one state, one control, no
+        # steps, stage elements without tables (D_u >= D_x), pairs that keep
+        # composed tables (2 D_u^2 < D_x), infeasible draws, and Method 2's
+        # states crossing between tied optima, so that solve falls back
+        fallbacks = []
+        m2 = fd.recover_traj_m2
+
+        def watched(*args):
+            try:
+                return m2(*args)
+            except SolverError as exc:
+                fallbacks.append("tied optima" in str(exc))
+                raise
+
+        monkeypatch.setattr(fd, "recover_traj_m2", watched)
+        reached = Counter()
+        for seed in ORACLE_SEEDS:
+            p = oracle_draw(seed)
+            reached.update({
+                "D_x = 1": p.D_x == 1, "D_u = 1": p.D_u == 1, "N = 0": p.N == 0,
+                "no tables": p.D_u >= p.D_x and p.N > 0,
+                "composed tables": 2 * p.D_u**2 < p.D_x and p.N > 1,
+            })
+            try:
+                fd.solve(p, "parallel", 2)
+            except SolverError:
+                reached["infeasible"] += 1
+        reached["Method 2 fallback"] = sum(fallbacks)
+        assert all(reached[case] for case in (
+            "D_x = 1", "D_u = 1", "N = 0", "no tables", "composed tables",
+            "infeasible", "Method 2 fallback")), reached
+
+
 class TestJsonInterchange:
     def test_roundtrip_with_inf(self, tmp_path):
         rng = np.random.default_rng(2)

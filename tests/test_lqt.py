@@ -711,12 +711,17 @@ class TestSmallBlockKernels:
     @pytest.mark.parametrize("width", [1, 4])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 16])
     def test_substitution_solve_matches_lu(self, m, width, N):
+        # eigenvalues in [0.5, 2], one of them negated on rows 1, 4, ...:
+        # those rows are indefinite (negative for m = 1) but nonsingular,
+        # so their Cholesky factors fail and LU solves them
         rng = np.random.default_rng(100 * m + 10 * width + N)
-        G = rng.normal(size=(N, m, m))
-        U = G @ lqt._t(G) + 0.5 * np.eye(m)
+        w = rng.uniform(0.5, 2.0, size=(N, m))
+        w[1::3, :1] *= -1.0
+        Q = np.linalg.qr(rng.normal(size=(N, m, m)))[0]
+        U = lqt._sym(Q @ (w[..., None] * lqt._t(Q)))
         rhs = lqt._t(rng.normal(size=(N, width, m)))  # a transposed view, as the callers pass
         kept = rhs.copy()
-        got = lqt._spd_solve_batched(U, rhs, 0)
+        got = lqt._psd_solve(U, rhs, "singular", np.arange(N))
         assert rel_err(got, np.linalg.solve(U, rhs)) <= 1e-12
         np.testing.assert_array_equal(rhs, kept)
 
@@ -856,9 +861,8 @@ class TestStepNaming:
         U = p.U.copy()
         U[4] = [[1.0, 2.0], [2.0, 1.0]]
         bad = replace(p, S=10, T=16, U=U)
-        for build in (lqt._stage_dynamics, lqt._element_arrays):
-            with pytest.raises(SolverError, match="factorization failed at step 14$"):
-                build(bad, 2)
+        with pytest.raises(SolverError, match="factorization failed at step 14$"):
+            lqt._stage_dynamics(bad, 2)
 
     @pytest.mark.parametrize("traj_method", [1, 2])
     def test_parallel_solve_factors_u_once(self, traj_method, monkeypatch):
