@@ -711,14 +711,16 @@ class TestSmallBlockKernels:
     @pytest.mark.parametrize("width", [1, 4])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 16])
     def test_substitution_solve_matches_lu(self, m, width, N):
-        # eigenvalues in [0.5, 2], one of them negated on rows 1, 4, ...:
-        # those rows are indefinite (negative for m = 1) but nonsingular,
-        # so their Cholesky factors fail and LU solves them
         rng = np.random.default_rng(100 * m + 10 * width + N)
-        w = rng.uniform(0.5, 2.0, size=(N, m))
-        w[1::3, :1] *= -1.0
-        Q = np.linalg.qr(rng.normal(size=(N, m, m)))[0]
-        U = lqt._sym(Q @ (w[..., None] * lqt._t(Q)))
+        G = rng.normal(size=(N, m, m))
+        U = G @ lqt._t(G) + 0.5 * np.eye(m)
+        # rows 1, 4, ...: the largest eigenvalue negated, so they are
+        # indefinite (negative for m = 1) with the same eigenvalue magnitudes
+        # and conditioning; their Cholesky factors fail and LU solves them
+        if m:
+            w, V = np.linalg.eigh(U[1::3])
+            w[:, -1] *= -1.0
+            U[1::3] = lqt._sym(V @ (w[..., None] * lqt._t(V)))
         rhs = lqt._t(rng.normal(size=(N, width, m)))  # a transposed view, as the callers pass
         kept = rhs.copy()
         got = lqt._psd_solve(U, rhs, "singular", np.arange(N))
