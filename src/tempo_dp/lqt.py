@@ -16,10 +16,9 @@ the half of the output that the zero-dimensional endpoint leaves nonempty,
 on its direction, so the backward pass hands the nodes it combined to
 Method 2's forward scan with its values. That scan runs over the pairs of
 stage elements, level 1 of the up-sweep, and forms the prefixes of the even
-steps alone: by the principle of optimality each odd state is the one-stage
-minimization x_{2j+1} = argmin_y V_{2j,2j+1}(x_{2j}, y) + V_{2j+1}(y) from
-the even state before it, which equals the full scan's state in exact
-arithmetic.
+steps alone: by the principle of optimality each odd state is one step of
+the control law below from the even state before it, which equals the full
+scan's state in exact arithmetic.
 
 The control law is u_k = -K_k x_k + K^v_k v_{k+1} - K^c_k c_k, and its three
 gains share one normal matrix G_k = L_k' S_{k+1} L_k + U_k: K^v = G^-1 L',
@@ -500,14 +499,14 @@ def _batched(fn, what: str, steps, *stacks):
         raise SolverError(what) from None
 
 
-def _control_factor(U: np.ndarray, offset: int, stride: int = 1) -> np.ndarray:
+def _control_factor(U: np.ndarray, offset: int) -> np.ndarray:
     """Cholesky factors R of the control weights, U = R R'; a non-PD U raises
-    naming its first failing row k as step ``offset + stride * k``."""
+    naming its first failing row k as step ``offset + k``."""
     R = _cholesky(U)
     bad = np.flatnonzero(~np.isfinite(R[:, -1, -1])) if U.shape[-1] else ()
     if len(bad):
         what = "control weight U not positive definite: factorization failed"
-        raise SolverError(f"{what} at step {offset + stride * bad[0]}")
+        raise SolverError(f"{what} at step {offset + bad[0]}")
     return R
 
 
@@ -530,36 +529,26 @@ def _symmetrize(M: np.ndarray) -> None:
     M *= 0.5
 
 
-def _stage_dynamics(p: LqtProblem, stride: int = 1):
-    """(A, b, C) of the stage elements 0, stride, 2 stride, ...:
-    (F_k, c_k, G_k G_k') with G_k = L_k R_k^-T and U_k = R_k R_k', so that
-    C_k = L_k U_k^-1 L_k'. A and b are views of p.F and p.c, which the
-    scans only read. While G is thin (:func:`_thin`) slot 2 holds
-    Gt = G' (N, n_u, n_x) in place of C.
-    """
-    if p.has_general_cost:
-        raise ValueError("eliminate cross terms first (transform_general_cost)")
-    F, c, L, U = (a[::stride] for a in (p.F, p.c, p.L, p.U))
-    Gt = _forward_sub(_control_factor(U, p.S, stride), _t(L))
-    if _thin(p.n_x, p.n_u):
-        return F, c, Gt
-    C = _t(Gt) @ Gt
-    _symmetrize(C)
-    return F, c, C
-
-
 def _element_arrays(p: LqtProblem):
     """Stacked (A, b, C, eta, J) of the stage elements.
 
-    Stage k: (:func:`_stage_dynamics`, H_k'X_k r_k, H_k'X_k H_k).
+    Stage k: (F_k, c_k, G_k G_k', H_k'X_k r_k, H_k'X_k H_k) with
+    G_k = L_k R_k^-T and U_k = R_k R_k', so that C_k = L_k U_k^-1 L_k'.
+    A and b are p.F and p.c themselves, which the scans only read. While G
+    is thin (:func:`_thin`) slot 2 holds Gt = G' (N, n_u, n_x) in place of C.
     """
-    F, c, C = _stage_dynamics(p)
+    if p.has_general_cost:
+        raise ValueError("eliminate cross terms first (transform_general_cost)")
+    C = _forward_sub(_control_factor(p.U, p.S), _t(p.L))  # Gt = G'
+    if not _thin(p.n_x, p.n_u):
+        C = _t(C) @ C
+        _symmetrize(C)
     HtX = _t(p.H) @ p.X
     eta = _mv(HtX, p.r)
     J = HtX @ p.H
     del HtX  # before the symmetrization below copies a whole stack
     _symmetrize(J)
-    return F, c, C, eta, J
+    return p.F, p.c, C, eta, J
 
 
 def _terminal(p: LqtProblem):
@@ -701,31 +690,6 @@ def traj_method1(p: LqtProblem, gains: Gains, values: QuadValue) -> np.ndarray:
     return xs
 
 
-def _recover(C: np.ndarray, S: np.ndarray, v: np.ndarray, w: np.ndarray, steps: np.ndarray):
-    """Method 2's states x = (I + C S)^-1 (w + C v), batched over the rows,
-    which are the steps ``steps``; S is symmetric, as a value's is.
-
-    Where slot 2 holds a thin factor Gt (C = Gt'Gt, :func:`_thin`),
-    Woodbury gives (I + C S)^-1 = I - Gt'(I + Gt S Gt')^-1 Gt S, and the
-    r x r matrix I + Gt S Gt' is singular exactly where I + C S is
-    (det(I + Gt'Gt S) = det(I + Gt S Gt')); it is solved by
-    :func:`_psd_solve`. Otherwise one batched n_x x n_x solve. Only a
-    singular I + C S raises, naming its step.
-    """
-    what = "trajectory recovery matrix (I + C S) singular"
-    if not _factored(C):
-        rhs = w + _mv(C, v)
-        lhs = C @ S
-        lhs += np.eye(C.shape[-1])
-        return _batched(np.linalg.solve, what, steps, lhs, rhs[..., None])[..., 0]
-    rhs = w + _mv(_t(C), _mv(C, v))
-    CS = C @ S
-    M = CS @ _t(C)
-    M += np.eye(C.shape[-2])
-    y = _psd_solve(M, _mv(CS, rhs)[..., None], what, steps)[..., 0]
-    return rhs - _mv(_t(C), y)
-
-
 def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     """Trajectory from forward prefix elements and backward values (Method 2).
 
@@ -738,13 +702,15 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
 
     The scan forms the prefixes of the even steps 2j alone: it runs over
     the pairs e_{2j} (x) e_{2j+1} of stage elements, level 1 of the
-    up-sweep. V_{S,2j+1}(x0, .) is V_{S,2j} combined with stage 2j, and
-    the x-part of their joint minimizer is x_{2j}, so each odd state is one
-    conditioned minimization from the even state before it:
-    x_{2j+1} = argmin_y V_{2j,2j+1}(x_{2j}, y) + V_{2j+1}(y)
-    = (I + C_{2j} S_{2j+1})^-1 (F x_{2j} + c + C_{2j} v_{2j+1}), with stage
-    2j's C = L U^-1 L' (:func:`_recover`). In exact arithmetic this is the
-    state of the full forward scan, at half its down-sweep.
+    up-sweep. By the principle of optimality each odd state is one step of
+    the control law from the even state before it: with w = F x_{2j} + c,
+    (L'S_{2j+1} L + U) u = L'(v_{2j+1} - S_{2j+1} w) and
+    x_{2j+1} = w + L u, all of stage 2j, solved as the gains' normal matrix
+    is (:func:`_psd_solve`). In exact arithmetic this is the state of the
+    full forward scan, at half its down-sweep. As det(L'S L + U) =
+    det U det(I + C S) for stage 2j's C = L U^-1 L', the normal matrix is
+    singular exactly where I + C S is, and every step raises alike, naming
+    its step.
 
     Values from :func:`parallel_backward` on this same ``p`` (the object
     itself) carry that scan's up-sweep, whose level-1 nodes are the pairs,
@@ -757,11 +723,9 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     start = (np.zeros((n, 0)), p.x0, np.zeros((n, n)), np.zeros(0), np.zeros((0, 0)))
     tree = values.tree
     if tree is not None and tree.problem is p:
-        F, c, C = _stage_dynamics(p, 2)
         (_, b, P, _, _), _ = forward_from_tree(tree.levels, m, start, _combine_element_arrays)
     else:
         stage = _element_arrays(p)
-        F, c, C = (a[::2] for a in stage[:3])
         pairs = _combine_element_arrays(*(tuple(a[i : 2 * m : 2] for a in stage) for i in (0, 1)))
         del stage
         (_, b, P, _, _), _ = par_scan_stacked(
@@ -771,10 +735,19 @@ def traj_method2(p: LqtProblem, values: QuadValue) -> np.ndarray:
     S, v = values.S, values.v
     xs = np.empty((N + 1, n))
     steps = np.arange(p.S, p.T + 1)
-    xs[::2] = _recover(P, S[::2], v[::2], b, steps[::2])
+    what = "trajectory recovery matrix (I + C S) singular"
+    rhs = b + _mv(P, v[::2])
+    lhs = P @ S[::2]
+    lhs += np.eye(n)
     del b, P
-    w = _mv(F, xs[0:N:2]) + c
-    xs[1::2] = _recover(C, S[1::2], v[1::2], w, steps[1::2])
+    xs[::2] = _batched(np.linalg.solve, what, steps[::2], lhs, rhs[..., None])[..., 0]
+    del lhs, rhs
+    L = p.L[::2]
+    w = _mv(p.F[::2], xs[0:N:2]) + p.c[::2]
+    LtS = _t(L) @ S[1::2]
+    rhs = _mv(_t(L), v[1::2]) - _mv(LtS, w)
+    u = _psd_solve(LtS @ L + p.U[::2], rhs[..., None], what, steps[1::2])[..., 0]
+    xs[1::2] = w + _mv(L, u)
     return xs
 
 

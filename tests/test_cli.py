@@ -1,12 +1,17 @@
 """CLI tests: exit codes, output files, cross-backend deviation records."""
 
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tempo_dp import cli, finite_dp, lqt, nonlinear, scenarios
 from tempo_dp.errors import SolverError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_runs(path):
@@ -207,3 +212,24 @@ class TestRunScenario:
         assert calls == want
         assert [r.backend for r in records] == want and list(outputs) == want
         assert all(r.T == 32 for r in records)
+
+
+def cli_args(line, command):
+    """The words after ``command`` on a shell line, ``--out`` and its
+    directory dropped."""
+    words = shlex.split(line.split(command, 1)[1])
+    i = words.index("--out")
+    return tuple(words[:i] + words[i + 2 :])
+
+
+def test_readme_examples_are_ci_runs():
+    # every README example runs in CI, so none of them can rot unseen
+    readme = (ROOT / "README.md").read_text()
+    examples = re.search(r"Examples:\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: README CLI examples", 1)[1].split("- name:", 1)[0]
+    ci = {cli_args(line, "python -m tempo_dp.cli ") for line in step.splitlines()
+          if "python -m tempo_dp.cli " in line}
+    runs = [cli_args(line, "tempo-dp ") for line in examples.splitlines() if line.startswith("tempo-dp ")]
+    assert runs
+    assert [" ".join(args) for args in runs if args not in ci] == []

@@ -798,9 +798,9 @@ class TestStepNaming:
     @pytest.mark.parametrize("s5, singular", [(-3.0, False), (-1.0, True)])
     def test_method2_thin_odd_step_indefinite_value(self, s5, singular):
         # n_x = 2, n_u = 1: stage elements hold Gt = [1, 0], so C = diag(1, 0).
-        # At the odd step 5 the hand-built S = diag(s5, 0) makes
-        # I + Gt S Gt' = 1 + s5 fail its factor; that row is solved by LU,
-        # which raises, naming the step, only where I + C S is singular
+        # At the odd step 5 the hand-built S = diag(s5, 0) makes the normal
+        # matrix G = L'S L + U = 1 + s5 fail its factor; that row is solved
+        # by LU, which raises, naming the step, only where I + C S is singular
         N = 6
         p = lqt.LqtProblem(
             S=10, T=10 + N, x0=[1.0, 2.0],
@@ -808,7 +808,7 @@ class TestStepNaming:
             H=np.tile(np.eye(2), (N, 1, 1)), X=np.zeros((N, 2, 2)), r=np.zeros((N, 2)),
             U=np.ones((N, 1, 1)), HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
         )
-        assert lqt._stage_dynamics(p, 2)[2].shape == (3, 1, 2)
+        assert lqt._element_arrays(p)[2].shape == (6, 1, 2)
         S = np.tile(np.eye(2), (N + 1, 1, 1))
         S[5] = np.diag([s5, 0.0])
         v = np.random.default_rng(27).normal(size=(N + 1, 2))
@@ -855,16 +855,6 @@ class TestStepNaming:
         ):
             with pytest.raises(SolverError, match=match):
                 call()
-
-    def test_even_elements_name_step(self):
-        # Method 2 over carried nodes rebuilds the even stages' (F, c, C)
-        # alone; a failure there still names the step, not the batch row
-        p = random_lqt_problem(np.random.default_rng(23), n_x=3, n_u=2, N=6)
-        U = p.U.copy()
-        U[4] = [[1.0, 2.0], [2.0, 1.0]]
-        bad = replace(p, S=10, T=16, U=U)
-        with pytest.raises(SolverError, match="factorization failed at step 14$"):
-            lqt._stage_dynamics(bad, 2)
 
     @pytest.mark.parametrize("traj_method", [1, 2])
     def test_parallel_solve_factors_u_once(self, traj_method, monkeypatch):
@@ -1121,16 +1111,25 @@ class TestCarriedTree:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 37, 64, 65])
     def test_even_prefixes_and_odd_steps_match_riccati(self, N, n_x, n_u):
         # the even states from the scan over pairs, each odd one from the
-        # even state before it, over the carried tree and on its own
+        # even state before it, over the carried tree and on its own. The
+        # odd step is one step of the control law; it must equal the
+        # dual-form minimization (I + C S) x = F x_2j + c + C v with
+        # C = L U^-1 L', formed here
         p = random_lqt_problem(np.random.default_rng(45 + N), n_x=n_x, n_u=n_u, N=N)
-        assert lqt._factored(lqt._stage_dynamics(p, 2)[2]) == (n_u == 2)
+        assert lqt._factored(lqt._element_arrays(p)[2]) == (n_u == 2)
         ref_values, ref_gains = lqt.riccati_backward(p)
         xs_ref, _ = lqt.closed_loop_rollout(p, ref_values, ref_gains)
         values, _ = lqt.parallel_backward(p)
+        C = p.L @ np.linalg.solve(p.U, np.swapaxes(p.L, -1, -2))
         for vals in (values, lqt.QuadValue(values.S, values.v)):
             xs = lqt.traj_method2(p, vals)
             assert xs.shape == (N + 1, n_x)
             assert np.max(np.abs(xs - xs_ref)) <= 1e-9
+            S, v = vals.S[1::2], vals.v[1::2]
+            rhs = np.einsum("kij,kj->ki", p.F[::2], xs[0:N:2]) + p.c[::2]
+            rhs += np.einsum("kij,kj->ki", C[::2], v)
+            want = np.linalg.solve(np.eye(n_x) + C[::2] @ S, rhs[..., None])[..., 0]
+            assert np.max(np.abs(xs[1::2] - want)) <= 1e-12 * max(1.0, np.max(np.abs(xs)))
 
     def test_zero_horizon(self):
         # N = 0: no pair and no odd step; the state is x0

@@ -24,8 +24,9 @@ from tempo_dp import lqt, scenarios
 # element stacks and up-sweep nodes it holds at once, so a copied stack,
 # a node kept twice or a dense C beside a thin factor shows here first.
 # parallel_backward peaks near 159 MiB (levels 0-3 hold G' in C's slot)
-# and Method 2 over the values and carried nodes near 120 MiB (its scan
-# forms the prefixes of the even steps alone)
+# and Method 2 over the values and carried nodes near 119 MiB (its scan
+# forms the prefixes of the even steps alone, and each odd state is one
+# step of the control law, which reads no stage element)
 p = scenarios.build_mass_spring(16, 4000)
 tracemalloc.start()
 values, _ = lqt.parallel_backward(p)
