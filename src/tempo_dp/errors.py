@@ -1,5 +1,7 @@
 import operator
 
+import numpy as np
+
 
 class SolverError(RuntimeError):
     """Numerical or feasibility failure inside a solver.
@@ -16,3 +18,14 @@ def as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_int_array(value, name: str) -> np.ndarray:
+    """``value`` as an int64 array. An array of any other dtype (floats,
+    2.0 alike, and strings) raises a ValueError naming the field ``name``,
+    unless it is empty: an empty table has no entries, and JSON's ``[]``
+    no dtype."""
+    a = np.asarray(value)
+    if a.size and not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got {a.flat[0].item()!r} (dtype {a.dtype})")
+    return a.astype(np.int64, copy=False)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, as_int
+from .errors import SolverError, as_int, as_int_array
 from .scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
 
 __all__ = [
@@ -91,9 +91,9 @@ class FiniteProblem:
 
     Costs are stored as float64 (integer tables are cast) and must be
     finite or +inf: NaN and -inf are rejected. A table of another shape is
-    rejected, naming the field, and so is a D_x, D_u, S, T or x_S that is
-    not an integer, and D_u < 1: a state without controls has no next
-    state.
+    rejected, naming the field, and so is an f that does not hold integers
+    (floats, 2.0 alike, and strings), a D_x, D_u, S, T or x_S that is not
+    an integer, and D_u < 1: a state without controls has no next state.
     """
 
     D_x: int
@@ -114,9 +114,9 @@ class FiniteProblem:
         if self.D_u < 1:
             raise ValueError(f"need D_u >= 1 controls, got D_u = {self.D_u}")
         table = (n, self.D_x, self.D_u)
-        fields = (("f", np.int64, table), ("ell", np.float64, table), ("ell_T", np.float64, (self.D_x,)))
-        for name, dtype, shape in fields:
-            a = np.asarray(getattr(self, name), dtype=dtype)
+        for name, shape in (("f", table), ("ell", table), ("ell_T", (self.D_x,))):
+            a = getattr(self, name)
+            a = as_int_array(a, name) if name == "f" else np.asarray(a, dtype=np.float64)
             if a.size == 0 == np.prod(shape):
                 a = a.reshape(shape)  # an empty table has no entries to scramble, and JSON's [] no shape
             if a.shape != shape:
@@ -208,10 +208,13 @@ def _gather_min_plus(f: np.ndarray, ell: np.ndarray, B: np.ndarray) -> np.ndarra
 
     Leading axes are batch axes, as in :func:`min_plus_matmul`, whose
     product with the dense element this equals bit for bit. The sums are
-    gathered as s[b, u, x, y] and folded by an elementwise minimum over u,
-    so each step reads a contiguous (x, y) slab. Blocks of the batch, and
-    of u for a product above the budget, keep s within
+    gathered as s[b, u, x, y] and reduced by one min over u, which runs
+    over contiguous (x, y) slabs. Blocks of the batch, and of u under a
+    running minimum for a product above the budget, keep s within
     ``_MIN_PLUS_BUDGET`` elements or one (x, y) slab, whichever is larger.
+    Every table has a width U >= 1 (``FiniteProblem`` requires D_u >= 1,
+    and a composed width is a product of widths), so the first block of u
+    writes every output entry.
     """
     X, U = f.shape[-2:]
     Y = B.shape[-1]
@@ -219,7 +222,7 @@ def _gather_min_plus(f: np.ndarray, ell: np.ndarray, B: np.ndarray) -> np.ndarra
     fu = f.reshape(-1, X, U).swapaxes(1, 2)
     lu = ell.reshape(-1, X, U).swapaxes(1, 2)
     B = B.reshape((-1,) + B.shape[-2:])
-    out = np.full((fu.shape[0], X, Y), np.inf)
+    out = np.empty((fu.shape[0], X, Y))
     ub = max(1, min(U, _MIN_PLUS_BUDGET // max(1, X * Y)))
     nb = max(1, _MIN_PLUS_BUDGET // max(1, ub * X * Y))
     for i in range(0, out.shape[0], nb):
@@ -228,8 +231,10 @@ def _gather_min_plus(f: np.ndarray, ell: np.ndarray, B: np.ndarray) -> np.ndarra
         for k in range(0, U, ub):
             s = B[i : i + nb][rows, fu[i : i + nb, k : k + ub]]
             s += lu[i : i + nb, k : k + ub, :, None]
-            for j in range(s.shape[1]):
-                np.minimum(blk, s[:, j], out=blk)
+            if k == 0:
+                s.min(axis=1, out=blk)
+            else:
+                np.minimum(blk, s.min(axis=1), out=blk)
             del s  # as in min_plus_matmul: free s before the next block's
     return out.reshape(batch + (X, Y))
 
@@ -558,7 +563,7 @@ def problem_from_dict(d: dict) -> FiniteProblem:
         D_u=d["D_u"],
         S=d["S"],
         T=d["T"],
-        f=np.asarray(d["f"], dtype=np.int64) - 1,
+        f=as_int_array(d["f"], "f") - 1,
         ell=_decode_costs(d["ell"]),
         ell_T=_decode_costs(d["ell_T"]),
         x_S=as_int(d["x_S"], "x_S") - 1,

@@ -45,11 +45,9 @@ class NonlinearProblem:
     jac_f_u, jac_h and jac_g are analytic Jacobian providers returning
     (M, ., .) stacks; those left None fall back to central finite
     differences. The terminal maps hT(x) and jac_hT(x) take one point.
+    The sizes n_x, n_u and n_r are read from x0, U and X.
     """
 
-    n_x: int
-    n_u: int
-    n_r: int
     x0: np.ndarray
     f: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     h: Callable[[int, np.ndarray], np.ndarray]
@@ -70,6 +68,18 @@ class NonlinearProblem:
     @property
     def N(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def n_x(self) -> int:
+        return np.shape(self.x0)[0]
+
+    @property
+    def n_u(self) -> int:
+        return self.U.shape[-1]
+
+    @property
+    def n_r(self) -> int:
+        return self.X.shape[-1]
 
 
 @dataclass(frozen=True)

@@ -294,7 +294,7 @@ def build_unicycle(T: int, seed: int = 0) -> NonlinearProblem:
     speed0 = float(np.linalg.norm(seg[0]) / (10 * dt))
     x0 = np.array([pos[0, 0], pos[0, 1], theta[0], speed0])
     return NonlinearProblem(
-        n_x=4, n_u=2, n_r=3, x0=x0, f=f, h=h,
+        x0=x0, f=f, h=h,
         X=X, U=np.repeat(np.diag([1.0, 100.0])[None], T, axis=0),
         r=r, s=np.zeros((T, 2)),
         hT=lambda x: H3 @ x, XT=XT, rT=rT,

@@ -7,13 +7,36 @@ implementations.
 
 import csv
 import itertools
+import re
+import shlex
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from tempo_dp import lqt
 from tempo_dp.finite_dp import FiniteProblem
 from tempo_dp.lqt import LqtProblem
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """The argv of each ``tempo-dp`` line in README's Examples block, its
+    ``--out`` and directory dropped: the repository's one list of CLI
+    runs. The block holds only such lines and ``#`` lines, which give
+    the reason for the run below them."""
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("#"):
+            continue
+        if not line.startswith("tempo-dp "):
+            raise ValueError(f"README Examples: not a tempo-dp run or a # line: {line!r}")
+        words = shlex.split(line)[1:]
+        i = words.index("--out")
+        runs.append(words[:i] + words[i + 2 :])
+    return runs
 
 
 def random_finite_problem(rng, D_x=4, D_u=3, N=8, dtype=np.int64, inf_frac=0.0, cost_max=9):

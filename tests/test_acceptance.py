@@ -247,7 +247,7 @@ def test_criterion_8_nonlinear_ilqt():
         )
 
     npb = nl.NonlinearProblem(
-        n_x=3, n_u=2, n_r=lp.n_r, x0=lp.x0, f=f,
+        x0=lp.x0, f=f,
         h=lambda k, x: np.einsum("kij,kj->ki", lp.H[k], x),
         X=lp.X.copy(), U=lp.U.copy(), r=lp.r.copy(), s=np.zeros((12, 2)),
         hT=lambda x: lp.HT @ x, XT=lp.XT.copy(), rT=lp.rT.copy(),

@@ -1,17 +1,15 @@
 """CLI tests: exit codes, output files, cross-backend deviation records."""
 
 import csv
+import math
 import re
-import shlex
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import README, readme_cli_examples
 from tempo_dp import cli, finite_dp, lqt, nonlinear, scenarios
 from tempo_dp.errors import SolverError
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_runs(path):
@@ -214,22 +212,29 @@ class TestRunScenario:
         assert all(r.T == 32 for r in records)
 
 
-def cli_args(line, command):
-    """The words after ``command`` on a shell line, ``--out`` and its
-    directory dropped."""
-    words = shlex.split(line.split(command, 1)[1])
-    i = words.index("--out")
-    return tuple(words[:i] + words[i + 2 :])
+@pytest.mark.parametrize("argv", readme_cli_examples(),
+                         ids=lambda argv: "-".join(word.lstrip("-") for word in argv))
+def test_readme_example(argv, tmp_path):
+    # each README example is a --backend both run; its two rows must agree
+    # and report the combine trees of a chain and of the scan
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    rows = {row["backend"]: row for row in read_runs(tmp_path / "runs.csv")}
+    assert sorted(rows) == ["parallel", "sequential"]
+    bound = 0.0 if argv[0] == "routing" else 1e-6  # routing is exact
+    for row in rows.values():
+        assert float(row["max_seq_par_deviation"]) <= bound  # also fails on NaN
+    B = int(argv[argv.index("--block-size") + 1]) if "--block-size" in argv else 1
+    n = int(rows["sequential"]["T"]) // B  # the steps the backward pass covers
+    # the sequential pass is n combines in a chain; the scan's tree makes
+    # 2n - popcount(n) of them, at most 2 ceil(log2(n + 1)) + 1 deep
+    seq, par = ((int(rows[be]["combine_count"]), int(rows[be]["combine_depth"]))
+                for be in ("sequential", "parallel"))
+    assert seq == (n, n)
+    assert par[0] == 2 * n - bin(n).count("1")
+    assert 0 < par[1] <= 2 * math.ceil(math.log2(n + 1)) + 1
 
 
-def test_readme_examples_are_ci_runs():
-    # every README example runs in CI, so none of them can rot unseen
-    readme = (ROOT / "README.md").read_text()
-    examples = re.search(r"Examples:\n\n```sh\n(.*?)```", readme, re.S).group(1)
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    step = workflow.split("- name: README CLI examples", 1)[1].split("- name:", 1)[0]
-    ci = {cli_args(line, "python -m tempo_dp.cli ") for line in step.splitlines()
-          if "python -m tempo_dp.cli " in line}
-    runs = [cli_args(line, "tempo-dp ") for line in examples.splitlines() if line.startswith("tempo-dp ")]
-    assert runs
-    assert [" ".join(args) for args in runs if args not in ci] == []
+def test_readme_library_sketch():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md (library sketch)", "exec"), {"__name__": "__main__"})

@@ -78,6 +78,13 @@ class TestFiniteProblem:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
             fd.FiniteProblem(f=p.f, ell=p.ell, ell_T=p.ell_T, **fields)
 
+    @pytest.mark.parametrize("f", [[[[1.7], [0.2]]], [[[1.0], [0.0]]], [[["1"], ["0"]]]],
+                             ids=["fractional", "integral-float", "string"])
+    def test_non_integer_next_states_rejected(self, f):
+        # an int64 cast would store 1.7 as 1 and parse "1" as 1
+        with pytest.raises(ValueError, match=r"^f must hold integers, got "):
+            fd.FiniteProblem(D_x=2, D_u=1, S=0, T=1, f=f, ell=[[[0.0], [0.0]]], ell_T=[0.0, 0.0], x_S=0)
+
     def test_numpy_integers_stored_as_int(self):
         p = two_state_problem()
         q = fd.FiniteProblem(D_x=np.int64(2), D_u=np.int32(2), S=np.int64(0), T=np.uint8(1), f=p.f, ell=p.ell,
@@ -1211,6 +1218,18 @@ class TestJsonInterchange:
         d[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             fd.problem_from_dict(d)
+
+    @pytest.mark.parametrize("f", [[[[1.5], [2.9]]], [[[2.0], [1.0]]], [[["2"], ["1"]]]],
+                             ids=["fractional", "integral-float", "string"])
+    def test_non_integer_next_states_in_file_rejected(self, f, tmp_path):
+        p = fd.FiniteProblem(D_x=2, D_u=1, S=0, T=1, f=[[[1], [0]]], ell=[[[0.0], [0.0]]],
+                             ell_T=[0.0, 0.0], x_S=0)
+        d = fd.problem_to_dict(p)
+        assert d["f"] == [[[2], [1]]]
+        d["f"] = f
+        (tmp_path / "f.json").write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=r"^f must hold integers, got "):
+            fd.load_problem(tmp_path / "f.json")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     @pytest.mark.parametrize("name", ["ell", "ell_T"])

@@ -3,10 +3,11 @@
 scipy is a test-only extra (the reference matrix exponential in
 test_scenarios.py). The pytest process has scipy loaded already, so each
 runtime check runs in a fresh interpreter whose import system refuses
-scipy and records every attempt, and reports back as JSON: the CLI runs,
-the mass_spring builder, both solve backends and the dense KKT oracle all
-run there. The declared dependencies are checked against the package's
-imports, read from its source.
+scipy and records every attempt, and reports back as JSON: every CLI
+example in README (``helpers.readme_cli_examples``), the mass_spring
+builder, both solve backends and the dense KKT oracle all run there. The
+declared dependencies are checked against the package's imports, read
+from its source.
 """
 
 import ast
@@ -19,16 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import readme_cli_examples
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-
-CLI_RUNS = [
-    ["tracking2d", "--T", "100", "--traj-method", "1"],
-    ["tracking2d", "--T", "128", "--block-size", "8"],
-    ["routing", "--T", "64", "--Dx", "5", "--traj-method", "2"],
-    ["unicycle", "--T", "50", "--iters", "3"],
-    ["mass_spring", "--T", "50", "--N", "4", "--traj-method", "2"],
-]
 
 PRELUDE = """
 import json, sys, tempfile
@@ -57,7 +52,7 @@ CLI_AND_ORACLE = PRELUDE + """
 from tempo_dp import cli, lqt, scenarios
 with tempfile.TemporaryDirectory() as out:
     report["exit_codes"] = [
-        cli.main(args + ["--backend", "both", "--out", f"{out}/{i}"])
+        cli.main(args + ["--out", f"{out}/{i}"])
         for i, args in enumerate(json.loads(sys.argv[1]))
     ]
 p = scenarios.build_tracking2d(20)
@@ -94,8 +89,9 @@ def run_child(script, *args):
 
 
 def test_cli_runs_and_kkt_oracle_with_scipy_blocked():
-    report = run_child(CLI_AND_ORACLE, json.dumps(CLI_RUNS))
-    assert report["exit_codes"] == [0] * len(CLI_RUNS)
+    runs = readme_cli_examples()
+    report = run_child(CLI_AND_ORACLE, json.dumps(runs))
+    assert report["exit_codes"] == [0] * len(runs)
     assert report["kkt_dev"] <= 1e-7
     assert report["scipy"] == NO_SCIPY
 

@@ -36,7 +36,7 @@ def linear_as_nonlinear(p: lqt.LqtProblem, g_scale: float | None = None) -> nl.N
         U = U / g_scale**2
 
     return nl.NonlinearProblem(
-        n_x=p.n_x, n_u=p.n_u, n_r=p.n_r, x0=p.x0, f=f, h=h,
+        x0=p.x0, f=f, h=h,
         X=p.X.copy(), U=U, r=p.r.copy(), s=np.zeros((p.N, p.n_u)),
         hT=lambda x: p.HT @ x, XT=p.XT.copy(), rT=p.rT.copy(), g=g,
     )
