@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, as_int, as_int_array
+from .errors import SolverError, as_float_array, as_int, as_int_array
 from .scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
 
 __all__ = [
@@ -90,10 +90,12 @@ class FiniteProblem:
     ell_T: (D_x,) terminal costs, finite for at least one state.
 
     Costs are stored as float64 (integer tables are cast) and must be
-    finite or +inf: NaN and -inf are rejected. A table of another shape is
-    rejected, naming the field, and so is an f that does not hold integers
-    (floats, 2.0 alike, and strings), a D_x, D_u, S, T or x_S that is not
-    an integer, and D_u < 1: a state without controls has no next state.
+    finite or +inf: NaN and -inf are rejected, and so are cost tables that
+    hold no numbers (strings, "inf" among them: only problem files spell
+    +inf so). A table of another shape is rejected, naming the field, and
+    so is an f that does not hold integers (floats, 2.0 alike, and
+    strings), a D_x, D_u, S, T or x_S that is not an integer, and D_u < 1:
+    a state without controls has no next state.
     """
 
     D_x: int
@@ -116,7 +118,7 @@ class FiniteProblem:
         table = (n, self.D_x, self.D_u)
         for name, shape in (("f", table), ("ell", table), ("ell_T", (self.D_x,))):
             a = getattr(self, name)
-            a = as_int_array(a, name) if name == "f" else np.asarray(a, dtype=np.float64)
+            a = as_int_array(a, name) if name == "f" else as_float_array(a, name)
             if a.size == 0 == np.prod(shape):
                 a = a.reshape(shape)  # an empty table has no entries to scramble, and JSON's [] no shape
             if a.shape != shape:

@@ -40,6 +40,17 @@ C on the level where it stops being thin. mass_spring with n_x = 32 and
 n_u = 2 has four thin levels, n_x = 4 with n_u = 2 one; Method 2's
 prefixes have full-rank C, and their combine forms a thin node's C.
 
+Where the model is the same at every step, every up-sweep node of a level
+covers the same 2^L-step window, so the nodes of a level share A, C and J
+and differ only in b and eta, through c and r (the sharing of the doubling
+algorithm for time-invariant Riccati equations; Anderson 1978,
+"Second-order convergent algorithms for the steady-state Riccati
+equation", Int. J. Control). The data decide it, as the rank decides
+thinness: a stage field equal at every step is one stride-0 row, and a
+combine whose matrix operands all are forms them once (see
+:func:`_element_arrays`, :func:`_combine_element_arrays`). The
+down-sweeps' outputs stay full, since every S_k and every prefix differs.
+
 Every combine passes a conditioning gate: it raises once the 1-norm
 condition number of Z passes COND_LIMIT. A whole tree level is first
 certified from a few largest entries, n_x^2 max|Z| max|Z^-1| (on a thin
@@ -75,7 +86,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SolverError, as_int
+from .errors import SolverError, as_int, check_shape
 from .scan import ScanDirection, ScanStats, forward_from_tree, par_scan_stacked
 from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patches lqt.par_scan)
 
@@ -200,13 +211,7 @@ class LqtProblem:
             if a is None and optional:
                 continue
             a = np.asarray(a, dtype=np.float64)
-            if a.ndim == len(shape):
-                for dim, size in zip(shape, a.shape):
-                    dims.setdefault(dim, size)
-            expected = tuple(dims.get(dim, dim) for dim in shape)
-            if a.shape != expected:
-                want = str(expected).replace("'", "")  # a dimension not yet sized stays a name
-                raise ValueError(f"{name} has shape {a.shape}, expected {want}")
+            check_shape(name, a.shape, shape, dims)
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, a)
@@ -439,7 +444,19 @@ def _combine_element_arrays(e1, e2):
     with K = H' A2', P = A1 - H (H' J2 A1), W (b1 + C1 eta2) = A2 b1 +
     K' H' (eta2 - J2 b1) and W C1 A2' + C2 = Gt'Gt for Gt = [K; Gt2], which
     the output holds while it stays thin, and C = sym(Gt'Gt) once it does not.
+
+    When all six matrix operands (A, C or Gt, and J of both inputs) are
+    stride-0 stacks, every pair has the same ones (:func:`_element_arrays`
+    forms such stacks for a time-invariant model): the matrix products run
+    once, on row 0, the vector products broadcast against the batched b
+    and eta, and A, C and J come back as stride-0 stacks, so the sharing
+    carries up the tree. Any other mix of operands runs batched as it is,
+    stride-0 views broadcasting like any other.
     """
+    shared = all(a.ndim > 2 and len(a) > 1 and a.strides[0] == 0 for e in (e1, e2) for a in e[::2])
+    if shared:  # every pair has the same A, C and J: their products run on row 0
+        n = len(e1[0])
+        e1, e2 = (tuple(a if i % 2 else a[:1] for i, a in enumerate(e)) for e in (e1, e2))
     A1, b1, C1, eta1, J1 = e1
     A2, b2, C2, eta2, J2 = e2
     m, k = A2.shape[-2], A1.shape[-1]  # the output maps R^k to R^m
@@ -469,6 +486,8 @@ def _combine_element_arrays(e1, e2):
         b, C = b2, C2  # empty, of the output's shapes
     eta, J = _eta_J(P, e1, eta2, J2) if k else (eta1, J1)  # likewise
     A = A2 @ P if m and k else np.empty(A2.shape[:-1] + (k,))
+    if shared:
+        A, C, J = (np.broadcast_to(a, (n,) + a.shape[1:]) for a in (A, C, J))
     return A, b, C, eta, J
 
 
@@ -534,21 +553,39 @@ def _element_arrays(p: LqtProblem):
 
     Stage k: (F_k, c_k, G_k G_k', H_k'X_k r_k, H_k'X_k H_k) with
     G_k = L_k R_k^-T and U_k = R_k R_k', so that C_k = L_k U_k^-1 L_k'.
-    A and b are p.F and p.c themselves, which the scans only read. While G
-    is thin (:func:`_thin`) slot 2 holds Gt = G' (N, n_u, n_x) in place of C.
+    A and b are p.F and p.c themselves (or views of them), which the scans
+    only read. While G is thin (:func:`_thin`) slot 2 holds Gt = G'
+    (N, n_u, n_x) in place of C.
+
+    A matrix field whose inputs are equal at every step (A where F is, C or
+    Gt where L and U are, J where H and X are) is formed from row 0 alone
+    and comes back as a read-only stride-0 ``np.broadcast_to`` stack of
+    that row; b and eta stay batched, so a fixed model that tracks a moving
+    reference shares too. :func:`_combine_element_arrays` keeps the sharing.
     """
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
-    C = _forward_sub(_control_factor(p.U, p.S), _t(p.L))  # Gt = G'
+
+    def one_row(*stacks):  # row 0 alone where every row equals it (LqtProblem admits no NaN)
+        same = all(len(a) > 1 and (a == a[:1]).all() for a in stacks)
+        return tuple(a[:1] for a in stacks) if same else stacks
+
+    def stacked(a):  # a field formed from row 0, as a stride-0 stack
+        return a if len(a) == p.N else np.broadcast_to(a, (p.N,) + a.shape[1:])
+
+    A = stacked(*one_row(p.F))
+    L, U = one_row(p.L, p.U)
+    C = _forward_sub(_control_factor(U, p.S), _t(L))  # Gt = G'
     if not _thin(p.n_x, p.n_u):
         C = _t(C) @ C
         _symmetrize(C)
-    HtX = _t(p.H) @ p.X
+    H, X = one_row(p.H, p.X)
+    HtX = _t(H) @ X
     eta = _mv(HtX, p.r)
-    J = HtX @ p.H
+    J = HtX @ H
     del HtX  # before the symmetrization below copies a whole stack
     _symmetrize(J)
-    return p.F, p.c, C, eta, J
+    return A, p.c, stacked(C), eta, stacked(J)
 
 
 def _terminal(p: LqtProblem):

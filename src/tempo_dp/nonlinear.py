@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, check_shape
 from . import lqt
 
 __all__ = [
@@ -33,6 +33,21 @@ __all__ = [
 _FD_STEP = 1e-6
 
 
+# NonlinearProblem's arrays and their shapes in dimension names: each
+# dimension takes its size from the first array that has it (n_g, the
+# control outputs, are as many as the controls, and n_rT counts the terminal
+# outputs).
+_SHAPES = (
+    ("x0", ("n_x",)),
+    ("X", ("N", "n_r", "n_r")),
+    ("U", ("N", "n_u", "n_u")),
+    ("r", ("N", "n_r")),
+    ("s", ("N", "n_u")),
+    ("XT", ("n_rT", "n_rT")),
+    ("rT", ("n_rT",)),
+)
+
+
 @dataclass(frozen=True)
 class NonlinearProblem:
     """Nonlinear dynamics/output tracking problem over N steps.
@@ -45,7 +60,9 @@ class NonlinearProblem:
     jac_f_u, jac_h and jac_g are analytic Jacobian providers returning
     (M, ., .) stacks; those left None fall back to central finite
     differences. The terminal maps hT(x) and jac_hT(x) take one point.
-    The sizes n_x, n_u and n_r are read from x0, U and X.
+    The sizes n_x, n_u and n_r are read from x0, U and X, and the horizon N
+    from X. An array of another shape than ``_SHAPES`` gives it raises a
+    ValueError naming the first such field.
     """
 
     x0: np.ndarray
@@ -64,6 +81,11 @@ class NonlinearProblem:
     jac_h: Callable | None = None
     jac_g: Callable | None = None
     jac_hT: Callable | None = None
+
+    def __post_init__(self):
+        dims = {}
+        for name, shape in _SHAPES:
+            check_shape(name, np.shape(getattr(self, name)), shape, dims)
 
     @property
     def N(self) -> int:

@@ -177,7 +177,8 @@ def _sweep_reverse(
 
     Consumes the up-sweep ``levels`` from the top. With ``tree`` a list,
     each level from 1 up leaves a contiguous copy of its even nodes there
-    (level 1 first) before it is dropped.
+    (level 1 first) before it is dropped; an array whose rows are one
+    shared row (leading stride 0) stays a view of it.
     """
     out, dout = _outputs(s, n, n)
     for L, lv in enumerate(levels):  # the end of each odd-sized level, bottom up
@@ -202,7 +203,8 @@ def _sweep_reverse(
             dv[1 : 2 * m : 2] = np.maximum(dv[2 : 2 * m + 1 : 2], L) + 1
             stats.combine_count += m
         if tree is not None and L:
-            tree.insert(0, tuple(np.ascontiguousarray(a[::2]) for a in lv))
+            evens = (a[::2] for a in lv)
+            tree.insert(0, tuple(a if a.strides[0] == 0 else np.ascontiguousarray(a) for a in evens))
     stats.combine_depth = int(dout.max())
     return out
 
@@ -261,7 +263,8 @@ def par_scan_stacked(
 
     ``tree``, a list, asks a REVERSE scan from ``start`` to leave the
     up-sweep's even nodes of levels 1, 2, ... in it, one contiguous stack
-    per level, for :func:`forward_from_tree` over the same elements.
+    per level (a stride-0 one stays a view), for :func:`forward_from_tree`
+    over the same elements.
     """
     n = int(arrays[0].shape[0])
     if any(int(x.shape[0]) != n for x in arrays[1:]):

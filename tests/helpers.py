@@ -111,8 +111,12 @@ def make_psd(rng, n, scale=0.4, ridge=0.0):
     return G @ G.T + ridge * np.eye(n)
 
 
-def random_lqt_problem(rng, n_x=4, n_u=2, N=8, cross=False, n_r=None, s_ref=False):
-    """Well-conditioned random tracking problem (stable-ish dynamics)."""
+def random_lqt_problem(rng, n_x=4, n_u=2, N=8, cross=False, n_r=None, s_ref=False, time_invariant=False):
+    """Well-conditioned random tracking problem (stable-ish dynamics).
+
+    With ``time_invariant`` the first step's F, L, H, X, U (and M) repeat at
+    every step, while c, r (and s) are still drawn per step: the same draws
+    as without it, step 0 copied over the model."""
     n_r = n_x if n_r is None else n_r
     F = rng.normal(size=(N, n_x, n_x)) * (0.5 / np.sqrt(n_x)) + 0.4 * np.eye(n_x)
     L = rng.normal(size=(N, n_x, n_u)) * 0.7
@@ -131,6 +135,9 @@ def random_lqt_problem(rng, n_x=4, n_u=2, N=8, cross=False, n_r=None, s_ref=Fals
         X = X + 0.5 * np.broadcast_to(np.eye(n_r), (N, n_r, n_r))
     elif s_ref:
         s = rng.normal(size=(N, n_u)) * 0.5
+    if time_invariant:
+        F, L, H, X, U = (np.repeat(a[:1], N, axis=0) for a in (F, L, H, X, U))
+        M = None if M is None else np.repeat(M[:1], N, axis=0)
     return LqtProblem(
         S=0, T=N, x0=rng.normal(size=n_x),
         F=F, c=c, L=L, H=H, X=X, r=r, U=U,

@@ -85,6 +85,19 @@ class TestFiniteProblem:
         with pytest.raises(ValueError, match=r"^f must hold integers, got "):
             fd.FiniteProblem(D_x=2, D_u=1, S=0, T=1, f=f, ell=[[[0.0], [0.0]]], ell_T=[0.0, 0.0], x_S=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("ell", [[["5"], ["1e300000"]]]), ("ell_T", ["0", " 1.5 "]), ("ell", [[["inf"], [0.0]]]),
+         ("ell", [[[True], [False]]]), ("ell_T", [None, 0.0])],
+        ids=["numeric-strings", "padded-strings", "inf-string", "booleans", "none"],
+    )
+    def test_non_numeric_costs_rejected(self, name, value):
+        # a float64 cast would parse "1e300000" as inf and " 1.5 " as 1.5,
+        # where problem files admit no string but "inf"
+        tables = {"ell": [[[0.0], [0.0]]], "ell_T": [0.0, 0.0], name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must hold numbers, got "):
+            fd.FiniteProblem(D_x=2, D_u=1, S=0, T=1, f=[[[1], [0]]], x_S=0, **tables)
+
     def test_numpy_integers_stored_as_int(self):
         p = two_state_problem()
         q = fd.FiniteProblem(D_x=np.int64(2), D_u=np.int32(2), S=np.int64(0), T=np.uint8(1), f=p.f, ell=p.ell,

@@ -1174,6 +1174,131 @@ class TestCarriedTree:
         assert lqt.riccati_backward(p)[0].tree is None
 
 
+def materialized(monkeypatch):
+    """From here on lqt._element_arrays returns full C-ordered copies of its
+    stacks, the layout of stacks formed row by row, so no stage field and
+    no node is a stride-0 stack. (np.array would copy a stride-0 stack
+    with its step axis innermost, and BLAS may round such operands
+    differently.)"""
+    shared = lqt._element_arrays
+    monkeypatch.setattr(lqt, "_element_arrays", lambda p: tuple(np.ascontiguousarray(a) for a in shared(p)))
+
+
+def parallel_outputs(p):
+    """Everything the parallel path computes for p, by name."""
+    values, gains, stats = lqt.parallel_backward(p, return_stats=True)
+    xs1 = lqt.traj_method1(p, gains, values)
+    return {
+        "S": values.S, "v": values.v, "K": gains.K, "Kv": gains.Kv, "Kc": gains.Kc,
+        "tree": values.tree.levels,
+        "method1": xs1,
+        "method2": lqt.traj_method2(p, values),
+        "method2_riccati": lqt.traj_method2(p, lqt.riccati_backward(p)[0]),
+        "controls": lqt.controls_along(p, values, gains, xs1),
+        "stats": (stats.combine_count, stats.combine_depth),
+    }
+
+
+def shared_fields(p):
+    """Which of the stage elements' A, C and J are stride-0 stacks."""
+    A, _, C, _, J = lqt._element_arrays(p)
+    return "".join(name for name, a in zip("ACJ", (A, C, J)) if a.strides[0] == 0)
+
+
+def gate_problem(n_u, N=6):
+    """The same step N times: state 0 nearly free to control and heavily
+    weighted, so every I + C J of the up-sweep's first level has condition
+    above 1e13 (n_u = 1 takes the thin path, n_u = 2 the dense one)."""
+    L = np.eye(2)[:, :n_u]
+    return lqt.LqtProblem(
+        S=0, T=N, x0=[1.0, 0.0],
+        F=np.tile(np.eye(2), (N, 1, 1)), c=np.zeros((N, 2)), L=np.tile(L, (N, 1, 1)),
+        H=np.tile(np.eye(2), (N, 1, 1)), X=np.tile(np.diag([1e7, 1.0]), (N, 1, 1)),
+        r=np.zeros((N, 2)), U=np.tile(np.diag([1e-7, 1.0])[:n_u, :n_u], (N, 1, 1)),
+        HT=np.eye(2), XT=np.eye(2), rT=np.zeros(2),
+    )
+
+
+class TestTimeInvariantStages:
+    """A stage field equal at every step is one stride-0 row, and a level
+    whose A, C and J all are combines once. Nothing else may change: every
+    output equals that of the same solve over materialized stacks, bit for
+    bit."""
+
+    @pytest.mark.parametrize(
+        "build, shared",
+        [(lambda: build_mass_spring(16, 64), "ACJ"),
+         (lambda: random_lqt_problem(np.random.default_rng(60), n_x=4, n_u=1, N=65, time_invariant=True),
+          "ACJ"),
+         (lambda: build_tracking2d(200), "AC")],
+        ids=["mass_spring", "moving_reference", "tracking2d"],
+    )
+    def test_outputs_equal_materialized(self, build, shared, monkeypatch):
+        p = build()
+        assert shared_fields(p) == shared
+        got = parallel_outputs(p)
+        # a shared level stays shared up the tree (a one-node level is
+        # formed from length-1 operands and is a plain array)
+        for level in got["tree"]:
+            assert len(level[0]) == 1 or ((level[4].strides[0] == 0) == ("J" in shared))
+        materialized(monkeypatch)
+        assert shared_fields(p) == ""
+        want = parallel_outputs(p)
+        for name in want:
+            if name == "tree":
+                assert len(got[name]) == len(want[name])
+                for level, full in zip(got[name], want[name]):
+                    for a, b in zip(level, full):
+                        assert a.shape == b.shape and np.array_equal(a, b), name
+            else:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_one_differing_step_builds_full_stacks(self):
+        p = build_mass_spring(4, 64)
+        X = p.X.copy()
+        X[17] *= 2
+        q = replace(p, X=X)
+        assert shared_fields(p) == "ACJ" and shared_fields(q) == "AC"
+        ref_values, ref_gains = lqt.riccati_backward(q)
+        xs_ref, _ = lqt.closed_loop_rollout(q, ref_values, ref_gains)
+        values, gains = lqt.parallel_backward(q)
+        assert max_value_dev(values, ref_values) <= 1e-9
+        for xs in (lqt.traj_method1(q, gains, values), lqt.traj_method2(q, values)):
+            assert np.max(np.abs(xs - xs_ref)) <= 1e-9
+
+    @pytest.mark.parametrize("n_u", [1, 2], ids=["thin", "dense"])
+    def test_gate_fires_on_shared_level(self, n_u, monkeypatch):
+        p = gate_problem(n_u)
+        assert shared_fields(p) == "ACJ"
+        lqt.riccati_backward(p)
+        with pytest.raises(SolverError, match="^ill-conditioned combine") as shared:
+            lqt.parallel_backward(p)
+        materialized(monkeypatch)
+        with pytest.raises(SolverError) as full:
+            lqt.parallel_backward(p)
+        assert str(shared.value) == str(full.value)
+
+    @pytest.mark.parametrize("traj_method", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2, 5, 37, 64])
+    @pytest.mark.parametrize("n_x, n_u", [(4, 1), (3, 2), (8, 2)])
+    @pytest.mark.parametrize("cross", [False, True], ids=["standard", "cross"])
+    def test_random_draws_match_sequential(self, cross, n_x, n_u, N, traj_method):
+        # the tolerances of acceptance criteria 2 and 3. Widths: n_u = 1 of
+        # n_x = 4 is thin on levels 0 and 1, 2 of 3 on level 0 alone, and 2
+        # of 8 on levels 0 and 1; each turns dense on the level above
+        rng = np.random.default_rng(80 + N)
+        p = random_lqt_problem(rng, n_x=n_x, n_u=n_u, N=N, cross=cross, time_invariant=True)
+        std = lqt.transform_general_cost(p)[0]
+        assert shared_fields(std) == ("ACJ" if N > 1 else "")
+        ref_values, _ = lqt.riccati_backward(std)
+        values, _ = lqt.parallel_backward(std)
+        assert max_value_dev(values, ref_values) <= 1e-9
+        xs_ref, us_ref, _ = lqt.solve(p, "sequential")
+        xs, us, _ = lqt.solve(p, "parallel", traj_method)
+        np.testing.assert_allclose(xs, xs_ref, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(us, us_ref, rtol=0, atol=1e-7)
+
+
 def rel_dev(a, b):
     """Largest deviation of a from b, relative to b's largest entry."""
     return float(np.abs(a - b).max() / np.abs(b).max())

@@ -18,16 +18,15 @@ SRC = TESTS.parent / "src"
 
 LQT_GUARD = """
 import sys, tracemalloc
+import numpy as np
+from dataclasses import replace
 from helpers import max_value_dev
 from tempo_dp import lqt, scenarios
 # n_x = 32, T = 4000: the backward pass's traced memory grows with the
 # element stacks and up-sweep nodes it holds at once, so a copied stack,
 # a node kept twice or a dense C beside a thin factor shows here first.
-# parallel_backward peaks near 159 MiB (levels 0-3 hold G' in C's slot)
-# and Method 2 over the values and carried nodes near 119 MiB (its scan
-# forms the prefixes of the even steps alone, and each odd state is one
-# step of the control law, which reads no stage element)
 p = scenarios.build_mass_spring(16, 4000)
+{problem}
 tracemalloc.start()
 values, _ = lqt.parallel_backward(p)
 peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
@@ -38,17 +37,35 @@ tracemalloc.stop()
 ref_values, ref_gains = lqt.riccati_backward(p)
 dev = max_value_dev(values, ref_values)
 if not dev <= 1e-9:  # also catches NaN
-    sys.exit(f"parallel_backward: S, v differ from riccati_backward by {dev:.3e} > 1e-9")
-if not peak_mb < 190:
-    sys.exit(f"parallel_backward traced peak {peak_mb:.1f} MiB >= 190 MiB")
+    sys.exit(f"parallel_backward: S, v differ from riccati_backward by {{dev:.3e}} > 1e-9")
+if not peak_mb < {peak}:
+    sys.exit(f"parallel_backward traced peak {{peak_mb:.1f}} MiB >= {peak} MiB")
 xs_dev = float(abs(xs - lqt.closed_loop_rollout(p, ref_values, ref_gains)[0]).max())
 if not xs_dev <= 1e-9:
-    sys.exit(f"traj_method2: states differ from the Riccati rollout by {xs_dev:.3e} > 1e-9")
-if not m2_peak_mb < 144:
-    sys.exit(f"traj_method2 traced peak {m2_peak_mb:.1f} MiB >= 144 MiB")
-print(f"LQT n_x=32 T=4000: S, v within {dev:.1e} of Riccati, traced peak {peak_mb:.1f} MiB < 190 MiB; "
-      f"Method-2 states within {xs_dev:.1e} of the rollout, traced peak {m2_peak_mb:.1f} MiB < 144 MiB")
+    sys.exit(f"traj_method2: states differ from the Riccati rollout by {{xs_dev:.3e}} > 1e-9")
+if not m2_peak_mb < {m2_peak}:
+    sys.exit(f"traj_method2 traced peak {{m2_peak_mb:.1f}} MiB >= {m2_peak} MiB")
+print(f"LQT n_x=32 T=4000: S, v within {{dev:.1e}} of Riccati, traced peak {{peak_mb:.1f}} MiB < {peak} MiB; "
+      f"Method-2 states within {{xs_dev:.1e}} of the rollout, traced peak {{m2_peak_mb:.1f}} MiB < {m2_peak} MiB")
 """
+
+# The model is the same at every step, so the stage elements' A, C and J
+# are stride-0 stacks of one row, and so are the nodes of every up-sweep
+# level: parallel_backward peaks near 90 MiB and Method 2 near 83 MiB. A
+# stride-0 stack materialized along the way (a 4000-step J alone is
+# 31 MiB) crosses these bounds.
+LQT_TIME_INVARIANT = LQT_GUARD.format(problem="", peak=100, m2_peak=92)
+
+# X and U scaled per step, so that C and J are full per-step stacks (A is
+# still shared): parallel_backward peaks near 159 MiB (levels 0-3 hold G'
+# in C's slot) and Method 2 over the values and carried nodes near 119 MiB
+# (its scan forms the prefixes of the even steps alone, and each odd state
+# is one step of the control law, which reads no stage element)
+LQT_TIME_VARYING = LQT_GUARD.format(
+    problem="w = 1 + 0.5 * np.sin(np.arange(p.N))[:, None, None]\np = replace(p, X=p.X * w, U=p.U * (2 - w))",
+    peak=190,
+    m2_peak=144,
+)
 
 FINITE_DP_GUARD = """
 import resource, sys
@@ -76,7 +93,9 @@ print(f"finite-DP D_x=63 T=1024: V, Method-1 and Method-2 states and costs equal
 """
 
 
-@pytest.mark.parametrize("script", [LQT_GUARD, FINITE_DP_GUARD], ids=["lqt", "finite_dp"])
+@pytest.mark.parametrize(
+    "script", [LQT_TIME_INVARIANT, LQT_TIME_VARYING, FINITE_DP_GUARD], ids=["lqt", "lqt_time_varying", "finite_dp"]
+)
 def test_memory_guard(script):
     path = os.pathsep.join([str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}

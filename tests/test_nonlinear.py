@@ -1,6 +1,7 @@
 """Iterated-linearization tests: Taylor exactness on linear systems,
 finite-difference fallback, backend equivalence, fixed-point behavior."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,25 @@ def linear_as_nonlinear(p: lqt.LqtProblem, g_scale: float | None = None) -> nl.N
         X=p.X.copy(), U=U, r=p.r.copy(), s=np.zeros((p.N, p.n_u)),
         hT=lambda x: p.HT @ x, XT=p.XT.copy(), rT=p.rT.copy(), g=g,
     )
+
+
+class TestProblemShapes:
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda p: {"r": p.r[:12]}, "r has shape (12, 3), expected (20, 3)"),
+         (lambda p: {"s": np.zeros((15, 2))}, "s has shape (15, 2), expected (20, 2)"),
+         (lambda p: {"s": np.zeros((20, 3))}, "s has shape (20, 3), expected (20, 2)"),
+         (lambda p: {"X": p.X[:, :, :2]}, "X has shape (20, 3, 2), expected (20, 3, 3)"),
+         (lambda p: {"U": p.U[:, :1]}, "U has shape (20, 1, 2), expected (20, 1, 1)"),
+         (lambda p: {"x0": p.x0[None]}, "x0 has shape (1, 4), expected (n_x,)"),
+         (lambda p: {"rT": p.rT[:2]}, "rT has shape (2,), expected (3,)")],
+        ids=["r-short", "s-short", "s-wide", "X-not-square", "U-not-square", "x0-nested", "rT-short"],
+    )
+    def test_mis_shaped_array_names_field(self, change, message):
+        # at construction, not as numpy's broadcast error inside ilqt
+        p = build_unicycle(20)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(p, **change(p))
 
 
 class TestFiniteDiffJacobian:
