@@ -40,15 +40,19 @@ C on the level where it stops being thin. mass_spring with n_x = 32 and
 n_u = 2 has four thin levels, n_x = 4 with n_u = 2 one; Method 2's
 prefixes have full-rank C, and their combine forms a thin node's C.
 
-Where the model is the same at every step, every up-sweep node of a level
-covers the same 2^L-step window, so the nodes of a level share A, C and J
-and differ only in b and eta, through c and r (the sharing of the doubling
+Steps whose model repeats share their up-sweep arithmetic. A level-L node
+covers the 2^L steps from j 2^L, and its A, C and J depend on their F, L,
+U, H and X alone, so nodes over equal runs of stage models share A, C and
+J and differ only in b and eta, through c and r. Where the model is the
+same at every step, all nodes of a level do (the sharing of the doubling
 algorithm for time-invariant Riccati equations; Anderson 1978,
 "Second-order convergent algorithms for the steady-state Riccati
-equation", Int. J. Control). The data decide it, as the rank decides
-thinness: a stage field equal at every step is one stride-0 row, and a
-combine whose matrix operands all are forms them once (see
-:func:`_element_arrays`, :func:`_combine_element_arrays`). The
+equation", Int. J. Control); tracking2d, whose waypoint weight recurs
+every 10 steps, has at most 5 distinct nodes on a level. The data decide
+it, as the rank decides thinness: each step has the class of its matrix
+data, equal bit for bit (:func:`_element_arrays`), and each up-sweep
+combine runs its matrix arithmetic once per class of its pairs and hands
+the pairs' classes up the tree (:func:`_combine_element_arrays`). The
 down-sweeps' outputs stay full, since every S_k and every prefix differs.
 
 Every combine passes a conditioning gate: it raises once the 1-norm
@@ -86,7 +90,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SolverError, as_int, check_shape
+from .errors import SolverError, as_float_array, as_int, check_shape
 from .scan import ScanDirection, ScanStats, forward_from_tree, par_scan_stacked
 from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patches lqt.par_scan)
 
@@ -118,6 +122,10 @@ COND_LIMIT = 1e12
 # transform_general_cost rejects a step whose X - M U^-1 M' has an eigenvalue
 # below -CONVEX_RTOL times X's largest entry
 CONVEX_RTOL = 1e-10
+# dtype of the classes that stage elements and up-sweep nodes carry: a level
+# has fewer than 2^31 nodes, and the narrow ids halve the memory they hold in
+# every level and in the tree kept for Method 2
+_CLASS = np.int32
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -179,9 +187,10 @@ class LqtProblem:
     H x - r with u - s) and control references s generalize the stage cost;
     solvers require them eliminated first (transform_general_cost).
 
-    S and T must be integers, every array must be finite and of the shape
-    ``_ARRAYS`` gives it, and X, U and XT symmetric; a ValueError names the
-    first field that is not.
+    S and T must be integers, every array must hold numbers (integers or
+    floats; strings, booleans and objects are rejected), be finite and of
+    the shape ``_ARRAYS`` gives it, and X, U and XT symmetric; a ValueError
+    names the first field that is not.
     """
 
     S: int
@@ -210,7 +219,7 @@ class LqtProblem:
             a = getattr(self, name)
             if a is None and optional:
                 continue
-            a = np.asarray(a, dtype=np.float64)
+            a = as_float_array(a, name)
             check_shape(name, a.shape, shape, dims)
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
@@ -408,11 +417,98 @@ def _thin_inverse(e1, J2: np.ndarray):
     return A1 - _t(Ht) @ (HtJ @ A1), Ht, HtJ
 
 
-def _eta_J(P, e1, eta2, J2):
-    """eta and J of e1 (x) e2, from P = (I + C1 J2)^-1 A1."""
+def _gather(M: np.ndarray, inv) -> np.ndarray:
+    """A matrix operand of a batch's matrix-vector products from its rows
+    per class: row inv[i] of M for row i, or M itself where inv is None (the
+    batch's own rows, or one row that broadcasts)."""
+    return M if inv is None else np.take(M, inv, axis=0)
+
+
+def _stack(M: np.ndarray, inv, n: int) -> np.ndarray:
+    """A stack of n rows from M's rows per class (:func:`_gather`); one row
+    for all n comes back as a read-only stride-0 view."""
+    M = _gather(M, inv)
+    return M if len(M) == n else np.broadcast_to(M, (n,) + M.shape[1:])
+
+
+def _row_hash(rows) -> np.ndarray:
+    """A 64-bit hash of each row of the uint64 matrices ``rows`` side by
+    side: the sum of its entries times odd constants, one per column,
+    wrapping. Equal rows hash equal; :func:`_classes` checks the converse."""
+    h = np.zeros(len(rows[0]), np.uint64)
+    col = 0
+    for a in rows:
+        odd = np.arange(2 * col + 1, 2 * (col + a.shape[1]), 2, dtype=np.uint64)
+        h += a @ (odd * np.uint64(0x9E3779B97F4A7C15))
+        col += a.shape[1]
+    return h
+
+
+def _one_class(*stacks) -> bool:
+    """Whether every row of each stack equals its row 0 at every entry
+    (LqtProblem admits no NaN); the last row is tested first, which most
+    varying stacks fail at once."""
+    return all((a[-1] == a[0]).all() and (a == a[:1]).all() for a in stacks)
+
+
+def _classes(*stacks):
+    """The classes of rows: rows k equal in every one of ``stacks`` bit for
+    bit. Returns (first, inv), a row of each class and the class of each
+    row; one class is (slice(0, 1), None), and where no two rows are equal
+    the result is None.
+
+    One class is tested first, with ``==`` (:func:`_one_class`). Else the
+    sorted :func:`_row_hash` values tell distinct rows apart, where no two
+    are equal; where some are, ``np.unique`` of the hashes gives the
+    classes, checked against the rows, and an exact unique of the rows
+    replaces them on a hash collision."""
+    N = len(stacks[0])
+    if N < 2:
+        return None
+    if _one_class(*stacks):
+        return slice(0, 1), None
+    rows = [np.ascontiguousarray(a).reshape(N, -1).view(np.uint64) for a in stacks]
+    h = _row_hash(rows)
+    s = np.sort(h)
+    if not (s[1:] == s[:-1]).any():
+        return None
+    _, first, inv = np.unique(h, return_index=True, return_inverse=True)
+    if not all((a[first][inv] == a).all() for a in rows):
+        _, first, inv = np.unique(np.hstack(rows), axis=0, return_index=True, return_inverse=True)
+        if len(first) == N:
+            return None
+    return first, inv.ravel()
+
+
+def _step_classes(N: int, *groups):
+    """Each step's class from those of its groups of stage fields
+    (:func:`_classes`): steps with equal classes in every group, numbered
+    from 0. None where no two steps are equal."""
+    if any(g is None for g in groups):
+        return None
+    ids = np.zeros(N, np.intp)
+    for i, (first, inv) in enumerate(g for g in groups if g[1] is not None):
+        ids = inv if i == 0 else np.unique(ids * len(first) + inv, return_inverse=True)[1]
+    return None if ids.max() == N - 1 else ids.astype(_CLASS)
+
+
+def _pair_classes(id1: np.ndarray, id2: np.ndarray):
+    """The classes of the pairs of two nodes' classes, as :func:`_classes`
+    gives them: one class, which needs no ``np.unique``, or None where
+    every pair is its own."""
+    pair = id1.astype(np.int64) * (int(max(id1.max(), id2.max())) + 1) + id2
+    if (pair == pair[0]).all():
+        return slice(0, 1), None
+    _, first, inv = np.unique(pair, return_index=True, return_inverse=True)
+    return None if len(first) == len(pair) else (first, inv.astype(_CLASS))
+
+
+def _eta_J(P, e1, eta2, J2, inv):
+    """eta and J of e1 (x) e2, from P = (I + C1 J2)^-1 A1; P, A1 and J1 may
+    be rows per class (:func:`_gather`)."""
     A1, b1, _, eta1, J1 = e1
     PtJ = _t(P) @ J2
-    eta = _mv(_t(P), eta2) - _mv(PtJ, b1) + eta1
+    eta = _mv(_t(_gather(P, inv)), eta2) - _mv(_gather(PtJ, inv), b1) + eta1
     J = PtJ @ A1
     del PtJ  # before the sum and its symmetrization allocate stacks as large
     J += J1
@@ -445,18 +541,29 @@ def _combine_element_arrays(e1, e2):
     K' H' (eta2 - J2 b1) and W C1 A2' + C2 = Gt'Gt for Gt = [K; Gt2], which
     the output holds while it stays thin, and C = sym(Gt'Gt) once it does not.
 
-    When all six matrix operands (A, C or Gt, and J of both inputs) are
-    stride-0 stacks, every pair has the same ones (:func:`_element_arrays`
-    forms such stacks for a time-invariant model): the matrix products run
-    once, on row 0, the vector products broadcast against the batched b
-    and eta, and A, C and J come back as stride-0 stacks, so the sharing
-    carries up the tree. Any other mix of operands runs batched as it is,
-    stride-0 views broadcasting like any other.
+    Where stages repeat, the stage elements and the up-sweep's nodes carry
+    a sixth array, the class of each: those of a class have equal A, C (or
+    Gt) and J (:func:`_element_arrays`). When both inputs carry classes, a
+    pair's class is that of its two nodes' classes, and the matrix
+    arithmetic runs once per class, on its first pair (where there is one
+    class, on row 0, with no ``np.unique``). The matrix factors of the
+    matrix-vector products (W and WC, or A2, K, Ht and HtJ, and P and PtJ)
+    are gathered per pair, one class's single row broadcasting, and A, C
+    and J come back per pair with the pairs' classes, so the sharing
+    carries up the tree. Where every pair is its own class the combine runs
+    batched and returns no classes, as does a combine of a value with a
+    node, which ignores the node's. Equal pairs give equal rows, so the
+    gate sees the maxima of the batched combine.
     """
-    shared = all(a.ndim > 2 and len(a) > 1 and a.strides[0] == 0 for e in (e1, e2) for a in e[::2])
-    if shared:  # every pair has the same A, C and J: their products run on row 0
-        n = len(e1[0])
-        e1, e2 = (tuple(a if i % 2 else a[:1] for i, a in enumerate(e)) for e in (e1, e2))
+    first = inv = None
+    if len(e1) == len(e2) == 6:
+        classes = _pair_classes(e1[5], e2[5])
+        if classes is not None:
+            first, inv = classes
+    e1, e2 = e1[:5], e2[:5]
+    n = len(e1[1])
+    if first is not None:  # the matrix arithmetic runs on each class's first pair
+        e1, e2 = (tuple(a if i % 2 else a[first] for i, a in enumerate(e)) for e in (e1, e2))
     A1, b1, C1, eta1, J1 = e1
     A2, b2, C2, eta2, J2 = e2
     m, k = A2.shape[-2], A1.shape[-1]  # the output maps R^k to R^m
@@ -467,7 +574,7 @@ def _combine_element_arrays(e1, e2):
         del Zi
         if m:
             WC = W @ C1
-            b = _mv(W, b1) + _mv(WC, eta2) + b2
+            b = _mv(_gather(W, inv), b1) + _mv(_gather(WC, inv), eta2) + b2
             del W
             C = WC @ _t(A2)
             del WC
@@ -476,7 +583,8 @@ def _combine_element_arrays(e1, e2):
     elif m:
         P, Ht, HtJ = _thin_inverse(e1, J2)
         K = Ht @ _t(A2)
-        b = _mv(A2, b1) + _mv(_t(K), _mv(Ht, eta2) - _mv(HtJ, b1)) + b2
+        Ht, HtJ = _gather(Ht, inv), _gather(HtJ, inv)
+        b = _mv(_gather(A2, inv), b1) + _mv(_t(_gather(K, inv)), _mv(Ht, eta2) - _mv(HtJ, b1)) + b2
         del Ht, HtJ
         Gt = np.concatenate([K, C2], axis=-2)
         C = Gt if _thin(m, Gt.shape[-2]) else _sym(_t(Gt) @ Gt)
@@ -484,11 +592,12 @@ def _combine_element_arrays(e1, e2):
         P = _thin_inverse(e1, J2)[0]
     if not m:
         b, C = b2, C2  # empty, of the output's shapes
-    eta, J = _eta_J(P, e1, eta2, J2) if k else (eta1, J1)  # likewise
+    eta, J = _eta_J(P, e1, eta2, J2, inv) if k else (eta1, J1)  # likewise
     A = A2 @ P if m and k else np.empty(A2.shape[:-1] + (k,))
-    if shared:
-        A, C, J = (np.broadcast_to(a, (n,) + a.shape[1:]) for a in (A, C, J))
-    return A, b, C, eta, J
+    if first is None:
+        return A, b, C, eta, J
+    ids = np.zeros(n, _CLASS) if inv is None else inv
+    return _stack(A, inv, n), b, _stack(C, inv, n), eta, _stack(J, inv, n), ids
 
 
 def _first_indefinite(A: np.ndarray, scale: np.ndarray):
@@ -518,14 +627,14 @@ def _batched(fn, what: str, steps, *stacks):
         raise SolverError(what) from None
 
 
-def _control_factor(U: np.ndarray, offset: int) -> np.ndarray:
+def _control_factor(U: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Cholesky factors R of the control weights, U = R R'; a non-PD U raises
-    naming its first failing row k as step ``offset + k``."""
+    naming its earliest failing step, ``steps[k]`` for row k."""
     R = _cholesky(U)
     bad = np.flatnonzero(~np.isfinite(R[:, -1, -1])) if U.shape[-1] else ()
     if len(bad):
         what = "control weight U not positive definite: factorization failed"
-        raise SolverError(f"{what} at step {offset + bad[0]}")
+        raise SolverError(f"{what} at step {steps[bad].min()}")
     return R
 
 
@@ -549,7 +658,8 @@ def _symmetrize(M: np.ndarray) -> None:
 
 
 def _element_arrays(p: LqtProblem):
-    """Stacked (A, b, C, eta, J) of the stage elements.
+    """Stacked (A, b, C, eta, J) of the stage elements, and the class of
+    each step where some steps repeat.
 
     Stage k: (F_k, c_k, G_k G_k', H_k'X_k r_k, H_k'X_k H_k) with
     G_k = L_k R_k^-T and U_k = R_k R_k', so that C_k = L_k U_k^-1 L_k'.
@@ -557,35 +667,39 @@ def _element_arrays(p: LqtProblem):
     only read. While G is thin (:func:`_thin`) slot 2 holds Gt = G'
     (N, n_u, n_x) in place of C.
 
-    A matrix field whose inputs are equal at every step (A where F is, C or
-    Gt where L and U are, J where H and X are) is formed from row 0 alone
-    and comes back as a read-only stride-0 ``np.broadcast_to`` stack of
-    that row; b and eta stay batched, so a fixed model that tracks a moving
-    reference shares too. :func:`_combine_element_arrays` keeps the sharing.
+    Each matrix field is formed once per class of its inputs' rows
+    (:func:`_classes`; A of F, C or Gt of L and U, J of H and X) and then
+    gathered per step, and a field whose inputs are equal at every step
+    comes back as a read-only stride-0 ``np.broadcast_to`` stack of its one
+    row; b and eta stay per step, so a model that tracks a moving reference
+    shares too. A step's class is that of its three classes, and where two
+    steps share one the stack has a sixth array, the class of each step,
+    numbered from 0, which :func:`_combine_element_arrays` carries up the
+    tree.
     """
     if p.has_general_cost:
         raise ValueError("eliminate cross terms first (transform_general_cost)")
-
-    def one_row(*stacks):  # row 0 alone where every row equals it (LqtProblem admits no NaN)
-        same = all(len(a) > 1 and (a == a[:1]).all() for a in stacks)
-        return tuple(a[:1] for a in stacks) if same else stacks
-
-    def stacked(a):  # a field formed from row 0, as a stride-0 stack
-        return a if len(a) == p.N else np.broadcast_to(a, (p.N,) + a.shape[1:])
-
-    A = stacked(*one_row(p.F))
-    L, U = one_row(p.L, p.U)
-    C = _forward_sub(_control_factor(U, p.S), _t(L))  # Gt = G'
+    N = p.N
+    groups = []
+    for stacks in ((p.F,), (p.L, p.U), (p.H, p.X)):
+        if all(g is not None for g in groups):
+            groups.append(_classes(*stacks))
+        else:  # no two steps are equal: only a field equal at every step is shared
+            groups.append((slice(0, 1), None) if N > 1 and _one_class(*stacks) else None)
+    (fA, iA), (fC, iC), (fJ, iJ) = (g or (slice(None), None) for g in groups)
+    A = _stack(p.F[fA], None, N) if iA is None else p.F
+    C = _forward_sub(_control_factor(p.U[fC], np.arange(p.S, p.T)[fC]), _t(p.L[fC]))  # Gt = G'
     if not _thin(p.n_x, p.n_u):
         C = _t(C) @ C
         _symmetrize(C)
-    H, X = one_row(p.H, p.X)
-    HtX = _t(H) @ X
-    eta = _mv(HtX, p.r)
+    H = p.H[fJ]
+    HtX = _t(H) @ p.X[fJ]
+    eta = _mv(_gather(HtX, iJ), p.r)
     J = HtX @ H
     del HtX  # before the symmetrization below copies a whole stack
     _symmetrize(J)
-    return A, p.c, stacked(C), eta, stacked(J)
+    ids = _step_classes(N, *groups)
+    return (A, p.c, _stack(C, iC, N), eta, _stack(J, iJ, N)) + (() if ids is None else (ids,))
 
 
 def _terminal(p: LqtProblem):
@@ -816,7 +930,7 @@ def transform_general_cost(p: LqtProblem) -> tuple[LqtProblem, GeneralCostRecove
         return p, recovery
     M = p.M if p.M is not None else np.zeros((n, nr, nu))
     s = p.s if p.s is not None else np.zeros((n, nu))
-    R = _control_factor(p.U, p.S)
+    R = _control_factor(p.U, np.arange(p.S, p.T))
     UinvMt = _back_sub(R, _forward_sub(R, _t(M)))
     Xt = _sym(p.X - M @ UinvMt)
     # the rounding in X - M U^-1 M' scales with X (the two terms cancel
@@ -937,7 +1051,7 @@ def solve(
     if block_size is not None or backend == "sequential":
         # Riccati's LU on G and condensing would take a non-PD U; the
         # parallel pass factors U itself, with the same error
-        _control_factor(std.U, std.S)
+        _control_factor(std.U, np.arange(std.S, std.T))
     if block_size is not None:
         xs_c, us_c, stats = solve(condense(std, block_size), backend, traj_method)
         ut = us_c.reshape(std.N, std.n_u)

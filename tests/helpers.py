@@ -198,20 +198,22 @@ def combine_lqt(e1, e2):
 def densified(e):
     """An element stack (A, b, C, eta, J) with C in slot 2: a thin factor Gt
     there (r x n_x, as lqt._element_arrays and the combine leave on wide
-    states) becomes C = (Gt'Gt + (Gt'Gt)') / 2."""
-    A, b, C, eta, J = e
+    states) becomes C = (Gt'Gt + (Gt'Gt)') / 2. A sixth array, the steps'
+    or nodes' classes, is kept."""
+    A, b, C, eta, J = e[:5]
     if C.shape[-2] != C.shape[-1]:
         C = np.swapaxes(C, -1, -2) @ C
         C = (C + np.swapaxes(C, -1, -2)) / 2
-    return A, b, C, eta, J
+    return (A, b, C, eta, J) + tuple(e[5:])
 
 
 def make_lqt_elements(p):
-    """The N stage elements of lqt._element_arrays, then the terminal element
-    (0, 0, 0, HT'XT rT, HT'XT HT) written out here: a reverse scan of all
-    N + 1 gives the value functions as the suffixes' (eta, J). A thin factor
-    in slot 2 is densified to C, so their combines take the dense path."""
-    A, b, C, eta, J = densified(lqt._element_arrays(p))
+    """The N stage elements of lqt._element_arrays, without the steps'
+    classes, then the terminal element (0, 0, 0, HT'XT rT, HT'XT HT) written
+    out here: a reverse scan of all N + 1 gives the value functions as the
+    suffixes' (eta, J). A thin factor in slot 2 is densified to C, so their
+    combines take the dense path."""
+    A, b, C, eta, J = densified(lqt._element_arrays(p))[:5]
     HtXT = p.HT.T @ p.XT
     JT = HtXT @ p.HT
     z = np.zeros((p.n_x, p.n_x))

@@ -8,7 +8,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
-from tempo_dp import lqt
+from tempo_dp import lqt, scan
 from tempo_dp.errors import SolverError
 from tempo_dp.scan import ScanDirection, par_scan, par_scan_stacked
 from tempo_dp.scenarios import build_mass_spring, build_tracking2d
@@ -84,6 +84,25 @@ class TestProblemData:
         p = random_lqt_problem(np.random.default_rng(32), N=4)
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
             replace(p, **{name: value})
+
+    @pytest.mark.parametrize(
+        "x0, got",
+        [([" 5", "1e3", "0", "2"], r"' 5' \(dtype <U3\)"), ([True, False, True, True], r"True \(dtype bool\)"),
+         ([None, 1.0, 0.0, 2.0], r"None \(dtype object\)")],
+        ids=["numeric_strings", "booleans", "none"],
+    )
+    def test_non_numeric_array_rejected(self, x0, got):
+        # an array is cast to float64 only from integers or floats, in the
+        # constructor and so also from a problem file
+        p = build_tracking2d(10)
+        with pytest.raises(ValueError, match=rf"^x0 must hold numbers, got {got}$"):
+            replace(p, x0=x0)
+        d = lqt.problem_to_dict(p)
+        d["x_S"] = x0
+        with pytest.raises(ValueError, match=rf"^x0 must hold numbers, got {got}$"):
+            lqt.problem_from_dict(d)
+        # integers are numbers
+        assert replace(p, x0=[5, 1000, 0, 2]).x0.dtype == np.float64
 
     def test_numpy_integer_steps_stored_as_int(self):
         p = replace(random_lqt_problem(np.random.default_rng(32), N=4), S=np.int64(2), T=np.int32(6))
@@ -1176,12 +1195,13 @@ class TestCarriedTree:
 
 def materialized(monkeypatch):
     """From here on lqt._element_arrays returns full C-ordered copies of its
-    stacks, the layout of stacks formed row by row, so no stage field and
-    no node is a stride-0 stack. (np.array would copy a stride-0 stack
+    stacks, the layout of stacks formed row by row, and no steps' classes,
+    so no stage field and no node is a stride-0 stack and every combine
+    runs batched, one pair per row. (np.array would copy a stride-0 stack
     with its step axis innermost, and BLAS may round such operands
     differently.)"""
     shared = lqt._element_arrays
-    monkeypatch.setattr(lqt, "_element_arrays", lambda p: tuple(np.ascontiguousarray(a) for a in shared(p)))
+    monkeypatch.setattr(lqt, "_element_arrays", lambda p: tuple(np.ascontiguousarray(a) for a in shared(p)[:5]))
 
 
 def parallel_outputs(p):
@@ -1199,9 +1219,23 @@ def parallel_outputs(p):
     }
 
 
+def assert_same_outputs(got, want):
+    """Two parallel_outputs are equal bit for bit; the tree levels' classes,
+    which a materialized solve does not have, are not compared."""
+    assert got.keys() == want.keys()
+    for name in want:
+        if name == "tree":
+            assert len(got[name]) == len(want[name])
+            for level, full in zip(got[name], want[name]):
+                for a, b in zip(level[:5], full[:5], strict=True):
+                    assert a.shape == b.shape and np.array_equal(a, b), name
+        else:
+            assert np.array_equal(got[name], want[name]), name
+
+
 def shared_fields(p):
     """Which of the stage elements' A, C and J are stride-0 stacks."""
-    A, _, C, _, J = lqt._element_arrays(p)
+    A, _, C, _, J = lqt._element_arrays(p)[:5]
     return "".join(name for name, a in zip("ACJ", (A, C, J)) if a.strides[0] == 0)
 
 
@@ -1221,9 +1255,9 @@ def gate_problem(n_u, N=6):
 
 class TestTimeInvariantStages:
     """A stage field equal at every step is one stride-0 row, and a level
-    whose A, C and J all are combines once. Nothing else may change: every
-    output equals that of the same solve over materialized stacks, bit for
-    bit."""
+    whose nodes are all of one class combines once. Nothing else may
+    change: every output equals that of the same solve over materialized
+    stacks, bit for bit."""
 
     @pytest.mark.parametrize(
         "build, shared",
@@ -1243,15 +1277,7 @@ class TestTimeInvariantStages:
             assert len(level[0]) == 1 or ((level[4].strides[0] == 0) == ("J" in shared))
         materialized(monkeypatch)
         assert shared_fields(p) == ""
-        want = parallel_outputs(p)
-        for name in want:
-            if name == "tree":
-                assert len(got[name]) == len(want[name])
-                for level, full in zip(got[name], want[name]):
-                    for a, b in zip(level, full):
-                        assert a.shape == b.shape and np.array_equal(a, b), name
-            else:
-                assert np.array_equal(got[name], want[name]), name
+        assert_same_outputs(got, parallel_outputs(p))
 
     def test_one_differing_step_builds_full_stacks(self):
         p = build_mass_spring(4, 64)
@@ -1297,6 +1323,98 @@ class TestTimeInvariantStages:
         xs, us, _ = lqt.solve(p, "parallel", traj_method)
         np.testing.assert_allclose(xs, xs_ref, rtol=0, atol=1e-7)
         np.testing.assert_allclose(us, us_ref, rtol=0, atol=1e-7)
+
+
+def switching_problem(seed, n_models, N, n_x=4, n_u=2, S=0):
+    """A random problem whose stage model (F, L, H, X, U) is one of n_models
+    drawn models at each step, in random order, with c and r drawn per step;
+    also returns each step's model."""
+    rng = np.random.default_rng(seed)
+    models = random_lqt_problem(rng, n_x=n_x, n_u=n_u, N=n_models)
+    k = rng.integers(0, n_models, N)
+    stage = {name: getattr(models, name)[k] for name in ("F", "L", "H", "X", "U")}
+    p = replace(models, S=S, T=S + N, c=rng.normal(size=(N, n_x)) * 0.5, r=rng.normal(size=(N, n_x)), **stage)
+    return p, k
+
+
+def step_classes(p):
+    """The class of each step, numbered from 0, that lqt._element_arrays
+    gives; each step its own where none repeats."""
+    e = lqt._element_arrays(p)
+    return e[5] if len(e) == 6 else np.arange(p.N)
+
+
+def same_partition(a, b):
+    """Whether two class labelings put the same steps together."""
+    pairs = len(np.unique(a * (b.max(initial=0) + 1) + b))
+    return len(a) == len(b) and pairs == len(np.unique(a)) == len(np.unique(b))
+
+
+class TestRepeatingStages:
+    """Steps whose F, whose L and U, and whose H and X are equal bit for bit
+    form classes, and each up-sweep combine runs its matrix arithmetic once
+    per class of its pairs. Nothing else may change: every output equals
+    that of the same solve over materialized stacks, bit for bit."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 64, 200])
+    @pytest.mark.parametrize("n_models", [2, 3, 5])
+    @pytest.mark.parametrize("n_x, n_u", [(4, 2), (4, 1), (8, 2)])
+    def test_switching_draws(self, n_x, n_u, n_models, N, monkeypatch):
+        # the tolerances of acceptance criteria 2 and 3 against Riccati
+        p, k = switching_problem(100 + 7 * N + n_models, n_models, N, n_x, n_u)
+        assert same_partition(step_classes(p), k)
+        got = parallel_outputs(p)
+        ref_values, ref_gains = lqt.riccati_backward(p)
+        assert max_value_dev(lqt.QuadValue(got["S"], got["v"]), ref_values) <= 1e-9
+        xs_ref, us_ref = lqt.closed_loop_rollout(p, ref_values, ref_gains)
+        for name in ("method1", "method2", "method2_riccati"):
+            np.testing.assert_allclose(got[name], xs_ref, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(got["controls"], us_ref, rtol=0, atol=1e-7)
+        materialized(monkeypatch)
+        assert_same_outputs(got, parallel_outputs(p))
+
+    def test_tracking2d_classes_per_level(self):
+        # X is 100 I at every 10th step and 1e-6 I elsewhere: a level-L node
+        # starts at a multiple of 2^L, so its window's weights depend on the
+        # start modulo 10, until the nodes are too few to repeat (its
+        # outputs: TestTimeInvariantStages.test_outputs_equal_materialized)
+        p = build_tracking2d(200)
+        levels = scan._up_sweep(lqt._element_arrays(p), lqt._combine_element_arrays, scan.ScanStats())
+        classes = [len(np.unique(lv[5])) if len(lv) == 6 else None for lv in levels]
+        assert classes == [2, 2, 3, 5, 5, 5, None, None]
+
+    def test_one_ulp_makes_a_class(self, monkeypatch):
+        p = build_tracking2d(200)
+        X = p.X.copy()
+        X[37, 0, 0] = np.nextafter(X[37, 0, 0], np.inf)
+        q = replace(p, X=X)
+        ids = step_classes(q)
+        assert len(np.unique(step_classes(p))) == 2 and len(np.unique(ids)) == 3
+        assert np.flatnonzero(ids == ids[37]).tolist() == [37]
+        got = parallel_outputs(q)
+        materialized(monkeypatch)
+        assert_same_outputs(got, parallel_outputs(q))
+
+    def test_hash_collision(self, monkeypatch):
+        # every row hashes alike: the classes come from the rows themselves
+        p, k = switching_problem(7, 3, 64)
+        distinct = random_lqt_problem(np.random.default_rng(8), N=16)
+        want = parallel_outputs(p)
+        monkeypatch.setattr(lqt, "_row_hash", lambda rows: np.zeros(len(rows[0]), np.uint64))
+        assert same_partition(step_classes(p), k)
+        assert len(lqt._element_arrays(distinct)) == 5
+        assert_same_outputs(parallel_outputs(p), want)
+
+    def test_indefinite_u_names_earliest_step(self):
+        # the control weights are factored once per class; the error names
+        # the earliest step of the failing class
+        p, k = switching_problem(9, 3, 40, S=10)
+        U = p.U.copy()
+        U[k == k[5]] = [[1.0, 2.0], [2.0, 1.0]]
+        match = f"control weight U not positive definite: factorization failed at step {10 + np.argmax(k == k[5])}$"
+        for backend in ("sequential", "parallel"):
+            with pytest.raises(SolverError, match=match):
+                lqt.solve(replace(p, U=U), backend)
 
 
 def rel_dev(a, b):

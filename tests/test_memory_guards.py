@@ -1,5 +1,6 @@
-"""Memory guards: a large LQT and a large finite-DP solve stay below fixed
-memory bounds and still match their oracles.
+"""Memory guards: large LQT solves (a time-invariant, a time-varying and a
+periodic model) and a large finite-DP solve stay below fixed memory bounds
+and still match their oracles.
 
 Each guard runs in a fresh interpreter, so that its peak is its own and not
 that of the test process: ``tracemalloc`` traces only the child's
@@ -67,6 +68,18 @@ LQT_TIME_VARYING = LQT_GUARD.format(
     m2_peak=144,
 )
 
+# X weighted with period 10, so that every J is one of 10 rows (A and C are
+# shared): the stage elements and the nodes of each level are per-step
+# stacks gathered from their classes' rows, and the combines run their
+# matrix arithmetic once per class. parallel_backward peaks near 157 MiB and
+# Method 2 near 119 MiB; a class path that kept a second copy of a per-step
+# stack (a 4000-step J is 31 MiB) crosses these bounds.
+LQT_PERIODIC = LQT_GUARD.format(
+    problem="w = (1 + 0.5 * np.sin(np.arange(10)))[np.arange(p.N) % 10, None, None]\np = replace(p, X=p.X * w)",
+    peak=175,
+    m2_peak=132,
+)
+
 FINITE_DP_GUARD = """
 import resource, sys
 import numpy as np
@@ -94,7 +107,9 @@ print(f"finite-DP D_x=63 T=1024: V, Method-1 and Method-2 states and costs equal
 
 
 @pytest.mark.parametrize(
-    "script", [LQT_TIME_INVARIANT, LQT_TIME_VARYING, FINITE_DP_GUARD], ids=["lqt", "lqt_time_varying", "finite_dp"]
+    "script",
+    [LQT_TIME_INVARIANT, LQT_TIME_VARYING, LQT_PERIODIC, FINITE_DP_GUARD],
+    ids=["lqt", "lqt_time_varying", "lqt_periodic", "finite_dp"],
 )
 def test_memory_guard(script):
     path = os.pathsep.join([str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])
