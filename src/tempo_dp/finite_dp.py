@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, as_float_array, as_int, as_int_array
+from .errors import SolverError, check_fields, fields_from_dict, fields_to_dict
 from .scan import ScanDirection, ScanStats, par_scan, par_scan_stacked
 
 __all__ = [
@@ -81,6 +81,19 @@ _BRUTE_FORCE_BUDGET = 10**7
 _MIN_PLUS_BUDGET = 1 << 18
 
 
+# FiniteProblem's fields in file order (see errors.check_fields): N is T - S.
+_FIELDS = (
+    ("D_x", "D_x", (), "int", False),
+    ("D_u", "D_u", (), "int", False),
+    ("S", "S", (), "int", False),
+    ("T", "T", (), "int", False),
+    ("f", "f", ("N", "D_x", "D_u"), "index", False),
+    ("ell", "ell", ("N", "D_x", "D_u"), "cost", False),
+    ("ell_T", "ell_T", ("D_x",), "cost", False),
+    ("x_S", "x_S", (), "index", False),
+)
+
+
 @dataclass(frozen=True)
 class FiniteProblem:
     """Tabulated control problem over steps S..T.
@@ -89,13 +102,14 @@ class FiniteProblem:
     ell: (T-S, D_x, D_u) stage costs, +inf for forbidden moves.
     ell_T: (D_x,) terminal costs, finite for at least one state.
 
-    Costs are stored as float64 (integer tables are cast) and must be
-    finite or +inf: NaN and -inf are rejected, and so are cost tables that
-    hold no numbers (strings, "inf" among them: only problem files spell
-    +inf so). A table of another shape is rejected, naming the field, and
-    so is an f that does not hold integers (floats, 2.0 alike, and
-    strings), a D_x, D_u, S, T or x_S that is not an integer, and D_u < 1:
-    a state without controls has no next state.
+    ``_FIELDS`` declares the checks (:func:`errors.check_fields`). Costs are
+    stored as float64 (integer tables are cast) and must be finite or +inf:
+    NaN and -inf are rejected, and so are cost tables that hold no numbers
+    (strings, "inf" among them: only problem files spell +inf so). A table
+    of another shape is rejected, naming the field, and so is an f that
+    does not hold integers (floats, 2.0 alike, and strings), a D_x, D_u, S,
+    T or x_S that is not an integer, and D_u < 1: a state without controls
+    has no next state.
     """
 
     D_x: int
@@ -108,31 +122,20 @@ class FiniteProblem:
     x_S: int
 
     def __post_init__(self):
-        for name in ("D_x", "D_u", "S", "T", "x_S"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        n = self.T - self.S
-        if n < 0:
-            raise ValueError("need T >= S")
-        if self.D_u < 1:
-            raise ValueError(f"need D_u >= 1 controls, got D_u = {self.D_u}")
-        table = (n, self.D_x, self.D_u)
-        for name, shape in (("f", table), ("ell", table), ("ell_T", (self.D_x,))):
-            a = getattr(self, name)
-            a = as_int_array(a, name) if name == "f" else as_float_array(a, name)
-            if a.size == 0 == np.prod(shape):
-                a = a.reshape(shape)  # an empty table has no entries to scramble, and JSON's [] no shape
-            if a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            object.__setattr__(self, name, a)
-        if n > 0 and (self.f.min() < 0 or self.f.max() >= self.D_x):
+        check_fields(self, _FIELDS, self._dims)
+        if self.N > 0 and (self.f.min() < 0 or self.f.max() >= self.D_x):
             raise ValueError("next-state table entries out of range")
         if not (0 <= self.x_S < self.D_x):
             raise ValueError("initial state out of range")
-        for name in ("ell", "ell_T"):
-            if not (getattr(self, name) > -np.inf).all():  # NaN compares false too
-                raise ValueError(f"{name} holds NaN or -inf; costs must be finite or +inf")
         if not (self.ell_T < np.inf).any():
             raise ValueError("terminal cost must be finite for at least one state")
+
+    def _dims(self) -> dict:
+        if self.T < self.S:
+            raise ValueError("need T >= S")
+        if self.D_u < 1:
+            raise ValueError(f"need D_u >= 1 controls, got D_u = {self.D_u}")
+        return {"N": self.N, "D_x": self.D_x, "D_u": self.D_u}
 
     @property
     def N(self) -> int:
@@ -521,55 +524,12 @@ def brute_force_oracle(p: FiniteProblem):
 # --- JSON interchange (1-based indices on disk) ---
 
 
-def _encode_costs(arr: np.ndarray):
-    def conv(v):
-        if isinstance(v, list):
-            return [conv(x) for x in v]
-        return "inf" if v == np.inf else v
-
-    return conv(arr.tolist())
-
-
-def _decode_costs(nested):
-    """Nested cost lists with "inf" strings as numbers; FiniteProblem casts
-    them to float64 and rejects NaN and -inf."""
-
-    def conv(v):
-        if isinstance(v, list):
-            return [conv(x) for x in v]
-        if isinstance(v, str):
-            if v.lower() in ("inf", "infinity", "+inf"):
-                return np.inf
-            raise ValueError(f"bad cost entry {v!r}")
-        return v
-
-    return conv(nested)
-
-
 def problem_to_dict(p: FiniteProblem) -> dict:
-    return {
-        "D_x": p.D_x,
-        "D_u": p.D_u,
-        "S": p.S,
-        "T": p.T,
-        "f": (p.f + 1).tolist(),
-        "ell": _encode_costs(p.ell),
-        "ell_T": _encode_costs(p.ell_T),
-        "x_S": p.x_S + 1,
-    }
+    return fields_to_dict(p, _FIELDS)
 
 
 def problem_from_dict(d: dict) -> FiniteProblem:
-    return FiniteProblem(
-        D_x=d["D_x"],
-        D_u=d["D_u"],
-        S=d["S"],
-        T=d["T"],
-        f=as_int_array(d["f"], "f") - 1,
-        ell=_decode_costs(d["ell"]),
-        ell_T=_decode_costs(d["ell_T"]),
-        x_S=as_int(d["x_S"], "x_S") - 1,
-    )
+    return FiniteProblem(**fields_from_dict(_FIELDS, d))
 
 
 def save_problem(p: FiniteProblem, path) -> None:

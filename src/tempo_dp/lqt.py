@@ -90,7 +90,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SolverError, as_float_array, as_int, check_shape
+from .errors import SolverError, as_int, check_fields, fields_from_dict, fields_to_dict
 from .scan import ScanDirection, ScanStats, forward_from_tree, par_scan_stacked
 from .scan import par_scan  # noqa: F401  (unused here; perfbench/tracer.py patches lqt.par_scan)
 
@@ -140,39 +140,24 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + _t(M)) / 2
 
 
-def _symmetric(A: np.ndarray) -> bool:
-    """Whether a finite (N, n, n) stack passes
-    np.allclose(A, A', rtol=1e-12, atol=1e-12): allclose's own elementwise
-    test, |A - A'| <= 1e-12 + 1e-12 |A'|, without its non-finite handling.
-    It runs over blocks of about 2^15 entries, whose temporaries stay in
-    cache: on a (500, 32, 32) stack the whole-stack test takes three times
-    as long."""
-    nb = max(1, (1 << 15) // max(1, A.shape[-1] ** 2))
-    for i in range(0, len(A), nb):
-        a, at = A[i : i + nb], _t(A[i : i + nb])
-        if not (np.abs(a - at) <= 1e-12 + 1e-12 * np.abs(at)).all():
-            return False
-    return True
-
-
-# LqtProblem's arrays in file order: field, key in problem files, shape in
-# dimension names, and whether the field is optional. N is T - S; every other
-# dimension takes its size from the first array that has it (n_rT counts the
-# terminal outputs).
-_ARRAYS = (
-    ("x0", "x_S", ("n_x",), False),
-    ("F", "F", ("N", "n_x", "n_x"), False),
-    ("c", "c", ("N", "n_x"), False),
-    ("L", "L", ("N", "n_x", "n_u"), False),
-    ("H", "H", ("N", "n_r", "n_x"), False),
-    ("X", "X", ("N", "n_r", "n_r"), False),
-    ("r", "r", ("N", "n_r"), False),
-    ("U", "U", ("N", "n_u", "n_u"), False),
-    ("HT", "H_T", ("n_rT", "n_x"), False),
-    ("XT", "X_T", ("n_rT", "n_rT"), False),
-    ("rT", "r_T", ("n_rT",), False),
-    ("M", "M", ("N", "n_r", "n_u"), True),
-    ("s", "s", ("N", "n_u"), True),
+# LqtProblem's fields in file order (errors.check_fields): N is T - S, and
+# n_rT counts the terminal outputs.
+_FIELDS = (
+    ("S", "S", (), "int", False),
+    ("T", "T", (), "int", False),
+    ("x0", "x_S", ("n_x",), "float", False),
+    ("F", "F", ("N", "n_x", "n_x"), "float", False),
+    ("c", "c", ("N", "n_x"), "float", False),
+    ("L", "L", ("N", "n_x", "n_u"), "float", False),
+    ("H", "H", ("N", "n_r", "n_x"), "float", False),
+    ("X", "X", ("N", "n_r", "n_r"), "sym", False),
+    ("r", "r", ("N", "n_r"), "float", False),
+    ("U", "U", ("N", "n_u", "n_u"), "sym", False),
+    ("HT", "H_T", ("n_rT", "n_x"), "float", False),
+    ("XT", "X_T", ("n_rT", "n_rT"), "sym", False),
+    ("rT", "r_T", ("n_rT",), "float", False),
+    ("M", "M", ("N", "n_r", "n_u"), "float", True),
+    ("s", "s", ("N", "n_u"), "float", True),
 )
 
 
@@ -187,10 +172,10 @@ class LqtProblem:
     H x - r with u - s) and control references s generalize the stage cost;
     solvers require them eliminated first (transform_general_cost).
 
-    S and T must be integers, every array must hold numbers (integers or
-    floats; strings, booleans and objects are rejected), be finite and of
-    the shape ``_ARRAYS`` gives it, and X, U and XT symmetric; a ValueError
-    names the first field that is not.
+    S <= T must be integers, every array must hold numbers (integers or
+    floats, not strings, booleans or objects), be finite and of the shape
+    ``_FIELDS`` gives it, X, U and XT symmetric, or a ValueError names the
+    first field that is not (:func:`errors.check_fields`).
     """
 
     S: int
@@ -210,23 +195,12 @@ class LqtProblem:
     s: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("S", "T"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        check_fields(self, _FIELDS, self._dims)
+
+    def _dims(self) -> dict:
         if self.T < self.S:
             raise ValueError("need T >= S")
-        dims = {"N": self.T - self.S}
-        for name, _, shape, optional in _ARRAYS:
-            a = getattr(self, name)
-            if a is None and optional:
-                continue
-            a = as_float_array(a, name)
-            check_shape(name, a.shape, shape, dims)
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, a)
-        for name, A in (("X", self.X), ("U", self.U), ("XT", self.XT[None])):
-            if not _symmetric(A):
-                raise ValueError(f"{name} must be symmetric")
+        return {"N": self.T - self.S}
 
     @property
     def N(self) -> int:
@@ -1047,6 +1021,8 @@ def solve(
         raise ValueError(f"unknown backend {backend!r}")
     if traj_method not in (1, 2):
         raise ValueError(f"unknown trajectory method {traj_method!r}")
+    if block_size is not None:
+        block_size = as_int(block_size, "block_size")
     std, cost_rec = transform_general_cost(p)
     if block_size is not None or backend == "sequential":
         # Riccati's LU on G and condensing would take a non-PD U; the
@@ -1175,22 +1151,18 @@ def kkt_oracle(p: LqtProblem):
 
 def problem_to_dict(p: LqtProblem) -> dict:
     """S, T, n_x, n_u, n_r, then the arrays as lists under their file keys."""
-    d = {"S": p.S, "T": p.T, "n_x": p.n_x, "n_u": p.n_u, "n_r": p.n_r}
-    for name, key, _, _ in _ARRAYS:
-        a = getattr(p, name)
-        if a is not None:
-            d[key] = a.tolist()
-    return d
+    # the ** update keeps S and T first, where the literal puts them
+    return {"S": p.S, "T": p.T, "n_x": p.n_x, "n_u": p.n_u, "n_r": p.n_r, **fields_to_dict(p, _FIELDS)}
 
 
 def problem_from_dict(d: dict) -> LqtProblem:
     """The inverse of :func:`problem_to_dict`. A required key that is
     missing raises KeyError, and declared dimensions that disagree with the
-    arrays a ValueError."""
-    arrays = {name: d[key] for name, key, _, optional in _ARRAYS if key in d or not optional}
-    p = LqtProblem(S=d["S"], T=d["T"], **arrays)
-    for name in ("n_x", "n_u", "n_r"):
-        if name in d and as_int(d[name], name) != getattr(p, name):
+    arrays a ValueError; they also give empty arrays (T = S) their axes."""
+    declared = {name: as_int(d[name], name) for name in ("n_x", "n_u", "n_r") if name in d}
+    p = LqtProblem(**fields_from_dict(_FIELDS, d, declared))
+    for name, n in declared.items():
+        if n != getattr(p, name):
             raise ValueError(f"declared {name} = {d[name]} but the arrays give {getattr(p, name)}")
     return p
 

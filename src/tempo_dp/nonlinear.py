@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError, check_shape
+from .errors import SolverError, as_int, check_fields
 from . import lqt
 
 __all__ = [
@@ -33,18 +33,17 @@ __all__ = [
 _FD_STEP = 1e-6
 
 
-# NonlinearProblem's arrays and their shapes in dimension names: each
-# dimension takes its size from the first array that has it (n_g, the
-# control outputs, are as many as the controls, and n_rT counts the terminal
-# outputs).
-_SHAPES = (
-    ("x0", ("n_x",)),
-    ("X", ("N", "n_r", "n_r")),
-    ("U", ("N", "n_u", "n_u")),
-    ("r", ("N", "n_r")),
-    ("s", ("N", "n_u")),
-    ("XT", ("n_rT", "n_rT")),
-    ("rT", ("n_rT",)),
+# NonlinearProblem's arrays (errors.check_fields; no file format reads the
+# keys). n_g, the control outputs, are as many as the controls, and n_rT
+# counts the terminal outputs.
+_FIELDS = (
+    ("x0", "x0", ("n_x",), "float", False),
+    ("X", "X", ("N", "n_r", "n_r"), "sym", False),
+    ("U", "U", ("N", "n_u", "n_u"), "sym", False),
+    ("r", "r", ("N", "n_r"), "float", False),
+    ("s", "s", ("N", "n_u"), "float", False),
+    ("XT", "XT", ("n_rT", "n_rT"), "sym", False),
+    ("rT", "rT", ("n_rT",), "float", False),
 )
 
 
@@ -60,9 +59,9 @@ class NonlinearProblem:
     jac_f_u, jac_h and jac_g are analytic Jacobian providers returning
     (M, ., .) stacks; those left None fall back to central finite
     differences. The terminal maps hT(x) and jac_hT(x) take one point.
-    The sizes n_x, n_u and n_r are read from x0, U and X, and the horizon N
-    from X. An array of another shape than ``_SHAPES`` gives it raises a
-    ValueError naming the first such field.
+    n_x, n_u, n_r and N are read from x0, U and X. Every array must hold
+    numbers, be finite and of the shape ``_FIELDS`` gives it, X, U and XT
+    symmetric, or a ValueError names it (:func:`errors.check_fields`).
     """
 
     x0: np.ndarray
@@ -83,9 +82,7 @@ class NonlinearProblem:
     jac_hT: Callable | None = None
 
     def __post_init__(self):
-        dims = {}
-        for name, shape in _SHAPES:
-            check_shape(name, np.shape(getattr(self, name)), shape, dims)
+        check_fields(self, _FIELDS)
 
     @property
     def N(self) -> int:
@@ -93,7 +90,7 @@ class NonlinearProblem:
 
     @property
     def n_x(self) -> int:
-        return np.shape(self.x0)[0]
+        return self.x0.shape[0]
 
     @property
     def n_u(self) -> int:
@@ -219,6 +216,7 @@ def ilqt(
     the parallel backward scan's or ScanStats(N, N) on the sequential
     backend.
     """
+    iters = as_int(iters, "iters")
     if iters < 1:
         raise ValueError("need iters >= 1")
     nom = init if init is not None else default_nominal(p)

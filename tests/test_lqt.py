@@ -2042,7 +2042,9 @@ class TestSolve:
         [({"backend": "seq"}, "unknown backend"),
          ({"traj_method": 7}, "unknown trajectory method"),
          ({"traj_method": 0, "block_size": 2}, "unknown trajectory method"),
-         ({"block_size": 0}, "block size must be >= 1")],
+         ({"block_size": 0}, "block size must be >= 1"),
+         ({"block_size": 2.0}, r"^block_size must be an integer, got 2\.0$"),
+         ({"block_size": "2"}, "^block_size must be an integer, got '2'$")],
     )
     def test_rejects_bad_arguments(self, kwargs, match):
         p = random_lqt_problem(np.random.default_rng(24), N=4)
@@ -2161,6 +2163,25 @@ class TestFileInterchange:
         d[name] = 7
         with pytest.raises(ValueError, match=f"declared {name} = 7 but the arrays give {getattr(p, name)}$"):
             lqt.problem_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda p: dict(T=p.S, **{f: getattr(p, f)[:0] for f in ("F", "c", "L", "H", "X", "r", "U")}),
+         lambda p: dict(HT=p.HT[:0], XT=p.XT[:0, :0], rT=p.rT[:0]),
+         lambda p: dict(L=p.L[:, :, :0], U=p.U[:, :0, :0]),
+         lambda p: dict(H=p.H[:, :0], X=p.X[:, :0, :0], r=p.r[:, :0])],
+        ids=["zero-steps", "no-terminal-outputs", "no-controls", "no-outputs"],
+    )
+    def test_empty_arrays_roundtrip(self, cut):
+        # JSON keeps an array's axes up to its first empty one: the (0, 4, 2)
+        # L of T = S is written as [], and the declared n_u restores its axes
+        p = build_tracking2d(10)
+        p = replace(p, **cut(p))
+        q = lqt.problem_from_dict(json.loads(json.dumps(lqt.problem_to_dict(p))))
+        for f in fields(p):
+            a, b = getattr(p, f.name), getattr(q, f.name)
+            assert np.shape(a) == np.shape(b), f.name
+            np.testing.assert_array_equal(b, a, err_msg=f.name)
 
     def test_declared_dimension_must_be_integer(self):
         d = lqt.problem_to_dict(build_tracking2d(20))

@@ -61,6 +61,18 @@ class TestProblemShapes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(p, **change(p))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda p: {"X": p.X.astype(str)}, "X must hold numbers, got '100.0' (dtype <U32)"),
+         (lambda p: {"r": np.full_like(p.r, np.nan)}, "r must be finite"),
+         (lambda p: {"XT": p.XT + np.triu(np.ones_like(p.XT), 1)}, "XT must be symmetric")],
+        ids=["X-strings", "r-nan", "XT-asymmetric"],
+    )
+    def test_bad_array_names_field(self, change, message):
+        p = build_unicycle(20)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(p, **change(p))
+
 
 class TestFiniteDiffJacobian:
     def test_linear_map_exact(self):
@@ -317,6 +329,11 @@ class TestIlqt:
     def test_rejects_no_iterations(self):
         with pytest.raises(ValueError, match="^need iters >= 1$"):
             nl.ilqt(build_unicycle(20, seed=0), iters=0)
+
+    @pytest.mark.parametrize("iters", [2.5, 2.0, "2"])
+    def test_rejects_non_integer_iterations(self, iters):
+        with pytest.raises(ValueError, match=f"^iters must be an integer, got {re.escape(repr(iters))}$"):
+            nl.ilqt(build_unicycle(20, seed=0), iters=iters)
 
     @pytest.mark.parametrize("backend", ["sequential", "parallel"])
     def test_return_stats(self, backend):
